@@ -31,8 +31,6 @@ from .errors import (
 from .grid import (
     GridCdf,
     GridDensity,
-    MonotoneSpline,
-    fit_monotone_spline,
     pit,
     pit_from_samples,
     renormalize_density,
@@ -365,7 +363,6 @@ class RecalibratedDistribution:
     """Initial CDF pushed through the fitted P-P map at one feature point."""
 
     cdf: GridCdf
-    quantile_spline: MonotoneSpline
     pdf: GridDensity
 
     def quantile(self, p: float) -> float:
@@ -421,8 +418,7 @@ def recalibrate(model, r: PitCdfModel, x) -> RecalibratedDistribution:
 
     The recalibrated CDF on the grid is r(F_init(y); x), endpoint-snapped to
     {0, 1} and made nondecreasing by a cumulative maximum before spline
-    fitting. The density is the spline derivative, clipped and renormalized;
-    the quantile spline interpolates the strictly increasing support.
+    fitting. The density is the spline derivative, clipped and renormalized.
     """
     x = np.asarray(x, dtype=float)
     initial = model_cdf(model, x)
@@ -437,10 +433,7 @@ def recalibrate(model, r: PitCdfModel, x) -> RecalibratedDistribution:
 
     deriv = cdf.spline.derivative(grid.points)
     pdf = renormalize_density(GridDensity(grid, np.maximum(deriv, 0.0)))
-
-    p_knots, first = np.unique(cdf.values, return_index=True)
-    quantile_spline = fit_monotone_spline(p_knots, grid.points[first])
-    return RecalibratedDistribution(cdf=cdf, quantile_spline=quantile_spline, pdf=pdf)
+    return RecalibratedDistribution(cdf=cdf, pdf=pdf)
 
 
 class RecalibratedInitialModel:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .calibrate import AugmentedCalibrationSet, CalibrationSet
@@ -42,6 +44,8 @@ def read_calibration_csv(path) -> CalibrationSet:
                 row = [float(v) for v in parts]
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            if not all(math.isfinite(v) for v in row):
+                raise ConfigError(f"{path}:{lineno}: non-finite value")
             xs.append(row[:-1])
             ys.append(row[-1])
     if header is None or not ys:

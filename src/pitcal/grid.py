@@ -14,6 +14,10 @@ Conventions
 * CDF evaluation off the grid clamps to {0, 1}: these values are
   probabilities, not extrapolations.
 * Quantile lookups on flat CDF segments return the leftmost response value.
+* Point queries touch only the spline segment they land in: quantile
+  inversion bisects within one segment in float arithmetic, and batched PIT
+  evaluation limits the slopes of the queried segment alone. Both equal the
+  whole-spline computation bit for bit.
 
 All containers are immutable after construction and safe to share across
 threads for read-only evaluation.
@@ -258,10 +262,13 @@ class MonotoneSpline:
         return np.column_stack([c0, c1, c2, c3])
 
     def solve(self, target: float) -> float:
-        """Leftmost x with spline(x) >= target (bisection per segment).
+        """Leftmost x with spline(x) >= target (bisection within one segment).
 
         Targets below the first ordinate return the first knot; targets above
-        the last ordinate return the last knot.
+        the last ordinate return the last knot. The bisection reads the one
+        segment that holds the answer and evaluates it in float arithmetic,
+        with the operations of :meth:`__call__` in the same order, so the
+        result equals bit for bit a bisection that calls the spline per step.
         """
         xs, ys = self.knots_x, self.knots_y
         if target <= ys[0]:
@@ -270,9 +277,21 @@ class MonotoneSpline:
             return float(xs[-1])
         j = int(np.searchsorted(ys, target, side="left"))
         lo, hi = float(xs[j - 1]), float(xs[j])
+        x0, h = lo, hi - lo
+        y0, y1 = float(ys[j - 1]), float(ys[j])
+        hm0, hm1 = h * float(self.slopes[j - 1]), h * float(self.slopes[j])
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if self(mid) >= target:
+            t = min(max((mid - x0) / h, 0.0), 1.0)
+            t2 = t * t
+            t3 = t2 * t
+            value = (
+                y0 * (2 * t3 - 3 * t2 + 1)
+                + hm0 * (t3 - 2 * t2 + t)
+                + y1 * (-2 * t3 + 3 * t2)
+                + hm1 * (t3 - t2)
+            )
+            if value >= target:
                 hi = mid
             else:
                 lo = mid
@@ -430,27 +449,37 @@ def default_grid(values, n_points: int = 201, margin: float = 0.1) -> YGrid:
 # Batched PIT evaluation (same spline construction, many rows at once)
 # ----------------------------------------------------------------------
 
-def _batch_fc_slopes(xs: np.ndarray, ys_rows: np.ndarray) -> np.ndarray:
-    """Fritsch-Carlson limited slopes for many nondecreasing rows at once."""
-    h = np.diff(xs)
-    d = np.diff(ys_rows, axis=1) / h
-    m = np.empty_like(ys_rows)
-    m[:, 0] = d[:, 0]
-    m[:, -1] = d[:, -1]
-    if ys_rows.shape[1] > 2:
-        m[:, 1:-1] = 0.5 * (d[:, :-1] + d[:, 1:])
-    flat = d == 0.0
-    m[:, :-1] = np.where(flat, 0.0, m[:, :-1])
-    m[:, 1:] = np.where(flat, 0.0, m[:, 1:])
-    safe_d = np.where(flat, 1.0, d)
-    alpha = np.where(flat, 0.0, m[:, :-1] / safe_d)
-    beta = np.where(flat, 0.0, m[:, 1:] / safe_d)
+def _segment_slopes(xs: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Limited slopes at knots ``idx`` and ``idx + 1`` of each row, shape (N, 2).
+
+    A knot's Fritsch-Carlson slope depends on the secants two to each side,
+    so the pair needs only secants ``idx - 2 .. idx + 2``; secants past the
+    ends are masked out as :func:`fit_monotone_spline` leaves them out. The
+    arithmetic is that function's, term for term, so the result equals
+    ``fit_monotone_spline(xs, row).slopes[[i, i + 1]]`` bit for bit.
+    """
+    n = xs.size
+    sec = idx[:, None] + np.arange(-2, 3)
+    real = (sec >= 0) & (sec <= n - 2)
+    sec = np.clip(sec, 0, n - 2)
+    r = np.arange(rows.shape[0])[:, None]
+    d = (rows[r, sec + 1] - rows[r, sec]) / (xs[sec + 1] - xs[sec])
+    zero = d == 0.0
+    flat = real & zero
+
+    # raw slopes at knots idx-1 .. idx+2; knot k lies between secants k-1 and k
+    lr, rr = real[:, :-1], real[:, 1:]
+    m = np.where(lr & rr, 0.5 * (d[:, :-1] + d[:, 1:]), np.where(lr, d[:, :-1], d[:, 1:]))
+    m = np.where(flat[:, :-1] | flat[:, 1:], 0.0, m)
+
+    # monotonicity-circle factors of secants idx-1 .. idx+1; 1 past the ends
+    dm, zm = d[:, 1:-1], zero[:, 1:-1]
+    safe_d = np.where(zm, 1.0, dm)
+    alpha = np.where(zm, 0.0, m[:, :-1] / safe_d)
+    beta = np.where(zm, 0.0, m[:, 1:] / safe_d)
     r2 = alpha * alpha + beta * beta
-    tau = np.where(r2 > 9.0, 3.0 / np.sqrt(np.maximum(r2, 1e-300)), 1.0)
-    ones = np.ones((ys_rows.shape[0], 1))
-    scale = np.minimum(np.concatenate([ones, tau], axis=1),
-                       np.concatenate([tau, ones], axis=1))
-    return m * scale
+    tau = np.where(real[:, 1:-1] & (r2 > 9.0), 3.0 / np.sqrt(np.maximum(r2, 1e-300)), 1.0)
+    return m[:, 1:3] * np.minimum(tau[:, :-1], tau[:, 1:])
 
 
 def cdf_rows_from_density_rows(points: np.ndarray, density_rows: np.ndarray) -> np.ndarray:
@@ -472,20 +501,21 @@ def pit_matrix(grid: YGrid, density_rows: np.ndarray, ys: np.ndarray) -> np.ndar
     """PIT of one response per density row, matching :func:`pit` per row.
 
     Each row is integrated to a CDF and interpolated with the same monotone
-    cubic used by :func:`pit`; queries off the grid clamp to {0, 1}.
+    cubic used by :func:`pit`; queries off the grid clamp to {0, 1}. Slopes
+    are limited only at the two knots of the segment each response lands in
+    (see :func:`_segment_slopes`), which gives bit for bit the values of
+    fitting the whole row's spline.
     """
     pts = grid.points
     ys = np.asarray(ys, dtype=float)
     cdf_rows = cdf_rows_from_density_rows(pts, np.asarray(density_rows, dtype=float))
-    m = _batch_fc_slopes(pts, cdf_rows)
     idx = np.clip(np.searchsorted(pts, ys, side="right") - 1, 0, pts.size - 2)
     rows = np.arange(ys.shape[0])
     h = pts[idx + 1] - pts[idx]
     t = np.clip((ys - pts[idx]) / h, 0.0, 1.0)
     y0 = cdf_rows[rows, idx]
     y1 = cdf_rows[rows, idx + 1]
-    m0 = m[rows, idx]
-    m1 = m[rows, idx + 1]
+    m0, m1 = _segment_slopes(pts, cdf_rows, idx).T
     t2 = t * t
     t3 = t2 * t
     out = (

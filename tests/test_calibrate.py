@@ -28,7 +28,7 @@ from pitcal.errors import (
     LengthMismatch,
     ModelEvalError,
 )
-from pitcal.grid import GridDensity, YGrid, cdf_from_density, fit_monotone_spline
+from pitcal.grid import GridDensity, YGrid, cdf_from_density
 from pitcal.calibrate import RecalibratedDistribution
 from pitcal.models import (
     CallableDensityModel,
@@ -46,9 +46,7 @@ def make_rd_from_density(grid, values):
     total = np.trapezoid(values, grid.points)
     pdf = GridDensity(grid, values / total)
     cdf = cdf_from_density(pdf)
-    p, first = np.unique(cdf.values, return_index=True)
-    qs = fit_monotone_spline(p, grid.points[first])
-    return RecalibratedDistribution(cdf=cdf, quantile_spline=qs, pdf=pdf)
+    return RecalibratedDistribution(cdf=cdf, pdf=pdf)
 
 
 class TestComputePitValues:

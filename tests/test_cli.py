@@ -94,6 +94,15 @@ class TestCalibrate:
         assert code == 2
         assert ":3:" in captured.err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_value_reports_row(self, tmp_path, capsys, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x0,y\n0.1,0.2\n0.3,{value}\n0.5,0.6\n")
+        code = run(["calibrate", "--data", path, "--out-dir", tmp_path / "o"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{path}:3: non-finite value" in captured.err
+
     def test_net_backend_round_trip(self, tmp_path):
         data = self._uniform_dataset(tmp_path, n=400)
         out = tmp_path / "net"

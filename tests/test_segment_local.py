@@ -1,0 +1,139 @@
+"""Segment-local spline queries against the whole-spline computations.
+
+``MonotoneSpline.solve`` bisects inside one segment in float arithmetic, and
+``pit_matrix`` limits slopes only at the two knots of each queried segment.
+Both must reproduce the whole-spline path exactly, so every comparison here
+is ``==``.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from pitcal.grid import (
+    YGrid,
+    _segment_slopes,
+    cdf_rows_from_density_rows,
+    fit_monotone_spline,
+    pit_matrix,
+)
+
+
+def reference_solve(sp, target):
+    """Bisection that evaluates the whole numpy spline at every step."""
+    xs, ys = sp.knots_x, sp.knots_y
+    if target <= ys[0]:
+        return float(xs[0])
+    if target > ys[-1]:
+        return float(xs[-1])
+    j = int(np.searchsorted(ys, target, side="left"))
+    lo, hi = float(xs[j - 1]), float(xs[j])
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if sp(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-14 * max(1.0, abs(hi)):
+            break
+    return hi
+
+
+def random_knots(rng, n, flat_share):
+    """Strictly increasing abscissae and nondecreasing ordinates with flat runs."""
+    xs = np.cumsum(rng.uniform(0.01, 2.0, size=n)) - rng.uniform(0.0, 10.0)
+    steps = rng.exponential(size=n - 1)
+    steps[rng.random(n - 1) < flat_share] = 0.0
+    ys = np.concatenate([[0.0], np.cumsum(steps)])
+    if ys[-1] > 0:
+        ys = ys / ys[-1]
+    return xs, ys
+
+
+def random_density_rows(rng, n_rows, n_points, flat_share):
+    """Nonnegative density rows with zero runs (flat CDF stretches)."""
+    rows = rng.exponential(size=(n_rows, n_points))
+    rows[rng.random((n_rows, n_points)) < flat_share] = 0.0
+    rows[:, n_points // 2] += 1.0  # every row keeps positive mass
+    return rows
+
+
+class TestSolve:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=2, max_value=40),
+        st.sampled_from([0.0, 0.3, 0.7]),
+    )
+    def test_equals_whole_spline_bisection(self, seed, n, flat_share):
+        rng = np.random.default_rng(seed)
+        xs, ys = random_knots(rng, n, flat_share)
+        sp = fit_monotone_spline(xs, ys)
+        targets = [
+            *ys,
+            0.025, 0.05, 0.95, 0.975,
+            ys[0], ys[-1], ys[0] - 0.1, ys[-1] + 0.1,
+            *rng.uniform(ys[0], ys[-1], size=10),
+        ]
+        for p in targets:
+            got = sp.solve(p)
+            assert type(got) is float
+            assert got == reference_solve(sp, p)
+
+    def test_recalibrated_cdf_quantiles(self):
+        # CDF rows like those recalibration produces: integrated densities
+        # with flat stretches, inverted at the usual interval levels
+        rng = np.random.default_rng(7)
+        pts = np.linspace(-3.0, 3.0, 201)
+        cdfs = cdf_rows_from_density_rows(pts, random_density_rows(rng, 12, 201, 0.4))
+        for row in cdfs:
+            sp = fit_monotone_spline(pts, row)
+            for p in (0.0, 0.025, 0.05, 0.5, 0.95, 0.975, 1.0):
+                assert sp.solve(p) == reference_solve(sp, p)
+
+
+class TestPitMatrixSlopes:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=3, max_value=40),
+        st.sampled_from([0.0, 0.3, 0.7]),
+    )
+    def test_equal_to_fitted_spline_slopes(self, seed, n_points, flat_share):
+        rng = np.random.default_rng(seed)
+        pts = np.cumsum(rng.uniform(0.01, 1.0, size=n_points))
+        cdfs = cdf_rows_from_density_rows(pts, random_density_rows(rng, 16, n_points, flat_share))
+        last = n_points - 2
+        # the first two and last two segments, where the window is clipped,
+        # then segments drawn at random
+        idx = np.array([0, 1, last - 1, last] * 2 + list(rng.integers(0, last + 1, size=8)))
+        idx = np.clip(idx, 0, last)
+        got = _segment_slopes(pts, cdfs, idx)
+        for i, k in enumerate(idx):
+            slopes = fit_monotone_spline(pts, cdfs[i]).slopes
+            assert got[i, 0] == slopes[k]
+            assert got[i, 1] == slopes[k + 1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6), st.sampled_from([0.0, 0.5]))
+    def test_pit_matrix_equals_per_row_spline(self, seed, flat_share):
+        rng = np.random.default_rng(seed)
+        grid = YGrid(np.linspace(-2.0, 2.0, 41))
+        pts = grid.points
+        rows = random_density_rows(rng, 24, pts.size, flat_share)
+        h = pts[1] - pts[0]
+        ys = np.concatenate([
+            rng.uniform(pts[0], pts[0] + 2 * h, size=4),    # first two segments
+            rng.uniform(pts[-1] - 2 * h, pts[-1], size=4),  # last two segments
+            [pts[0], pts[-1], pts[0] - 0.5, pts[-1] + 0.5],  # ends and off the grid
+            rng.uniform(-2.5, 2.5, size=12),
+        ])
+        got = pit_matrix(grid, rows, ys)
+        cdfs = cdf_rows_from_density_rows(pts, rows)
+        for i, y in enumerate(ys):
+            if y < pts[0]:
+                want = 0.0
+            elif y > pts[-1]:
+                want = 1.0
+            else:
+                want = float(np.clip(fit_monotone_spline(pts, cdfs[i])(y), 0.0, 1.0))
+            assert got[i] == want

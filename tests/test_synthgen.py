@@ -115,28 +115,26 @@ class TestExample1:
 
     def test_unimodal_below_zero(self):
         from pitcal.calibrate import RecalibratedDistribution, calpit_hpd
-        from pitcal.grid import GridDensity, YGrid, cdf_from_density, fit_monotone_spline
+        from pitcal.grid import GridDensity, YGrid, cdf_from_density
 
         oracle = Example1Oracle(TwoGroupConfig())
         grid = YGrid(np.linspace(-15, 15, 601))
         vals = oracle.pdf(grid.points, [-2.0, 0.0])
         pdf = GridDensity(grid, vals / np.trapezoid(vals, grid.points))
         cdf = cdf_from_density(pdf)
-        p, first = np.unique(cdf.values, return_index=True)
-        rd = RecalibratedDistribution(cdf, fit_monotone_spline(p, grid.points[first]), pdf)
+        rd = RecalibratedDistribution(cdf, pdf)
         assert len(calpit_hpd(rd, 0.1).intervals) == 1
 
     def test_bimodal_oracle_hpd_beats_interval(self):
         from pitcal.calibrate import RecalibratedDistribution, calpit_hpd, calpit_interval
-        from pitcal.grid import GridDensity, YGrid, cdf_from_density, fit_monotone_spline
+        from pitcal.grid import GridDensity, YGrid, cdf_from_density
 
         oracle = Example1Oracle(TwoGroupConfig())
         grid = YGrid(np.linspace(-22, 22, 801))
         vals = oracle.pdf(grid.points, [5.0, 0.0])
         pdf = GridDensity(grid, vals / np.trapezoid(vals, grid.points))
         cdf = cdf_from_density(pdf)
-        p, first = np.unique(cdf.values, return_index=True)
-        rd = RecalibratedDistribution(cdf, fit_monotone_spline(p, grid.points[first]), pdf)
+        rd = RecalibratedDistribution(cdf, pdf)
         hpd = calpit_hpd(rd, 0.1)
         interval = calpit_interval(rd, 0.1)
         assert len(hpd.intervals) == 2
