@@ -20,22 +20,16 @@ from . import rng as rngmod
 from .baselines import DcpModel, RegSplitModel, fit_knn_mean
 from .calibrate import (
     CalibrationSet,
-    LocalEmpiricalConfig,
     PredictionSet,
     calpit_hpd,
     calpit_interval,
     compute_pit_values,
-    fit_local_empirical,
     recalibrate,
 )
 from .errors import ConfigError
 from .grid import invert_cdf
-from .models import (
-    GaussianInitialModel,
-    MarginalHistogramModel,
-    UniformInitialModel,
-    model_cdf,
-)
+from .models import model_cdf
+from .pipeline import build_initial, fit_pit_model, split_calibration
 from .synthgen import TwoGroupConfig, sample_example1, sample_example2
 
 __all__ = [
@@ -89,6 +83,10 @@ class ExperimentRecipe:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.experiment not in ("full", "split"):
             raise ConfigError(f"unknown experiment mode {self.experiment!r}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
+        if min(self.n, self.n_realizations, self.n_mc_draws) < 1:
+            raise ConfigError("n, realizations and mc_draws must be >= 1")
 
     def to_config(self) -> dict:
         doc = {
@@ -184,47 +182,6 @@ def _default_test_grid(recipe: ExperimentRecipe):
     return [np.array([v]) for v in np.linspace(-1.0, 1.0, g)]
 
 
-def _build_initial(recipe: ExperimentRecipe, data, train: CalibrationSet):
-    if recipe.initial == "uniform":
-        return UniformInitialModel(data.grid)
-    if recipe.initial == "marginal":
-        return MarginalHistogramModel(data.grid, train.ys)
-    if recipe.initial == "generator":
-        if data.initial is None:
-            raise ConfigError(f"generator {recipe.generator!r} provides no initial model")
-        return data.initial
-    # gaussian-fit: nearest-neighbor mean plus one global residual scale
-    mu = fit_knn_mean(train, k=int(recipe.backend_params.get("mean_k", 50)))
-    resid = np.array([train.ys[i] - mu(train.xs[i]) for i in range(len(train))])
-    sd = float(np.std(resid))
-    sd = sd if sd > 0 else 1.0
-    return GaussianInitialModel(data.grid, mean_fn=mu, sd_fn=sd)
-
-
-def _fit_pit_model(recipe: ExperimentRecipe, cal: CalibrationSet, pits, seed: int):
-    if recipe.backend == "local":
-        k = recipe.backend_params.get("k")
-        bandwidth = recipe.backend_params.get("bandwidth")
-        if k is None and bandwidth is None:
-            k = max(10, min(len(cal) // 10, 1000))
-        weighting = recipe.backend_params.get("weighting", "uniform")
-        cfg = LocalEmpiricalConfig(
-            k=int(k) if k is not None else None,
-            bandwidth=bandwidth,
-            weighting=weighting,
-        )
-        return fit_local_empirical(cal, pits, cfg)
-    from .calibrate import augment
-    from .monotone_net import MonotoneNetConfig, fit_monotone_net
-
-    params = dict(recipe.backend_params)
-    k_factor = int(params.pop("k_factor", 50))
-    params.setdefault("seed", seed)
-    cfg = MonotoneNetConfig(**params)
-    aug = augment(cal, pits, k_factor, rngmod.derive_seed(seed, "augment"))
-    return fit_monotone_net(aug, cfg)
-
-
 def _method_constructor(recipe: ExperimentRecipe, data, train: CalibrationSet,
                         cal: CalibrationSet, rep_seed: int):
     """Fit whatever the method needs once, return a per-x set constructor."""
@@ -239,7 +196,9 @@ def _method_constructor(recipe: ExperimentRecipe, data, train: CalibrationSet,
 
         return make
 
-    initial = _build_initial(recipe, data, train)
+    params = dict(recipe.backend_params)
+    initial = build_initial(recipe.initial, data.grid, train, mean_k=params.pop("mean_k", 50),
+                            generator_model=data.initial)
     if recipe.method == "initial":
         def make(x):
             cdf = model_cdf(initial, x)
@@ -258,7 +217,9 @@ def _method_constructor(recipe: ExperimentRecipe, data, train: CalibrationSet,
         return model.predict_set
 
     pits = compute_pit_values(initial, cal)
-    r = _fit_pit_model(recipe, cal, pits, rep_seed)
+    fit_args = {key: params.pop(key) for key in ("k", "bandwidth", "weighting", "k_factor")
+                if key in params}
+    r = fit_pit_model(cal, pits, recipe.backend, rep_seed, **fit_args, net=params)
     if recipe.method == "calpit-int":
         return lambda x: calpit_interval(recalibrate(initial, r, x), alpha)
     return lambda x: calpit_hpd(recalibrate(initial, r, x), alpha)
@@ -283,12 +244,9 @@ def run_experiment(recipe: ExperimentRecipe, n_threads: int = 1) -> CoverageRepo
         data = _GENERATORS[recipe.generator](recipe.n, rep_seed, recipe.generator_params)
         oracle = data.oracle
         if recipe.experiment == "split" or recipe.method in ("regsplit",):
-            half = len(data.cal) // 2
-            train = CalibrationSet(data.cal.xs[:half], data.cal.ys[:half])
-            cal = CalibrationSet(data.cal.xs[half:], data.cal.ys[half:])
+            train, cal = split_calibration(data.cal, 0.5)
         else:
-            train = data.cal
-            cal = data.cal
+            train = cal = data.cal
         make_set = _method_constructor(recipe, data, train, cal, rep_seed)
 
         def point_work(item, _rep=rep, _oracle=oracle, _make=make_set):

@@ -21,22 +21,12 @@ import numpy as np
 from . import __version__
 from . import rng as rngmod
 from .bench import ExperimentRecipe, run_experiment
-from .calibrate import (
-    CalibrationSet,
-    LocalEmpiricalConfig,
-    augment,
-    calpit_hpd,
-    calpit_interval,
-    compute_pit_values,
-    fit_local_empirical,
-    recalibrate,
-)
+from .calibrate import calpit_hpd, calpit_interval, compute_pit_values, recalibrate
 from .dataio import read_calibration_csv, write_calibration_csv
 from .diagnose import alp_curve, mc_confidence_band, mc_p_value
 from .errors import ConfigError, PitcalError
 from .grid import default_grid, write_grid_csv
-from .models import GaussianInitialModel, MarginalHistogramModel, UniformInitialModel
-from .baselines import fit_knn_mean
+from .pipeline import build_initial, fit_pit_model, split_calibration
 from .synthgen import (
     TwoGroupConfig,
     chunk_tc,
@@ -112,7 +102,10 @@ def _parse_points(spec: str) -> list:
         chunk = chunk.strip()
         if not chunk:
             continue
-        pts.append(np.array([float(v) for v in chunk.split(",")]))
+        try:
+            pts.append(np.array([float(v) for v in chunk.split(",")]))
+        except ValueError as exc:
+            raise ConfigError(f"bad evaluation point {chunk!r} in {spec!r}") from exc
     if not pts:
         raise ConfigError(f"no evaluation points in {spec!r}")
     return pts
@@ -163,84 +156,83 @@ def cmd_gen(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# calibrate
+# calibrate and diagnose
 # ----------------------------------------------------------------------
 
-def _build_initial_from_config(cfg: dict, cal: CalibrationSet, grid, train: CalibrationSet):
-    kind = cfg["initial"]
-    if kind == "uniform":
-        return UniformInitialModel(grid)
-    if kind == "marginal":
-        return MarginalHistogramModel(grid, train.ys)
-    if kind == "gaussian-fit":
-        mu = fit_knn_mean(train, k=int(cfg["mean_k"]))
-        resid = np.array([train.ys[i] - mu(train.xs[i]) for i in range(len(train))])
-        sd = float(np.std(resid)) or 1.0
-        return GaussianInitialModel(grid, mean_fn=mu, sd_fn=sd * float(cfg["sd_scale"]))
-    raise ConfigError(f"unknown initial model kind {kind!r}")
+# flags and defaults shared by calibrate and diagnose
+_PIPELINE_DEFAULTS = {
+    "data": None, "initial": "uniform", "eval_x": None, "out_dir": "out", "seed": 0,
+    "k": None, "weighting": "uniform", "mean_k": 50, "sd_scale": 1.0,
+    "train_fraction": 0.5, "grid_points": 201, "threads": None,
+}
+
+# network config keys -> (MonotoneNetConfig field, parser of the flag's string)
+_NET_FIELDS = {
+    "net_hidden": ("hidden_layers", lambda v: tuple(int(h) for h in str(v).split(","))),
+    "net_lr": ("learning_rate", float),
+    "net_lr_decay": ("lr_decay", float),
+    "net_weight_decay": ("weight_decay", float),
+    "net_batch": ("batch_size", int),
+    "net_patience": ("patience", int),
+    "net_val_fraction": ("val_fraction", float),
+    "net_max_epochs": ("max_epochs", int),
+}
 
 
-def _split_for_initial(cfg: dict, data: CalibrationSet):
+def _prepare(cfg: dict):
+    """Read the data, then grid, split, initial model and PIT values.
+
+    Returns ``(cal, initial, pits, points)``, where ``points`` are the parsed
+    ``eval_x`` points or None.
+    """
+    if not cfg["data"]:
+        raise ConfigError("--data is required")
+    if not os.path.exists(cfg["data"]):
+        raise ConfigError(f"dataset not found: {cfg['data']}")
+    if int(cfg["grid_points"]) < 3:
+        raise ConfigError(f"grid_points must be >= 3, got {cfg['grid_points']}")
+    points = _parse_points(cfg["eval_x"]) if cfg["eval_x"] else None
+    data = read_calibration_csv(cfg["data"])
+    grid = default_grid(data.ys, n_points=int(cfg["grid_points"]))
     if cfg["initial"] == "gaussian-fit":
-        half = int(len(data) * float(cfg["train_fraction"]))
-        if half < 1 or half >= len(data):
-            raise ConfigError("train_fraction leaves an empty split")
-        train = CalibrationSet(data.xs[:half], data.ys[:half])
-        cal = CalibrationSet(data.xs[half:], data.ys[half:])
-        return train, cal
-    return data, data
+        train, cal = split_calibration(data, cfg["train_fraction"])
+    else:
+        train = cal = data
+    initial = build_initial(cfg["initial"], grid, train, mean_k=cfg["mean_k"],
+                            sd_scale=cfg["sd_scale"])
+    return cal, initial, compute_pit_values(initial, cal), points
 
 
-def _fit_backend(cfg: dict, cal: CalibrationSet, pits, seed: int):
-    if cfg["backend"] == "local":
-        k = cfg["k"] if cfg["k"] is not None else max(10, min(len(cal) // 10, 1000))
-        return fit_local_empirical(cal, pits, LocalEmpiricalConfig(k=int(k), weighting=cfg["weighting"]))
-    if cfg["backend"] == "net":
-        from .monotone_net import MonotoneNetConfig, fit_monotone_net
-
-        net_cfg = MonotoneNetConfig(
-            hidden_layers=tuple(int(h) for h in str(cfg["net_hidden"]).split(",")),
-            learning_rate=float(cfg["net_lr"]),
-            lr_decay=float(cfg["net_lr_decay"]),
-            weight_decay=float(cfg["net_weight_decay"]),
-            batch_size=int(cfg["net_batch"]),
-            patience=int(cfg["net_patience"]),
-            val_fraction=float(cfg["net_val_fraction"]),
-            max_epochs=int(cfg["net_max_epochs"]),
-            seed=rngmod.derive_seed(seed, "net"),
-        )
-        aug = augment(cal, pits, int(cfg["k_factor"]), rngmod.derive_seed(seed, "augment"))
-        return fit_monotone_net(aug, net_cfg)
-    raise ConfigError(f"unknown backend {cfg['backend']!r}")
+def _net_params(cfg: dict, seed: int) -> dict:
+    params = {"seed": rngmod.derive_seed(seed, "net")}
+    for key, (name, parse) in _NET_FIELDS.items():
+        try:
+            params[name] = parse(cfg[key])
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    return params
 
 
 _CAL_DEFAULTS = {
-    "data": None, "initial": "uniform", "backend": "local", "alpha": 0.1,
-    "eval_x": None, "hpd": False, "out_dir": "out", "seed": 0, "k": None,
-    "weighting": "uniform", "k_factor": 50, "mean_k": 50, "sd_scale": 1.0,
-    "train_fraction": 0.5, "grid_points": 201,
+    **_PIPELINE_DEFAULTS, "backend": "local", "alpha": 0.1, "hpd": False, "k_factor": 50,
     "net_hidden": "64,64,64", "net_lr": 1e-3, "net_lr_decay": 0.95,
     "net_weight_decay": 0.01, "net_batch": 2048, "net_patience": 10,
-    "net_val_fraction": 0.1, "net_max_epochs": 100, "threads": None,
+    "net_val_fraction": 0.1, "net_max_epochs": 100,
 }
 
 
 def cmd_calibrate(args) -> int:
     cfg = _resolve(args, _CAL_DEFAULTS)
-    if not cfg["data"]:
-        raise ConfigError("--data is required")
-    if not os.path.exists(cfg["data"]):
-        raise ConfigError(f"dataset not found: {cfg['data']}")
-    data = read_calibration_csv(cfg["data"])
+    alpha = float(cfg["alpha"])
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {cfg['alpha']}")
     seed = int(cfg["seed"])
+    cal, initial, pits, points = _prepare(cfg)
+    model = fit_pit_model(cal, pits, cfg["backend"], seed, k=cfg["k"],
+                          weighting=cfg["weighting"], k_factor=cfg["k_factor"],
+                          net=_net_params(cfg, seed))
     stamp = _stamp(cfg, seed)
     out = _ensure_outdir(cfg["out_dir"])
-
-    grid = default_grid(data.ys, n_points=int(cfg["grid_points"]))
-    train, cal = _split_for_initial(cfg, data)
-    initial = _build_initial_from_config(cfg, cal, grid, train)
-    pits = compute_pit_values(initial, cal)
-    model = _fit_backend(cfg, cal, pits, seed)
 
     doc = model.to_json()
     doc.update(_meta(cfg, seed))
@@ -248,78 +240,54 @@ def cmd_calibrate(args) -> int:
         json.dump(doc, fh, indent=1)
 
     sets = []
-    if cfg["eval_x"]:
-        for i, x in enumerate(_parse_points(cfg["eval_x"])):
-            rd = recalibrate(initial, model, x)
-            write_grid_csv(out / f"recal_cdf_{i}.csv", rd.cdf.grid, rd.cdf.values, comment=stamp)
-            entry = {
-                "x": [float(v) for v in x],
-                "interval": calpit_interval(rd, float(cfg["alpha"])).to_json(),
-            }
-            if cfg["hpd"]:
-                entry["hpd"] = calpit_hpd(rd, float(cfg["alpha"])).to_json()
-            sets.append(entry)
+    for i, x in enumerate(points or []):
+        rd = recalibrate(initial, model, x)
+        write_grid_csv(out / f"recal_cdf_{i}.csv", rd.cdf.grid, rd.cdf.values, comment=stamp)
+        entry = {"x": [float(v) for v in x], "interval": calpit_interval(rd, alpha).to_json()}
+        if cfg["hpd"]:
+            entry["hpd"] = calpit_hpd(rd, alpha).to_json()
+        sets.append(entry)
     with open(out / "sets.json", "w", encoding="utf-8") as fh:
         json.dump({**_meta(cfg, seed), "alpha": cfg["alpha"], "sets": sets}, fh, indent=1)
     print(f"wrote {out / 'model.json'} and {len(sets)} evaluation points")
     return 0
 
 
-# ----------------------------------------------------------------------
-# diagnose
-# ----------------------------------------------------------------------
-
 _DIAG_DEFAULTS = {
-    "data": None, "initial": "uniform", "backend": "local", "out_dir": "out",
-    "seed": 0, "eval_x": None, "n_eval_points": 20, "n_mc": 100,
-    "band_eta": 0.05, "n_gammas": 21, "k": None, "weighting": "uniform",
-    "mean_k": 50, "sd_scale": 1.0, "train_fraction": 0.5, "grid_points": 201,
-    "threads": None,
+    **_PIPELINE_DEFAULTS, "n_eval_points": 20, "n_mc": 100, "band_eta": 0.05,
+    "n_gammas": 21,
 }
 
 
 def cmd_diagnose(args) -> int:
     cfg = _resolve(args, _DIAG_DEFAULTS)
-    if not cfg["data"]:
-        raise ConfigError("--data is required")
-    if not os.path.exists(cfg["data"]):
-        raise ConfigError(f"dataset not found: {cfg['data']}")
-    if cfg["backend"] != "local":
-        print(
-            "warning: the local coverage test refits with the local-empirical "
-            "backend; the requested backend is ignored for null replicates",
-            file=sys.stderr,
-        )
-    data = read_calibration_csv(cfg["data"])
+    n_mc = int(cfg["n_mc"])
+    if n_mc < 20:
+        raise ConfigError(f"n_mc must be >= 20 for the null band, got {n_mc}")
+    eta = float(cfg["band_eta"])
+    if not 0.0 < eta < 1.0:
+        raise ConfigError(f"band_eta must be in (0, 1), got {cfg['band_eta']}")
     seed = int(cfg["seed"])
+    cal, initial, pits, points = _prepare(cfg)
+
+    # null refits always use the local backend, the one the test is valid for
+    def fit_fn(c, p):
+        return fit_pit_model(c, p, "local", seed, k=cfg["k"], weighting=cfg["weighting"])
+
+    observed = fit_fn(cal, pits)
+    if points is None:
+        points = [cal.xs[i] for i in range(min(int(cfg["n_eval_points"]), len(cal)))]
     stamp = _stamp(cfg, seed)
     out = _ensure_outdir(cfg["out_dir"])
 
-    grid = default_grid(data.ys, n_points=int(cfg["grid_points"]))
-    train, cal = _split_for_initial(cfg, data)
-    initial = _build_initial_from_config(cfg, cal, grid, train)
-    pits = compute_pit_values(initial, cal)
-
-    k = cfg["k"] if cfg["k"] is not None else max(10, min(len(cal) // 10, 1000))
-    le_cfg = LocalEmpiricalConfig(k=int(k), weighting=cfg["weighting"])
-
-    def fit_fn(c, p):
-        return fit_local_empirical(c, p, le_cfg)
-
-    if cfg["eval_x"]:
-        points = _parse_points(cfg["eval_x"])
-    else:
-        points = [cal.xs[i] for i in range(min(int(cfg["n_eval_points"]), len(cal)))]
-
     gammas = np.linspace(0.05, 0.95, int(cfg["n_gammas"]))
-    eta = float(cfg["band_eta"])
     results = []
     for i, x in enumerate(points):
         point_seed = rngmod.derive_seed(seed, "diagnose", i)
-        res = mc_p_value(fit_fn, cal, pits, x, int(cfg["n_mc"]), gammas, seed=point_seed)
-        lo, hi = mc_confidence_band(fit_fn, cal, pits, x, int(cfg["n_mc"]), gammas,
+        res = mc_p_value(fit_fn, cal, pits, x, n_mc, gammas, seed=point_seed)
+        lo, hi = mc_confidence_band(fit_fn, cal, pits, x, n_mc, gammas,
                                     eta=eta, seed=point_seed)
-        curve = alp_curve(fit_fn(cal, pits), x, gammas, band=(lo, hi))
+        curve = alp_curve(observed, x, gammas, band=(lo, hi))
         with open(out / f"alp_{i}.csv", "w", encoding="utf-8") as fh:
             fh.write(f"# {stamp}\n")
             fh.write("gamma,r,lo,hi\n")
@@ -399,6 +367,20 @@ def _add_common(p):
     p.add_argument("--config", default=None, help="key = value file; flags override")
 
 
+def _add_pipeline_flags(p):
+    """Flags of the shared front half of calibrate and diagnose (see _prepare)."""
+    p.add_argument("--data", default=None)
+    p.add_argument("--initial", choices=["uniform", "marginal", "gaussian-fit"], default=None)
+    p.add_argument("--eval-x", dest="eval_x", default=None,
+                   help="semicolon-separated points, comma-separated components")
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--weighting", choices=["uniform", "inverse-distance"], default=None)
+    p.add_argument("--mean-k", dest="mean_k", type=int, default=None)
+    p.add_argument("--sd-scale", dest="sd_scale", type=float, default=None)
+    p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
+    p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pitcal", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pitcal {__version__}")
@@ -413,41 +395,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("calibrate", help="fit the PIT-CDF map and emit recalibrated outputs")
-    p.add_argument("--data", default=None)
-    p.add_argument("--initial", choices=["uniform", "marginal", "gaussian-fit"], default=None)
+    _add_pipeline_flags(p)
     p.add_argument("--backend", choices=["local", "net"], default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--eval-x", dest="eval_x", default=None,
-                   help="semicolon-separated points, comma-separated components")
     p.add_argument("--hpd", action="store_const", const=True, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--weighting", choices=["uniform", "inverse-distance"], default=None)
     p.add_argument("--k-factor", dest="k_factor", type=int, default=None)
-    p.add_argument("--mean-k", dest="mean_k", type=int, default=None)
-    p.add_argument("--sd-scale", dest="sd_scale", type=float, default=None)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    for flag in ("net-hidden", "net-lr", "net-lr-decay", "net-weight-decay",
-                 "net-batch", "net-patience", "net-val-fraction", "net-max-epochs"):
-        p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), default=None)
+    for key in _NET_FIELDS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("diagnose", help="local P-P curves, bands, and coverage tests")
-    p.add_argument("--data", default=None)
-    p.add_argument("--initial", choices=["uniform", "marginal", "gaussian-fit"], default=None)
-    p.add_argument("--backend", choices=["local", "net"], default=None)
-    p.add_argument("--eval-x", dest="eval_x", default=None)
+    _add_pipeline_flags(p)
     p.add_argument("--n-eval-points", dest="n_eval_points", type=int, default=None)
     p.add_argument("--n-mc", dest="n_mc", type=int, default=None)
     p.add_argument("--band-eta", dest="band_eta", type=float, default=None)
     p.add_argument("--n-gammas", dest="n_gammas", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--weighting", choices=["uniform", "inverse-distance"], default=None)
-    p.add_argument("--mean-k", dest="mean_k", type=int, default=None)
-    p.add_argument("--sd-scale", dest="sd_scale", type=float, default=None)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_diagnose)
 

@@ -5,8 +5,7 @@ The local test statistic measures the mean squared deviation of the fitted
 PIT-CDF curve from the diagonal over a gamma grid. Its null distribution is
 simulated by refitting the regression on resampled uniform PIT values, which
 is valid for local estimators whose fit at x only uses calibration points
-near x (the k-nearest-neighbor backend qualifies; network fits do not, so the
-CLI warns when they are used here).
+near x: the k-nearest-neighbor backend qualifies, network fits do not.
 """
 
 from __future__ import annotations

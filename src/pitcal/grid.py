@@ -246,21 +246,6 @@ class MonotoneSpline:
         out = np.where(inside, out, 0.0)
         return float(out[0]) if scalar else out
 
-    @property
-    def segment_coefficients(self) -> np.ndarray:
-        """Per-interval cubic coefficients c[k] of y = sum_k c[k] * s**k.
-
-        ``s`` is the offset from the left knot of the interval.
-        """
-        xs, ys, m = self.knots_x, self.knots_y, self.slopes
-        h = np.diff(xs)
-        d = np.diff(ys) / h
-        c0 = ys[:-1]
-        c1 = m[:-1]
-        c2 = (3 * d - 2 * m[:-1] - m[1:]) / h
-        c3 = (m[:-1] + m[1:] - 2 * d) / h**2
-        return np.column_stack([c0, c1, c2, c3])
-
     def solve(self, target: float) -> float:
         """Leftmost x with spline(x) >= target (bisection within one segment).
 
@@ -356,22 +341,11 @@ def fit_monotone_spline(xs, ys) -> MonotoneSpline:
 def cdf_from_density(d: GridDensity) -> GridCdf:
     """Cumulative trapezoid integral of a density, as a :class:`GridCdf`.
 
-    The density is renormalized to unit mass first, the running integral is
-    clamped to [0, 1], and the final value is forced to exactly 1.
+    A batch of one of :func:`cdf_rows_from_density_rows`: the density is
+    renormalized to unit mass, the running integral is clamped to [0, 1], and
+    the final value is forced to exactly 1.
     """
-    if np.any(d.values < 0):
-        raise InvalidDensity("density has negative values; renormalize first")
-    pts = d.grid.points
-    vals = d.values
-    seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(pts)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    if total <= 0:
-        raise DegenerateDensity("density integrates to zero")
-    cum = np.clip(cum / total, 0.0, 1.0)
-    cum[0] = 0.0
-    cum[-1] = 1.0
-    return GridCdf(d.grid, cum)
+    return GridCdf(d.grid, cdf_rows_from_density_rows(d.grid.points, d.values[None, :])[0])
 
 
 def invert_cdf(c: GridCdf, p: float) -> float:
@@ -483,16 +457,23 @@ def _segment_slopes(xs: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.nda
 
 
 def cdf_rows_from_density_rows(points: np.ndarray, density_rows: np.ndarray) -> np.ndarray:
-    """Row-wise cumulative trapezoid CDFs, normalized and endpoint-snapped."""
+    """Row-wise cumulative trapezoid CDFs, normalized and endpoint-snapped.
+
+    The steps run in place on one output array, so a batch of one costs
+    about what integrating a single 1-D density does.
+    """
     if np.any(density_rows < 0):
-        raise InvalidDensity("density rows have negative values")
-    seg = 0.5 * (density_rows[:, 1:] + density_rows[:, :-1]) * np.diff(points)
-    cum = np.concatenate([np.zeros((density_rows.shape[0], 1)), np.cumsum(seg, axis=1)], axis=1)
-    total = cum[:, -1:]
-    if np.any(total <= 0):
-        raise DegenerateDensity("a density row integrates to zero")
-    cum = np.clip(cum / total, 0.0, 1.0)
+        raise InvalidDensity("density has negative values; renormalize first")
+    seg = 0.5 * (density_rows[:, 1:] + density_rows[:, :-1])
+    seg *= np.diff(points)
+    cum = np.empty(density_rows.shape)
     cum[:, 0] = 0.0
+    np.cumsum(seg, axis=1, out=cum[:, 1:])
+    total = cum[:, -1:].copy()
+    if np.any(total <= 0):
+        raise DegenerateDensity("density integrates to zero")
+    cum /= total
+    np.clip(cum, 0.0, 1.0, out=cum)
     cum[:, -1] = 1.0
     return cum
 

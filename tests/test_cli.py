@@ -133,13 +133,16 @@ class TestDiagnose:
         header = (out / "alp_0.csv").read_text().splitlines()[1]
         assert header == "gamma,r,lo,hi"
 
-    def test_net_backend_warns(self, tmp_path, capsys):
+    def test_backend_flag_rejected(self, tmp_path, capsys):
+        # null refits always use the local backend, so diagnose takes no --backend
         run(["gen", "--example", "ex2-skewed", "--n", 300, "--seed", 7,
              "--out-dir", tmp_path / "g"])
-        run(["diagnose", "--data", tmp_path / "g" / "dataset.csv", "--backend", "net",
-             "--n-mc", 25, "--n-eval-points", 1, "--seed", 3,
-             "--out-dir", tmp_path / "d"])
-        assert "local-empirical" in capsys.readouterr().err
+        code = run(["diagnose", "--data", tmp_path / "g" / "dataset.csv", "--backend", "net",
+                    "--n-mc", 25, "--n-eval-points", 1, "--seed", 3,
+                    "--out-dir", tmp_path / "d"])
+        assert code == 2
+        assert "--backend" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
 
 class TestBench:
@@ -189,3 +192,54 @@ class TestConfigFile:
         first = (out / "dataset.csv").read_text().splitlines()[0]
         assert first.startswith("# pitcal 0.")
         assert "config=" in first and "seed=1" in first
+
+
+def _write_csv(path, n, constant_y=False):
+    rng = np.random.default_rng(3)
+    with open(path, "w") as fh:
+        fh.write("x0,y\n")
+        for _ in range(n):
+            y = 1.0 if constant_y else rng.uniform()
+            fh.write(f"{rng.uniform()!r},{y!r}\n")
+    return path
+
+
+# (case, dataset rows or None, constant y, args, exit code, stderr prefix)
+EXIT_CASES = [
+    ("ok", 300, False, ["calibrate", "--eval-x=0.5"], 0, None),
+    ("three_rows_default_k", 3, False, ["calibrate"], 2, "error:"),
+    ("k_above_rows", 300, False, ["calibrate", "--k", 5000], 2, "error:"),
+    ("bench_k_above_n", None, False,
+     ["bench", "--n", 50, "--k", 100, "--realizations", 1, "--mc-draws", 10], 2, "error:"),
+    ("k_zero", 300, False, ["calibrate", "--k", 0], 2, "error:"),
+    ("eval_x_not_a_number", 300, False, ["calibrate", "--eval-x=abc"], 2, "error:"),
+    ("alpha_above_one", 300, False, ["calibrate", "--eval-x=0.5", "--alpha", 2], 2, "error:"),
+    ("net_hidden_not_a_number", 300, False,
+     ["calibrate", "--backend", "net", "--net-hidden", "x"], 2, "error:"),
+    ("net_val_fraction_above_one", 300, False,
+     ["calibrate", "--backend", "net", "--net-val-fraction", 2], 2, "error:"),
+    ("diagnose_too_few_replicates", 300, False, ["diagnose", "--n-mc", 5], 2, "error:"),
+    ("diagnose_band_eta_above_one", 300, False, ["diagnose", "--band-eta", 3], 2, "error:"),
+    ("grid_points_below_three", 300, False, ["calibrate", "--grid-points", 2], 2, "error:"),
+    ("bench_alpha_above_one", None, False, ["bench", "--alpha", 2], 2, "error:"),
+    ("bench_no_draws", None, False, ["bench", "--mc-draws", 0], 2, "error:"),
+    ("constant_response", 300, True, ["calibrate", "--eval-x=0.2"], 3, "numerical failure:"),
+]
+
+
+@pytest.mark.parametrize("case,rows,constant_y,args,code,prefix", EXIT_CASES,
+                         ids=[c[0] for c in EXIT_CASES])
+def test_documented_exit_codes(tmp_path, capsys, case, rows, constant_y, args, code, prefix):
+    argv = list(args)
+    if rows is not None:
+        argv += ["--data", _write_csv(tmp_path / "data.csv", rows, constant_y)]
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", out]) == code
+    err = capsys.readouterr().err.splitlines()
+    if prefix is None:
+        assert err == []
+    else:
+        assert any(line.startswith(prefix) for line in err), err
+    if code == 2:
+        # configuration mistakes are caught before any output file is written
+        assert not out.exists() or not any(out.iterdir())

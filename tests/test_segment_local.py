@@ -1,17 +1,24 @@
-"""Segment-local spline queries against the whole-spline computations.
+"""Segment-local and batched grid computations against their reference paths.
 
-``MonotoneSpline.solve`` bisects inside one segment in float arithmetic, and
-``pit_matrix`` limits slopes only at the two knots of each queried segment.
-Both must reproduce the whole-spline path exactly, so every comparison here
-is ``==``.
+``MonotoneSpline.solve`` bisects inside one segment in float arithmetic,
+``pit_matrix`` limits slopes only at the two knots of each queried segment,
+and ``cdf_from_density`` is a batch of one of ``cdf_rows_from_density_rows``.
+Each must reproduce its reference path exactly, so every comparison here is
+``==``.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
+from pitcal.errors import DegenerateDensity, InvalidDensity
 from pitcal.grid import (
+    GridCdf,
+    GridDensity,
     YGrid,
     _segment_slopes,
+    cdf_from_density,
     cdf_rows_from_density_rows,
     fit_monotone_spline,
     pit_matrix,
@@ -36,6 +43,18 @@ def reference_solve(sp, target):
         if hi - lo <= 1e-14 * max(1.0, abs(hi)):
             break
     return hi
+
+
+def reference_cdf_from_density(d):
+    """The scalar trapezoid CDF as it was before it became a batch of one."""
+    pts = d.grid.points
+    vals = d.values
+    seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(pts)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    cum = np.clip(cum / cum[-1], 0.0, 1.0)
+    cum[0] = 0.0
+    cum[-1] = 1.0
+    return GridCdf(d.grid, cum)
 
 
 def random_knots(rng, n, flat_share):
@@ -137,3 +156,21 @@ class TestPitMatrixSlopes:
             else:
                 want = float(np.clip(fit_monotone_spline(pts, cdfs[i])(y), 0.0, 1.0))
             assert got[i] == want
+
+
+class TestCdfFromDensity:
+    def test_equals_scalar_trapezoid(self):
+        rng = np.random.default_rng(11)
+        for _ in range(1200):
+            n_points = int(rng.integers(3, 1002))
+            pts = np.cumsum(rng.uniform(0.001, 1.0, size=n_points)) - rng.uniform(0.0, 50.0)
+            row = random_density_rows(rng, 1, n_points, rng.choice([0.0, 0.3, 0.7]))[0]
+            d = GridDensity(YGrid(pts), row)
+            assert np.array_equal(cdf_from_density(d).values, reference_cdf_from_density(d).values)
+
+    def test_keeps_density_errors(self):
+        g = YGrid(np.linspace(0.0, 1.0, 5))
+        with pytest.raises(InvalidDensity):
+            cdf_from_density(GridDensity(g, np.array([0.1, -0.2, 0.1, 0.1, 0.1])))
+        with pytest.raises(DegenerateDensity):
+            cdf_from_density(GridDensity(g, np.zeros(5)))

@@ -54,17 +54,6 @@ class TestContracts:
         # the float resolution of the cubic near the knot
         assert sp.solve(0.5) == pytest.approx(1.0, abs=1e-6)
 
-    def test_segment_coefficients_reproduce_values(self):
-        xs = np.array([0.0, 1.0, 2.5])
-        ys = np.array([0.0, 0.4, 1.0])
-        sp = fit_monotone_spline(xs, ys)
-        coef = sp.segment_coefficients
-        for i, q in enumerate([0.6, 1.7]):
-            seg = 0 if q < 1.0 else 1
-            s = q - xs[seg]
-            poly = coef[seg, 0] + coef[seg, 1] * s + coef[seg, 2] * s**2 + coef[seg, 3] * s**3
-            assert abs(poly - sp(q)) < 1e-12
-
 
 class TestNeverOvershoots:
     @settings(max_examples=60, deadline=None)
