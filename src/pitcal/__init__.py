@@ -76,6 +76,7 @@ from .diagnose import (
     cde_loss,
     local_test_statistic,
     mc_confidence_band,
+    mc_local_test,
     mc_p_value,
 )
 from .bench import (
@@ -111,7 +112,7 @@ __all__ = [
     "MonotoneNetConfig", "MonotoneNetModel", "fit_monotone_net",
     # diagnostics
     "AlpCurve", "LocalTestResult", "alp_curve", "local_test_statistic",
-    "mc_p_value", "mc_confidence_band", "cde_loss",
+    "mc_local_test", "mc_p_value", "mc_confidence_band", "cde_loss",
     # bench
     "ExperimentRecipe", "CoverageReport", "conditional_coverage",
     "classify_coverage", "run_experiment",

@@ -65,10 +65,14 @@ class KnnMeanRegressor:
         self._tree = cKDTree((train.xs - self.mean) / self.scale)
         self._ys = train.ys
 
+    def predict(self, xs) -> np.ndarray:
+        """Neighbour means at many feature points, one per row of ``xs``."""
+        q = (np.atleast_2d(np.asarray(xs, dtype=float)) - self.mean) / self.scale
+        _, idx = self._tree.query(q, k=self.k)  # drops the neighbour axis when k == 1
+        return self._ys[idx.reshape(q.shape[0], self.k)].mean(axis=1)
+
     def __call__(self, x) -> float:
-        q = (np.asarray(x, dtype=float).ravel() - self.mean) / self.scale
-        _, idx = self._tree.query(q, k=self.k)
-        return float(np.mean(self._ys[np.atleast_1d(idx)]))
+        return float(self.predict(np.asarray(x, dtype=float).ravel()[None, :])[0])
 
 
 def fit_knn_mean(train: CalibrationSet, k: int = 50) -> KnnMeanRegressor:

@@ -245,7 +245,7 @@ class LocalEmpiricalModel(PitCdfModel):
     backend = "local-empirical"
 
     def __init__(self, xs, pit_values, cfg: LocalEmpiricalConfig,
-                 mean=None, scale=None, tree=None):
+                 mean=None, scale=None):
         self.xs = np.atleast_2d(np.asarray(xs, dtype=float))
         self.pit_values = np.asarray(pit_values, dtype=float).ravel()
         if self.xs.shape[0] != self.pit_values.shape[0]:
@@ -258,14 +258,7 @@ class LocalEmpiricalModel(PitCdfModel):
         self.mean = np.asarray(mean, dtype=float)
         self.scale = np.asarray(scale, dtype=float)
         self._std_xs = (self.xs - self.mean) / self.scale
-        self._tree = tree if tree is not None else cKDTree(self._std_xs)
-
-    def with_pit_values(self, pit_values) -> "LocalEmpiricalModel":
-        """Same neighborhoods, new PIT values (used by the null resampler)."""
-        return LocalEmpiricalModel(
-            self.xs, pit_values, self.cfg,
-            mean=self.mean, scale=self.scale, tree=self._tree,
-        )
+        self._tree = cKDTree(self._std_xs)
 
     def _neighborhood(self, x):
         q = (np.asarray(x, dtype=float).ravel() - self.mean) / self.scale
@@ -290,15 +283,29 @@ class LocalEmpiricalModel(PitCdfModel):
         return idx, w / w.sum()
 
     def predict_curve(self, gammas, x) -> np.ndarray:
+        return self.predict_curves([self.pit_values], gammas, x)[0]
+
+    def predict_curves(self, pit_rows, gammas, x) -> np.ndarray:
+        """r(gamma; x) for each row of PIT values (one per feature row), shape (rows, G).
+
+        One neighbourhood query serves every row, and only each row's entries
+        in the neighbourhood are kept: memory is O(rows * k), never rows * n.
+        """
         idx, w = self._neighborhood(x)
-        pits = self.pit_values[idx]
-        order = np.argsort(pits, kind="stable")
-        pits_sorted = pits[order]
-        cumw = np.cumsum(w[order])
-        cumw[-1] = 1.0  # total normalized weight, exact by definition
-        pos = np.searchsorted(pits_sorted, np.asarray(gammas, dtype=float), side="right")
-        out = np.concatenate([[0.0], cumw])[pos]
-        return np.clip(out, 0.0, 1.0)
+        pits = []
+        for row in pit_rows:
+            row = np.asarray(row, dtype=float).ravel()
+            if row.shape[0] != self.xs.shape[0]:
+                raise LengthMismatch(f"{row.shape[0]} pit values for {self.xs.shape[0]} rows")
+            pits.append(row[idx])
+        pits = np.array(pits).reshape(len(pits), idx.size)
+        order = np.argsort(pits, axis=1, kind="stable")
+        pits_sorted = pits[np.arange(len(pits))[:, None], order]
+        cumw = np.zeros((len(pits), idx.size + 1))
+        np.cumsum(w[order], axis=1, out=cumw[:, 1:])
+        cumw[:, -1] = 1.0  # total normalized weight, exact by definition
+        out = [c[np.searchsorted(p, gammas, side="right")] for p, c in zip(pits_sorted, cumw)]
+        return np.clip(np.array(out), 0.0, 1.0)
 
     def to_json(self) -> dict:
         return {

@@ -23,7 +23,7 @@ from . import rng as rngmod
 from .bench import ExperimentRecipe, run_experiment
 from .calibrate import calpit_hpd, calpit_interval, compute_pit_values, recalibrate
 from .dataio import read_calibration_csv, write_calibration_csv
-from .diagnose import alp_curve, mc_confidence_band, mc_p_value
+from .diagnose import mc_local_test
 from .errors import ConfigError, PitcalError
 from .grid import default_grid, write_grid_csv
 from .pipeline import build_initial, fit_pit_model, split_calibration
@@ -65,16 +65,30 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace, parser_defaults: dict) -> dict:
-    """Merge config-file values under explicit flags; flags win."""
+    """Merge config-file values under explicit flags; flags win.
+
+    A file value must pass the same conversion and choices as its flag.
+    """
     resolved = dict(parser_defaults)
     if getattr(args, "config", None):
         file_cfg = _read_config_file(args.config)
         unknown = set(file_cfg) - set(parser_defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            convert, choices = args.flag_checks.get(key, (None, None))
+            if value is None:
+                continue
+            try:
+                if convert is not None:
+                    convert(str(value))
+            except ValueError:
+                raise ConfigError(f"{args.config}: {key}: invalid value {value!r}") from None
+            if choices is not None and value not in choices:
+                raise ConfigError(f"{args.config}: {key}: {value!r} is not one of {choices}")
         resolved.update(file_cfg)
     for key, value in vars(args).items():
-        if key in ("config", "func") or value is None:
+        if key in ("config", "func", "flag_checks") or value is None:
             continue
         resolved[key] = value
     return resolved
@@ -127,6 +141,9 @@ def cmd_gen(args) -> int:
         "out_dir": "out", "window_mode": "gapped",
     }
     cfg = _resolve(args, defaults)
+    size = "storms" if cfg["example"] == "tc" else "n"
+    if int(cfg[size]) < 1:
+        raise ConfigError(f"{size} must be >= 1, got {cfg[size]}")
     out = _ensure_outdir(cfg["out_dir"])
     seed = int(cfg["seed"])
     stamp = _stamp(cfg, seed)
@@ -191,7 +208,7 @@ def _prepare(cfg: dict):
         raise ConfigError(f"dataset not found: {cfg['data']}")
     if int(cfg["grid_points"]) < 3:
         raise ConfigError(f"grid_points must be >= 3, got {cfg['grid_points']}")
-    points = _parse_points(cfg["eval_x"]) if cfg["eval_x"] else None
+    points = _parse_points(str(cfg["eval_x"])) if cfg["eval_x"] else None
     data = read_calibration_csv(cfg["data"])
     grid = default_grid(data.ys, n_points=int(cfg["grid_points"]))
     if cfg["initial"] == "gaussian-fit":
@@ -267,6 +284,10 @@ def cmd_diagnose(args) -> int:
     eta = float(cfg["band_eta"])
     if not 0.0 < eta < 1.0:
         raise ConfigError(f"band_eta must be in (0, 1), got {cfg['band_eta']}")
+    n_gammas = int(cfg["n_gammas"])
+    if n_gammas < 1:
+        raise ConfigError(f"n_gammas must be >= 1, got {n_gammas}")
+    gammas = np.linspace(0.05, 0.95, n_gammas)
     seed = int(cfg["seed"])
     cal, initial, pits, points = _prepare(cfg)
 
@@ -280,19 +301,15 @@ def cmd_diagnose(args) -> int:
     stamp = _stamp(cfg, seed)
     out = _ensure_outdir(cfg["out_dir"])
 
-    gammas = np.linspace(0.05, 0.95, int(cfg["n_gammas"]))
     results = []
     for i, x in enumerate(points):
-        point_seed = rngmod.derive_seed(seed, "diagnose", i)
-        res = mc_p_value(fit_fn, cal, pits, x, n_mc, gammas, seed=point_seed)
-        lo, hi = mc_confidence_band(fit_fn, cal, pits, x, n_mc, gammas,
-                                    eta=eta, seed=point_seed)
-        curve = alp_curve(observed, x, gammas, band=(lo, hi))
+        res, curve = mc_local_test(observed, fit_fn, cal, x, n_mc, gammas, eta=eta,
+                                   seed=rngmod.derive_seed(seed, "diagnose", i))
         with open(out / f"alp_{i}.csv", "w", encoding="utf-8") as fh:
             fh.write(f"# {stamp}\n")
             fh.write("gamma,r,lo,hi\n")
-            for j in range(gammas.size):
-                fh.write(f"{float(gammas[j])!r},{float(curve.r_values[j])!r},{float(lo[j])!r},{float(hi[j])!r}\n")
+            for row in zip(gammas, curve.r_values, curve.band_lo, curve.band_hi):
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
         results.append({
             "x": [float(v) for v in np.atleast_1d(x)],
             "statistic": res.statistic,
@@ -361,10 +378,13 @@ def cmd_bench(args) -> int:
 # ----------------------------------------------------------------------
 
 def _add_common(p):
+    """Flags every command takes; added last, after the command's own flags."""
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", dest="out_dir", default=None)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--config", default=None, help="key = value file; flags override")
+    # each flag's converter and choices, which _resolve applies to file values
+    p.set_defaults(flag_checks={a.dest: (a.type, a.choices) for a in p._actions})
 
 
 def _add_pipeline_flags(p):

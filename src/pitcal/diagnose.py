@@ -1,15 +1,21 @@
 """Calibration diagnostics: local P-P curves, Monte Carlo coverage tests,
 null confidence bands, and the estimable density-estimation loss.
 
-The local test statistic measures the mean squared deviation of the fitted
-PIT-CDF curve from the diagonal over a gamma grid. Its null distribution is
-simulated by refitting the regression on resampled uniform PIT values, which
-is valid for local estimators whose fit at x only uses calibration points
-near x: the k-nearest-neighbor backend qualifies, network fits do not.
+The local coverage test (Zhao, Izbicki & Lee, UAI 2021) measures the mean
+squared deviation of the fitted PIT-CDF curve from the diagonal over a gamma
+grid. Its null distribution is simulated by refitting the regression on B
+resampled uniform PIT vectors, which is valid for local estimators whose fit
+at x only uses calibration points near x: the k-nearest-neighbor backend
+qualifies, network fits do not. :func:`mc_local_test` runs it in one pass per
+x: one neighbourhood query, each null vector drawn once, and one (B, G) array
+of null curves giving the statistic, the p-value and the band. The p-value is
+#{T_b > T_obs}/B, not the (1 + #{T_b >= T_obs})/(B + 1) of Phipson & Smyth
+(2010), because the acceptance tests and benchmark references fix it exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +32,7 @@ __all__ = [
     "DEFAULT_TEST_GAMMAS",
     "alp_curve",
     "local_test_statistic",
+    "mc_local_test",
     "mc_p_value",
     "mc_confidence_band",
     "cde_loss",
@@ -75,20 +82,30 @@ def local_test_statistic(r: PitCdfModel, x, gammas=None) -> float:
     return float(np.mean((values - g) ** 2))
 
 
-def _null_models(fit_fn, cal: CalibrationSet, observed_model, n_mc: int, seed: int):
-    """Yield PIT-CDF fits on resampled uniform PIT values, one per replicate.
+def mc_local_test(observed: PitCdfModel, fit_fn, cal: CalibrationSet, x, n_mc: int,
+                  gammas, eta: float = 0.05, seed: int = 0):
+    """Local coverage test at ``x`` in one pass; returns ``(LocalTestResult, AlpCurve)``.
 
-    When the observed model supports structural reuse (``with_pit_values``),
-    refits share its neighborhoods instead of rebuilding from scratch.
+    ``observed`` is fitted on the observed PIT values of ``cal``. Replicate b
+    refits it on ``derived_rng(seed, "null-pits", b)`` uniforms: all at once
+    through ``observed.predict_curves`` when it has one, else by ``fit_fn``.
+    The curve holds the observed r(gamma; x) and the nearest-rank band: with
+    k = floor(B * eta / 2), the (k+1)-th and (B-k)-th smallest null values.
     """
-    n = len(cal)
-    reuse = getattr(observed_model, "with_pit_values", None)
-    for b in range(n_mc):
-        null_pits = rngmod.derived_rng(seed, "null-pits", b).uniform(size=n)
-        if reuse is not None:
-            yield reuse(null_pits)
-        else:
-            yield fit_fn(cal, null_pits)
+    g = np.asarray(gammas, dtype=float)
+    nulls = (rngmod.derived_rng(seed, "null-pits", b).uniform(size=len(cal)) for b in range(n_mc))
+    if hasattr(observed, "predict_curves"):  # row 0, the observed fit, shares the query
+        curves = observed.predict_curves(itertools.chain([observed.pit_values], nulls), g, x)
+    else:
+        curves = np.array([observed.predict_curve(g, x)]
+                          + [fit_fn(cal, p).predict_curve(g, x) for p in nulls], dtype=float)
+    stats = np.mean((curves - g) ** 2, axis=1)
+    ranked = np.sort(curves[1:], axis=0)
+    k = int(np.floor(n_mc * eta / 2.0))
+    x = np.asarray(x, dtype=float)
+    exceed = int(np.count_nonzero(stats[0] < stats[1:]))
+    result = LocalTestResult(x, float(stats[0]), exceed / n_mc, int(n_mc))
+    return result, AlpCurve(x, g, curves[0], ranked[k], ranked[n_mc - 1 - k])
 
 
 def mc_p_value(fit_fn, cal: CalibrationSet, pit_values, x, n_mc: int,
@@ -96,47 +113,32 @@ def mc_p_value(fit_fn, cal: CalibrationSet, pit_values, x, n_mc: int,
     """Monte Carlo p-value of the local null "the model is exact near x".
 
     ``fit_fn(cal, pit_values) -> PitCdfModel`` must be the same backend and
-    configuration used for the observed statistic. The p-value is the fraction
-    of null replicates whose statistic strictly exceeds the observed one, so
-    it lives on the lattice {0, 1/B, ..., 1}.
+    configuration used for the observed statistic. Runs :func:`mc_local_test`
+    once. The p-value is the fraction of null replicates whose statistic
+    strictly exceeds the observed one, #{T_b > T_obs}/B, so it lives on the
+    lattice {0, 1/B, ..., 1}; Phipson & Smyth's (1 + #{T_b >= T_obs})/(B + 1)
+    is not used, because acceptance 7 and the benchmark references fix it.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
-    g = DEFAULT_TEST_GAMMAS if gammas is None else np.asarray(gammas, dtype=float)
-    observed_model = fit_fn(cal, np.asarray(pit_values, dtype=float))
-    t_obs = local_test_statistic(observed_model, x, g)
-    exceed = 0
-    for model_b in _null_models(fit_fn, cal, observed_model, n_mc, seed):
-        if t_obs < local_test_statistic(model_b, x, g):
-            exceed += 1
-    return LocalTestResult(
-        x=np.asarray(x, dtype=float),
-        statistic=t_obs,
-        p_value=exceed / n_mc,
-        n_mc=int(n_mc),
-    )
+    g = DEFAULT_TEST_GAMMAS if gammas is None else gammas
+    observed = fit_fn(cal, np.asarray(pit_values, dtype=float))
+    return mc_local_test(observed, fit_fn, cal, x, n_mc, g, seed=seed)[0]
 
 
 def mc_confidence_band(fit_fn, cal: CalibrationSet, pit_values, x, n_mc: int,
                        gammas, eta: float = 0.05, seed: int = 0):
-    """Pointwise null band for the local P-P curve at level 1 - eta.
+    """Pointwise null band ``(lo, hi)`` for the local P-P curve at level 1 - eta.
 
     For each gamma, returns the nearest-rank eta/2 and 1 - eta/2 quantiles of
     the null-replicate curve values: with k = floor(B * eta / 2), the
-    (k+1)-th smallest and (B-k)-th smallest of the B values.
+    (k+1)-th smallest and (B-k)-th smallest of the B values (:func:`mc_local_test`).
     """
     if n_mc < 20:
         raise ValueError("need at least 20 replicates for a useful band")
-    g = np.asarray(gammas, dtype=float)
-    observed_model = fit_fn(cal, np.asarray(pit_values, dtype=float))
-    curves = np.empty((n_mc, g.size))
-    for b, model_b in enumerate(_null_models(fit_fn, cal, observed_model, n_mc, seed)):
-        curves[b] = model_b.predict_curve(g, x)
-    curves.sort(axis=0)
-    k = int(np.floor(n_mc * eta / 2.0))
-    lo = curves[k]
-    hi = curves[n_mc - 1 - k]
-    return lo, hi
+    observed = fit_fn(cal, np.asarray(pit_values, dtype=float))
+    curve = mc_local_test(observed, fit_fn, cal, x, n_mc, gammas, eta=eta, seed=seed)[1]
+    return curve.band_lo, curve.band_hi
 
 
 def cde_loss(pdfs, test_ys) -> float:

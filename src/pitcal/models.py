@@ -64,7 +64,8 @@ class GaussianInitialModel:
     def density_matrix(self, xs) -> np.ndarray:
         """Unnormalized density rows for many feature points (batch PIT path)."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        mu = np.array([float(self.mean_fn(x)) for x in xs])
+        batch = getattr(self.mean_fn, "predict", None)  # e.g. KnnMeanRegressor
+        mu = batch(xs) if batch is not None else np.array([float(self.mean_fn(x)) for x in xs])
         sd = np.array([float(self.sd_fn(x)) for x in xs])
         z = (self.grid.points[None, :] - mu[:, None]) / sd[:, None]
         return _INV_SQRT_2PI * np.exp(-0.5 * z * z) / sd[:, None]

@@ -49,8 +49,10 @@ def build_initial(kind: str, grid, train: CalibrationSet, *, mean_k=50, sd_scale
             raise ConfigError("the data source provides no generator initial model")
         return generator_model
     if kind == "gaussian-fit":
+        if int(mean_k) < 1:
+            raise ConfigError(f"mean_k must be >= 1, got {mean_k}")
         mu = fit_knn_mean(train, k=int(mean_k))
-        resid = np.array([train.ys[i] - mu(train.xs[i]) for i in range(len(train))])
+        resid = train.ys - mu.predict(train.xs)
         sd = float(np.std(resid)) or 1.0
         return GaussianInitialModel(grid, mean_fn=mu, sd_fn=sd * float(sd_scale))
     raise ConfigError(f"unknown initial model kind {kind!r}")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pitcal.rng as rngmod
 from pitcal.baselines import ConformalCalibration, DcpModel, RegSplitModel, dcp, fit_knn_mean, reg_split
@@ -51,6 +52,37 @@ class TestRegSplit:
             for i in range(len(fresh.cal))
         ])
         assert abs(hits - 0.9) < 0.02
+
+
+class TestKnnMean:
+    @staticmethod
+    def _scalar_mean(reg, ys, x):
+        # the per-point query the batch replaced, kept as the reference
+        q = (np.asarray(x, dtype=float).ravel() - reg.mean) / reg.scale
+        _, idx = reg._tree.query(q, k=reg.k)
+        return float(np.mean(ys[np.atleast_1d(idx)]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=300),
+           st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=80), st.booleans())
+    def test_batch_equals_scalar_queries(self, seed, n, dim, k, lattice):
+        rng = np.random.default_rng(seed)
+        xs = (rng.integers(-3, 4, size=(n, dim)) / 3.0 if lattice
+              else rng.uniform(-1, 1, size=(n, dim)))
+        ys = rng.standard_normal(n)
+        reg = fit_knn_mean(CalibrationSet(xs, ys), k=k)
+        queries = np.concatenate([xs, rng.uniform(-1.5, 1.5, size=(7, dim))])
+        want = np.array([self._scalar_mean(reg, ys, x) for x in queries])
+        assert np.array_equal(reg.predict(queries), want)
+        assert np.array_equal([reg(x) for x in queries], want)
+
+    def test_gaussian_density_matrix_uses_batch(self):
+        data = sample_example2("skewed", 600, seed=45)
+        reg = fit_knn_mean(data.cal, k=25)
+        batched = GaussianInitialModel(data.grid, mean_fn=reg, sd_fn=1.5)
+        scalar = GaussianInitialModel(data.grid, mean_fn=lambda x: reg(x), sd_fn=1.5)
+        assert np.array_equal(batched.density_matrix(data.cal.xs),
+                              scalar.density_matrix(data.cal.xs))
 
 
 class TestDcp:

@@ -223,8 +223,18 @@ EXIT_CASES = [
     ("grid_points_below_three", 300, False, ["calibrate", "--grid-points", 2], 2, "error:"),
     ("bench_alpha_above_one", None, False, ["bench", "--alpha", 2], 2, "error:"),
     ("bench_no_draws", None, False, ["bench", "--mc-draws", 0], 2, "error:"),
+    ("diagnose_no_gammas", 300, False, ["diagnose", "--n-gammas", 0], 2, "error:"),
+    ("mean_k_zero", 300, False, ["calibrate", "--initial", "gaussian-fit", "--mean-k", 0],
+     2, "error:"),
+    ("gen_no_rows", None, False, ["gen", "--n", 0], 2, "error:"),
+    ("config_value_not_a_number", 300, False, ["calibrate"], 2, "error:"),
+    ("config_value_not_a_choice", None, False, ["gen", "--example", "tc"], 2, "error:"),
     ("constant_response", 300, True, ["calibrate", "--eval-x=0.2"], 3, "numerical failure:"),
 ]
+
+# cases that also read a --config file with this text
+EXIT_CONFIG_FILES = {"config_value_not_a_number": "alpha = abc\n",
+                     "config_value_not_a_choice": "window_mode = foo\n"}
 
 
 @pytest.mark.parametrize("case,rows,constant_y,args,code,prefix", EXIT_CASES,
@@ -233,6 +243,10 @@ def test_documented_exit_codes(tmp_path, capsys, case, rows, constant_y, args, c
     argv = list(args)
     if rows is not None:
         argv += ["--data", _write_csv(tmp_path / "data.csv", rows, constant_y)]
+    if case in EXIT_CONFIG_FILES:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EXIT_CONFIG_FILES[case])
+        argv += ["--config", cfg]
     out = tmp_path / "out"
     assert run(argv + ["--out-dir", out]) == code
     err = capsys.readouterr().err.splitlines()

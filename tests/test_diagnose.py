@@ -140,6 +140,7 @@ class TestMcPValue:
         # order the replicates arrive in
         cal, model = gaussian_data(300, seed=2)
         pits = compute_pit_values(model, cal)
+        cfg = LocalEmpiricalConfig(k=40)
         fit = local_fit_fn(40)
         gam = np.linspace(0.05, 0.95, 21)
         obs = fit(cal, pits)
@@ -147,7 +148,8 @@ class TestMcPValue:
         nulls = []
         for b in range(30):
             null_pits = rngmod.derived_rng(9, "null-pits", b).uniform(size=len(cal))
-            nulls.append(local_test_statistic(obs.with_pit_values(null_pits), [0.1], gam))
+            null_model = fit_local_empirical(cal, null_pits, cfg)
+            nulls.append(local_test_statistic(null_model, [0.1], gam))
         expected = np.mean([t_obs < t for t in nulls])
         res = mc_p_value(fit, cal, pits, [0.1], 30, gam, seed=9)
         assert res.p_value == pytest.approx(expected)

@@ -1,0 +1,230 @@
+"""The one-pass Monte Carlo local coverage test against the per-replicate refits.
+
+The reference below is the test as it ran before the batched engine: every
+null replicate refitted the local backend (``with_pit_values``) and queried
+the neighbourhood again, once for the p-value and once more for the band.
+Both paths run the same arithmetic, so they must agree exactly.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import pitcal.rng as rngmod
+from pitcal.calibrate import (
+    CalibrationSet,
+    LocalEmpiricalConfig,
+    PitCdfModel,
+    fit_local_empirical,
+)
+from pitcal.diagnose import DEFAULT_TEST_GAMMAS, mc_confidence_band, mc_local_test, mc_p_value
+from pitcal.errors import LengthMismatch
+
+
+# ----------------------------------------------------------------------
+# frozen reference: the local backend's curve and the MC test, per replicate
+# ----------------------------------------------------------------------
+
+class _OldLocal(PitCdfModel):
+    """The local backend before ``predict_curves``: one query and one sort per curve."""
+
+    backend = "frozen-local"
+
+    def __init__(self, model, pit_values):
+        self.model = model
+        self.pit_values = np.asarray(pit_values, dtype=float).ravel()
+
+    def with_pit_values(self, pit_values):
+        return _OldLocal(self.model, pit_values)
+
+    def predict_curve(self, gammas, x):
+        idx, w = self.model._neighborhood(x)
+        pits = self.pit_values[idx]
+        order = np.argsort(pits, kind="stable")
+        pits_sorted = pits[order]
+        cumw = np.cumsum(w[order])
+        cumw[-1] = 1.0
+        pos = np.searchsorted(pits_sorted, np.asarray(gammas, dtype=float), side="right")
+        out = np.concatenate([[0.0], cumw])[pos]
+        return np.clip(out, 0.0, 1.0)
+
+
+def _old_statistic(r, x, g):
+    values = np.asarray(r.predict_curve(g, x), dtype=float)
+    return float(np.mean((values - g) ** 2))
+
+
+def _old_null_models(fit_fn, cal, observed_model, n_mc, seed):
+    n = len(cal)
+    reuse = getattr(observed_model, "with_pit_values", None)
+    for b in range(n_mc):
+        null_pits = rngmod.derived_rng(seed, "null-pits", b).uniform(size=n)
+        if reuse is not None:
+            yield reuse(null_pits)
+        else:
+            yield fit_fn(cal, null_pits)
+
+
+def _old_mc_p_value(fit_fn, cal, pit_values, x, n_mc, gammas=None, seed=0):
+    g = DEFAULT_TEST_GAMMAS if gammas is None else np.asarray(gammas, dtype=float)
+    observed_model = fit_fn(cal, np.asarray(pit_values, dtype=float))
+    t_obs = _old_statistic(observed_model, x, g)
+    exceed = 0
+    for model_b in _old_null_models(fit_fn, cal, observed_model, n_mc, seed):
+        if t_obs < _old_statistic(model_b, x, g):
+            exceed += 1
+    return t_obs, exceed / n_mc
+
+
+def _old_mc_confidence_band(fit_fn, cal, pit_values, x, n_mc, gammas, eta=0.05, seed=0):
+    g = np.asarray(gammas, dtype=float)
+    observed_model = fit_fn(cal, np.asarray(pit_values, dtype=float))
+    curves = np.empty((n_mc, g.size))
+    for b, model_b in enumerate(_old_null_models(fit_fn, cal, observed_model, n_mc, seed)):
+        curves[b] = model_b.predict_curve(g, x)
+    curves.sort(axis=0)
+    k = int(np.floor(n_mc * eta / 2.0))
+    return curves[k], curves[n_mc - 1 - k]
+
+
+# ----------------------------------------------------------------------
+# generated cases
+# ----------------------------------------------------------------------
+
+class _CurveOnly(PitCdfModel):
+    """A local fit seen through ``predict_curve`` alone (no batched primitive)."""
+
+    backend = "curve-only"
+
+    def __init__(self, model):
+        self.model = model
+
+    def predict_curve(self, gammas, x):
+        return self.model.predict_curve(gammas, x)
+
+
+@st.composite
+def cases(draw):
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    n = draw(st.integers(min_value=5, max_value=120))
+    dim = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(seed)
+    # a coarse feature lattice gives distance ties and coincident points
+    xs = rng.integers(-4, 5, size=(n, dim)) / 4.0 if draw(st.booleans()) \
+        else rng.uniform(-1, 1, size=(n, dim))
+    ys = rng.standard_normal(n)
+    if draw(st.booleans()):
+        # PIT values and gammas on one 1/20 lattice: every comparison can tie
+        pits = rng.integers(0, 21, size=n) / 20.0
+        gammas = np.arange(0, 21)[:: draw(st.sampled_from([1, 2, 5]))] / 20.0
+    else:
+        pits = rng.uniform(size=n)
+        gammas = np.linspace(0.05, 0.95, draw(st.integers(min_value=1, max_value=25)))
+    if draw(st.booleans()):
+        hood = {"k": draw(st.integers(min_value=1, max_value=n))}
+    else:
+        hood = {"bandwidth": draw(st.sampled_from([0.05, 0.3, 1.0, 3.0]))}
+    cfg = LocalEmpiricalConfig(weighting=draw(st.sampled_from(["uniform", "inverse-distance"])),
+                               **hood)
+    x = xs[draw(st.integers(min_value=0, max_value=n - 1))] if draw(st.booleans()) \
+        else rng.uniform(-1.2, 1.2, size=dim)
+    return {
+        "cal": CalibrationSet(xs, ys), "pits": pits, "gammas": gammas, "cfg": cfg, "x": x,
+        "n_mc": draw(st.sampled_from([20, 37, 200])),
+        "eta": draw(st.sampled_from([0.05, 0.1, 0.25, 0.5])),
+        "seed": draw(st.integers(min_value=0, max_value=2**31)),
+    }
+
+
+def _fits(cfg):
+    def new(cal, pits):
+        return fit_local_empirical(cal, pits, cfg)
+
+    def old(cal, pits):
+        return _OldLocal(fit_local_empirical(cal, pits, cfg), pits)
+
+    return new, old
+
+
+class TestMatchesPerReplicateRefits:
+    @settings(max_examples=60, deadline=None)
+    @given(cases())
+    def test_public_functions_equal_frozen(self, c):
+        new, old = _fits(c["cfg"])
+        args = (c["cal"], c["pits"], c["x"], c["n_mc"], c["gammas"])
+        res = mc_p_value(new, *args, seed=c["seed"])
+        t_obs, p = _old_mc_p_value(old, *args, seed=c["seed"])
+        assert res.statistic == t_obs
+        assert res.p_value == p
+        lo, hi = mc_confidence_band(new, *args, eta=c["eta"], seed=c["seed"])
+        old_lo, old_hi = _old_mc_confidence_band(old, *args, eta=c["eta"], seed=c["seed"])
+        assert np.array_equal(lo, old_lo) and np.array_equal(hi, old_hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cases())
+    def test_engine_equals_frozen(self, c):
+        new, old = _fits(c["cfg"])
+        args = (c["cal"], c["pits"], c["x"], c["n_mc"], c["gammas"])
+        observed = new(c["cal"], c["pits"])
+        res, curve = mc_local_test(observed, new, c["cal"], c["x"], c["n_mc"], c["gammas"],
+                                   eta=c["eta"], seed=c["seed"])
+        t_obs, p = _old_mc_p_value(old, *args, seed=c["seed"])
+        old_lo, old_hi = _old_mc_confidence_band(old, *args, eta=c["eta"], seed=c["seed"])
+        old_curve = old(c["cal"], c["pits"]).predict_curve(c["gammas"], c["x"])
+        assert (res.statistic, res.p_value, res.n_mc) == (t_obs, p, c["n_mc"])
+        assert np.array_equal(curve.r_values, old_curve)
+        assert np.array_equal(curve.band_lo, old_lo)
+        assert np.array_equal(curve.band_hi, old_hi)
+        # invariants: the 1/B lattice, an ordered band, monotone curves in [0, 1]
+        assert res.p_value in {j / c["n_mc"] for j in range(c["n_mc"] + 1)}
+        assert np.all(curve.band_lo <= curve.band_hi)
+        for values in (curve.r_values, curve.band_lo, curve.band_hi):
+            assert np.all(np.diff(values) >= 0)
+            assert np.all((values >= 0.0) & (values <= 1.0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(cases())
+    def test_model_without_batch_takes_refits(self, c):
+        # the fallback path (one fit_fn call per replicate) gives the same test
+        new, _ = _fits(c["cfg"])
+        observed = new(c["cal"], c["pits"])
+        args = (c["cal"], c["x"], c["n_mc"], c["gammas"])
+        res, curve = mc_local_test(observed, new, *args, eta=c["eta"], seed=c["seed"])
+        fallback = lambda cal, pits: _CurveOnly(new(cal, pits))  # noqa: E731
+        res_f, curve_f = mc_local_test(_CurveOnly(observed), fallback, *args,
+                                       eta=c["eta"], seed=c["seed"])
+        assert (res.statistic, res.p_value) == (res_f.statistic, res_f.p_value)
+        for a, b in ((curve.r_values, curve_f.r_values), (curve.band_lo, curve_f.band_lo),
+                     (curve.band_hi, curve_f.band_hi)):
+            assert np.array_equal(a, b)
+
+
+class TestPredictCurves:
+    @settings(max_examples=60, deadline=None)
+    @given(cases(), st.integers(min_value=1, max_value=6))
+    def test_rows_equal_single_curves(self, c, n_rows):
+        model = fit_local_empirical(c["cal"], c["pits"], c["cfg"])
+        rng = np.random.default_rng(c["seed"])
+        rows = [c["pits"]] + [rng.integers(0, 21, size=len(c["cal"])) / 20.0
+                              for _ in range(n_rows)]
+        curves = model.predict_curves(iter(rows), c["gammas"], c["x"])
+        assert curves.shape == (len(rows), c["gammas"].size)
+        for row, got in zip(rows, curves):
+            want = _OldLocal(model, row).predict_curve(c["gammas"], c["x"])
+            assert np.array_equal(got, want)
+        assert np.array_equal(model.predict_curve(c["gammas"], c["x"]), curves[0])
+        assert np.all(np.diff(curves, axis=1) >= 0)
+        assert np.all((curves >= 0.0) & (curves <= 1.0))
+
+    def test_full_mass_at_one(self):
+        cal = CalibrationSet(np.linspace(0, 1, 30)[:, None], np.zeros(30))
+        model = fit_local_empirical(cal, np.linspace(0, 1, 30), LocalEmpiricalConfig(k=7))
+        curves = model.predict_curves(np.random.default_rng(1).uniform(size=(5, 30)),
+                                      np.array([0.0, 1.0]), [0.4])
+        assert np.all(curves[:, 1] == 1.0)
+
+    def test_rejects_row_of_wrong_length(self):
+        cal = CalibrationSet(np.zeros((10, 1)), np.zeros(10))
+        model = fit_local_empirical(cal, np.zeros(10), LocalEmpiricalConfig(k=3))
+        with pytest.raises(LengthMismatch):
+            model.predict_curves([np.zeros(10), np.zeros(9)], np.array([0.5]), [0.0])
