@@ -60,6 +60,10 @@ __all__ = [
 
 MODEL_FORMAT_VERSION = 1
 
+# calpit_hpd: largest accepted miss of the 1 - alpha mass, and bisection steps
+_HPD_MASS_TOL = 0.005
+_HPD_MAX_ITER = 200
+
 # backend tag -> deserializer; the net backend registers itself on import
 _MODEL_LOADERS: dict = {}
 
@@ -378,9 +382,6 @@ class RecalibratedDistribution:
 
         return invert_cdf(self.cdf, p)
 
-    def cdf_value(self, y: float) -> float:
-        return pit(self.cdf, y)
-
 
 @dataclass(frozen=True)
 class PredictionSet:
@@ -528,8 +529,7 @@ def _merge_intervals(intervals, gap_tol: float):
     return [(lo, hi) for lo, hi in merged if hi > lo]
 
 
-def calpit_hpd(rd: RecalibratedDistribution, alpha: float,
-               mass_tol: float = 0.005, max_iter: int = 200) -> PredictionSet:
+def calpit_hpd(rd: RecalibratedDistribution, alpha: float) -> PredictionSet:
     """Highest-density set of the recalibrated density with mass 1 - alpha.
 
     The density threshold is found by bisection on the level; set components
@@ -552,10 +552,10 @@ def calpit_hpd(rd: RecalibratedDistribution, alpha: float,
     lo_t, hi_t = 0.0, fmax * (1.0 + 1e-12) + 1e-300
     t = 0.0
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_HPD_MAX_ITER):
         t = 0.5 * (lo_t + hi_t)
         m = _mass_above(pts, f, t)
-        if abs(m - target) <= 0.2 * mass_tol:
+        if abs(m - target) <= 0.2 * _HPD_MASS_TOL:
             converged = True
             break
         if m > target:
@@ -591,9 +591,9 @@ def calpit_hpd(rd: RecalibratedDistribution, alpha: float,
 
     intervals = _merge_intervals(intervals, gap_tol=1e-12 * span)
     mass = sum(_interval_mass(pts, f, lo, hi) for lo, hi in intervals) / total
-    if abs(mass - (1.0 - alpha)) > mass_tol:
+    if abs(mass - (1.0 - alpha)) > _HPD_MASS_TOL:
         raise HpdSearchFailed(
-            f"HPD mass {mass:.6f} misses target {1.0 - alpha:.6f} after {max_iter} iterations"
+            f"HPD mass {mass:.6f} misses target {1.0 - alpha:.6f} after {_HPD_MAX_ITER} iterations"
         )
     return PredictionSet(tuple(intervals), nominal_level=1.0 - alpha, kind="hpd")
 

@@ -14,8 +14,16 @@ Conventions
 * CDF evaluation off the grid clamps to {0, 1}: these values are
   probabilities, not extrapolations.
 * Quantile lookups on flat CDF segments return the leftmost response value.
+* Every CDF is read through one monotone cubic with one core: ``_fc_slopes``
+  is the only Fritsch-Carlson slope limiter (a whole row in
+  :func:`fit_monotone_spline`, five-secant windows in ``_segment_slopes``),
+  ``_hermite`` is the only Hermite basis (arrays in
+  :meth:`MonotoneSpline.__call__` and ``_pit_rows``, floats in
+  :meth:`MonotoneSpline.solve`), and ``_pit_rows`` is the only PIT
+  evaluator (:func:`pit` is a batch of one, :func:`pit_matrix` integrates
+  density rows and calls it).
 * Point queries touch only the spline segment they land in: quantile
-  inversion bisects within one segment in float arithmetic, and batched PIT
+  inversion bisects within one segment in float arithmetic, and PIT
   evaluation limits the slopes of the queried segment alone. Both equal the
   whole-spline computation bit for bit.
 
@@ -25,7 +33,8 @@ threads for read-only evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -59,6 +68,7 @@ __all__ = [
 ]
 
 _SNAP_TOL = 1e-9
+_GRID_MARGIN = 0.1  # share of the data span added to each side by default_grid
 
 
 def _frozen(a) -> np.ndarray:
@@ -135,7 +145,6 @@ class GridCdf:
 
     grid: YGrid
     values: np.ndarray
-    _spline_cache: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -148,12 +157,10 @@ class GridCdf:
         vals = np.clip(np.maximum.accumulate(vals), 0.0, 1.0)
         object.__setattr__(self, "values", _frozen(vals))
 
-    @property
+    @cached_property
     def spline(self) -> "MonotoneSpline":
         """Monotone cubic interpolant of the CDF (built lazily, cached)."""
-        if not self._spline_cache:
-            self._spline_cache.append(fit_monotone_spline(self.grid.points, self.values))
-        return self._spline_cache[0]
+        return fit_monotone_spline(self.grid.points, self.values)
 
 
 @runtime_checkable
@@ -175,6 +182,58 @@ class InitialModel(Protocol):
 # Monotone cubic Hermite interpolation (Fritsch-Carlson limited slopes)
 # ----------------------------------------------------------------------
 
+def _locate(xs: np.ndarray, q: np.ndarray):
+    """Segment index, width and unclipped local coordinate ``t`` of each query."""
+    idx = np.clip(np.searchsorted(xs, q, side="right") - 1, 0, xs.size - 2)
+    h = xs[idx + 1] - xs[idx]
+    return idx, h, (q - xs[idx]) / h
+
+
+def _hermite(y0, y1, hm0, hm1, t):
+    """Cubic Hermite value on one segment at local coordinate ``t`` in [0, 1].
+
+    ``hm0`` and ``hm1`` are the end slopes times the segment width. Works on
+    floats and arrays alike; every caller goes through this one operation
+    order, so the scalar and array paths agree bit for bit.
+    """
+    t2 = t * t
+    t3 = t2 * t
+    return (
+        y0 * (2 * t3 - 3 * t2 + 1)
+        + hm0 * (t3 - 2 * t2 + t)
+        + y1 * (-2 * t3 + 3 * t2)
+        + hm1 * (t3 - t2)
+    )
+
+
+def _fc_slopes(d: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """Fritsch-Carlson limited slopes at knots ``2 .. W - 2`` of (N, W) secants.
+
+    Knot ``k`` lies between secants ``k - 1`` and ``k``. Secants where ``real``
+    is False stand for "past the end of the data": a knot with one real
+    neighbour takes that secant as its raw slope, and they never limit a knot.
+    Raw slopes are secant averages, forced to zero next to a flat real secant,
+    then scaled into the monotonicity circle (alpha^2 + beta^2 <= 9) of both
+    adjacent segments; shrinking only ever preserves the constraint.
+    """
+    zero = d == 0.0
+    flat = real & zero
+
+    # raw slopes at knots 1 .. W - 1
+    lr, rr = real[:, :-1], real[:, 1:]
+    m = np.where(lr & rr, 0.5 * (d[:, :-1] + d[:, 1:]), np.where(lr, d[:, :-1], d[:, 1:]))
+    m = np.where(flat[:, :-1] | flat[:, 1:], 0.0, m)
+
+    # monotonicity-circle factors of secants 1 .. W - 2; 1 where not real.
+    # A real flat secant has zero slope at both ends, so its ratios are 0.
+    safe_d = np.where(zero[:, 1:-1], 1.0, d[:, 1:-1])
+    alpha = m[:, :-1] / safe_d
+    beta = m[:, 1:] / safe_d
+    r2 = alpha * alpha + beta * beta
+    tau = np.where(real[:, 1:-1] & (r2 > 9.0), 3.0 / np.sqrt(np.maximum(r2, 1e-300)), 1.0)
+    return m[:, 1:-1] * np.minimum(tau[:, :-1], tau[:, 1:])
+
+
 @dataclass(frozen=True)
 class MonotoneSpline:
     """Shape-preserving cubic Hermite interpolant of nondecreasing data.
@@ -194,33 +253,12 @@ class MonotoneSpline:
         object.__setattr__(self, "knots_y", _frozen(self.knots_y))
         object.__setattr__(self, "slopes", _frozen(self.slopes))
 
-    def _locate(self, q: np.ndarray):
-        xs = self.knots_x
-        idx = np.searchsorted(xs, q, side="right") - 1
-        idx = np.clip(idx, 0, xs.size - 2)
-        h = xs[idx + 1] - xs[idx]
-        t = (q - xs[idx]) / h
-        return idx, h, t
-
     def __call__(self, q) -> np.ndarray:
         q_arr = np.asarray(q, dtype=float)
         scalar = q_arr.ndim == 0
-        q_arr = np.atleast_1d(q_arr)
-        idx, h, t = self._locate(q_arr)
-        t = np.clip(t, 0.0, 1.0)
+        idx, h, t = _locate(self.knots_x, np.atleast_1d(q_arr))
         ys, m = self.knots_y, self.slopes
-        t2 = t * t
-        t3 = t2 * t
-        h00 = 2 * t3 - 3 * t2 + 1
-        h10 = t3 - 2 * t2 + t
-        h01 = -2 * t3 + 3 * t2
-        h11 = t3 - t2
-        out = (
-            ys[idx] * h00
-            + h * m[idx] * h10
-            + ys[idx + 1] * h01
-            + h * m[idx + 1] * h11
-        )
+        out = _hermite(ys[idx], ys[idx + 1], h * m[idx], h * m[idx + 1], np.clip(t, 0.0, 1.0))
         return float(out[0]) if scalar else out
 
     def derivative(self, q) -> np.ndarray:
@@ -228,7 +266,7 @@ class MonotoneSpline:
         q_arr = np.asarray(q, dtype=float)
         scalar = q_arr.ndim == 0
         q_arr = np.atleast_1d(q_arr)
-        idx, h, t = self._locate(q_arr)
+        idx, h, t = _locate(self.knots_x, q_arr)
         inside = (t >= 0.0) & (t <= 1.0)
         t = np.clip(t, 0.0, 1.0)
         ys, m = self.knots_y, self.slopes
@@ -251,9 +289,9 @@ class MonotoneSpline:
 
         Targets below the first ordinate return the first knot; targets above
         the last ordinate return the last knot. The bisection reads the one
-        segment that holds the answer and evaluates it in float arithmetic,
-        with the operations of :meth:`__call__` in the same order, so the
-        result equals bit for bit a bisection that calls the spline per step.
+        segment that holds the answer and evaluates :func:`_hermite` on
+        floats, so the result equals bit for bit a bisection that calls the
+        spline per step.
         """
         xs, ys = self.knots_x, self.knots_y
         if target <= ys[0]:
@@ -265,18 +303,10 @@ class MonotoneSpline:
         x0, h = lo, hi - lo
         y0, y1 = float(ys[j - 1]), float(ys[j])
         hm0, hm1 = h * float(self.slopes[j - 1]), h * float(self.slopes[j])
+        # mid stays in [x0, x0 + h] and rounding is monotone, so t needs no clamp
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            t = min(max((mid - x0) / h, 0.0), 1.0)
-            t2 = t * t
-            t3 = t2 * t
-            value = (
-                y0 * (2 * t3 - 3 * t2 + 1)
-                + hm0 * (t3 - 2 * t2 + t)
-                + y1 * (-2 * t3 + 3 * t2)
-                + hm1 * (t3 - t2)
-            )
-            if value >= target:
+            if _hermite(y0, y1, hm0, hm1, (mid - x0) / h) >= target:
                 hi = mid
             else:
                 lo = mid
@@ -288,50 +318,31 @@ class MonotoneSpline:
 def fit_monotone_spline(xs, ys) -> MonotoneSpline:
     """Fit a monotone cubic Hermite spline to nondecreasing data.
 
-    Knot slopes start from secant averages and are limited to the
-    Fritsch-Carlson monotonicity circle (alpha^2 + beta^2 <= 9), with zero
-    slope forced at every knot adjacent to a flat secant. Ordinates that
-    decrease by at most 1e-9 are snapped up; larger decreases raise
+    Knot slopes come from :func:`_fc_slopes` on the whole row: secant
+    averages (the end secant at the end knots), zero next to every flat
+    secant, limited to the Fritsch-Carlson monotonicity circle. Ordinates
+    that decrease by at most 1e-9 are snapped up; larger decreases raise
     :class:`NonMonotoneInput`.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.size < 2 or xs.shape != ys.shape:
         raise NonMonotoneInput("need 1-D xs/ys of equal length >= 2")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise NonMonotoneInput("spline knots must be finite")
-    if np.any(np.diff(xs) <= 0):
+    h = np.diff(xs)
+    if (h <= 0).any():
         raise InvalidGrid("spline abscissae must be strictly increasing")
-    if np.any(np.diff(ys) < -_SNAP_TOL):
+    if (np.diff(ys) < -_SNAP_TOL).any():
         raise NonMonotoneInput("ordinates decrease by more than 1e-9")
     ys = np.maximum.accumulate(ys)
 
-    n = xs.size
-    h = np.diff(xs)
-    d = np.diff(ys) / h
-
-    m = np.empty(n)
-    m[0] = d[0]
-    m[-1] = d[-1]
-    if n > 2:
-        m[1:-1] = 0.5 * (d[:-1] + d[1:])
-
-    # flat secants force flat knots on both ends of the segment
-    flat = d == 0.0
-    m[:-1][flat] = 0.0
-    m[1:][flat] = 0.0
-
-    # scale each knot slope into the monotonicity circle (alpha^2 + beta^2 <= 9)
-    # of both adjacent segments; shrinking only ever preserves the constraint
-    safe_d = np.where(flat, 1.0, d)
-    alpha = np.where(flat, 0.0, m[:-1] / safe_d)
-    beta = np.where(flat, 0.0, m[1:] / safe_d)
-    r2 = alpha * alpha + beta * beta
-    tau = np.where(r2 > 9.0, 3.0 / np.sqrt(np.maximum(r2, 1e-300)), 1.0)
-    scale = np.minimum(np.concatenate([[1.0], tau]), np.concatenate([tau, [1.0]]))
-    m *= scale
-
-    return MonotoneSpline(xs, ys, m)
+    # two padding secants per side put every knot at positions 2 .. n + 1
+    d = np.zeros((1, xs.size + 3))
+    d[0, 2:-2] = np.diff(ys) / h
+    real = np.zeros(d.shape, dtype=bool)
+    real[0, 2:-2] = True
+    return MonotoneSpline(xs, ys, _fc_slopes(d, real)[0])
 
 
 # ----------------------------------------------------------------------
@@ -361,12 +372,11 @@ def invert_cdf(c: GridCdf, p: float) -> float:
 
 
 def pit(c: GridCdf, y: float) -> float:
-    """Interpolated CDF value at ``y``, clamped to {0, 1} off the grid."""
-    if y < c.grid.lo:
-        return 0.0
-    if y > c.grid.hi:
-        return 1.0
-    return float(np.clip(c.spline(y), 0.0, 1.0))
+    """Interpolated CDF value at ``y``, clamped to {0, 1} off the grid.
+
+    A batch of one of :func:`_pit_rows`, the evaluator :func:`pit_matrix` uses.
+    """
+    return float(_pit_rows(c.grid.points, c.values[None, :], np.array([y], dtype=float))[0])
 
 
 def pit_from_samples(draws, y: float) -> float:
@@ -408,15 +418,15 @@ def widen_density(d: GridDensity, bandwidth: float) -> GridDensity:
     return renormalize_density(GridDensity(d.grid, out))
 
 
-def default_grid(values, n_points: int = 201, margin: float = 0.1) -> YGrid:
-    """Equispaced grid spanning the data range extended by ``margin`` per side."""
+def default_grid(values, n_points: int = 201) -> YGrid:
+    """Equispaced grid spanning the data range extended by a tenth per side."""
     values = np.asarray(values, dtype=float)
     lo = float(np.min(values))
     hi = float(np.max(values))
     span = hi - lo
     if span <= 0:
         span = max(abs(lo), 1.0)
-    return YGrid(np.linspace(lo - margin * span, hi + margin * span, n_points))
+    return YGrid(np.linspace(lo - _GRID_MARGIN * span, hi + _GRID_MARGIN * span, n_points))
 
 
 # ----------------------------------------------------------------------
@@ -427,9 +437,9 @@ def _segment_slopes(xs: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.nda
     """Limited slopes at knots ``idx`` and ``idx + 1`` of each row, shape (N, 2).
 
     A knot's Fritsch-Carlson slope depends on the secants two to each side,
-    so the pair needs only secants ``idx - 2 .. idx + 2``; secants past the
-    ends are masked out as :func:`fit_monotone_spline` leaves them out. The
-    arithmetic is that function's, term for term, so the result equals
+    so the pair needs only the five secants ``idx - 2 .. idx + 2``, which
+    :func:`_fc_slopes` limits as it limits a whole row; secants past the ends
+    are clipped and marked not real. The result therefore equals
     ``fit_monotone_spline(xs, row).slopes[[i, i + 1]]`` bit for bit.
     """
     n = xs.size
@@ -438,22 +448,7 @@ def _segment_slopes(xs: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.nda
     sec = np.clip(sec, 0, n - 2)
     r = np.arange(rows.shape[0])[:, None]
     d = (rows[r, sec + 1] - rows[r, sec]) / (xs[sec + 1] - xs[sec])
-    zero = d == 0.0
-    flat = real & zero
-
-    # raw slopes at knots idx-1 .. idx+2; knot k lies between secants k-1 and k
-    lr, rr = real[:, :-1], real[:, 1:]
-    m = np.where(lr & rr, 0.5 * (d[:, :-1] + d[:, 1:]), np.where(lr, d[:, :-1], d[:, 1:]))
-    m = np.where(flat[:, :-1] | flat[:, 1:], 0.0, m)
-
-    # monotonicity-circle factors of secants idx-1 .. idx+1; 1 past the ends
-    dm, zm = d[:, 1:-1], zero[:, 1:-1]
-    safe_d = np.where(zm, 1.0, dm)
-    alpha = np.where(zm, 0.0, m[:, :-1] / safe_d)
-    beta = np.where(zm, 0.0, m[:, 1:] / safe_d)
-    r2 = alpha * alpha + beta * beta
-    tau = np.where(real[:, 1:-1] & (r2 > 9.0), 3.0 / np.sqrt(np.maximum(r2, 1e-300)), 1.0)
-    return m[:, 1:3] * np.minimum(tau[:, :-1], tau[:, 1:])
+    return _fc_slopes(d, real)
 
 
 def cdf_rows_from_density_rows(points: np.ndarray, density_rows: np.ndarray) -> np.ndarray:
@@ -478,37 +473,28 @@ def cdf_rows_from_density_rows(points: np.ndarray, density_rows: np.ndarray) -> 
     return cum
 
 
-def pit_matrix(grid: YGrid, density_rows: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """PIT of one response per density row, matching :func:`pit` per row.
+def _pit_rows(points: np.ndarray, cdf_rows: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """PIT of ``ys[i]`` under the monotone cubic through ``cdf_rows[i]``.
 
-    Each row is integrated to a CDF and interpolated with the same monotone
-    cubic used by :func:`pit`; queries off the grid clamp to {0, 1}. Slopes
-    are limited only at the two knots of the segment each response lands in
-    (see :func:`_segment_slopes`), which gives bit for bit the values of
-    fitting the whole row's spline.
+    Slopes are limited only at the two knots of the segment each response
+    lands in (:func:`_segment_slopes`); values are clipped to [0, 1] and
+    queries off the grid clamp to {0, 1}.
     """
-    pts = grid.points
-    ys = np.asarray(ys, dtype=float)
-    cdf_rows = cdf_rows_from_density_rows(pts, np.asarray(density_rows, dtype=float))
-    idx = np.clip(np.searchsorted(pts, ys, side="right") - 1, 0, pts.size - 2)
+    idx, h, t = _locate(points, ys)
     rows = np.arange(ys.shape[0])
-    h = pts[idx + 1] - pts[idx]
-    t = np.clip((ys - pts[idx]) / h, 0.0, 1.0)
-    y0 = cdf_rows[rows, idx]
-    y1 = cdf_rows[rows, idx + 1]
-    m0, m1 = _segment_slopes(pts, cdf_rows, idx).T
-    t2 = t * t
-    t3 = t2 * t
-    out = (
-        y0 * (2 * t3 - 3 * t2 + 1)
-        + h * m0 * (t3 - 2 * t2 + t)
-        + y1 * (-2 * t3 + 3 * t2)
-        + h * m1 * (t3 - t2)
-    )
+    m0, m1 = _segment_slopes(points, cdf_rows, idx).T
+    out = _hermite(cdf_rows[rows, idx], cdf_rows[rows, idx + 1], h * m0, h * m1,
+                   np.clip(t, 0.0, 1.0))
     out = np.clip(out, 0.0, 1.0)
-    out = np.where(ys < pts[0], 0.0, out)
-    out = np.where(ys > pts[-1], 1.0, out)
-    return out
+    out = np.where(ys < points[0], 0.0, out)
+    return np.where(ys > points[-1], 1.0, out)
+
+
+def pit_matrix(grid: YGrid, density_rows: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """PIT of one response per density row: each row integrated, then :func:`_pit_rows`."""
+    pts = grid.points
+    cdf_rows = cdf_rows_from_density_rows(pts, np.asarray(density_rows, dtype=float))
+    return _pit_rows(pts, cdf_rows, np.asarray(ys, dtype=float))
 
 
 # ----------------------------------------------------------------------

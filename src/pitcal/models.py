@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_SMOOTH_STEPS = 2.0  # Gaussian widening of grid histograms, in grid steps
 
 
 def model_cdf(model, x) -> GridCdf:
@@ -99,7 +100,7 @@ class MarginalHistogramModel:
 
     sample_based = False
 
-    def __init__(self, grid: YGrid, ys, smooth_steps: float = 2.0):
+    def __init__(self, grid: YGrid, ys):
         self.grid = grid
         ys = np.asarray(ys, dtype=float)
         pts = grid.points
@@ -108,7 +109,7 @@ class MarginalHistogramModel:
         widths = np.diff(edges)
         raw = GridDensity(grid, counts / np.maximum(widths, 1e-300) / max(len(ys), 1))
         step = (grid.hi - grid.lo) / (len(grid) - 1)
-        self._density = widen_density(raw, smooth_steps * step)
+        self._density = widen_density(raw, _SMOOTH_STEPS * step)
 
     def density_at(self, x) -> GridDensity:
         return self._density
@@ -166,7 +167,7 @@ class SampleBasedModel:
         widths = np.diff(edges)
         raw = GridDensity(self.grid, counts / np.maximum(widths, 1e-300) / draws.size)
         step = (self.grid.hi - self.grid.lo) / (len(self.grid) - 1)
-        return widen_density(raw, 2.0 * step)
+        return widen_density(raw, _SMOOTH_STEPS * step)
 
     def cdf_at(self, x) -> GridCdf:
         draws = np.sort(self.draws_at(x))

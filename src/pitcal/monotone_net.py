@@ -227,13 +227,11 @@ class MonotoneNetModel(PitCdfModel):
         return (np.atleast_2d(xs) - self.mean) / self.scale
 
     def predict_curve(self, gammas, x) -> np.ndarray:
-        gammas = np.asarray(gammas, dtype=float).ravel()
-        x_std = self._standardize(np.asarray(x, dtype=float).ravel())
-        xs = np.repeat(x_std, gammas.size, axis=0)
-        return _forward(self.params, self.hidden, xs, gammas)
+        """r(gamma; x) at one feature point: a batch of one of :meth:`predict_matrix`."""
+        return self.predict_matrix(gammas, np.asarray(x, dtype=float).reshape(1, -1))[0]
 
     def predict_matrix(self, gammas, xs) -> np.ndarray:
-        """r(gamma; x) for every (x row, gamma) pair, shape (n_x, n_gamma)."""
+        """r(gamma; x) for every (x row, gamma) pair of (n_x, d) ``xs``, shape (n_x, n_gamma)."""
         gammas = np.asarray(gammas, dtype=float).ravel()
         xs_std = self._standardize(np.asarray(xs, dtype=float))
         n, m = xs_std.shape[0], gammas.size

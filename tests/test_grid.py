@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +97,12 @@ class TestInvertCdf:
         g = YGrid(np.linspace(2, 7, 51))
         c = cdf_from_density(std_normal_density(YGrid(np.linspace(2, 7, 51))))
         assert invert_cdf(c, 0.0) == g.points[0]
+
+    def test_spline_built_once_and_not_a_field(self):
+        g = YGrid(np.linspace(-5, 5, 201))
+        c = cdf_from_density(std_normal_density(g))
+        assert c.spline is c.spline
+        assert [f.name for f in dataclasses.fields(c)] == ["grid", "values"]
 
     def test_p_out_of_range(self):
         g = YGrid(np.linspace(0, 1, 5))

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pitcal.rng as rngmod
 from pitcal.calibrate import CalibrationSet, augment, load_pit_model, save_pit_model
 from pitcal.errors import TrainingDiverged
-from pitcal.monotone_net import MonotoneNetConfig, MonotoneNetModel, fit_monotone_net
+from pitcal.monotone_net import (
+    MonotoneNetConfig,
+    MonotoneNetModel,
+    _Params,
+    _forward,
+    _init_params,
+    fit_monotone_net,
+)
 from pitcal.synthgen import sample_example2
 
 SMALL_CFG = dict(hidden_layers=(16, 16), learning_rate=3e-3, lr_decay=0.97,
@@ -101,6 +109,47 @@ class TestDeterminism:
         assert a.loss_history == b.loss_history
         gam = np.linspace(0.05, 0.95, 11)
         np.testing.assert_array_equal(a.predict_curve(gam, [0.2]), b.predict_curve(gam, [0.2]))
+
+
+def reference_predict_curve(model, gammas, x):
+    """``predict_curve`` as it was before it became a batch of one."""
+    gammas = np.asarray(gammas, dtype=float).ravel()
+    x_std = model._standardize(np.asarray(x, dtype=float).ravel())
+    xs = np.repeat(x_std, gammas.size, axis=0)
+    return _forward(model.params, model.hidden, xs, gammas)
+
+
+class TestPredictCurve:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from([1, 2]),
+        st.sampled_from([(), (8,), (6, 5)]),
+        st.integers(min_value=1, max_value=60),
+    )
+    def test_batch_of_one_equals_reference(self, seed, dim, hidden, n_gammas):
+        rng = np.random.default_rng(seed)
+        # perturb every weight so the output depends on x and gamma
+        params = _Params({k: v + rng.normal(0.0, 0.5, size=v.shape)
+                          for k, v in _init_params(dim, hidden, rng).items()})
+        net = MonotoneNetModel(params, hidden, rng.normal(size=dim),
+                               rng.uniform(0.5, 2.0, size=dim), MonotoneNetConfig(seed=1))
+        gammas = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(size=n_gammas)]))
+        xs = rng.normal(size=(5, dim))
+        for x in xs:
+            want = reference_predict_curve(net, gammas, x)
+            assert np.array_equal(net.predict_curve(gammas, x), want)
+            assert np.array_equal(net.predict_curve(gammas, list(x)), want)
+        if dim == 1:
+            assert np.array_equal(net.predict_curve(gammas, float(xs[0, 0])),
+                                  reference_predict_curve(net, gammas, float(xs[0, 0])))
+        # rows of a larger batch go through BLAS with other shapes, so they
+        # are held to rounding, not to bit equality
+        mat = net.predict_matrix(gammas, xs)
+        assert mat.shape == (5, gammas.size)
+        for i, x in enumerate(xs):
+            np.testing.assert_allclose(mat[i], reference_predict_curve(net, gammas, x),
+                                       rtol=0, atol=1e-13)
 
 
 class TestSerialization:

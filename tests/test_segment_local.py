@@ -1,10 +1,13 @@
-"""Segment-local and batched grid computations against their reference paths.
+"""Segment-local and batched grid computations against frozen reference paths.
 
-``MonotoneSpline.solve`` bisects inside one segment in float arithmetic,
-``pit_matrix`` limits slopes only at the two knots of each queried segment,
-and ``cdf_from_density`` is a batch of one of ``cdf_rows_from_density_rows``.
-Each must reproduce its reference path exactly, so every comparison here is
-``==``.
+``grid`` reads every CDF through one spline core: ``_fc_slopes`` limits the
+slopes of whole rows (``fit_monotone_spline``) and of five-secant windows
+(``_segment_slopes``), ``_hermite`` evaluates every segment (``__call__``,
+``solve``, ``pit``, ``pit_matrix``), and ``cdf_from_density`` is a batch of
+one of ``cdf_rows_from_density_rows``. The references below are frozen
+copies of the separate implementations that came before the shared core, so
+the core is never checked against itself. Each must be reproduced exactly, so
+every comparison here is ``==``.
 """
 
 import numpy as np
@@ -21,13 +24,70 @@ from pitcal.grid import (
     cdf_from_density,
     cdf_rows_from_density_rows,
     fit_monotone_spline,
+    pit,
     pit_matrix,
 )
 
 
-def reference_solve(sp, target):
-    """Bisection that evaluates the whole numpy spline at every step."""
-    xs, ys = sp.knots_x, sp.knots_y
+def reference_slopes(xs, ys):
+    """Fritsch-Carlson slopes as ``fit_monotone_spline`` computed them alone."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.maximum.accumulate(np.asarray(ys, dtype=float))
+    n = xs.size
+    h = np.diff(xs)
+    d = np.diff(ys) / h
+
+    m = np.empty(n)
+    m[0] = d[0]
+    m[-1] = d[-1]
+    if n > 2:
+        m[1:-1] = 0.5 * (d[:-1] + d[1:])
+
+    flat = d == 0.0
+    m[:-1][flat] = 0.0
+    m[1:][flat] = 0.0
+
+    safe_d = np.where(flat, 1.0, d)
+    alpha = np.where(flat, 0.0, m[:-1] / safe_d)
+    beta = np.where(flat, 0.0, m[1:] / safe_d)
+    r2 = alpha * alpha + beta * beta
+    tau = np.where(r2 > 9.0, 3.0 / np.sqrt(np.maximum(r2, 1e-300)), 1.0)
+    scale = np.minimum(np.concatenate([[1.0], tau]), np.concatenate([tau, [1.0]]))
+    m *= scale
+    return m
+
+
+def reference_eval(xs, ys, m, q):
+    """``MonotoneSpline.__call__`` with its own Hermite basis, on an array."""
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    idx = np.searchsorted(xs, q, side="right") - 1
+    idx = np.clip(idx, 0, xs.size - 2)
+    h = xs[idx + 1] - xs[idx]
+    t = (q - xs[idx]) / h
+    t = np.clip(t, 0.0, 1.0)
+    t2 = t * t
+    t3 = t2 * t
+    h00 = 2 * t3 - 3 * t2 + 1
+    h10 = t3 - 2 * t2 + t
+    h01 = -2 * t3 + 3 * t2
+    h11 = t3 - t2
+    return ys[idx] * h00 + h * m[idx] * h10 + ys[idx + 1] * h01 + h * m[idx + 1] * h11
+
+
+def reference_pit(pts, cdf, y):
+    """``pit`` as a whole-row spline fit, evaluated once and clipped."""
+    if y < pts[0]:
+        return 0.0
+    if y > pts[-1]:
+        return 1.0
+    return float(np.clip(reference_eval(pts, cdf, reference_slopes(pts, cdf), y)[0], 0.0, 1.0))
+
+
+def reference_solve(xs, ys, target):
+    """Bisection that evaluates the whole reference spline at every step."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.maximum.accumulate(np.asarray(ys, dtype=float))
+    m = reference_slopes(xs, ys)
     if target <= ys[0]:
         return float(xs[0])
     if target > ys[-1]:
@@ -36,7 +96,7 @@ def reference_solve(sp, target):
     lo, hi = float(xs[j - 1]), float(xs[j])
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if sp(mid) >= target:
+        if reference_eval(xs, ys, m, mid)[0] >= target:
             hi = mid
         else:
             lo = mid
@@ -76,6 +136,46 @@ def random_density_rows(rng, n_rows, n_points, flat_share):
     return rows
 
 
+class TestFitAndEval:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("flat_share", [0.0, 0.5])
+    def test_two_and_three_knots(self, n, flat_share):
+        rng = np.random.default_rng(n * 10 + int(flat_share * 2))
+        for _ in range(300):
+            xs, ys = random_knots(rng, n, flat_share)
+            sp = fit_monotone_spline(xs, ys)
+            m = reference_slopes(xs, ys)
+            assert np.array_equal(sp.slopes, m)
+            q = np.concatenate([xs, rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, size=20)])
+            assert np.array_equal(sp(q), reference_eval(xs, sp.knots_y, m, q))
+
+    def test_secant_ratios_across_the_circle(self):
+        # with secants 1 and r the first segment has alpha = 1 and
+        # beta = (1 + r) / 2, so r near 4.657 puts r2 on either side of 9
+        for r in np.linspace(4.4, 4.9, 501):
+            xs, ys = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 1.0 + r])
+            assert np.array_equal(fit_monotone_spline(xs, ys).slopes, reference_slopes(xs, ys))
+            got = _segment_slopes(xs, ys[None, :], np.array([0]))[0]
+            assert np.array_equal(got, reference_slopes(xs, ys)[:2])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=2, max_value=250),
+        st.sampled_from([0.0, 0.3, 0.7]),
+    )
+    def test_full_row_slopes_and_values(self, seed, n, flat_share):
+        rng = np.random.default_rng(seed)
+        xs, ys = random_knots(rng, n, flat_share)
+        sp = fit_monotone_spline(xs, ys)
+        m = reference_slopes(xs, ys)
+        assert np.array_equal(sp.slopes, m)
+        q = np.concatenate([xs, rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, size=200)])
+        assert np.array_equal(sp(q), reference_eval(xs, sp.knots_y, m, q))
+        assert type(sp(float(q[-1]))) is float
+        assert sp(float(q[-1])) == reference_eval(xs, sp.knots_y, m, q[-1])[0]
+
+
 class TestSolve:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -96,7 +196,7 @@ class TestSolve:
         for p in targets:
             got = sp.solve(p)
             assert type(got) is float
-            assert got == reference_solve(sp, p)
+            assert got == reference_solve(xs, ys, p)
 
     def test_recalibrated_cdf_quantiles(self):
         # CDF rows like those recalibration produces: integrated densities
@@ -107,7 +207,7 @@ class TestSolve:
         for row in cdfs:
             sp = fit_monotone_spline(pts, row)
             for p in (0.0, 0.025, 0.05, 0.5, 0.95, 0.975, 1.0):
-                assert sp.solve(p) == reference_solve(sp, p)
+                assert sp.solve(p) == reference_solve(pts, row, p)
 
 
 class TestPitMatrixSlopes:
@@ -128,7 +228,7 @@ class TestPitMatrixSlopes:
         idx = np.clip(idx, 0, last)
         got = _segment_slopes(pts, cdfs, idx)
         for i, k in enumerate(idx):
-            slopes = fit_monotone_spline(pts, cdfs[i]).slopes
+            slopes = reference_slopes(pts, cdfs[i])
             assert got[i, 0] == slopes[k]
             assert got[i, 1] == slopes[k + 1]
 
@@ -149,13 +249,11 @@ class TestPitMatrixSlopes:
         got = pit_matrix(grid, rows, ys)
         cdfs = cdf_rows_from_density_rows(pts, rows)
         for i, y in enumerate(ys):
-            if y < pts[0]:
-                want = 0.0
-            elif y > pts[-1]:
-                want = 1.0
-            else:
-                want = float(np.clip(fit_monotone_spline(pts, cdfs[i])(y), 0.0, 1.0))
+            want = reference_pit(pts, cdfs[i], y)
             assert got[i] == want
+            one = pit(GridCdf(grid, cdfs[i]), float(y))
+            assert type(one) is float
+            assert one == want
 
 
 class TestCdfFromDensity:
