@@ -86,7 +86,7 @@ from .bench import (
     conditional_coverage,
     run_experiment,
 )
-from .baselines import ConformalCalibration, DcpModel, RegSplitModel, dcp, fit_knn_mean, reg_split
+from .baselines import ConformalCalibration, DcpModel, RegSplitModel, fit_knn_mean
 
 __all__ = [
     "__version__",
@@ -117,6 +117,5 @@ __all__ = [
     "ExperimentRecipe", "CoverageReport", "conditional_coverage",
     "classify_coverage", "run_experiment",
     # baselines
-    "ConformalCalibration", "RegSplitModel", "DcpModel", "reg_split", "dcp",
-    "fit_knn_mean",
+    "ConformalCalibration", "RegSplitModel", "DcpModel", "fit_knn_mean",
 ]

@@ -26,8 +26,6 @@ __all__ = [
     "RegSplitModel",
     "DcpModel",
     "fit_knn_mean",
-    "reg_split",
-    "dcp",
 ]
 
 
@@ -96,12 +94,6 @@ class RegSplitModel:
         )
 
 
-def reg_split(fit_mean, train: CalibrationSet, cal: CalibrationSet,
-              alpha: float, x) -> PredictionSet:
-    """Split-conformal residual interval at one feature point."""
-    return RegSplitModel(fit_mean, train, cal, alpha).predict_set(x)
-
-
 class DcpModel:
     """Distributional conformal intervals from centered PIT scores.
 
@@ -126,8 +118,3 @@ class DcpModel:
         lo = invert_cdf(cdf, p_lo)
         hi = invert_cdf(cdf, p_hi)
         return PredictionSet(((lo, hi),), nominal_level=1.0 - self.alpha, kind="interval")
-
-
-def dcp(initial, cal: CalibrationSet, alpha: float, x) -> PredictionSet:
-    """Distributional conformal interval at one feature point."""
-    return DcpModel(initial, cal, alpha).predict_set(x)

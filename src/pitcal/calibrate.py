@@ -60,9 +60,8 @@ __all__ = [
 
 MODEL_FORMAT_VERSION = 1
 
-# calpit_hpd: largest accepted miss of the 1 - alpha mass, and bisection steps
+# calpit_hpd: largest accepted miss of the 1 - alpha mass in the final check
 _HPD_MASS_TOL = 0.005
-_HPD_MAX_ITER = 200
 
 # backend tag -> deserializer; the net backend registers itself on import
 _MODEL_LOADERS: dict = {}
@@ -475,43 +474,6 @@ def calpit_interval(rd: RecalibratedDistribution, alpha: float) -> PredictionSet
     return PredictionSet(((lo, hi),), nominal_level=1.0 - alpha, kind="interval")
 
 
-def _mass_above(pts: np.ndarray, f: np.ndarray, t: float) -> float:
-    """Trapezoid mass of the piecewise-linear density on {f >= t}."""
-    a, b = f[:-1], f[1:]
-    h = np.diff(pts)
-    both = (a >= t) & (b >= t)
-    left = (a >= t) & (b < t)
-    right = (a < t) & (b >= t)
-    full = np.where(both, 0.5 * (a + b) * h, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_left = np.where(left, (a - t) / np.where(a != b, a - b, 1.0), 0.0)
-        s_right = np.where(right, (b - t) / np.where(a != b, b - a, 1.0), 0.0)
-    part_left = np.where(left, 0.5 * (a + t) * s_left * h, 0.0)
-    part_right = np.where(right, 0.5 * (b + t) * s_right * h, 0.0)
-    return float(np.sum(full + part_left + part_right))
-
-
-def _level_intervals(pts: np.ndarray, f: np.ndarray, t: float):
-    """Components of {y: f(y) >= t} with linearly interpolated edges."""
-    intervals = []
-    n = pts.size
-    open_left = None
-    if f[0] >= t:
-        open_left = float(pts[0])
-    for i in range(n - 1):
-        a, b = f[i], f[i + 1]
-        if a >= t and b < t:
-            s = (a - t) / (a - b)
-            intervals.append((open_left, float(pts[i] + s * (pts[i + 1] - pts[i]))))
-            open_left = None
-        elif a < t and b >= t:
-            s = (b - t) / (b - a)
-            open_left = float(pts[i + 1] - s * (pts[i + 1] - pts[i]))
-    if open_left is not None:
-        intervals.append((open_left, float(pts[-1])))
-    return [(lo, hi) for lo, hi in intervals if hi > lo]
-
-
 def _interval_mass(pts: np.ndarray, f: np.ndarray, lo: float, hi: float) -> float:
     """Trapezoid mass of the piecewise-linear density over [lo, hi]."""
     grid = np.unique(np.concatenate([pts[(pts > lo) & (pts < hi)], [lo, hi]]))
@@ -519,125 +481,79 @@ def _interval_mass(pts: np.ndarray, f: np.ndarray, lo: float, hi: float) -> floa
     return float(np.trapezoid(vals, grid))
 
 
-def _merge_intervals(intervals, gap_tol: float):
-    merged = []
-    for lo, hi in sorted(intervals):
-        if merged and lo - merged[-1][1] <= gap_tol:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged if hi > lo]
-
-
 def calpit_hpd(rd: RecalibratedDistribution, alpha: float) -> PredictionSet:
-    """Highest-density set of the recalibrated density with mass 1 - alpha.
+    """Highest-density set {f >= t} of the recalibrated density with mass 1 - alpha.
 
-    The density threshold is found by bisection on the level; set components
-    take their edges from linear interpolation between grid points. When the
-    target mass falls inside a flat density stretch (the threshold mass jumps),
-    cells at the threshold are included left to right, the last one truncated,
-    until the target is met.
+    The density is piecewise linear between grid points, so the mass above a
+    level is a sum of per-cell trapezoids and quadratics in the level. A
+    bisection over the sorted distinct density values brackets the threshold,
+    and inside the bracket it is solved in closed form (Hyndman, 1996), which
+    makes the set's mass exact up to rounding. Density values closer than
+    1e-12 times the maximum count as one level. When the target mass falls in
+    the jump of cells lying flat at the threshold, those cells are filled left
+    to right and the last one is cut. An independent trapezoid check of the
+    final set's mass raises :class:`HpdSearchFailed` if it misses 1 - alpha by
+    more than 0.005.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     pts = rd.pdf.grid.points
-    f = rd.pdf.values
-    total = np.trapezoid(f, pts)
+    total = np.trapezoid(rd.pdf.values, pts)
     target = (1.0 - alpha) * total
-    span = pts[-1] - pts[0]
-    fmax = float(f.max())
+    # snap values an ulp apart onto one level, so noisy plateaus are flat
+    uniq = np.unique(rd.pdf.values)
+    new_level = np.r_[True, np.diff(uniq) > 1e-12 * uniq[-1]]
+    levels = uniq[new_level]
+    f = levels[np.cumsum(new_level)[np.searchsorted(uniq, rd.pdf.values)] - 1]
 
-    # upper bracket strictly above the density maximum: its level set is
-    # empty, so flat densities resolve through the tie-handling path
-    lo_t, hi_t = 0.0, fmax * (1.0 + 1e-12) + 1e-300
-    t = 0.0
-    converged = False
-    for _ in range(_HPD_MAX_ITER):
-        t = 0.5 * (lo_t + hi_t)
-        m = _mass_above(pts, f, t)
-        if abs(m - target) <= 0.2 * _HPD_MASS_TOL:
-            converged = True
-            break
-        if m > target:
-            lo_t = t
+    a, b, h = f[:-1], f[1:], np.diff(pts)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    full = 0.5 * (a + b) * h
+    q = 0.5 * h / np.where(hi > lo, hi - lo, np.inf)  # 0 on flat cells
+
+    def mass_above(t):
+        crossing = (lo < t) & (hi >= t)
+        return float(np.sum(full[lo >= t])
+                     + np.sum(q[crossing] * (hi[crossing] - t) * (hi[crossing] + t)))
+
+    # largest level v with mass_above(v) >= target; mass_above(levels[0]) = total
+    j, k = 0, levels.size
+    while k - j > 1:
+        mid = (j + k) // 2
+        if mass_above(levels[mid]) >= target:
+            j = mid
         else:
-            hi_t = t
-        if hi_t - lo_t <= 1e-13 * max(fmax, 1.0):
-            break
+            k = mid
+    v = levels[j]
+    # on (v, next level] the cells crossing the level are fixed, so the mass
+    # is m(t) = above - coef (t - v)(t + v), with above = m(v+) < m(v) when
+    # cells lie flat at v
+    crossing = (lo <= v) & (hi > v)
+    coef = float(np.sum(q[crossing]))
+    above = float(np.sum(full[lo > v])
+                  + np.sum(q[crossing] * (hi[crossing] - v) * (hi[crossing] + v)))
+    t = np.sqrt(v * v + (above - target) / coef) if target <= above else v
 
-    if converged:
-        intervals = _level_intervals(pts, f, t)
-    else:
-        # flat stretch at the threshold: take the core set above the bracket,
-        # then add threshold cells left to right until the mass target is met
-        core = _level_intervals(pts, f, hi_t)
-        core_mass = sum(_interval_mass(pts, f, lo, hi) for lo, hi in core)
-        deficit = target - core_mass
-        at_level = _level_intervals(pts, f, lo_t)
-        candidates = _subtract_intervals(at_level, core)
-        chosen = []
-        for lo, hi in candidates:
-            if deficit <= 0:
-                break
-            m = _interval_mass(pts, f, lo, hi)
-            if m <= deficit:
-                chosen.append((lo, hi))
-                deficit -= m
-            else:
-                cut = _mass_cut(pts, f, lo, hi, deficit)
-                chosen.append((lo, cut))
-                deficit = 0.0
-        intervals = _merge_intervals(core + chosen, gap_tol=1e-12 * span)
+    s = (hi - t) / np.where(crossing, hi - lo, 1.0)  # share of a crossing cell above t
+    start = np.where(crossing & (b > a), pts[1:] - s * h, pts[:-1])
+    end = np.where(crossing & (a > b), pts[:-1] + s * h, pts[1:])
+    keep = crossing | (lo > v)
+    if target > above:
+        # the target falls in the jump of the cells lying flat at v
+        flat_mass = np.where((a == v) & (b == v), full, 0.0)
+        before = np.cumsum(flat_mass) - flat_mass
+        fill = (flat_mass > 0) & (before < target - above)
+        end = np.where(fill, pts[:-1] + np.minimum(h, (target - above - before) / v), end)
+        keep |= fill
+    keep &= end > start
+    start, end = start[keep], end[keep]
+    gap = start[1:] - end[:-1] > 1e-12 * (pts[-1] - pts[0])
+    intervals = list(zip(start[np.r_[True, gap]].tolist(), end[np.r_[gap, True]].tolist()))
 
-    intervals = _merge_intervals(intervals, gap_tol=1e-12 * span)
-    mass = sum(_interval_mass(pts, f, lo, hi) for lo, hi in intervals) / total
+    mass = sum(_interval_mass(pts, rd.pdf.values, x0, x1) for x0, x1 in intervals) / total
     if abs(mass - (1.0 - alpha)) > _HPD_MASS_TOL:
-        raise HpdSearchFailed(
-            f"HPD mass {mass:.6f} misses target {1.0 - alpha:.6f} after {_HPD_MAX_ITER} iterations"
-        )
+        raise HpdSearchFailed(f"HPD mass {mass:.6f} misses target {1.0 - alpha:.6f}")
     return PredictionSet(tuple(intervals), nominal_level=1.0 - alpha, kind="hpd")
-
-
-def _subtract_intervals(base, remove):
-    """Set difference of two sorted unions of intervals."""
-    out = []
-    for lo, hi in base:
-        pieces = [(lo, hi)]
-        for rlo, rhi in remove:
-            nxt = []
-            for plo, phi in pieces:
-                if rhi <= plo or rlo >= phi:
-                    nxt.append((plo, phi))
-                else:
-                    if plo < rlo:
-                        nxt.append((plo, rlo))
-                    if rhi < phi:
-                        nxt.append((rhi, phi))
-            pieces = nxt
-        out.extend(pieces)
-    return [(lo, hi) for lo, hi in sorted(out) if hi > lo]
-
-
-def _mass_cut(pts: np.ndarray, f: np.ndarray, lo: float, hi: float, deficit: float) -> float:
-    """Rightmost point c in [lo, hi] with mass over [lo, c] equal to deficit."""
-    grid = np.unique(np.concatenate([pts[(pts > lo) & (pts < hi)], [lo, hi]]))
-    vals = np.interp(grid, pts, f)
-    acc = 0.0
-    for i in range(grid.size - 1):
-        seg = 0.5 * (vals[i] + vals[i + 1]) * (grid[i + 1] - grid[i])
-        if acc + seg >= deficit:
-            a, b = vals[i], vals[i + 1]
-            h = grid[i + 1] - grid[i]
-            rem = deficit - acc
-            if abs(b - a) < 1e-14 * max(abs(a), 1.0):
-                s = rem / max(a, 1e-300)
-            else:
-                slope = (b - a) / h
-                disc = max(a * a + 2.0 * slope * rem, 0.0)
-                s = (np.sqrt(disc) - a) / slope
-            return float(grid[i] + min(max(s, 0.0), h))
-        acc += seg
-    return float(hi)
 
 
 def estimated_ot(rd: RecalibratedDistribution, initial_cdf: GridCdf, y: float) -> float:

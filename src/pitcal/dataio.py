@@ -1,4 +1,4 @@
-"""CSV schemas for calibration data and augmented debug exports."""
+"""CSV schema for calibration data."""
 
 from __future__ import annotations
 
@@ -6,10 +6,10 @@ import math
 
 import numpy as np
 
-from .calibrate import AugmentedCalibrationSet, CalibrationSet
+from .calibrate import CalibrationSet
 from .errors import ConfigError
 
-__all__ = ["write_calibration_csv", "read_calibration_csv", "write_augmented_csv"]
+__all__ = ["write_calibration_csv", "read_calibration_csv"]
 
 
 def write_calibration_csv(path, cal: CalibrationSet, comment: str | None = None):
@@ -51,19 +51,3 @@ def read_calibration_csv(path) -> CalibrationSet:
     if header is None or not ys:
         raise ConfigError(f"{path}: no data rows")
     return CalibrationSet(np.array(xs), np.array(ys))
-
-
-def write_augmented_csv(path, aug: AugmentedCalibrationSet, comment: str | None = None):
-    """Debug export: ``x0,...,x{d-1},gamma,w`` one row per augmented pair."""
-    d = aug.base_xs.shape[1]
-    header = ",".join(f"x{j}" for j in range(d)) + ",gamma,w"
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(header + "\n")
-        for j in range(len(aug)):
-            x = aug.base_xs[aug.row_index[j]]
-            fh.write(
-                ",".join(repr(float(v)) for v in x)
-                + f",{float(aug.gamma[j])!r},{int(aug.w[j])}\n"
-            )

@@ -77,7 +77,7 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class YGrid:
     """Strictly increasing grid of response values (length >= 3)."""
 
@@ -114,7 +114,7 @@ def trapezoid_weights(points: np.ndarray) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridDensity:
     """Density values on a grid.
 
@@ -139,7 +139,7 @@ class GridDensity:
         return float(np.trapezoid(self.values, self.grid.points))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridCdf:
     """Nondecreasing CDF values in [0, 1] on a grid."""
 
@@ -234,7 +234,7 @@ def _fc_slopes(d: np.ndarray, real: np.ndarray) -> np.ndarray:
     return m[:, 1:-1] * np.minimum(tau[:, :-1], tau[:, 1:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonotoneSpline:
     """Shape-preserving cubic Hermite interpolant of nondecreasing data.
 

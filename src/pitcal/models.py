@@ -36,6 +36,17 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _SMOOTH_STEPS = 2.0  # Gaussian widening of grid histograms, in grid steps
 
 
+def _smoothed_histogram(grid: YGrid, ys) -> GridDensity:
+    """Histogram of ``ys`` on the grid cells, widened by ``_SMOOTH_STEPS`` grid steps."""
+    ys = np.asarray(ys, dtype=float).ravel()
+    pts = grid.points
+    edges = np.concatenate([[pts[0]], 0.5 * (pts[1:] + pts[:-1]), [pts[-1]]])
+    counts, _ = np.histogram(np.clip(ys, pts[0], pts[-1]), bins=edges)
+    raw = GridDensity(grid, counts / np.maximum(np.diff(edges), 1e-300) / max(ys.size, 1))
+    step = (grid.hi - grid.lo) / (len(grid) - 1)
+    return widen_density(raw, _SMOOTH_STEPS * step)
+
+
 def model_cdf(model, x) -> GridCdf:
     """CDF of an initial model at ``x``, via ``cdf_at`` when available."""
     cdf_at = getattr(model, "cdf_at", None)
@@ -102,14 +113,7 @@ class MarginalHistogramModel:
 
     def __init__(self, grid: YGrid, ys):
         self.grid = grid
-        ys = np.asarray(ys, dtype=float)
-        pts = grid.points
-        edges = np.concatenate([[pts[0]], 0.5 * (pts[1:] + pts[:-1]), [pts[-1]]])
-        counts, _ = np.histogram(np.clip(ys, pts[0], pts[-1]), bins=edges)
-        widths = np.diff(edges)
-        raw = GridDensity(grid, counts / np.maximum(widths, 1e-300) / max(len(ys), 1))
-        step = (grid.hi - grid.lo) / (len(grid) - 1)
-        self._density = widen_density(raw, _SMOOTH_STEPS * step)
+        self._density = _smoothed_histogram(grid, ys)
 
     def density_at(self, x) -> GridDensity:
         return self._density
@@ -160,14 +164,7 @@ class SampleBasedModel:
     def density_at(self, x) -> GridDensity:
         # histogram of the draws on the grid cells; adequate for reshaping,
         # while PIT values come from the draws directly
-        draws = self.draws_at(x)
-        pts = self.grid.points
-        edges = np.concatenate([[pts[0]], 0.5 * (pts[1:] + pts[:-1]), [pts[-1]]])
-        counts, _ = np.histogram(np.clip(draws, pts[0], pts[-1]), bins=edges)
-        widths = np.diff(edges)
-        raw = GridDensity(self.grid, counts / np.maximum(widths, 1e-300) / draws.size)
-        step = (self.grid.hi - self.grid.lo) / (len(self.grid) - 1)
-        return widen_density(raw, _SMOOTH_STEPS * step)
+        return _smoothed_histogram(self.grid, self.draws_at(x))
 
     def cdf_at(self, x) -> GridCdf:
         draws = np.sort(self.draws_at(x))

@@ -224,14 +224,17 @@ class MonotoneNetModel(PitCdfModel):
         self.loss_history = list(loss_history or [])
 
     def _standardize(self, xs: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(xs) - self.mean) / self.scale
+        return (xs.reshape(-1, self.mean.size) - self.mean) / self.scale
 
     def predict_curve(self, gammas, x) -> np.ndarray:
         """r(gamma; x) at one feature point: a batch of one of :meth:`predict_matrix`."""
         return self.predict_matrix(gammas, np.asarray(x, dtype=float).reshape(1, -1))[0]
 
     def predict_matrix(self, gammas, xs) -> np.ndarray:
-        """r(gamma; x) for every (x row, gamma) pair of (n_x, d) ``xs``, shape (n_x, n_gamma)."""
+        """r(gamma; x) for every (x row, gamma) pair of (n_x, d) ``xs``, shape (n_x, n_gamma).
+
+        A one-feature model also takes ``xs`` of shape (n_x,).
+        """
         gammas = np.asarray(gammas, dtype=float).ravel()
         xs_std = self._standardize(np.asarray(xs, dtype=float))
         n, m = xs_std.shape[0], gammas.size

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pitcal.rng as rngmod
-from pitcal.baselines import ConformalCalibration, DcpModel, RegSplitModel, dcp, fit_knn_mean, reg_split
+from pitcal.baselines import ConformalCalibration, DcpModel, RegSplitModel, fit_knn_mean
 from pitcal.calibrate import CalibrationSet
 from pitcal.errors import InsufficientCalibration
 from pitcal.grid import YGrid
@@ -26,7 +26,7 @@ class TestRegSplit:
     def test_zero_mean_interval(self):
         train = CalibrationSet(np.zeros((4, 1)), np.zeros(4))
         cal = CalibrationSet(np.zeros((4, 1)), np.array([1.0, -2.0, 3.0, -4.0]))
-        ps = reg_split(lambda tr: (lambda x: 0.0), train, cal, 0.2, [0.0])
+        ps = RegSplitModel(lambda tr: (lambda x: 0.0), train, cal, 0.2).predict_set([0.0])
         assert ps.intervals[0] == (pytest.approx(-4.0), pytest.approx(4.0))
 
     def test_constant_width_in_x(self):
@@ -92,7 +92,7 @@ class TestDcp:
         grid = YGrid(np.linspace(0, 1, 101))
         initial = UniformInitialModel(grid)
         cal = CalibrationSet(np.zeros((4, 1)), np.array([0.1, 0.4, 0.6, 0.9]))
-        ps = dcp(initial, cal, 0.2, [0.0])
+        ps = DcpModel(initial, cal, 0.2).predict_set([0.0])
         lo, hi = ps.intervals[0]
         assert lo == pytest.approx(0.1, abs=1e-9)
         assert hi == pytest.approx(0.9, abs=1e-9)

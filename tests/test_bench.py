@@ -106,6 +106,23 @@ class TestRunExperiment:
         report = run_experiment(recipe, n_threads=2)
         assert report.summary["proportion_correct"] >= 0.6
 
+    def test_calpit_hpd_method(self):
+        recipe = ExperimentRecipe(
+            generator="ex2-skewed", method="calpit-hpd", n=500, alpha=0.1,
+            n_realizations=1, n_mc_draws=200, seed=5, initial="uniform",
+            backend="local", backend_params={"k": 50}, test_grid_size=5,
+        )
+        a = run_experiment(recipe).to_json()
+        b = run_experiment(recipe, n_threads=2).to_json()
+        assert len(a["points"]) == 5
+        for rec in a["points"]:
+            assert rec["nominal"] == pytest.approx(0.9)
+            assert 0.0 < rec["mean_set_size"] < 20.0
+            assert 0.0 <= rec["empirical"] <= 1.0
+        a["summary"].pop("runtime_seconds")
+        b["summary"].pop("runtime_seconds")
+        assert a == b
+
     def test_unknown_components_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentRecipe(generator="nope", method="oracle", n=10)

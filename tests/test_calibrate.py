@@ -145,21 +145,6 @@ class TestAugment:
         aug = augment(cal, rng.uniform(size=200), 20, seed=3)
         assert np.all(aug.gamma > 0.0) and np.all(aug.gamma < 1.0)
 
-    def test_debug_csv_export(self, tmp_path):
-        from pitcal.dataio import write_augmented_csv
-
-        rng = np.random.default_rng(15)
-        cal = CalibrationSet(rng.normal(size=(4, 2)), np.zeros(4))
-        aug = augment(cal, rng.uniform(size=4), 3, seed=1)
-        path = tmp_path / "aug.csv"
-        write_augmented_csv(path, aug, comment="stamp")
-        lines = path.read_text().splitlines()
-        assert lines[1] == "x0,x1,gamma,w"
-        assert len(lines) == 2 + 12
-        fields = lines[2].split(",")
-        assert fields[-1] in ("0", "1")
-        assert 0.0 < float(fields[-2]) < 1.0
-
 
 class TestLocalEmpirical:
     def test_three_neighbor_count(self):

@@ -52,6 +52,19 @@ class TestYGrid:
         with pytest.raises(ValueError):
             g.points[0] = -1.0
 
+    def test_equality_is_identity(self):
+        # numpy fields make a generated __eq__ raise; comparison is by identity
+        g, g2 = YGrid(np.linspace(0, 1, 5)), YGrid(np.linspace(0, 1, 5))
+        d = GridDensity(g, np.ones(5))
+        c, c2 = GridCdf(g, np.linspace(0, 1, 5)), GridCdf(g, np.linspace(0, 1, 5))
+        for a, b in ((g, g2), (d, GridDensity(g, np.ones(5))), (c, c2), (c.spline, c2.spline)):
+            assert (a == a) is True
+            assert (a == b) is False
+            assert (a != b) is True
+            assert len({a, b}) == 2  # hashable by identity
+        assert c.spline is c.spline  # the cached spline survives eq=False
+        assert c.spline(0.5) == pytest.approx(0.5)
+
 
 class TestCdfFromDensity:
     def test_uniform_cumsum(self):

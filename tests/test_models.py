@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
 from pitcal.calibrate import CalibrationSet, compute_pit_values
-from pitcal.grid import YGrid, default_grid, pit
+from pitcal.grid import GridDensity, YGrid, default_grid, pit, widen_density
 from pitcal.models import (
+    _SMOOTH_STEPS,
     GaussianInitialModel,
     MarginalHistogramModel,
     SampleBasedModel,
@@ -84,3 +86,45 @@ class TestSampleBasedModel:
         draws = model.draws_at([0.0])
         mid = grid.points[50]
         assert c.values[50] == pytest.approx(np.mean(draws <= mid), abs=1e-12)
+
+
+def marginal_histogram_reference(grid, ys):
+    """``MarginalHistogramModel.__init__``'s density before the shared helper."""
+    ys = np.asarray(ys, dtype=float)
+    pts = grid.points
+    edges = np.concatenate([[pts[0]], 0.5 * (pts[1:] + pts[:-1]), [pts[-1]]])
+    counts, _ = np.histogram(np.clip(ys, pts[0], pts[-1]), bins=edges)
+    widths = np.diff(edges)
+    raw = GridDensity(grid, counts / np.maximum(widths, 1e-300) / max(len(ys), 1))
+    step = (grid.hi - grid.lo) / (len(grid) - 1)
+    return widen_density(raw, _SMOOTH_STEPS * step)
+
+
+def sample_histogram_reference(model, x):
+    """``SampleBasedModel.density_at`` before the shared helper."""
+    draws = model.draws_at(x)
+    pts = model.grid.points
+    edges = np.concatenate([[pts[0]], 0.5 * (pts[1:] + pts[:-1]), [pts[-1]]])
+    counts, _ = np.histogram(np.clip(draws, pts[0], pts[-1]), bins=edges)
+    widths = np.diff(edges)
+    raw = GridDensity(model.grid, counts / np.maximum(widths, 1e-300) / draws.size)
+    step = (model.grid.hi - model.grid.lo) / (len(model.grid) - 1)
+    return widen_density(raw, _SMOOTH_STEPS * step)
+
+
+class TestHistogramHelper:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=500),
+           st.integers(min_value=3, max_value=120))
+    def test_equals_old_bodies(self, seed, n, n_grid):
+        rng = np.random.default_rng(seed)
+        grid = YGrid(np.sort(rng.uniform(-3, 3, size=n_grid)) + np.arange(n_grid) * 1e-3)
+        # draws fall inside, outside and on the grid ends
+        ys = np.concatenate([grid.points[[0, -1]], rng.normal(0.0, 2.0, size=n)])[:n]
+        assert np.array_equal(MarginalHistogramModel(grid, ys).density_at([0.0]).values,
+                              marginal_histogram_reference(grid, ys).values)
+        model = SampleBasedModel(grid, lambda x, r, size: r.normal(x[0], 2.0, size),
+                                 n_draws=n, seed=seed)
+        x = np.array([rng.normal()])
+        assert np.array_equal(model.density_at(x).values,
+                              sample_histogram_reference(model, x).values)

@@ -151,6 +151,18 @@ class TestPredictCurve:
             np.testing.assert_allclose(mat[i], reference_predict_curve(net, gammas, x),
                                        rtol=0, atol=1e-13)
 
+    def test_one_feature_flat_xs_matches_column(self):
+        rng = np.random.default_rng(4)
+        params = _Params({k: v + rng.normal(0.0, 0.5, size=v.shape)
+                          for k, v in _init_params(1, (6,), rng).items()})
+        net = MonotoneNetModel(params, (6,), np.array([0.3]), np.array([1.7]),
+                               MonotoneNetConfig(seed=1))
+        gammas = np.linspace(0.0, 1.0, 9)
+        xs = np.array([0.1, 0.2, 0.3])
+        flat = net.predict_matrix(gammas, xs)
+        assert flat.shape == (3, 9)
+        assert np.array_equal(flat, net.predict_matrix(gammas, xs[:, None]))
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
