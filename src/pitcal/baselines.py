@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .calibrate import CalibrationSet, PredictionSet, compute_pit_values
+from .calibrate import CalibrationSet, PredictionSet, central_intervals, compute_pit_values
 from .errors import InsufficientCalibration
-from .grid import invert_cdf
-from .models import model_cdf
+from .models import cdf_rows
 
 __all__ = [
     "ConformalCalibration",
@@ -110,11 +109,12 @@ class DcpModel:
         self.initial = initial
         self.alpha = alpha
 
-    def predict_set(self, x) -> PredictionSet:
+    def predict_sets(self, xs) -> list:
+        """One interval per feature row of ``xs``, from the initial CDF rows."""
         q = self.calibration.threshold
-        p_lo = max(0.0, 0.5 - q)
-        p_hi = min(1.0, 0.5 + q)
-        cdf = model_cdf(self.initial, x)
-        lo = invert_cdf(cdf, p_lo)
-        hi = invert_cdf(cdf, p_hi)
-        return PredictionSet(((lo, hi),), nominal_level=1.0 - self.alpha, kind="interval")
+        return central_intervals(self.initial.grid.points, cdf_rows(self.initial, xs),
+                                 max(0.0, 0.5 - q), min(1.0, 0.5 + q), 1.0 - self.alpha)
+
+    def predict_set(self, x) -> PredictionSet:
+        """The interval at one feature point: a batch of one of :meth:`predict_sets`."""
+        return self.predict_sets(np.asarray(x, dtype=float).reshape(1, -1))[0]

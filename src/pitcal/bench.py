@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,14 +22,15 @@ from .baselines import DcpModel, RegSplitModel, fit_knn_mean
 from .calibrate import (
     CalibrationSet,
     PredictionSet,
+    RecalibratedDistribution,
     calpit_hpd,
-    calpit_interval,
+    central_intervals,
     compute_pit_values,
-    recalibrate,
+    recalibrate_rows,
 )
 from .errors import ConfigError
-from .grid import invert_cdf
-from .models import model_cdf
+from .grid import GridCdf, GridDensity
+from .models import cdf_rows
 from .pipeline import build_initial, fit_pit_model, split_calibration
 from .synthgen import TwoGroupConfig, sample_example1, sample_example2
 
@@ -139,17 +141,32 @@ class CoverageReport:
                 )
 
 
+def _score_sets(sets, oracle, test_xs, n_draws: int, seed: int, label: tuple,
+                n_threads: int = 1):
+    """Share of oracle draws inside each point's set, and the set's size.
+
+    Point i draws from ``derived_rng(seed, *label, i)``, so the scores do not
+    depend on how ``n_threads`` workers split the points.
+    """
+    def score(i):
+        draws = oracle.sample(test_xs[i], rngmod.derived_rng(seed, *label, i), n_draws)
+        return float(np.mean(sets[i].contains(draws))), sets[i].total_size()
+
+    if n_threads > 1:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            results = list(pool.map(score, range(len(sets))))
+    else:
+        results = [score(i) for i in range(len(sets))]
+    return np.array([c for c, _ in results]), np.array([z for _, z in results])
+
+
 def conditional_coverage(method, oracle, test_xs, n_draws: int, seed: int) -> np.ndarray:
     """Fraction of oracle response draws captured by the method's set, per x."""
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     test_xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in test_xs]
-    out = np.empty(len(test_xs))
-    for i, x in enumerate(test_xs):
-        pset = method(x)
-        draws = oracle.sample(x, rngmod.derived_rng(seed, "coverage", i), n_draws)
-        out[i] = float(np.mean(pset.contains(draws)))
-    return out
+    sets = [method(x) for x in test_xs]
+    return _score_sets(sets, oracle, test_xs, n_draws, seed, ("coverage",))[0]
 
 
 def classify_coverage(empirical: float, nominal: float, n_draws: int,
@@ -170,67 +187,63 @@ def classify_coverage(empirical: float, nominal: float, n_draws: int,
     return "correct"
 
 
-def _default_test_grid(recipe: ExperimentRecipe):
+def _default_test_grid(recipe: ExperimentRecipe) -> np.ndarray:
+    """Test points as rows, shape (n_points, d)."""
     if recipe.test_xs is not None:
-        return [np.atleast_1d(np.asarray(x, dtype=float)) for x in recipe.test_xs]
+        return np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in recipe.test_xs])
     if recipe.generator == "ex1":
         g = recipe.test_grid_size or 30
         lo, hi = recipe.generator_params.get("x_range", (-5.0, 5.0))
         axis = np.linspace(lo, hi, g)
-        return [np.array([a, b]) for a in axis for b in axis]
+        return np.array([[a, b] for a in axis for b in axis])
     g = recipe.test_grid_size or 41
-    return [np.array([v]) for v in np.linspace(-1.0, 1.0, g)]
+    return np.linspace(-1.0, 1.0, g)[:, None]
 
 
-def _method_constructor(recipe: ExperimentRecipe, data, train: CalibrationSet,
-                        cal: CalibrationSet, rep_seed: int):
-    """Fit whatever the method needs once, return a per-x set constructor."""
+def _prediction_sets(recipe: ExperimentRecipe, data, train: CalibrationSet,
+                     cal: CalibrationSet, rep_seed: int, xs: np.ndarray) -> list:
+    """Fit whatever the method needs once, then build the set of every row of ``xs``."""
     alpha = recipe.alpha
+    level = 1.0 - alpha
     if recipe.method == "oracle":
-        oracle = data.oracle
-
-        def make(x):
-            lo = float(oracle.quantile(alpha / 2.0, x))
-            hi = float(oracle.quantile(1.0 - alpha / 2.0, x))
-            return PredictionSet(((lo, hi),), nominal_level=1.0 - alpha, kind="interval")
-
-        return make
+        return [PredictionSet(((float(data.oracle.quantile(alpha / 2.0, x)),
+                                float(data.oracle.quantile(1.0 - alpha / 2.0, x))),),
+                              nominal_level=level, kind="interval") for x in xs]
 
     params = dict(recipe.backend_params)
     initial = build_initial(recipe.initial, data.grid, train, mean_k=params.pop("mean_k", 50),
                             generator_model=data.initial)
+    points = initial.grid.points
     if recipe.method == "initial":
-        def make(x):
-            cdf = model_cdf(initial, x)
-            lo = invert_cdf(cdf, alpha / 2.0)
-            hi = invert_cdf(cdf, 1.0 - alpha / 2.0)
-            return PredictionSet(((lo, hi),), nominal_level=1.0 - alpha, kind="interval")
-
-        return make
+        return central_intervals(points, cdf_rows(initial, xs), alpha / 2.0, 1.0 - alpha / 2.0,
+                                 level)
 
     if recipe.method == "regsplit":
         model = RegSplitModel(fit_knn_mean, train, cal, alpha)
-        return model.predict_set
+        return [model.predict_set(x) for x in xs]
 
     if recipe.method == "dcp":
-        model = DcpModel(initial, cal, alpha)
-        return model.predict_set
+        return DcpModel(initial, cal, alpha).predict_sets(xs)
 
     pits = compute_pit_values(initial, cal)
     fit_args = {key: params.pop(key) for key in ("k", "bandwidth", "weighting", "k_factor")
                 if key in params}
     r = fit_pit_model(cal, pits, recipe.backend, rep_seed, **fit_args, net=params)
+    cdf, pdf = recalibrate_rows(initial, r, xs)
     if recipe.method == "calpit-int":
-        return lambda x: calpit_interval(recalibrate(initial, r, x), alpha)
-    return lambda x: calpit_hpd(recalibrate(initial, r, x), alpha)
+        return central_intervals(points, cdf, 0.5 * alpha, 1.0 - 0.5 * alpha, level)
+    grid = initial.grid
+    return [calpit_hpd(RecalibratedDistribution(GridCdf(grid, c), GridDensity(grid, f)), alpha)
+            for c, f in zip(cdf, pdf)]
 
 
 def run_experiment(recipe: ExperimentRecipe, n_threads: int = 1) -> CoverageReport:
     """Generate, fit, evaluate, and classify; deterministic under the seed.
 
-    Test points are independent work units; with ``n_threads > 1`` they are
-    mapped over a thread pool and reduced in point order, so the report does
-    not depend on scheduling.
+    Each realization builds all of its test points' sets in one batch. Scoring
+    a set against its oracle draws is an independent work unit; with
+    ``n_threads > 1`` the points are mapped over a thread pool and reduced in
+    point order, so the report does not depend on scheduling.
     """
     t_start = time.perf_counter()
     test_xs = _default_test_grid(recipe)
@@ -238,36 +251,18 @@ def run_experiment(recipe: ExperimentRecipe, n_threads: int = 1) -> CoverageRepo
     coverage = np.zeros(n_points)
     sizes = np.zeros(n_points)
 
-    oracle = None
     for rep in range(recipe.n_realizations):
         rep_seed = rngmod.derive_seed(recipe.seed, "realization", rep)
         data = _GENERATORS[recipe.generator](recipe.n, rep_seed, recipe.generator_params)
-        oracle = data.oracle
         if recipe.experiment == "split" or recipe.method in ("regsplit",):
             train, cal = split_calibration(data.cal, 0.5)
         else:
             train = cal = data.cal
-        make_set = _method_constructor(recipe, data, train, cal, rep_seed)
-
-        def point_work(item, _rep=rep, _oracle=oracle, _make=make_set):
-            i, x = item
-            pset = _make(x)
-            draws = _oracle.sample(
-                x, rngmod.derived_rng(recipe.seed, "coverage", _rep, i), recipe.n_mc_draws
-            )
-            return float(np.mean(pset.contains(draws))), pset.total_size()
-
-        items = list(enumerate(test_xs))
-        if n_threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                results = list(pool.map(point_work, items))
-        else:
-            results = [point_work(item) for item in items]
-        for i, (cov_i, size_i) in enumerate(results):
-            coverage[i] += cov_i
-            sizes[i] += size_i
+        sets = _prediction_sets(recipe, data, train, cal, rep_seed, test_xs)
+        cov, size = _score_sets(sets, data.oracle, test_xs, recipe.n_mc_draws, recipe.seed,
+                                ("coverage", rep), n_threads)
+        coverage += cov
+        sizes += size
 
     coverage /= recipe.n_realizations
     sizes /= recipe.n_realizations

@@ -12,7 +12,6 @@ sets. Two interchangeable regression backends satisfy the same interface:
 
 from __future__ import annotations
 
-import abc
 import json
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ from scipy.spatial import cKDTree
 
 from . import rng as rngmod
 from .errors import (
+    DegenerateDensity,
     DegenerateRecalibration,
     HpdSearchFailed,
     InsufficientData,
@@ -31,11 +31,14 @@ from .errors import (
 from .grid import (
     GridCdf,
     GridDensity,
+    _pit_rows,
+    invert_cdf,
+    invert_rows,
+    knot_slopes,
     pit,
     pit_from_samples,
-    renormalize_density,
 )
-from .models import model_cdf
+from .models import cdf_rows, feature_rows
 
 __all__ = [
     "CalibrationSet",
@@ -51,6 +54,8 @@ __all__ = [
     "augment",
     "fit_local_empirical",
     "recalibrate",
+    "recalibrate_rows",
+    "central_intervals",
     "calpit_interval",
     "calpit_hpd",
     "estimated_ot",
@@ -125,26 +130,22 @@ class AugmentedCalibrationSet:
 def compute_pit_values(model, cal: CalibrationSet) -> np.ndarray:
     """PIT(y_i; x_i) under the initial model, one value per calibration row.
 
-    Sample-based models approximate the PIT as the fraction of forward draws
-    at or below the observed response.
+    Grid-backed models evaluate all rows' CDFs from :func:`cdf_rows` at once
+    (an error of a batched model names row -1). Sample-based models take the
+    fraction of forward draws at or below the observed response.
     """
-    sample_based = bool(getattr(model, "sample_based", False))
-    density_matrix = getattr(model, "density_matrix", None)
-    if not sample_based and density_matrix is not None:
-        from .grid import pit_matrix
-
+    if not getattr(model, "sample_based", False):
         try:
-            return pit_matrix(model.grid, density_matrix(cal.xs), cal.ys)
+            rows = cdf_rows(model, cal.xs)
+        except ModelEvalError:
+            raise
         except PitcalError as exc:
             raise ModelEvalError(-1, str(exc)) from exc
+        return _pit_rows(model.grid.points, rows, cal.ys)
     out = np.empty(len(cal))
     for i in range(len(cal)):
-        x = cal.xs[i]
         try:
-            if sample_based:
-                out[i] = pit_from_samples(model.draws_at(x), cal.ys[i])
-            else:
-                out[i] = pit(model_cdf(model, x), cal.ys[i])
+            out[i] = pit_from_samples(model.draws_at(cal.xs[i]), cal.ys[i])
         except Exception as exc:  # noqa: BLE001 - contract: wrap with row index
             raise ModelEvalError(i, str(exc)) from exc
     return out
@@ -182,7 +183,7 @@ def augment(cal: CalibrationSet, pit_values, k_factor: int, seed: int) -> Augmen
 # PIT-CDF regression backends
 # ----------------------------------------------------------------------
 
-class PitCdfModel(abc.ABC):
+class PitCdfModel:
     """Fitted estimate of r(gamma; x) = P(PIT <= gamma | x).
 
     Implementations guarantee predictions in [0, 1] that are nondecreasing in
@@ -191,9 +192,17 @@ class PitCdfModel(abc.ABC):
 
     backend: str = "abstract"
 
-    @abc.abstractmethod
+    def predict_matrix(self, gammas, xs) -> np.ndarray:
+        """r(gamma; x) for each feature row of ``xs``, shape (n_x, G).
+
+        ``gammas`` is (G,), the same levels at every x, or (n_x, G); ``xs`` is
+        (n_x, d), or (n_x,) for a one-feature model. Every backend defines it.
+        """
+        raise NotImplementedError(f"backend {self.backend} defines no predict_matrix")
+
     def predict_curve(self, gammas, x) -> np.ndarray:
-        """Evaluate r(gamma; x) on a vector of gamma values at one x."""
+        """r(gamma; x) at one feature point: a batch of one of :meth:`predict_matrix`."""
+        return self.predict_matrix(gammas, np.asarray(x, dtype=float).reshape(1, -1))[0]
 
     def predict(self, gamma: float, x) -> float:
         return float(self.predict_curve(np.array([gamma]), x)[0])
@@ -207,8 +216,8 @@ class IdentityPitCdf(PitCdfModel):
 
     backend = "identity"
 
-    def predict_curve(self, gammas, x) -> np.ndarray:
-        return np.asarray(gammas, dtype=float).copy()
+    def predict_matrix(self, gammas, xs) -> np.ndarray:
+        return _gamma_rows(gammas, feature_rows(xs).shape[0]).copy()
 
     def to_json(self) -> dict:
         return {"format_version": MODEL_FORMAT_VERSION, "backend": self.backend}
@@ -263,30 +272,41 @@ class LocalEmpiricalModel(PitCdfModel):
         self._std_xs = (self.xs - self.mean) / self.scale
         self._tree = cKDTree(self._std_xs)
 
-    def _neighborhood(self, x):
-        q = (np.asarray(x, dtype=float).ravel() - self.mean) / self.scale
+    def _neighborhoods(self, xs):
+        """Neighbour indices and normalized weights of each feature row, each (n_x, m).
+
+        Bandwidth neighbourhoods differ in size: a short row is padded with
+        index -1 and weight 0, and an empty ball takes the nearest point.
+        """
+        q = (np.asarray(xs, dtype=float).reshape(-1, self.mean.size) - self.mean) / self.scale
         if self.cfg.k is not None:
             dist, idx = self._tree.query(q, k=self.cfg.k)
-            dist = np.atleast_1d(dist)
-            idx = np.atleast_1d(idx)
-        else:
-            idx = np.array(sorted(self._tree.query_ball_point(q, self.cfg.bandwidth)), dtype=int)
-            if idx.size == 0:
-                dist, idx = self._tree.query(q, k=1)
-                dist = np.atleast_1d(dist)
-                idx = np.atleast_1d(idx)
-            else:
-                dist = np.linalg.norm(self._std_xs[idx] - q, axis=1)
+            idx = idx.reshape(q.shape[0], -1)
+            return idx, self._weights(dist.reshape(idx.shape))
+        balls = [sorted(ball) or [self._tree.query(qi, k=1)[1]]
+                 for qi, ball in zip(q, self._tree.query_ball_point(q, self.cfg.bandwidth))]
+        idx = np.full((q.shape[0], max(map(len, balls))), -1)
+        w = np.zeros(idx.shape)
+        for r, ball in enumerate(balls):
+            idx[r, :len(ball)] = ball
+            w[r, :len(ball)] = self._weights(np.linalg.norm(self._std_xs[ball] - q[r], axis=1))
+        return idx, w
+
+    def _weights(self, dist):
+        """Normalized weights of each row of neighbour distances."""
         if self.cfg.weighting == "inverse-distance":
             # offset by the mean distance so a coincident point cannot
             # swallow the whole neighborhood
-            w = 1.0 / (dist + np.mean(dist) + 1e-300)
+            w = 1.0 / (dist + np.mean(dist, axis=-1, keepdims=True) + 1e-300)
         else:
-            w = np.ones(idx.size)
-        return idx, w / w.sum()
+            w = np.ones(dist.shape)
+        return w / w.sum(axis=-1, keepdims=True)
 
-    def predict_curve(self, gammas, x) -> np.ndarray:
-        return self.predict_curves([self.pit_values], gammas, x)[0]
+    def predict_matrix(self, gammas, xs) -> np.ndarray:
+        """One neighbourhood query for all rows of ``xs``, then each row's weighted ECDF."""
+        idx, w = self._neighborhoods(xs)
+        pits = np.where(idx >= 0, self.pit_values[idx], np.inf)
+        return _weighted_ecdf(pits, w, _gamma_rows(gammas, idx.shape[0]))
 
     def predict_curves(self, pit_rows, gammas, x) -> np.ndarray:
         """r(gamma; x) for each row of PIT values (one per feature row), shape (rows, G).
@@ -294,21 +314,15 @@ class LocalEmpiricalModel(PitCdfModel):
         One neighbourhood query serves every row, and only each row's entries
         in the neighbourhood are kept: memory is O(rows * k), never rows * n.
         """
-        idx, w = self._neighborhood(x)
+        idx, w = self._neighborhoods(np.asarray(x, dtype=float).reshape(1, -1))
         pits = []
         for row in pit_rows:
             row = np.asarray(row, dtype=float).ravel()
             if row.shape[0] != self.xs.shape[0]:
                 raise LengthMismatch(f"{row.shape[0]} pit values for {self.xs.shape[0]} rows")
-            pits.append(row[idx])
-        pits = np.array(pits).reshape(len(pits), idx.size)
-        order = np.argsort(pits, axis=1, kind="stable")
-        pits_sorted = pits[np.arange(len(pits))[:, None], order]
-        cumw = np.zeros((len(pits), idx.size + 1))
-        np.cumsum(w[order], axis=1, out=cumw[:, 1:])
-        cumw[:, -1] = 1.0  # total normalized weight, exact by definition
-        out = [c[np.searchsorted(p, gammas, side="right")] for p, c in zip(pits_sorted, cumw)]
-        return np.clip(np.array(out), 0.0, 1.0)
+            pits.append(row[idx[0]])
+        pits = np.array(pits).reshape(len(pits), idx.shape[1])
+        return _weighted_ecdf(pits, np.broadcast_to(w, pits.shape), _gamma_rows(gammas, len(pits)))
 
     def to_json(self) -> dict:
         return {
@@ -332,6 +346,28 @@ class LocalEmpiricalModel(PitCdfModel):
             mean=np.array(doc["standardization"]["mean"]),
             scale=np.array(doc["standardization"]["scale"]),
         )
+
+
+def _weighted_ecdf(pits, w, gammas) -> np.ndarray:
+    """Weight of the (R, m) ``pits`` at or below each of the (R, G) ``gammas``, per row.
+
+    PIT values of +inf pad short rows with weight 0; each row's full weight is exactly 1.
+    """
+    r = np.arange(pits.shape[0])[:, None]
+    order = np.argsort(pits, axis=1, kind="stable")
+    pits_sorted = pits[r, order]
+    cumw = np.zeros((pits.shape[0], pits.shape[1] + 1))
+    np.cumsum(w[r, order], axis=1, out=cumw[:, 1:])
+    cumw[:, -1] = 1.0
+    cumw[:, :-1][np.isinf(pits_sorted)] = 1.0
+    out = [c[np.searchsorted(p, g, side="right")] for p, c, g in zip(pits_sorted, cumw, gammas)]
+    return np.clip(np.array(out), 0.0, 1.0)
+
+
+def _gamma_rows(gammas, n: int) -> np.ndarray:
+    """Levels per feature row, shape (n, G), from (G,) shared levels or (n, G) rows."""
+    gammas = np.asarray(gammas, dtype=float)
+    return np.broadcast_to(gammas, (n, gammas.shape[-1]))
 
 
 _MODEL_LOADERS["local-empirical"] = LocalEmpiricalModel.from_json
@@ -377,8 +413,6 @@ class RecalibratedDistribution:
 
     def quantile(self, p: float) -> float:
         """Leftmost response value whose recalibrated CDF reaches ``p``."""
-        from .grid import invert_cdf
-
         return invert_cdf(self.cdf, p)
 
 
@@ -420,27 +454,34 @@ class PredictionSet:
         }
 
 
-def recalibrate(model, r: PitCdfModel, x) -> RecalibratedDistribution:
-    """Reshape the initial distribution at ``x`` through the fitted map.
+def recalibrate_rows(model, r: PitCdfModel, xs):
+    """Recalibrated CDF and density rows at each feature row of ``xs``, each (n_x, G).
 
-    The recalibrated CDF on the grid is r(F_init(y); x), endpoint-snapped to
-    {0, 1} and made nondecreasing by a cumulative maximum before spline
-    fitting. The density is the spline derivative, clipped and renormalized.
+    The CDF on the grid is r(F_init(y); x), made nondecreasing by a
+    cumulative maximum, clipped to [0, 1] and endpoint-snapped to {0, 1}.
+    The density is the clipped knot slopes of its monotone cubic (the
+    spline's derivative at the grid points), renormalized to unit mass.
     """
-    x = np.asarray(x, dtype=float)
-    initial = model_cdf(model, x)
-    grid = initial.grid
-    vals = np.asarray(r.predict_curve(initial.values, x), dtype=float)
-    if vals.max() - vals.min() < 1e-9:
+    xs = feature_rows(xs)
+    points = model.grid.points
+    vals = np.asarray(r.predict_matrix(cdf_rows(model, xs), xs), dtype=float)
+    if np.any(vals.max(axis=1) - vals.min(axis=1) < 1e-9):
         raise DegenerateRecalibration("P-P map collapsed the CDF to a constant")
-    vals = np.clip(np.maximum.accumulate(vals), 0.0, 1.0)
-    vals[0] = 0.0
-    vals[-1] = 1.0
-    cdf = GridCdf(grid, vals)
+    vals = np.clip(np.maximum.accumulate(vals, axis=1), 0.0, 1.0)
+    vals[:, 0] = 0.0
+    vals[:, -1] = 1.0
+    pdf = np.maximum(knot_slopes(points, vals), 0.0)
+    total = np.trapezoid(pdf, points, axis=1)
+    if np.any(total <= 0):
+        raise DegenerateDensity("no positive mass left after clipping")
+    return vals, pdf / total[:, None]
 
-    deriv = cdf.spline.derivative(grid.points)
-    pdf = renormalize_density(GridDensity(grid, np.maximum(deriv, 0.0)))
-    return RecalibratedDistribution(cdf=cdf, pdf=pdf)
+
+def recalibrate(model, r: PitCdfModel, x) -> RecalibratedDistribution:
+    """The recalibrated distribution at one x: a batch of one of :func:`recalibrate_rows`."""
+    cdf, pdf = recalibrate_rows(model, r, np.asarray(x, dtype=float).reshape(1, -1))
+    return RecalibratedDistribution(cdf=GridCdf(model.grid, cdf[0]),
+                                    pdf=GridDensity(model.grid, pdf[0]))
 
 
 class RecalibratedInitialModel:
@@ -465,13 +506,18 @@ class RecalibratedInitialModel:
         return recalibrate(self.base_model, self.r, x).cdf
 
 
+def central_intervals(points, cdf, p_lo: float, p_hi: float, level: float) -> list:
+    """Interval [q(p_lo), q(p_hi)] of each row of ``cdf``, all from one :func:`invert_rows`."""
+    return [PredictionSet((iv,), nominal_level=level, kind="interval")
+            for iv in invert_rows(points, cdf, np.array([p_lo, p_hi])).tolist()]
+
+
 def calpit_interval(rd: RecalibratedDistribution, alpha: float) -> PredictionSet:
     """Central interval [q(alpha/2), q(1 - alpha/2)] of the recalibrated CDF."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    lo = rd.quantile(0.5 * alpha)
-    hi = rd.quantile(1.0 - 0.5 * alpha)
-    return PredictionSet(((lo, hi),), nominal_level=1.0 - alpha, kind="interval")
+    return central_intervals(rd.cdf.grid.points, rd.cdf.values[None, :], 0.5 * alpha,
+                             1.0 - 0.5 * alpha, 1.0 - alpha)[0]
 
 
 def _interval_mass(pts: np.ndarray, f: np.ndarray, lo: float, hi: float) -> float:

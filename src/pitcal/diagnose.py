@@ -75,11 +75,15 @@ def alp_curve(r: PitCdfModel, x, gammas, band=None) -> AlpCurve:
     return AlpCurve(np.asarray(x, dtype=float), gammas, values, lo, hi)
 
 
+def _deviation(curves, g) -> np.ndarray:
+    """Mean squared deviation of each curve (last axis) from the diagonal over ``g``."""
+    return np.mean((curves - g) ** 2, axis=-1)
+
+
 def local_test_statistic(r: PitCdfModel, x, gammas=None) -> float:
     """Mean squared deviation of r(gamma; x) from the diagonal over the grid."""
     g = DEFAULT_TEST_GAMMAS if gammas is None else np.asarray(gammas, dtype=float)
-    values = np.asarray(r.predict_curve(g, x), dtype=float)
-    return float(np.mean((values - g) ** 2))
+    return float(_deviation(np.asarray(r.predict_curve(g, x), dtype=float), g))
 
 
 def mc_local_test(observed: PitCdfModel, fit_fn, cal: CalibrationSet, x, n_mc: int,
@@ -99,7 +103,7 @@ def mc_local_test(observed: PitCdfModel, fit_fn, cal: CalibrationSet, x, n_mc: i
     else:
         curves = np.array([observed.predict_curve(g, x)]
                           + [fit_fn(cal, p).predict_curve(g, x) for p in nulls], dtype=float)
-    stats = np.mean((curves - g) ** 2, axis=1)
+    stats = _deviation(curves, g)
     ranked = np.sort(curves[1:], axis=0)
     k = int(np.floor(n_mc * eta / 2.0))
     x = np.asarray(x, dtype=float)

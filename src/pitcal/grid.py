@@ -15,17 +15,17 @@ Conventions
   probabilities, not extrapolations.
 * Quantile lookups on flat CDF segments return the leftmost response value.
 * Every CDF is read through one monotone cubic with one core: ``_fc_slopes``
-  is the only Fritsch-Carlson slope limiter (a whole row in
-  :func:`fit_monotone_spline`, five-secant windows in ``_segment_slopes``),
-  ``_hermite`` is the only Hermite basis (arrays in
-  :meth:`MonotoneSpline.__call__` and ``_pit_rows``, floats in
-  :meth:`MonotoneSpline.solve`), and ``_pit_rows`` is the only PIT
+  is the only Fritsch-Carlson slope limiter (whole rows in
+  :func:`knot_slopes`, five-secant windows in ``_segment_slopes``),
+  ``_hermite`` is the only Hermite basis (:meth:`MonotoneSpline.__call__`,
+  ``_pit_rows`` and :func:`invert_rows`), ``_pit_rows`` is the only PIT
   evaluator (:func:`pit` is a batch of one, :func:`pit_matrix` integrates
-  density rows and calls it).
+  density rows and calls it), and :func:`invert_rows` is the only quantile
+  inverter (:func:`invert_cdf` is a batch of one).
 * Point queries touch only the spline segment they land in: quantile
-  inversion bisects within one segment in float arithmetic, and PIT
-  evaluation limits the slopes of the queried segment alone. Both equal the
-  whole-spline computation bit for bit.
+  inversion bisects within one segment, and PIT evaluation limits the slopes
+  of the queried segment alone. Both equal the whole-spline computation bit
+  for bit.
 
 All containers are immutable after construction and safe to share across
 threads for read-only evaluation.
@@ -34,7 +34,6 @@ threads for read-only evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -55,8 +54,10 @@ __all__ = [
     "MonotoneSpline",
     "InitialModel",
     "fit_monotone_spline",
+    "knot_slopes",
     "cdf_from_density",
     "invert_cdf",
+    "invert_rows",
     "pit",
     "pit_from_samples",
     "renormalize_density",
@@ -157,11 +158,6 @@ class GridCdf:
         vals = np.clip(np.maximum.accumulate(vals), 0.0, 1.0)
         object.__setattr__(self, "values", _frozen(vals))
 
-    @cached_property
-    def spline(self) -> "MonotoneSpline":
-        """Monotone cubic interpolant of the CDF (built lazily, cached)."""
-        return fit_monotone_spline(self.grid.points, self.values)
-
 
 @runtime_checkable
 class InitialModel(Protocol):
@@ -261,68 +257,12 @@ class MonotoneSpline:
         out = _hermite(ys[idx], ys[idx + 1], h * m[idx], h * m[idx + 1], np.clip(t, 0.0, 1.0))
         return float(out[0]) if scalar else out
 
-    def derivative(self, q) -> np.ndarray:
-        """Analytic first derivative (zero outside the knot range)."""
-        q_arr = np.asarray(q, dtype=float)
-        scalar = q_arr.ndim == 0
-        q_arr = np.atleast_1d(q_arr)
-        idx, h, t = _locate(self.knots_x, q_arr)
-        inside = (t >= 0.0) & (t <= 1.0)
-        t = np.clip(t, 0.0, 1.0)
-        ys, m = self.knots_y, self.slopes
-        t2 = t * t
-        dh00 = 6 * t2 - 6 * t
-        dh10 = 3 * t2 - 4 * t + 1
-        dh01 = -6 * t2 + 6 * t
-        dh11 = 3 * t2 - 2 * t
-        out = (
-            ys[idx] * dh00 / h
-            + m[idx] * dh10
-            + ys[idx + 1] * dh01 / h
-            + m[idx + 1] * dh11
-        )
-        out = np.where(inside, out, 0.0)
-        return float(out[0]) if scalar else out
-
-    def solve(self, target: float) -> float:
-        """Leftmost x with spline(x) >= target (bisection within one segment).
-
-        Targets below the first ordinate return the first knot; targets above
-        the last ordinate return the last knot. The bisection reads the one
-        segment that holds the answer and evaluates :func:`_hermite` on
-        floats, so the result equals bit for bit a bisection that calls the
-        spline per step.
-        """
-        xs, ys = self.knots_x, self.knots_y
-        if target <= ys[0]:
-            return float(xs[0])
-        if target > ys[-1]:
-            return float(xs[-1])
-        j = int(np.searchsorted(ys, target, side="left"))
-        lo, hi = float(xs[j - 1]), float(xs[j])
-        x0, h = lo, hi - lo
-        y0, y1 = float(ys[j - 1]), float(ys[j])
-        hm0, hm1 = h * float(self.slopes[j - 1]), h * float(self.slopes[j])
-        # mid stays in [x0, x0 + h] and rounding is monotone, so t needs no clamp
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if _hermite(y0, y1, hm0, hm1, (mid - x0) / h) >= target:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-14 * max(1.0, abs(hi)):
-                break
-        return hi
-
 
 def fit_monotone_spline(xs, ys) -> MonotoneSpline:
     """Fit a monotone cubic Hermite spline to nondecreasing data.
 
-    Knot slopes come from :func:`_fc_slopes` on the whole row: secant
-    averages (the end secant at the end knots), zero next to every flat
-    secant, limited to the Fritsch-Carlson monotonicity circle. Ordinates
-    that decrease by at most 1e-9 are snapped up; larger decreases raise
-    :class:`NonMonotoneInput`.
+    Knot slopes come from :func:`knot_slopes`. Ordinates that decrease by at
+    most 1e-9 are snapped up; larger decreases raise :class:`NonMonotoneInput`.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -336,13 +276,22 @@ def fit_monotone_spline(xs, ys) -> MonotoneSpline:
     if (np.diff(ys) < -_SNAP_TOL).any():
         raise NonMonotoneInput("ordinates decrease by more than 1e-9")
     ys = np.maximum.accumulate(ys)
+    return MonotoneSpline(xs, ys, knot_slopes(xs, ys[None, :])[0])
 
-    # two padding secants per side put every knot at positions 2 .. n + 1
-    d = np.zeros((1, xs.size + 3))
-    d[0, 2:-2] = np.diff(ys) / h
+
+def knot_slopes(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Fritsch-Carlson slopes at every knot of each nondecreasing row, shape (N, G).
+
+    One :func:`_fc_slopes` call over all rows: secant averages (the end secant
+    at the end knots), zero next to every flat secant, limited to the
+    monotonicity circle. They are also the spline's derivative at the knots.
+    """
+    # two padding secants per side put every knot at positions 2 .. G + 1
+    d = np.zeros((rows.shape[0], points.size + 3))
+    d[:, 2:-2] = np.diff(rows, axis=1) / np.diff(points)
     real = np.zeros(d.shape, dtype=bool)
-    real[0, 2:-2] = True
-    return MonotoneSpline(xs, ys, _fc_slopes(d, real)[0])
+    real[:, 2:-2] = True
+    return _fc_slopes(d, real)
 
 
 # ----------------------------------------------------------------------
@@ -362,13 +311,13 @@ def cdf_from_density(d: GridDensity) -> GridCdf:
 def invert_cdf(c: GridCdf, p: float) -> float:
     """Smallest response value whose interpolated CDF reaches ``p``.
 
-    Flat CDF stretches resolve to their leftmost point. ``p`` below the first
-    grid value maps to the first grid point, ``p`` above the last value to the
-    last grid point.
+    A batch of one of :func:`invert_rows`. Flat CDF stretches resolve to
+    their leftmost point. ``p`` below the first grid value maps to the first
+    grid point, ``p`` above the last value to the last grid point.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must be in [0, 1], got {p}")
-    return c.spline.solve(p)
+    return float(invert_rows(c.grid.points, c.values[None, :], [p])[0, 0])
 
 
 def pit(c: GridCdf, y: float) -> float:
@@ -488,6 +437,43 @@ def _pit_rows(points: np.ndarray, cdf_rows: np.ndarray, ys: np.ndarray) -> np.nd
     out = np.clip(out, 0.0, 1.0)
     out = np.where(ys < points[0], 0.0, out)
     return np.where(ys > points[-1], 1.0, out)
+
+
+def invert_rows(points: np.ndarray, cdf_rows: np.ndarray, ps) -> np.ndarray:
+    """Leftmost x where the monotone cubic through each nondecreasing CDF row reaches each level.
+
+    ``ps`` is (P,), the same levels for all N rows, or (N, P); the result is
+    (N, P). A level at or below a row's first value gives the first point, one
+    above its last value the last point. Otherwise the one segment holding the
+    answer is halved up to 80 times, with slopes from :func:`_segment_slopes`
+    and values from :func:`_hermite`, and each element stops at its own test:
+    every result equals bit for bit a bisection over its row's whole spline.
+    """
+    rows = np.asarray(cdf_rows, dtype=float)
+    ps = np.asarray(ps, dtype=float)
+    shape = (rows.shape[0], ps.shape[-1])
+    row = np.repeat(np.arange(shape[0]), shape[1])
+    target = np.broadcast_to(ps, shape).ravel()
+    out = np.where(target > rows[row, -1], points[-1], points[0])
+    e = np.flatnonzero((target > rows[row, 0]) & (target <= rows[row, -1]))
+    row, target = row[e], target[e]
+    j = np.count_nonzero(rows[row] < target[:, None], axis=1)  # searchsorted, side="left"
+    lo, hi = points[j - 1], points[j]
+    x0, h = lo, hi - lo
+    y0, y1 = rows[row, j - 1], rows[row, j]
+    hm0, hm1 = (h[:, None] * _segment_slopes(points, rows[row], j - 1)).T
+    done = np.zeros(e.size, dtype=bool)
+    # mid stays in [x0, x0 + h] and rounding is monotone, so t needs no clamp
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        up = _hermite(y0, y1, hm0, hm1, (mid - x0) / h) >= target
+        hi = np.where(up & ~done, mid, hi)
+        lo = np.where(up | done, lo, mid)
+        done |= hi - lo <= 1e-14 * np.maximum(1.0, np.abs(hi))
+        if done.all():
+            break
+    out[e] = hi
+    return out.reshape(shape)
 
 
 def pit_matrix(grid: YGrid, density_rows: np.ndarray, ys: np.ndarray) -> np.ndarray:

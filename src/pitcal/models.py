@@ -14,11 +14,13 @@ from typing import Callable
 import numpy as np
 
 from . import rng as rngmod
+from .errors import ModelEvalError
 from .grid import (
     GridCdf,
     GridDensity,
     YGrid,
     cdf_from_density,
+    cdf_rows_from_density_rows,
     renormalize_density,
     widen_density,
 )
@@ -29,6 +31,7 @@ __all__ = [
     "MarginalHistogramModel",
     "CallableDensityModel",
     "SampleBasedModel",
+    "cdf_rows",
     "model_cdf",
 ]
 
@@ -47,12 +50,36 @@ def _smoothed_histogram(grid: YGrid, ys) -> GridDensity:
     return widen_density(raw, _SMOOTH_STEPS * step)
 
 
+def feature_rows(xs) -> np.ndarray:
+    """Feature points as rows: (n, d) stays, (n,) is n one-feature points, a scalar is one."""
+    xs = np.asarray(xs, dtype=float)
+    return xs.reshape(xs.shape[0] if xs.ndim else 1, -1)
+
+
+def cdf_rows(model, xs) -> np.ndarray:
+    """CDF of an initial model at each feature row of ``xs``, shape (n, G).
+
+    Models with ``density_matrix`` integrate all rows at once. Any other model
+    is evaluated row by row through ``cdf_at``, else ``density_at``, and a
+    failure there raises :class:`ModelEvalError` naming the row.
+    """
+    xs = feature_rows(xs)
+    density_matrix = getattr(model, "density_matrix", None)
+    if density_matrix is not None:
+        return cdf_rows_from_density_rows(model.grid.points, density_matrix(xs))
+    cdf_at = getattr(model, "cdf_at", None) or (lambda x: cdf_from_density(model.density_at(x)))
+    out = np.empty((xs.shape[0], len(model.grid)))
+    for i, x in enumerate(xs):
+        try:
+            out[i] = cdf_at(x).values
+        except Exception as exc:  # noqa: BLE001 - contract: wrap with row index
+            raise ModelEvalError(i, str(exc)) from exc
+    return out
+
+
 def model_cdf(model, x) -> GridCdf:
-    """CDF of an initial model at ``x``, via ``cdf_at`` when available."""
-    cdf_at = getattr(model, "cdf_at", None)
-    if cdf_at is not None:
-        return cdf_at(np.asarray(x, dtype=float))
-    return cdf_from_density(model.density_at(np.asarray(x, dtype=float)))
+    """CDF of an initial model at one feature point: a batch of one of :func:`cdf_rows`."""
+    return GridCdf(model.grid, cdf_rows(model, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 class GaussianInitialModel:
@@ -66,16 +93,13 @@ class GaussianInitialModel:
         self.sd_fn = sd_fn if callable(sd_fn) else (lambda x, s=float(sd_fn): s)
 
     def density_at(self, x) -> GridDensity:
-        x = np.asarray(x, dtype=float)
-        mu = float(self.mean_fn(x))
-        sd = float(self.sd_fn(x))
-        z = (self.grid.points - mu) / sd
-        vals = _INV_SQRT_2PI * np.exp(-0.5 * z * z) / sd
-        return renormalize_density(GridDensity(self.grid, vals))
+        """The renormalized density at one x: a batch of one of :meth:`density_matrix`."""
+        row = self.density_matrix(np.asarray(x, dtype=float).reshape(1, -1))[0]
+        return renormalize_density(GridDensity(self.grid, row))
 
     def density_matrix(self, xs) -> np.ndarray:
         """Unnormalized density rows for many feature points (batch PIT path)."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        xs = feature_rows(xs)
         batch = getattr(self.mean_fn, "predict", None)  # e.g. KnnMeanRegressor
         mu = batch(xs) if batch is not None else np.array([float(self.mean_fn(x)) for x in xs])
         sd = np.array([float(self.sd_fn(x)) for x in xs])
@@ -97,8 +121,7 @@ class UniformInitialModel:
         return self._density
 
     def density_matrix(self, xs) -> np.ndarray:
-        n = np.atleast_2d(np.asarray(xs, dtype=float)).shape[0]
-        return np.tile(self._density.values, (n, 1))
+        return np.tile(self._density.values, (feature_rows(xs).shape[0], 1))
 
 
 class MarginalHistogramModel:
@@ -119,8 +142,7 @@ class MarginalHistogramModel:
         return self._density
 
     def density_matrix(self, xs) -> np.ndarray:
-        n = np.atleast_2d(np.asarray(xs, dtype=float)).shape[0]
-        return np.tile(self._density.values, (n, 1))
+        return np.tile(self._density.values, (feature_rows(xs).shape[0], 1))
 
 
 class CallableDensityModel:

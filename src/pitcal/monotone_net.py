@@ -22,7 +22,13 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import rng as rngmod
-from .calibrate import _MODEL_LOADERS, MODEL_FORMAT_VERSION, AugmentedCalibrationSet, PitCdfModel
+from .calibrate import (
+    _MODEL_LOADERS,
+    MODEL_FORMAT_VERSION,
+    AugmentedCalibrationSet,
+    PitCdfModel,
+    _gamma_rows,
+)
 from .errors import TrainingDiverged
 
 __all__ = ["MonotoneNetConfig", "MonotoneNetModel", "fit_monotone_net", "VAL_GAMMA_GRID"]
@@ -197,14 +203,15 @@ def _backward(params: _Params, hidden: tuple, cache: dict, w: np.ndarray) -> _Pa
         da[k] = da[k] + dq @ params[f"B{k}"]
         dz = dq @ pp
 
-    # free tower backward
+    # free tower backward; nothing reads the gradient of the input features
     d_next = None
     for k in range(L - 1, -1, -1):
         total = da[k] if d_next is None else da[k] + d_next
         ds = total * (cache["s"][k] > 0.0)
         g[f"U{k}"] = ds.T @ cache["a"][k]
         g[f"c{k}"] = ds.sum(axis=0)
-        d_next = ds @ params[f"U{k}"]
+        if k:
+            d_next = ds @ params[f"U{k}"]
     return g
 
 
@@ -226,21 +233,16 @@ class MonotoneNetModel(PitCdfModel):
     def _standardize(self, xs: np.ndarray) -> np.ndarray:
         return (xs.reshape(-1, self.mean.size) - self.mean) / self.scale
 
-    def predict_curve(self, gammas, x) -> np.ndarray:
-        """r(gamma; x) at one feature point: a batch of one of :meth:`predict_matrix`."""
-        return self.predict_matrix(gammas, np.asarray(x, dtype=float).reshape(1, -1))[0]
-
     def predict_matrix(self, gammas, xs) -> np.ndarray:
-        """r(gamma; x) for every (x row, gamma) pair of (n_x, d) ``xs``, shape (n_x, n_gamma).
+        """r(gamma; x) for every (x row, gamma) pair in one forward pass, shape (n_x, G).
 
-        A one-feature model also takes ``xs`` of shape (n_x,).
+        ``xs`` is (n_x, d), or (n_x,) for a one-feature model; ``gammas`` is
+        (G,) or (n_x, G).
         """
-        gammas = np.asarray(gammas, dtype=float).ravel()
         xs_std = self._standardize(np.asarray(xs, dtype=float))
-        n, m = xs_std.shape[0], gammas.size
-        tiled_x = np.repeat(xs_std, m, axis=0)
-        tiled_g = np.tile(gammas, n)
-        return _forward(self.params, self.hidden, tiled_x, tiled_g).reshape(n, m)
+        rows = _gamma_rows(gammas, xs_std.shape[0])
+        tiled_x = np.repeat(xs_std, rows.shape[1], axis=0)
+        return _forward(self.params, self.hidden, tiled_x, rows.ravel()).reshape(rows.shape)
 
     def to_json(self) -> dict:
         return {

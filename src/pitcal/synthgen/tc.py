@@ -243,44 +243,9 @@ def _window_stride(window_steps: int, mode: str, stride: int | None) -> int:
     raise ValueError(f"unknown windowing mode {mode!r}")
 
 
-def chunk_tc(storms, window_hours: int = 24, step_minutes: int = 30,
-             mode: str = "overlapping", stride: int | None = None) -> TcChunkResult:
-    """Cut storms into trajectory windows with the current intensity as target.
-
-    A window holds ``window_hours * 60 / step_minutes + 1`` consecutive
-    profiles (49 for the defaults), flattened into one feature row; the target
-    is the intensity at the final step. ``overlapping`` shifts by one step;
-    ``gapped`` leaves a full window-length gap between chunks so rows carry no
-    shared history; an explicit ``stride`` overrides either. Storms shorter
-    than one window are skipped and counted.
-    """
-    w = window_hours * 60 // step_minutes + 1
-    stride = _window_stride(w, mode, stride)
-    feats, targets, ids = [], [], []
-    skipped = 0
-    for storm in storms:
-        length = storm.intensities.shape[0]
-        if length < w:
-            skipped += 1
-            continue
-        for start in range(0, length - w + 1, stride):
-            feats.append(storm.profiles[start : start + w].reshape(-1))
-            targets.append(storm.intensities[start + w - 1])
-            ids.append(storm.storm_id)
-    if not feats:
-        raise ValueError("no storm was long enough for a single window")
-    cal = CalibrationSet(np.vstack(feats), np.array(targets))
-    return TcChunkResult(cal=cal, storm_ids=np.array(ids, dtype=int), skipped_storms=skipped)
-
-
-def windowed_summaries(storms, window_hours: int = 24, step_minutes: int = 30,
-                       mode: str = "overlapping", stride: int | None = None) -> TcChunkResult:
-    """Like :func:`chunk_tc`, but rows are summary features, not raw windows.
-
-    Equivalent to ``tc_summary_features(chunk_tc(...).cal.xs)`` while only
-    ever holding one storm's windows in memory; overlapping windows over many
-    long storms never materialize the full flattened feature matrix.
-    """
+def _cut_windows(storms, window_hours: int, step_minutes: int, mode: str,
+                 stride: int | None, features) -> TcChunkResult:
+    """Cut storms as :func:`chunk_tc` describes; ``features(flat, w)`` makes one storm's rows."""
     w = window_hours * 60 // step_minutes + 1
     stride = _window_stride(w, mode, stride)
     feats, targets, ids = [], [], []
@@ -293,15 +258,41 @@ def windowed_summaries(storms, window_hours: int = 24, step_minutes: int = 30,
         starts = np.arange(0, length - w + 1, stride)
         windows = np.lib.stride_tricks.sliding_window_view(storm.profiles, w, axis=0)
         # view shape (length - w + 1, n_radii, w); flatten per selected start
-        sel = windows[starts]
-        flat = sel.transpose(0, 2, 1).reshape(starts.size, -1)
-        feats.append(tc_summary_features(flat, n_profiles=w))
+        flat = windows[starts].transpose(0, 2, 1).reshape(starts.size, -1)
+        feats.append(features(flat, w))
         targets.append(storm.intensities[starts + w - 1])
         ids.append(np.full(starts.size, storm.storm_id, dtype=int))
     if not feats:
         raise ValueError("no storm was long enough for a single window")
     cal = CalibrationSet(np.vstack(feats), np.concatenate(targets))
     return TcChunkResult(cal=cal, storm_ids=np.concatenate(ids), skipped_storms=skipped)
+
+
+def chunk_tc(storms, window_hours: int = 24, step_minutes: int = 30,
+             mode: str = "overlapping", stride: int | None = None) -> TcChunkResult:
+    """Cut storms into trajectory windows with the current intensity as target.
+
+    A window holds ``window_hours * 60 / step_minutes + 1`` consecutive
+    profiles (49 for the defaults), flattened into one feature row; the target
+    is the intensity at the final step. ``overlapping`` shifts by one step;
+    ``gapped`` leaves a full window-length gap between chunks so rows carry no
+    shared history; an explicit ``stride`` overrides either. Storms shorter
+    than one window are skipped and counted.
+    """
+    return _cut_windows(storms, window_hours, step_minutes, mode, stride,
+                        lambda flat, w: flat)
+
+
+def windowed_summaries(storms, window_hours: int = 24, step_minutes: int = 30,
+                       mode: str = "overlapping", stride: int | None = None) -> TcChunkResult:
+    """Like :func:`chunk_tc`, but rows are summary features, not raw windows.
+
+    Equivalent to ``tc_summary_features(chunk_tc(...).cal.xs)`` while only
+    ever holding one storm's windows in memory; overlapping windows over many
+    long storms never materialize the full flattened feature matrix.
+    """
+    return _cut_windows(storms, window_hours, step_minutes, mode, stride,
+                        lambda flat, w: tc_summary_features(flat, n_profiles=w))
 
 
 def tc_summary_features(xs: np.ndarray, n_profiles: int = 49) -> np.ndarray:

@@ -122,10 +122,8 @@ class TestDcp:
         data = sample_example2("skewed", 4000, seed=46)
         model = DcpModel(data.initial, data.cal, 0.1)
         fresh = sample_example2("skewed", 20000, seed=47)
-        hits = np.mean([
-            bool(model.predict_set(fresh.cal.xs[i]).contains(fresh.cal.ys[i]))
-            for i in range(len(fresh.cal))
-        ])
+        sets = model.predict_sets(fresh.cal.xs)
+        hits = np.mean([bool(s.contains(y)) for s, y in zip(sets, fresh.cal.ys)])
         assert abs(hits - 0.9) < 0.02
 
     def test_conditional_coverage_fails_under_misspecification(self):

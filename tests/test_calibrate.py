@@ -253,7 +253,7 @@ class TestRecalibrate:
         class ConstantMap(PitCdfModel):
             backend = "stub"
 
-            def predict_curve(self, gammas, x):
+            def predict_matrix(self, gammas, xs):
                 return np.full(np.asarray(gammas).shape, 0.5)
 
         data = sample_example2("skewed", 100, seed=3)

@@ -25,6 +25,26 @@ from pitcal.errors import LengthMismatch
 # frozen reference: the local backend's curve and the MC test, per replicate
 # ----------------------------------------------------------------------
 
+def _old_neighborhood(model, x):
+    """The local backend's single-point neighbourhood query and weights."""
+    q = (np.asarray(x, dtype=float).ravel() - model.mean) / model.scale
+    if model.cfg.k is not None:
+        dist, idx = model._tree.query(q, k=model.cfg.k)
+        dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
+    else:
+        idx = np.array(sorted(model._tree.query_ball_point(q, model.cfg.bandwidth)), dtype=int)
+        if idx.size == 0:
+            dist, idx = model._tree.query(q, k=1)
+            dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
+        else:
+            dist = np.linalg.norm(model._std_xs[idx] - q, axis=1)
+    if model.cfg.weighting == "inverse-distance":
+        w = 1.0 / (dist + np.mean(dist) + 1e-300)
+    else:
+        w = np.ones(idx.size)
+    return idx, w / w.sum()
+
+
 class _OldLocal(PitCdfModel):
     """The local backend before ``predict_curves``: one query and one sort per curve."""
 
@@ -38,7 +58,7 @@ class _OldLocal(PitCdfModel):
         return _OldLocal(self.model, pit_values)
 
     def predict_curve(self, gammas, x):
-        idx, w = self.model._neighborhood(x)
+        idx, w = _old_neighborhood(self.model, x)
         pits = self.pit_values[idx]
         order = np.argsort(pits, kind="stable")
         pits_sorted = pits[order]

@@ -213,7 +213,7 @@ def test_bench_assembly_matches_frozen_helpers(initial, backend, params, experim
     pits_old = compute_pit_values(initial_old, cal_old)
     model_old = frozen_bench_fit_pit_model(recipe, cal_old, pits_old, rep_seed)
 
-    # the way bench._method_constructor calls the pipeline
+    # the way bench._prediction_sets calls the pipeline
     rest = dict(params)
     initial_new = build_initial(initial, data.grid, train_new, mean_k=rest.pop("mean_k", 50),
                                 generator_model=data.initial)

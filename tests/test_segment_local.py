@@ -1,10 +1,10 @@
 """Segment-local and batched grid computations against frozen reference paths.
 
 ``grid`` reads every CDF through one spline core: ``_fc_slopes`` limits the
-slopes of whole rows (``fit_monotone_spline``) and of five-secant windows
-(``_segment_slopes``), ``_hermite`` evaluates every segment (``__call__``,
-``solve``, ``pit``, ``pit_matrix``), and ``cdf_from_density`` is a batch of
-one of ``cdf_rows_from_density_rows``. The references below are frozen
+slopes of whole rows (``knot_slopes``, ``fit_monotone_spline``) and of
+five-secant windows (``_segment_slopes``), ``_hermite`` evaluates every
+segment (``__call__``, ``invert_rows``, ``pit``, ``pit_matrix``), and
+``cdf_from_density`` is a batch of one of ``cdf_rows_from_density_rows``. The references below are frozen
 copies of the separate implementations that came before the shared core, so
 the core is never checked against itself. Each must be reproduced exactly, so
 every comparison here is ``==``.
@@ -24,6 +24,9 @@ from pitcal.grid import (
     cdf_from_density,
     cdf_rows_from_density_rows,
     fit_monotone_spline,
+    invert_cdf,
+    invert_rows,
+    knot_slopes,
     pit,
     pit_matrix,
 )
@@ -103,6 +106,19 @@ def reference_solve(xs, ys, target):
         if hi - lo <= 1e-14 * max(1.0, abs(hi)):
             break
     return hi
+
+
+def reference_derivative(xs, ys, m, q):
+    """``MonotoneSpline.derivative``: the analytic derivative, zero off the knot range."""
+    idx = np.clip(np.searchsorted(xs, q, side="right") - 1, 0, xs.size - 2)
+    h = xs[idx + 1] - xs[idx]
+    t = (q - xs[idx]) / h
+    inside = (t >= 0.0) & (t <= 1.0)
+    t = np.clip(t, 0.0, 1.0)
+    t2 = t * t
+    out = (ys[idx] * (6 * t2 - 6 * t) / h + m[idx] * (3 * t2 - 4 * t + 1)
+           + ys[idx + 1] * (-6 * t2 + 6 * t) / h + m[idx + 1] * (3 * t2 - 2 * t))
+    return np.where(inside, out, 0.0)
 
 
 def reference_cdf_from_density(d):
@@ -186,17 +202,36 @@ class TestSolve:
     def test_equals_whole_spline_bisection(self, seed, n, flat_share):
         rng = np.random.default_rng(seed)
         xs, ys = random_knots(rng, n, flat_share)
-        sp = fit_monotone_spline(xs, ys)
-        targets = [
+        targets = np.array([
             *ys,
-            0.025, 0.05, 0.95, 0.975,
+            0.0, 0.025, 0.05, 0.95, 0.975, 1.0,
             ys[0], ys[-1], ys[0] - 0.1, ys[-1] + 0.1,
             *rng.uniform(ys[0], ys[-1], size=10),
-        ]
-        for p in targets:
-            got = sp.solve(p)
-            assert type(got) is float
-            assert got == reference_solve(xs, ys, p)
+        ])
+        got = invert_rows(xs, ys[None, :], targets)
+        assert got.shape == (1, targets.size)
+        assert got[0].tolist() == [reference_solve(xs, ys, p) for p in targets]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=3, max_value=60),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from([0.0, 0.3, 0.7, 0.9]),
+    )
+    def test_rows_in_one_batch(self, seed, n_points, n_rows, flat_share):
+        # rows share the grid; each row has its own levels: its knot
+        # ordinates (flat stretches repeat them), 0, 1 and random levels
+        rng = np.random.default_rng(seed)
+        pts = np.cumsum(rng.uniform(0.01, 1.0, size=n_points)) - rng.uniform(0.0, 5.0)
+        cdfs = cdf_rows_from_density_rows(pts, random_density_rows(rng, n_rows, n_points,
+                                                                   flat_share))
+        levels = np.stack([np.concatenate([row[rng.integers(0, n_points, size=6)], [0.0, 1.0],
+                                           rng.uniform(size=4)]) for row in cdfs])
+        got = invert_rows(pts, cdfs, levels)
+        for row, ps, out in zip(cdfs, levels, got):
+            assert out.tolist() == [reference_solve(pts, row, p) for p in ps]
+            assert [invert_cdf(GridCdf(YGrid(pts), row), p) for p in ps] == out.tolist()
 
     def test_recalibrated_cdf_quantiles(self):
         # CDF rows like those recalibration produces: integrated densities
@@ -204,10 +239,26 @@ class TestSolve:
         rng = np.random.default_rng(7)
         pts = np.linspace(-3.0, 3.0, 201)
         cdfs = cdf_rows_from_density_rows(pts, random_density_rows(rng, 12, 201, 0.4))
-        for row in cdfs:
-            sp = fit_monotone_spline(pts, row)
-            for p in (0.0, 0.025, 0.05, 0.5, 0.95, 0.975, 1.0):
-                assert sp.solve(p) == reference_solve(pts, row, p)
+        levels = [0.0, 0.025, 0.05, 0.5, 0.95, 0.975, 1.0]
+        got = invert_rows(pts, cdfs, levels)
+        for row, out in zip(cdfs, got):
+            assert out.tolist() == [reference_solve(pts, row, p) for p in levels]
+
+
+class TestKnotSlopes:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6), st.sampled_from([0.0, 0.4, 0.8]))
+    def test_equal_spline_derivative_at_knots(self, seed, flat_share):
+        # the recalibrated density reads knot slopes as the spline derivative
+        rng = np.random.default_rng(seed)
+        pts = np.linspace(-3.0, 3.0, int(rng.integers(3, 202)))
+        cdfs = cdf_rows_from_density_rows(pts, random_density_rows(rng, 10, pts.size, flat_share))
+        got = knot_slopes(pts, cdfs)
+        for row, slopes in zip(cdfs, got):
+            m = reference_slopes(pts, row)
+            assert np.array_equal(slopes, m)
+            want = np.maximum(reference_derivative(pts, row, m, pts), 0.0)
+            assert np.array_equal(np.maximum(slopes, 0.0), want)
 
 
 class TestPitMatrixSlopes:
