@@ -63,13 +63,13 @@ class KnnMeanRegressor:
         self._ys = train.ys
 
     def predict(self, xs) -> np.ndarray:
-        """Neighbour means at many feature points, one per row of ``xs``."""
-        q = (np.atleast_2d(np.asarray(xs, dtype=float)) - self.mean) / self.scale
+        """Neighbour means, one per row of ``xs``: (n, d), or (n,) for one feature."""
+        q = (np.asarray(xs, dtype=float).reshape(-1, self.mean.size) - self.mean) / self.scale
         _, idx = self._tree.query(q, k=self.k)  # drops the neighbour axis when k == 1
         return self._ys[idx.reshape(q.shape[0], self.k)].mean(axis=1)
 
     def __call__(self, x) -> float:
-        return float(self.predict(np.asarray(x, dtype=float).ravel()[None, :])[0])
+        return float(self.predict(x)[0])
 
 
 def fit_knn_mean(train: CalibrationSet, k: int = 50) -> KnnMeanRegressor:
@@ -77,11 +77,15 @@ def fit_knn_mean(train: CalibrationSet, k: int = 50) -> KnnMeanRegressor:
 
 
 class RegSplitModel:
-    """Point fit plus one global residual quantile."""
+    """Point fit plus one global residual quantile.
+
+    ``fit_mean(train)`` returns a regressor with ``predict(xs)``, which gives
+    all residuals in one call, and a scalar ``__call__(x)``, as :func:`fit_knn_mean`.
+    """
 
     def __init__(self, fit_mean, train: CalibrationSet, cal: CalibrationSet, alpha: float):
         self.mu = fit_mean(train)
-        residuals = np.array([abs(cal.ys[i] - self.mu(cal.xs[i])) for i in range(len(cal))])
+        residuals = np.abs(cal.ys - self.mu.predict(cal.xs))
         self.calibration = ConformalCalibration.from_scores(residuals, alpha)
         self.alpha = alpha
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,14 +22,13 @@ from .baselines import DcpModel, RegSplitModel, fit_knn_mean
 from .calibrate import (
     CalibrationSet,
     PredictionSet,
-    RecalibratedDistribution,
     calpit_hpd,
     central_intervals,
     compute_pit_values,
     recalibrate_rows,
+    recalibrated_distributions,
 )
 from .errors import ConfigError
-from .grid import GridCdf, GridDensity
 from .models import cdf_rows
 from .pipeline import build_initial, fit_pit_model, split_calibration
 from .synthgen import TwoGroupConfig, sample_example1, sample_example2
@@ -91,23 +90,11 @@ class ExperimentRecipe:
             raise ConfigError("n, realizations and mc_draws must be >= 1")
 
     def to_config(self) -> dict:
-        doc = {
-            "generator": self.generator,
-            "method": self.method,
-            "n": self.n,
-            "alpha": self.alpha,
-            "n_realizations": self.n_realizations,
-            "n_mc_draws": self.n_mc_draws,
-            "seed": self.seed,
-            "initial": self.initial,
-            "backend": self.backend,
-            "backend_params": dict(self.backend_params),
-            "experiment": self.experiment,
-            "test_grid_size": self.test_grid_size,
-            "generator_params": dict(self.generator_params),
-        }
-        if self.test_xs is not None:
-            doc["test_xs"] = [list(np.atleast_1d(x).astype(float)) for x in self.test_xs]
+        """The fields in order, with ``test_xs`` (when set) last as lists of floats."""
+        doc = asdict(self)
+        test_xs = doc.pop("test_xs")
+        if test_xs is not None:
+            doc["test_xs"] = [list(np.atleast_1d(x).astype(float)) for x in test_xs]
         return doc
 
 
@@ -229,12 +216,10 @@ def _prediction_sets(recipe: ExperimentRecipe, data, train: CalibrationSet,
     fit_args = {key: params.pop(key) for key in ("k", "bandwidth", "weighting", "k_factor")
                 if key in params}
     r = fit_pit_model(cal, pits, recipe.backend, rep_seed, **fit_args, net=params)
-    cdf, pdf = recalibrate_rows(initial, r, xs)
+    cdf = recalibrate_rows(initial, r, xs)
     if recipe.method == "calpit-int":
         return central_intervals(points, cdf, 0.5 * alpha, 1.0 - 0.5 * alpha, level)
-    grid = initial.grid
-    return [calpit_hpd(RecalibratedDistribution(GridCdf(grid, c), GridDensity(grid, f)), alpha)
-            for c, f in zip(cdf, pdf)]
+    return [calpit_hpd(rd, alpha) for rd in recalibrated_distributions(initial.grid, cdf)]
 
 
 def run_experiment(recipe: ExperimentRecipe, n_threads: int = 1) -> CoverageReport:

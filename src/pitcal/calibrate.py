@@ -13,7 +13,7 @@ sets. Two interchangeable regression backends satisfy the same interface:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -55,6 +55,7 @@ __all__ = [
     "fit_local_empirical",
     "recalibrate",
     "recalibrate_rows",
+    "recalibrated_distributions",
     "central_intervals",
     "calpit_interval",
     "calpit_hpd",
@@ -68,9 +69,6 @@ MODEL_FORMAT_VERSION = 1
 # calpit_hpd: largest accepted miss of the 1 - alpha mass in the final check
 _HPD_MASS_TOL = 0.005
 
-# backend tag -> deserializer; the net backend registers itself on import
-_MODEL_LOADERS: dict = {}
-
 
 @dataclass(frozen=True)
 class CalibrationSet:
@@ -80,7 +78,7 @@ class CalibrationSet:
     ys: np.ndarray
 
     def __post_init__(self):
-        xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
+        xs = feature_rows(self.xs)
         ys = np.asarray(self.ys, dtype=float).ravel()
         if xs.shape[0] != ys.shape[0]:
             raise LengthMismatch("xs and ys row counts differ")
@@ -116,11 +114,6 @@ class AugmentedCalibrationSet:
 
     def __len__(self) -> int:
         return self.gamma.shape[0]
-
-    @property
-    def xs(self) -> np.ndarray:
-        """Materialized feature matrix, one row per augmented row."""
-        return self.base_xs[self.row_index]
 
     @property
     def n_base(self) -> int:
@@ -258,7 +251,7 @@ class LocalEmpiricalModel(PitCdfModel):
 
     def __init__(self, xs, pit_values, cfg: LocalEmpiricalConfig,
                  mean=None, scale=None):
-        self.xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        self.xs = feature_rows(xs)
         self.pit_values = np.asarray(pit_values, dtype=float).ravel()
         if self.xs.shape[0] != self.pit_values.shape[0]:
             raise LengthMismatch("feature rows and pit values differ in length")
@@ -328,11 +321,7 @@ class LocalEmpiricalModel(PitCdfModel):
         return {
             "format_version": MODEL_FORMAT_VERSION,
             "backend": self.backend,
-            "config": {
-                "k": self.cfg.k,
-                "bandwidth": self.cfg.bandwidth,
-                "weighting": self.cfg.weighting,
-            },
+            "config": asdict(self.cfg),
             "standardization": {"mean": self.mean.tolist(), "scale": self.scale.tolist()},
             "xs": self.xs.tolist(),
             "pit_values": self.pit_values.tolist(),
@@ -370,10 +359,6 @@ def _gamma_rows(gammas, n: int) -> np.ndarray:
     return np.broadcast_to(gammas, (n, gammas.shape[-1]))
 
 
-_MODEL_LOADERS["local-empirical"] = LocalEmpiricalModel.from_json
-_MODEL_LOADERS["identity"] = lambda doc: IdentityPitCdf()
-
-
 def fit_local_empirical(cal: CalibrationSet, pit_values, cfg: LocalEmpiricalConfig) -> LocalEmpiricalModel:
     """Fit the local empirical PIT-CDF estimator (no augmentation needed)."""
     pit_values = np.asarray(pit_values, dtype=float).ravel()
@@ -390,14 +375,19 @@ def save_pit_model(model: PitCdfModel, path):
 
 
 def load_pit_model(path) -> PitCdfModel:
-    from . import monotone_net  # noqa: F401  (registers its loader)
+    from .monotone_net import MonotoneNetModel
 
+    loaders = {
+        "local-empirical": LocalEmpiricalModel.from_json,
+        "identity": lambda doc: IdentityPitCdf(),
+        "monotone-net": MonotoneNetModel.from_json,
+    }
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     backend = doc.get("backend")
-    if backend not in _MODEL_LOADERS:
+    if backend not in loaders:
         raise PitcalError(f"unknown model backend {backend!r}")
-    return _MODEL_LOADERS[backend](doc)
+    return loaders[backend](doc)
 
 
 # ----------------------------------------------------------------------
@@ -447,41 +437,51 @@ class PredictionSet:
         return float(sum(hi - lo for lo, hi in self.intervals))
 
     def to_json(self) -> dict:
-        return {
-            "intervals": [list(iv) for iv in self.intervals],
-            "nominal_level": self.nominal_level,
-            "kind": self.kind,
-        }
+        return asdict(self)
 
 
-def recalibrate_rows(model, r: PitCdfModel, xs):
-    """Recalibrated CDF and density rows at each feature row of ``xs``, each (n_x, G).
+def recalibrate_rows(model, r: PitCdfModel, xs) -> np.ndarray:
+    """Recalibrated CDF rows at each feature row of ``xs``, shape (n_x, G).
 
     The CDF on the grid is r(F_init(y); x), made nondecreasing by a
     cumulative maximum, clipped to [0, 1] and endpoint-snapped to {0, 1}.
-    The density is the clipped knot slopes of its monotone cubic (the
-    spline's derivative at the grid points), renormalized to unit mass.
+    Intervals read these rows alone; only HPD sets need the density of
+    :func:`recalibrated_distributions`. A map that collapses a row to a
+    constant, or a row whose whole mass lies inside one grid cell (narrower
+    than the grid resolves), raises :class:`DegenerateRecalibration`.
     """
     xs = feature_rows(xs)
-    points = model.grid.points
     vals = np.asarray(r.predict_matrix(cdf_rows(model, xs), xs), dtype=float)
     if np.any(vals.max(axis=1) - vals.min(axis=1) < 1e-9):
         raise DegenerateRecalibration("P-P map collapsed the CDF to a constant")
     vals = np.clip(np.maximum.accumulate(vals, axis=1), 0.0, 1.0)
     vals[:, 0] = 0.0
     vals[:, -1] = 1.0
-    pdf = np.maximum(knot_slopes(points, vals), 0.0)
-    total = np.trapezoid(pdf, points, axis=1)
+    if np.any(np.diff(vals, axis=1).max(axis=1) >= 1.0):
+        raise DegenerateRecalibration("recalibrated CDF puts all its mass in one grid cell")
+    return vals
+
+
+def recalibrated_distributions(grid, cdf) -> list:
+    """One :class:`RecalibratedDistribution` per row of recalibrated ``cdf`` rows.
+
+    The density is the clipped knot slopes of each row's monotone cubic (the
+    spline's derivative at the grid points), renormalized to unit mass; all
+    rows take one :func:`knot_slopes` call. A row left with no mass raises
+    :class:`DegenerateDensity`.
+    """
+    pdf = np.maximum(knot_slopes(grid.points, cdf), 0.0)
+    total = np.trapezoid(pdf, grid.points, axis=1)
     if np.any(total <= 0):
         raise DegenerateDensity("no positive mass left after clipping")
-    return vals, pdf / total[:, None]
+    return [RecalibratedDistribution(cdf=GridCdf(grid, c), pdf=GridDensity(grid, f))
+            for c, f in zip(cdf, pdf / total[:, None])]
 
 
 def recalibrate(model, r: PitCdfModel, x) -> RecalibratedDistribution:
     """The recalibrated distribution at one x: a batch of one of :func:`recalibrate_rows`."""
-    cdf, pdf = recalibrate_rows(model, r, np.asarray(x, dtype=float).reshape(1, -1))
-    return RecalibratedDistribution(cdf=GridCdf(model.grid, cdf[0]),
-                                    pdf=GridDensity(model.grid, pdf[0]))
+    cdf = recalibrate_rows(model, r, np.asarray(x, dtype=float).reshape(1, -1))
+    return recalibrated_distributions(model.grid, cdf)[0]
 
 
 class RecalibratedInitialModel:
@@ -503,7 +503,8 @@ class RecalibratedInitialModel:
         return recalibrate(self.base_model, self.r, x).pdf
 
     def cdf_at(self, x) -> GridCdf:
-        return recalibrate(self.base_model, self.r, x).cdf
+        cdf = recalibrate_rows(self.base_model, self.r, np.asarray(x, dtype=float).reshape(1, -1))
+        return GridCdf(self.grid, cdf[0])
 
 
 def central_intervals(points, cdf, p_lo: float, p_hi: float, level: float) -> list:

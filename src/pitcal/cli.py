@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from . import rng as rngmod
 from .bench import ExperimentRecipe, run_experiment
-from .calibrate import calpit_hpd, calpit_interval, compute_pit_values, recalibrate
+from .calibrate import (calpit_hpd, central_intervals, compute_pit_values, recalibrate_rows,
+                        recalibrated_distributions)
 from .dataio import read_calibration_csv, write_calibration_csv
 from .diagnose import mc_local_test
 from .errors import ConfigError, PitcalError
@@ -256,13 +257,16 @@ def cmd_calibrate(args) -> int:
     with open(out / "model.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
 
+    # intervals read the recalibrated CDF alone; only HPD sets build the density
+    grid = initial.grid
     sets = []
     for i, x in enumerate(points or []):
-        rd = recalibrate(initial, model, x)
-        write_grid_csv(out / f"recal_cdf_{i}.csv", rd.cdf.grid, rd.cdf.values, comment=stamp)
-        entry = {"x": [float(v) for v in x], "interval": calpit_interval(rd, alpha).to_json()}
+        cdf = recalibrate_rows(initial, model, x.reshape(1, -1))
+        write_grid_csv(out / f"recal_cdf_{i}.csv", grid, cdf[0], comment=stamp)
+        interval = central_intervals(grid.points, cdf, 0.5 * alpha, 1.0 - 0.5 * alpha, 1.0 - alpha)
+        entry = {"x": [float(v) for v in x], "interval": interval[0].to_json()}
         if cfg["hpd"]:
-            entry["hpd"] = calpit_hpd(rd, alpha).to_json()
+            entry["hpd"] = calpit_hpd(recalibrated_distributions(grid, cdf)[0], alpha).to_json()
         sets.append(entry)
     with open(out / "sets.json", "w", encoding="utf-8") as fh:
         json.dump({**_meta(cfg, seed), "alpha": cfg["alpha"], "sets": sets}, fh, indent=1)

@@ -34,7 +34,6 @@ threads for read-only evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -52,7 +51,6 @@ __all__ = [
     "GridDensity",
     "GridCdf",
     "MonotoneSpline",
-    "InitialModel",
     "fit_monotone_spline",
     "knot_slopes",
     "cdf_from_density",
@@ -157,21 +155,6 @@ class GridCdf:
             raise ValueError("cdf values decrease by more than the snap tolerance")
         vals = np.clip(np.maximum.accumulate(vals), 0.0, 1.0)
         object.__setattr__(self, "values", _frozen(vals))
-
-
-@runtime_checkable
-class InitialModel(Protocol):
-    """Initial conditional model: a density on a fixed grid per feature point.
-
-    ``sample_based`` models do not expose a closed-form CDF and approximate
-    PIT values from forward draws (``draws_at``). Grid-backed models must be
-    deterministic per ``x``.
-    """
-
-    grid: YGrid
-    sample_based: bool
-
-    def density_at(self, x: np.ndarray) -> GridDensity: ...
 
 
 # ----------------------------------------------------------------------

@@ -53,7 +53,7 @@ def _smoothed_histogram(grid: YGrid, ys) -> GridDensity:
 def feature_rows(xs) -> np.ndarray:
     """Feature points as rows: (n, d) stays, (n,) is n one-feature points, a scalar is one."""
     xs = np.asarray(xs, dtype=float)
-    return xs.reshape(xs.shape[0] if xs.ndim else 1, -1)
+    return xs if xs.ndim == 2 else xs.reshape(xs.shape[0] if xs.ndim else 1, -1)
 
 
 def cdf_rows(model, xs) -> np.ndarray:

@@ -16,19 +16,13 @@ a binary-free JSON document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import rng as rngmod
-from .calibrate import (
-    _MODEL_LOADERS,
-    MODEL_FORMAT_VERSION,
-    AugmentedCalibrationSet,
-    PitCdfModel,
-    _gamma_rows,
-)
+from .calibrate import MODEL_FORMAT_VERSION, AugmentedCalibrationSet, PitCdfModel, _gamma_rows
 from .errors import TrainingDiverged
 
 __all__ = ["MonotoneNetConfig", "MonotoneNetModel", "fit_monotone_net", "VAL_GAMMA_GRID"]
@@ -72,18 +66,6 @@ def _inv_softplus(y):
     return np.log(np.expm1(np.maximum(y, 1e-12)))
 
 
-class _Params(dict):
-    """Named parameter arrays with elementwise arithmetic helpers."""
-
-    def map(self, fn, other=None):
-        if other is None:
-            return _Params({k: fn(v) for k, v in self.items()})
-        return _Params({k: fn(v, other[k]) for k, v in self.items()})
-
-    def copy(self):
-        return _Params({k: v.copy() for k, v in self.items()})
-
-
 def _mono_inputs(gamma: np.ndarray) -> np.ndarray:
     """Monotone encodings of gamma fed to the constrained path.
 
@@ -106,8 +88,8 @@ def _mono_inputs(gamma: np.ndarray) -> np.ndarray:
 _N_MONO_IN = 4
 
 
-def _init_params(dim_x: int, hidden: tuple, rng: np.random.Generator) -> _Params:
-    p = _Params()
+def _init_params(dim_x: int, hidden: tuple, rng: np.random.Generator) -> dict:
+    p = {}
     prev_free = dim_x
     prev_mono = _N_MONO_IN
     for k, h in enumerate(hidden):
@@ -132,7 +114,7 @@ def _init_params(dim_x: int, hidden: tuple, rng: np.random.Generator) -> _Params
     return p
 
 
-def _forward(params: _Params, hidden: tuple, x_std: np.ndarray, gamma: np.ndarray,
+def _forward(params: dict, hidden: tuple, x_std: np.ndarray, gamma: np.ndarray,
              keep: bool = False):
     """Forward pass; with keep=True also returns intermediates for backprop."""
     a = x_std
@@ -165,14 +147,14 @@ def _forward(params: _Params, hidden: tuple, x_std: np.ndarray, gamma: np.ndarra
     return yhat
 
 
-def _backward(params: _Params, hidden: tuple, cache: dict, w: np.ndarray) -> _Params:
+def _backward(params: dict, hidden: tuple, cache: dict, w: np.ndarray) -> dict:
     """Gradients of mean squared error w.r.t. all raw parameters."""
     n = w.shape[0]
     yhat = cache["yhat"]
     du = (2.0 / n) * (yhat - w) * yhat * (1.0 - yhat)
     du = du[:, None]
 
-    g = _Params()
+    g = {}
     z_last = cache["z"][-1]
     a_last = cache["a"][-1]
     pp_out = _softplus(params["p_out"])
@@ -220,7 +202,7 @@ class MonotoneNetModel(PitCdfModel):
 
     backend = "monotone-net"
 
-    def __init__(self, params: _Params, hidden: tuple, mean: np.ndarray,
+    def __init__(self, params: dict, hidden: tuple, mean: np.ndarray,
                  scale: np.ndarray, config: MonotoneNetConfig,
                  loss_history: list | None = None):
         self.params = params
@@ -251,35 +233,18 @@ class MonotoneNetModel(PitCdfModel):
             "hidden_layers": list(self.hidden),
             "raw_weights": {k: v.tolist() for k, v in self.params.items()},
             "standardization": {"mean": self.mean.tolist(), "scale": self.scale.tolist()},
-            "config": {
-                "hidden_layers": list(self.config.hidden_layers),
-                "learning_rate": self.config.learning_rate,
-                "lr_decay": self.config.lr_decay,
-                "weight_decay": self.config.weight_decay,
-                "batch_size": self.config.batch_size,
-                "patience": self.config.patience,
-                "val_fraction": self.config.val_fraction,
-                "max_epochs": self.config.max_epochs,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "MonotoneNetModel":
-        cfg_doc = dict(doc["config"])
-        cfg_doc["hidden_layers"] = tuple(cfg_doc["hidden_layers"])
-        cfg = MonotoneNetConfig(**cfg_doc)
-        params = _Params({k: np.array(v, dtype=float) for k, v in doc["raw_weights"].items()})
         return cls(
-            params,
+            {k: np.array(v, dtype=float) for k, v in doc["raw_weights"].items()},
             tuple(doc["hidden_layers"]),
             np.array(doc["standardization"]["mean"]),
             np.array(doc["standardization"]["scale"]),
-            cfg,
+            MonotoneNetConfig(**doc["config"]),
         )
-
-
-_MODEL_LOADERS["monotone-net"] = MonotoneNetModel.from_json
 
 
 def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> MonotoneNetModel:
@@ -324,8 +289,8 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
     init_rng = rngmod.derived_rng(cfg.seed, "net-init")
     params = _init_params(aug.base_xs.shape[1], cfg.hidden_layers, init_rng)
 
-    m_state = params.map(np.zeros_like)
-    v_state = params.map(np.zeros_like)
+    m_state = {k: np.zeros_like(v) for k, v in params.items()}
+    v_state = {k: np.zeros_like(v) for k, v in params.items()}
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     # decaying a raw softplus parameter pulls the effective weight toward
@@ -337,7 +302,7 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
     }
 
     best_val = np.inf
-    best_params = params.copy()
+    best_params = {k: v.copy() for k, v in params.items()}
     bad_epochs = 0
     history = []
 
@@ -372,7 +337,7 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
 
         if val_loss < best_val - 1e-12:
             best_val = val_loss
-            best_params = params.copy()
+            best_params = {k: v.copy() for k, v in params.items()}
             bad_epochs = 0
         else:
             bad_epochs += 1

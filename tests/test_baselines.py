@@ -22,11 +22,21 @@ class TestConformalQuantile:
             ConformalCalibration.from_scores([1.0, 2.0], alpha=0.05)
 
 
+class _ZeroMean:
+    """A constant-zero regressor with the batched and the scalar call ``fit_mean`` returns."""
+
+    def predict(self, xs):
+        return np.zeros(len(xs))
+
+    def __call__(self, x):
+        return 0.0
+
+
 class TestRegSplit:
     def test_zero_mean_interval(self):
         train = CalibrationSet(np.zeros((4, 1)), np.zeros(4))
         cal = CalibrationSet(np.zeros((4, 1)), np.array([1.0, -2.0, 3.0, -4.0]))
-        ps = RegSplitModel(lambda tr: (lambda x: 0.0), train, cal, 0.2).predict_set([0.0])
+        ps = RegSplitModel(lambda tr: _ZeroMean(), train, cal, 0.2).predict_set([0.0])
         assert ps.intervals[0] == (pytest.approx(-4.0), pytest.approx(4.0))
 
     def test_constant_width_in_x(self):

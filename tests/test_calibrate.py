@@ -6,10 +6,12 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 import pitcal.rng as rngmod
+from pitcal.baselines import KnnMeanRegressor, RegSplitModel
 from pitcal.calibrate import (
     CalibrationSet,
     IdentityPitCdf,
     LocalEmpiricalConfig,
+    LocalEmpiricalModel,
     PitCdfModel,
     PredictionSet,
     augment,
@@ -20,6 +22,7 @@ from pitcal.calibrate import (
     fit_local_empirical,
     load_pit_model,
     recalibrate,
+    recalibrate_rows,
     save_pit_model,
 )
 from pitcal.errors import (
@@ -260,6 +263,15 @@ class TestRecalibrate:
         with pytest.raises(DegenerateRecalibration):
             recalibrate(data.initial, ConstantMap(), [0.0])
 
+    def test_point_mass_rejected(self):
+        # every PIT value equal: the map is one step, which puts the whole
+        # recalibrated CDF's rise inside one grid cell
+        grid = YGrid(np.linspace(0.0, 1.0, 41))
+        cal = CalibrationSet(np.linspace(0.0, 1.0, 20)[:, None], np.full(20, 0.4))
+        r = fit_local_empirical(cal, np.full(20, 0.4), LocalEmpiricalConfig(k=5))
+        with pytest.raises(DegenerateRecalibration, match="one grid cell"):
+            recalibrate_rows(UniformInitialModel(grid), r, np.array([0.2, 0.7]))
+
 
 class TestIntervalAndHpd:
     def _normal_rd(self, sd=1.0, n=801):
@@ -404,3 +416,28 @@ class TestSerialization:
         save_pit_model(IdentityPitCdf(), path)
         loaded = load_pit_model(path)
         assert loaded.predict(0.3, [0.0]) == 0.3
+
+
+def _flat_xs_outputs(kind, xs):
+    """What each reader of feature rows makes of ``xs``, as plain arrays."""
+    rng = np.random.default_rng(9)
+    ys = rng.normal(size=xs.shape[0])
+    pits = rng.uniform(size=xs.shape[0])
+    gam = np.linspace(0.0, 1.0, 7)
+    if kind == "CalibrationSet":
+        return CalibrationSet(xs, ys).xs
+    if kind == "LocalEmpiricalModel":
+        model = LocalEmpiricalModel(xs, pits, LocalEmpiricalConfig(k=3))
+        return model.predict_matrix(gam, xs)
+    reg = KnnMeanRegressor(CalibrationSet(xs, ys), k=3)
+    if kind == "KnnMeanRegressor.predict":
+        return reg.predict(xs)
+    # RegSplitModel's residuals are one predict call on the calibration rows
+    return RegSplitModel(lambda train: reg, None, CalibrationSet(xs, ys), 0.2).calibration.scores
+
+
+@pytest.mark.parametrize("kind", ["CalibrationSet", "LocalEmpiricalModel",
+                                  "KnnMeanRegressor.predict", "RegSplitModel"])
+def test_flat_xs_are_one_feature_rows(kind):
+    xs = np.linspace(-1.0, 1.0, 12) ** 3
+    assert np.array_equal(_flat_xs_outputs(kind, xs), _flat_xs_outputs(kind, xs[:, None]))

@@ -80,6 +80,20 @@ class TestCalibrate:
         assert "hpd" not in a
         assert "hpd" in b
 
+    def test_intervals_need_no_density(self, tmp_path, capsys):
+        # 100 rows and the default k of 10: at some of these x the recalibrated
+        # density has no mass left, but the CDF, which intervals read, is fine
+        run(["gen", "--example", "ex2-skewed", "--n", 100, "--seed", 7, "--out-dir", tmp_path])
+        xs = ";".join(repr(float(v)) for v in np.linspace(-1.0, 1.0, 41))
+        args = ["calibrate", "--data", tmp_path / "dataset.csv", "--eval-x=" + xs]
+        assert run(args + ["--out-dir", tmp_path / "int"]) == 0
+        sets = json.loads((tmp_path / "int" / "sets.json").read_text())["sets"]
+        assert len(sets) == 41
+        assert run(args + ["--hpd", "--out-dir", tmp_path / "hpd"]) == 3
+        assert "no positive mass" in capsys.readouterr().err
+        assert run(["bench", "--n", 100, "--realizations", 1, "--mc-draws", 10,
+                    "--out-dir", tmp_path / "bench"]) == 0
+
     def test_missing_dataset_no_partial_outputs(self, tmp_path):
         out = tmp_path / "cal"
         code = run(["calibrate", "--data", tmp_path / "absent.csv", "--out-dir", out])

@@ -8,7 +8,6 @@ from pitcal.errors import TrainingDiverged
 from pitcal.monotone_net import (
     MonotoneNetConfig,
     MonotoneNetModel,
-    _Params,
     _forward,
     _init_params,
     fit_monotone_net,
@@ -130,8 +129,8 @@ class TestPredictCurve:
     def test_batch_of_one_equals_reference(self, seed, dim, hidden, n_gammas):
         rng = np.random.default_rng(seed)
         # perturb every weight so the output depends on x and gamma
-        params = _Params({k: v + rng.normal(0.0, 0.5, size=v.shape)
-                          for k, v in _init_params(dim, hidden, rng).items()})
+        params = {k: v + rng.normal(0.0, 0.5, size=v.shape)
+                  for k, v in _init_params(dim, hidden, rng).items()}
         net = MonotoneNetModel(params, hidden, rng.normal(size=dim),
                                rng.uniform(0.5, 2.0, size=dim), MonotoneNetConfig(seed=1))
         gammas = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(size=n_gammas)]))
@@ -153,8 +152,8 @@ class TestPredictCurve:
 
     def test_one_feature_flat_xs_matches_column(self):
         rng = np.random.default_rng(4)
-        params = _Params({k: v + rng.normal(0.0, 0.5, size=v.shape)
-                          for k, v in _init_params(1, (6,), rng).items()})
+        params = {k: v + rng.normal(0.0, 0.5, size=v.shape)
+                  for k, v in _init_params(1, (6,), rng).items()}
         net = MonotoneNetModel(params, (6,), np.array([0.3]), np.array([1.7]),
                                MonotoneNetConfig(seed=1))
         gammas = np.linspace(0.0, 1.0, 9)
