@@ -88,6 +88,8 @@ class ExperimentRecipe:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if min(self.n, self.n_realizations, self.n_mc_draws) < 1:
             raise ConfigError("n, realizations and mc_draws must be >= 1")
+        if self.test_grid_size is not None and self.test_grid_size < 1:
+            raise ConfigError(f"test_grid_size must be >= 1, got {self.test_grid_size}")
 
     def to_config(self) -> dict:
         """The fields in order, with ``test_xs`` (when set) last as lists of floats."""

@@ -48,7 +48,8 @@ def _parse_value(raw: str):
         return raw
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, subparser: argparse.ArgumentParser) -> dict:
+    """The ``key = value`` lines of ``path``; each must suit a flag of ``subparser``."""
     out = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -62,37 +63,21 @@ def _read_config_file(path: str) -> dict:
                 out[key.strip().replace("-", "_")] = _parse_value(raw.strip())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return out
-
-
-def _resolve(args: argparse.Namespace, parser_defaults: dict) -> dict:
-    """Merge config-file values under explicit flags; flags win.
-
-    A file value must pass the same conversion and choices as its flag.
-    """
-    resolved = dict(parser_defaults)
-    if getattr(args, "config", None):
-        file_cfg = _read_config_file(args.config)
-        unknown = set(file_cfg) - set(parser_defaults)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in file_cfg.items():
-            convert, choices = args.flag_checks.get(key, (None, None))
-            if value is None:
-                continue
-            try:
-                if convert is not None:
-                    convert(str(value))
-            except ValueError:
-                raise ConfigError(f"{args.config}: {key}: invalid value {value!r}") from None
-            if choices is not None and value not in choices:
-                raise ConfigError(f"{args.config}: {key}: {value!r} is not one of {choices}")
-        resolved.update(file_cfg)
-    for key, value in vars(args).items():
-        if key in ("config", "func", "flag_checks") or value is None:
+    flags = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
+    unknown = set(out) - set(flags)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in out.items():
+        convert, choices = flags[key].type or str, flags[key].choices
+        if value is None:
             continue
-        resolved[key] = value
-    return resolved
+        try:
+            convert(str(value))
+        except ValueError:
+            raise ConfigError(f"{path}: {key}: invalid value {value!r}") from None
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{path}: {key}: {value!r} is not one of {choices}")
+    return out
 
 
 def _config_hash(cfg: dict) -> str:
@@ -111,7 +96,8 @@ def _meta(cfg: dict, seed: int) -> dict:
     return {"tool_version": __version__, "config_hash": _config_hash(cfg), "seed": seed}
 
 
-def _parse_points(spec: str) -> list:
+def _parse_points(spec: str, dim: int) -> np.ndarray:
+    """The points of ``spec`` as (n_points, dim) rows."""
     pts = []
     for chunk in spec.split(";"):
         chunk = chunk.strip()
@@ -123,7 +109,9 @@ def _parse_points(spec: str) -> list:
             raise ConfigError(f"bad evaluation point {chunk!r} in {spec!r}") from exc
     if not pts:
         raise ConfigError(f"no evaluation points in {spec!r}")
-    return pts
+    if any(x.size != dim for x in pts):
+        raise ConfigError(f"each point of {spec!r} needs {dim} component(s), one per data feature")
+    return np.stack(pts)
 
 
 def _ensure_outdir(path: str) -> Path:
@@ -136,12 +124,7 @@ def _ensure_outdir(path: str) -> Path:
 # gen
 # ----------------------------------------------------------------------
 
-def cmd_gen(args) -> int:
-    defaults = {
-        "example": "ex2-skewed", "n": 5000, "storms": 50, "seed": 0,
-        "out_dir": "out", "window_mode": "gapped",
-    }
-    cfg = _resolve(args, defaults)
+def cmd_gen(cfg: dict) -> int:
     size = "storms" if cfg["example"] == "tc" else "n"
     if int(cfg[size]) < 1:
         raise ConfigError(f"{size} must be >= 1, got {cfg[size]}")
@@ -177,23 +160,16 @@ def cmd_gen(args) -> int:
 # calibrate and diagnose
 # ----------------------------------------------------------------------
 
-# flags and defaults shared by calibrate and diagnose
-_PIPELINE_DEFAULTS = {
-    "data": None, "initial": "uniform", "eval_x": None, "out_dir": "out", "seed": 0,
-    "k": None, "weighting": "uniform", "mean_k": 50, "sd_scale": 1.0,
-    "train_fraction": 0.5, "grid_points": 201, "threads": None,
-}
-
-# network config keys -> (MonotoneNetConfig field, parser of the flag's string)
+# network flags -> (MonotoneNetConfig field, default, parser of the flag's string)
 _NET_FIELDS = {
-    "net_hidden": ("hidden_layers", lambda v: tuple(int(h) for h in str(v).split(","))),
-    "net_lr": ("learning_rate", float),
-    "net_lr_decay": ("lr_decay", float),
-    "net_weight_decay": ("weight_decay", float),
-    "net_batch": ("batch_size", int),
-    "net_patience": ("patience", int),
-    "net_val_fraction": ("val_fraction", float),
-    "net_max_epochs": ("max_epochs", int),
+    "net_hidden": ("hidden_layers", "64,64,64", lambda v: tuple(map(int, str(v).split(",")))),
+    "net_lr": ("learning_rate", 1e-3, float),
+    "net_lr_decay": ("lr_decay", 0.95, float),
+    "net_weight_decay": ("weight_decay", 0.01, float),
+    "net_batch": ("batch_size", 2048, int),
+    "net_patience": ("patience", 10, int),
+    "net_val_fraction": ("val_fraction", 0.1, float),
+    "net_max_epochs": ("max_epochs", 100, int),
 }
 
 
@@ -201,7 +177,7 @@ def _prepare(cfg: dict):
     """Read the data, then grid, split, initial model and PIT values.
 
     Returns ``(cal, initial, pits, points)``, where ``points`` are the parsed
-    ``eval_x`` points or None.
+    ``eval_x`` points as (n_points, d) rows, or None.
     """
     if not cfg["data"]:
         raise ConfigError("--data is required")
@@ -209,8 +185,8 @@ def _prepare(cfg: dict):
         raise ConfigError(f"dataset not found: {cfg['data']}")
     if int(cfg["grid_points"]) < 3:
         raise ConfigError(f"grid_points must be >= 3, got {cfg['grid_points']}")
-    points = _parse_points(str(cfg["eval_x"])) if cfg["eval_x"] else None
     data = read_calibration_csv(cfg["data"])
+    points = _parse_points(str(cfg["eval_x"]), data.dim) if cfg["eval_x"] else None
     grid = default_grid(data.ys, n_points=int(cfg["grid_points"]))
     if cfg["initial"] == "gaussian-fit":
         train, cal = split_calibration(data, cfg["train_fraction"])
@@ -223,7 +199,7 @@ def _prepare(cfg: dict):
 
 def _net_params(cfg: dict, seed: int) -> dict:
     params = {"seed": rngmod.derive_seed(seed, "net")}
-    for key, (name, parse) in _NET_FIELDS.items():
+    for key, (name, _, parse) in _NET_FIELDS.items():
         try:
             params[name] = parse(cfg[key])
         except ValueError as exc:
@@ -231,16 +207,7 @@ def _net_params(cfg: dict, seed: int) -> dict:
     return params
 
 
-_CAL_DEFAULTS = {
-    **_PIPELINE_DEFAULTS, "backend": "local", "alpha": 0.1, "hpd": False, "k_factor": 50,
-    "net_hidden": "64,64,64", "net_lr": 1e-3, "net_lr_decay": 0.95,
-    "net_weight_decay": 0.01, "net_batch": 2048, "net_patience": 10,
-    "net_val_fraction": 0.1, "net_max_epochs": 100,
-}
-
-
-def cmd_calibrate(args) -> int:
-    cfg = _resolve(args, _CAL_DEFAULTS)
+def cmd_calibrate(cfg: dict) -> int:
     alpha = float(cfg["alpha"])
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {cfg['alpha']}")
@@ -257,31 +224,28 @@ def cmd_calibrate(args) -> int:
     with open(out / "model.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
 
-    # intervals read the recalibrated CDF alone; only HPD sets build the density
+    # all points in one batch; intervals read the recalibrated CDF alone and
+    # only HPD sets build the density
     grid = initial.grid
     sets = []
-    for i, x in enumerate(points or []):
-        cdf = recalibrate_rows(initial, model, x.reshape(1, -1))
-        write_grid_csv(out / f"recal_cdf_{i}.csv", grid, cdf[0], comment=stamp)
-        interval = central_intervals(grid.points, cdf, 0.5 * alpha, 1.0 - 0.5 * alpha, 1.0 - alpha)
-        entry = {"x": [float(v) for v in x], "interval": interval[0].to_json()}
-        if cfg["hpd"]:
-            entry["hpd"] = calpit_hpd(recalibrated_distributions(grid, cdf)[0], alpha).to_json()
-        sets.append(entry)
+    if points is not None:
+        cdf = recalibrate_rows(initial, model, points)
+        intervals = central_intervals(grid.points, cdf, 0.5 * alpha, 1.0 - 0.5 * alpha,
+                                      1.0 - alpha)
+        hpds = [calpit_hpd(rd, alpha).to_json() for rd in
+                recalibrated_distributions(grid, cdf)] if cfg["hpd"] else None
+        for i, x in enumerate(points):
+            write_grid_csv(out / f"recal_cdf_{i}.csv", grid, cdf[i], comment=stamp)
+            sets.append({"x": [float(v) for v in x], "interval": intervals[i].to_json()})
+            if hpds:
+                sets[-1]["hpd"] = hpds[i]
     with open(out / "sets.json", "w", encoding="utf-8") as fh:
         json.dump({**_meta(cfg, seed), "alpha": cfg["alpha"], "sets": sets}, fh, indent=1)
     print(f"wrote {out / 'model.json'} and {len(sets)} evaluation points")
     return 0
 
 
-_DIAG_DEFAULTS = {
-    **_PIPELINE_DEFAULTS, "n_eval_points": 20, "n_mc": 100, "band_eta": 0.05,
-    "n_gammas": 21,
-}
-
-
-def cmd_diagnose(args) -> int:
-    cfg = _resolve(args, _DIAG_DEFAULTS)
+def cmd_diagnose(cfg: dict) -> int:
     n_mc = int(cfg["n_mc"])
     if n_mc < 20:
         raise ConfigError(f"n_mc must be >= 20 for the null band, got {n_mc}")
@@ -330,16 +294,7 @@ def cmd_diagnose(args) -> int:
 # bench
 # ----------------------------------------------------------------------
 
-_BENCH_DEFAULTS = {
-    "example": "ex2-skewed", "method": "calpit-int", "n": 5000, "alpha": 0.1,
-    "realizations": 10, "mc_draws": 1000, "seed": 0, "initial": "uniform",
-    "backend": "local", "k": None, "experiment": "full", "test_grid": None,
-    "out_dir": "out", "quick": False, "threads": None,
-}
-
-
-def cmd_bench(args) -> int:
-    cfg = _resolve(args, _BENCH_DEFAULTS)
+def cmd_bench(cfg: dict) -> int:
     out = _ensure_outdir(cfg["out_dir"])
     seed = int(cfg["seed"])
     realizations = int(cfg["realizations"])
@@ -361,7 +316,7 @@ def cmd_bench(args) -> int:
         backend=cfg["backend"],
         backend_params=backend_params,
         experiment=cfg["experiment"],
-        test_grid_size=int(cfg["test_grid"]) if cfg["test_grid"] else None,
+        test_grid_size=None if cfg["test_grid"] is None else int(cfg["test_grid"]),
     )
     n_threads = int(cfg["threads"]) if cfg["threads"] else (os.cpu_count() or 1)
     report = run_experiment(recipe, n_threads=n_threads)
@@ -383,26 +338,26 @@ def cmd_bench(args) -> int:
 
 def _add_common(p):
     """Flags every command takes; added last, after the command's own flags."""
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--config", default=None, help="key = value file; flags override")
-    # each flag's converter and choices, which _resolve applies to file values
-    p.set_defaults(flag_checks={a.dest: (a.type, a.choices) for a in p._actions})
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out-dir", dest="out_dir", default="out")
+    p.add_argument("--config", default=None,
+                   help="key = value file; its values beat the defaults and flags beat both")
+    # main hands a --config file's values to this subparser as its defaults
+    p.set_defaults(subparser=p)
 
 
 def _add_pipeline_flags(p):
     """Flags of the shared front half of calibrate and diagnose (see _prepare)."""
     p.add_argument("--data", default=None)
-    p.add_argument("--initial", choices=["uniform", "marginal", "gaussian-fit"], default=None)
+    p.add_argument("--initial", choices=["uniform", "marginal", "gaussian-fit"], default="uniform")
     p.add_argument("--eval-x", dest="eval_x", default=None,
                    help="semicolon-separated points, comma-separated components")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--weighting", choices=["uniform", "inverse-distance"], default=None)
-    p.add_argument("--mean-k", dest="mean_k", type=int, default=None)
-    p.add_argument("--sd-scale", dest="sd_scale", type=float, default=None)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
+    p.add_argument("--weighting", choices=["uniform", "inverse-distance"], default="uniform")
+    p.add_argument("--mean-k", dest="mean_k", type=int, default=50)
+    p.add_argument("--sd-scale", dest="sd_scale", type=float, default=1.0)
+    p.add_argument("--train-fraction", dest="train_fraction", type=float, default=0.5)
+    p.add_argument("--grid-points", dest="grid_points", type=int, default=201)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,50 +366,54 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate synthetic datasets with oracle metadata")
-    p.add_argument("--example", choices=["ex1", "ex2-skewed", "ex2-kurtotic", "tc"], default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--storms", type=int, default=None)
-    p.add_argument("--window-mode", dest="window_mode", choices=["overlapping", "gapped"], default=None)
+    p.add_argument("--example", choices=["ex1", "ex2-skewed", "ex2-kurtotic", "tc"],
+                   default="ex2-skewed")
+    p.add_argument("--n", type=int, default=5000)
+    p.add_argument("--storms", type=int, default=50)
+    p.add_argument("--window-mode", dest="window_mode", choices=["overlapping", "gapped"],
+                   default="gapped")
     _add_common(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("calibrate", help="fit the PIT-CDF map and emit recalibrated outputs")
     _add_pipeline_flags(p)
-    p.add_argument("--backend", choices=["local", "net"], default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--hpd", action="store_const", const=True, default=None)
-    p.add_argument("--k-factor", dest="k_factor", type=int, default=None)
-    for key in _NET_FIELDS:
-        p.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
+    p.add_argument("--backend", choices=["local", "net"], default="local")
+    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--hpd", action="store_true")
+    p.add_argument("--k-factor", dest="k_factor", type=int, default=50)
+    for key, (_, default, _) in _NET_FIELDS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, default=default)
     _add_common(p)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("diagnose", help="local P-P curves, bands, and coverage tests")
     _add_pipeline_flags(p)
-    p.add_argument("--n-eval-points", dest="n_eval_points", type=int, default=None)
-    p.add_argument("--n-mc", dest="n_mc", type=int, default=None)
-    p.add_argument("--band-eta", dest="band_eta", type=float, default=None)
-    p.add_argument("--n-gammas", dest="n_gammas", type=int, default=None)
+    p.add_argument("--n-eval-points", dest="n_eval_points", type=int, default=20)
+    p.add_argument("--n-mc", dest="n_mc", type=int, default=100)
+    p.add_argument("--band-eta", dest="band_eta", type=float, default=0.05)
+    p.add_argument("--n-gammas", dest="n_gammas", type=int, default=21)
+    p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     _add_common(p)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("bench", help="Monte Carlo conditional-coverage benchmark")
-    p.add_argument("--example", choices=["ex1", "ex2-skewed", "ex2-kurtotic"], default=None)
+    p.add_argument("--example", choices=["ex1", "ex2-skewed", "ex2-kurtotic"],
+                   default="ex2-skewed")
     p.add_argument("--method",
                    choices=["calpit-int", "calpit-hpd", "dcp", "regsplit", "oracle", "initial"],
-                   default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--realizations", type=int, default=None)
-    p.add_argument("--mc-draws", dest="mc_draws", type=int, default=None)
+                   default="calpit-int")
+    p.add_argument("--n", type=int, default=5000)
+    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--realizations", type=int, default=10)
+    p.add_argument("--mc-draws", dest="mc_draws", type=int, default=1000)
     p.add_argument("--initial", choices=["uniform", "marginal", "gaussian-fit", "generator"],
-                   default=None)
-    p.add_argument("--backend", choices=["local", "net"], default=None)
+                   default="uniform")
+    p.add_argument("--backend", choices=["local", "net"], default="local")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--experiment", choices=["full", "split"], default=None)
+    p.add_argument("--experiment", choices=["full", "split"], default="full")
     p.add_argument("--test-grid", dest="test_grid", type=int, default=None)
-    p.add_argument("--quick", action="store_const", const=True, default=None,
-                   help="preset: 3 realizations x 300 draws")
+    p.add_argument("--quick", action="store_true", help="preset: 3 realizations x 300 draws")
+    p.add_argument("--threads", type=int, default=None, help="scoring threads (default: CPUs)")
     _add_common(p)
     p.set_defaults(func=cmd_bench)
     return parser
@@ -468,7 +427,13 @@ def main(argv=None) -> int:
         # argparse uses code 2 for usage errors already; pass it through
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        if args.config:
+            # file values become the defaults, so explicit flags still win; the
+            # file passed its flags' checks, so the same argv parses again
+            args.subparser.set_defaults(**_read_config_file(args.config, args.subparser))
+            args = parser.parse_args(argv)
+        cfg = {k: v for k, v in vars(args).items() if k not in ("config", "func", "subparser")}
+        return args.func(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -46,8 +46,8 @@ class MonotoneNetConfig:
     def __post_init__(self):
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        if min(self.patience, self.batch_size, self.max_epochs) < 1:
+            raise ValueError("patience, batch_size and max_epochs must be >= 1")
         if any(h < 1 for h in self.hidden_layers):
             raise ValueError("hidden layer widths must be >= 1")
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))

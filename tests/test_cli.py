@@ -208,13 +208,14 @@ class TestConfigFile:
         assert "config=" in first and "seed=1" in first
 
 
-def _write_csv(path, n, constant_y=False):
+def _write_csv(path, n, constant_y=False, dim=1):
     rng = np.random.default_rng(3)
     with open(path, "w") as fh:
-        fh.write("x0,y\n")
+        fh.write("".join(f"x{j}," for j in range(dim)) + "y\n")
         for _ in range(n):
             y = 1.0 if constant_y else rng.uniform()
-            fh.write(f"{rng.uniform()!r},{y!r}\n")
+            xs = "".join(f"{rng.uniform()!r}," for _ in range(dim))
+            fh.write(f"{xs}{y!r}\n")
     return path
 
 
@@ -244,11 +245,39 @@ EXIT_CASES = [
     ("config_value_not_a_number", 300, False, ["calibrate"], 2, "error:"),
     ("config_value_not_a_choice", None, False, ["gen", "--example", "tc"], 2, "error:"),
     ("constant_response", 300, True, ["calibrate", "--eval-x=0.2"], 3, "numerical failure:"),
+    ("eval_x_two_components_one_feature", 300, False, ["calibrate", "--eval-x=0.1,0.2"],
+     2, "error:"),
+    ("eval_x_one_component_two_features", 300, False, ["calibrate", "--eval-x=0.5"],
+     2, "error:"),
+    ("diagnose_eval_x_one_component_two_features", 300, False,
+     ["diagnose", "--eval-x=0.5", "--n-mc", 20], 2, "error:"),
+    ("diagnose_eval_x_two_components_one_feature", 300, False,
+     ["diagnose", "--eval-x=0.1,0.9", "--n-mc", 20], 2, "error:"),
+    ("net_batch_zero", 300, False, ["calibrate", "--backend", "net", "--net-batch", 0],
+     2, "error:"),
+    ("net_max_epochs_zero", 300, False,
+     ["calibrate", "--backend", "net", "--net-max-epochs", 0], 2, "error:"),
+    ("bench_test_grid_negative", None, False,
+     ["bench", "--n", 50, "--realizations", 1, "--mc-draws", 10, "--test-grid", -3],
+     2, "error:"),
+    ("bench_test_grid_zero", None, False,
+     ["bench", "--n", 50, "--realizations", 1, "--mc-draws", 10, "--test-grid", 0],
+     2, "error:"),
+    ("sd_scale_zero", 300, False,
+     ["calibrate", "--initial", "gaussian-fit", "--sd-scale", 0], 2, "error:"),
+    ("sd_scale_negative", 300, False,
+     ["calibrate", "--initial", "gaussian-fit", "--sd-scale", -1], 2, "error:"),
+    ("gen_threads_unknown", None, False, ["gen", "--threads", 1], 2, "usage:"),
+    ("calibrate_threads_unknown", 300, False, ["calibrate", "--threads", 1], 2, "usage:"),
 ]
 
 # cases that also read a --config file with this text
 EXIT_CONFIG_FILES = {"config_value_not_a_number": "alpha = abc\n",
                      "config_value_not_a_choice": "window_mode = foo\n"}
+
+# cases whose dataset has two features
+EXIT_TWO_FEATURES = {"eval_x_one_component_two_features",
+                     "diagnose_eval_x_one_component_two_features"}
 
 
 @pytest.mark.parametrize("case,rows,constant_y,args,code,prefix", EXIT_CASES,
@@ -256,7 +285,8 @@ EXIT_CONFIG_FILES = {"config_value_not_a_number": "alpha = abc\n",
 def test_documented_exit_codes(tmp_path, capsys, case, rows, constant_y, args, code, prefix):
     argv = list(args)
     if rows is not None:
-        argv += ["--data", _write_csv(tmp_path / "data.csv", rows, constant_y)]
+        dim = 2 if case in EXIT_TWO_FEATURES else 1
+        argv += ["--data", _write_csv(tmp_path / "data.csv", rows, constant_y, dim)]
     if case in EXIT_CONFIG_FILES:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(EXIT_CONFIG_FILES[case])

@@ -160,7 +160,7 @@ CLI_CASES = [
 
 @pytest.mark.parametrize("initial,backend,k,weighting", CLI_CASES)
 def test_cli_assembly_matches_frozen_helpers(csv_path, initial, backend, k, weighting):
-    cfg = {**cli._CAL_DEFAULTS, **TINY_NET, "data": str(csv_path), "initial": initial,
+    cfg = {**vars(cli.build_parser().parse_args(["calibrate"])), **TINY_NET, "data": str(csv_path), "initial": initial,
            "backend": backend, "k": k, "weighting": weighting, "k_factor": 3,
            "mean_k": 30, "sd_scale": 1.3, "train_fraction": 0.4}
     seed = 11
