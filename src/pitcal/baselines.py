@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .calibrate import CalibrationSet, PredictionSet, central_intervals, compute_pit_values
+from .calibrate import (CalibrationSet, PredictionSet, StandardizedNeighbours, central_intervals,
+                        compute_pit_values)
 from .errors import InsufficientCalibration
 from .models import cdf_rows
 
@@ -52,21 +52,16 @@ class ConformalCalibration:
         return float(self.scores[self.quantile_index - 1])
 
 
-class KnnMeanRegressor:
+class KnnMeanRegressor(StandardizedNeighbours):
     """Nearest-neighbor mean in standardized feature space."""
 
     def __init__(self, train: CalibrationSet, k: int = 50):
-        self.k = min(k, len(train))
-        self.mean = train.xs.mean(axis=0)
-        self.scale = np.where(train.xs.std(axis=0) > 0, train.xs.std(axis=0), 1.0)
-        self._tree = cKDTree((train.xs - self.mean) / self.scale)
+        self._build_tree(train.xs, min(k, len(train)))
         self._ys = train.ys
 
     def predict(self, xs) -> np.ndarray:
         """Neighbour means, one per row of ``xs``: (n, d), or (n,) for one feature."""
-        q = (np.asarray(xs, dtype=float).reshape(-1, self.mean.size) - self.mean) / self.scale
-        _, idx = self._tree.query(q, k=self.k)  # drops the neighbour axis when k == 1
-        return self._ys[idx.reshape(q.shape[0], self.k)].mean(axis=1)
+        return self._ys[self._query(xs)[1]].mean(axis=1)
 
     def __call__(self, x) -> float:
         return float(self.predict(x)[0])

@@ -215,8 +215,7 @@ def _prediction_sets(recipe: ExperimentRecipe, data, train: CalibrationSet,
         return DcpModel(initial, cal, alpha).predict_sets(xs)
 
     pits = compute_pit_values(initial, cal)
-    fit_args = {key: params.pop(key) for key in ("k", "bandwidth", "weighting", "k_factor")
-                if key in params}
+    fit_args = {key: params.pop(key) for key in ("k", "weighting", "k_factor") if key in params}
     r = fit_pit_model(cal, pits, recipe.backend, rep_seed, **fit_args, net=params)
     cdf = recalibrate_rows(initial, r, xs)
     if recipe.method == "calpit-int":

@@ -216,90 +216,77 @@ class IdentityPitCdf(PitCdfModel):
         return {"format_version": MODEL_FORMAT_VERSION, "backend": self.backend}
 
 
-@dataclass(frozen=True)
-class LocalEmpiricalConfig:
-    """Neighborhood rule for the local empirical backend.
+class StandardizedNeighbours:
+    """The ``k`` nearest training rows in standardized feature space.
 
-    Exactly one of ``k`` (neighbor count) or ``bandwidth`` (radius in
-    standardized feature units) must be set.
+    Features are centred by ``mean`` and divided by ``scale`` (1 where a
+    feature does not vary) before the k-d tree ``_tree`` is built.
     """
 
-    k: int | None = None
-    bandwidth: float | None = None
+    def _build_tree(self, xs, k: int, mean=None, scale=None):
+        if mean is None:
+            mean = xs.mean(axis=0)
+            scale = xs.std(axis=0)
+            scale = np.where(scale > 0, scale, 1.0)
+        self.mean = np.asarray(mean, dtype=float)
+        self.scale = np.asarray(scale, dtype=float)
+        self.k = int(k)
+        self._tree = cKDTree((xs - self.mean) / self.scale)
+
+    def _query(self, xs):
+        """``(dist, idx)`` of each row of ``xs``, each (n_x, k); ``xs`` is (n_x, d) or (n_x,)."""
+        q = (np.asarray(xs, dtype=float).reshape(-1, self.mean.size) - self.mean) / self.scale
+        dist, idx = self._tree.query(q, k=self.k)  # drops the neighbour axis when k == 1
+        return dist.reshape(q.shape[0], self.k), idx.reshape(q.shape[0], self.k)
+
+
+@dataclass(frozen=True)
+class LocalEmpiricalConfig:
+    """Neighbourhood rule for the local empirical backend: ``k`` nearest neighbours."""
+
+    k: int
     weighting: str = "uniform"
 
     def __post_init__(self):
-        if (self.k is None) == (self.bandwidth is None):
-            raise ValueError("set exactly one of k or bandwidth")
-        if self.k is not None and self.k < 1:
+        if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError("bandwidth must be > 0")
         if self.weighting not in ("uniform", "inverse-distance"):
             raise ValueError(f"unknown weighting {self.weighting!r}")
 
 
-class LocalEmpiricalModel(PitCdfModel):
-    """Weighted empirical CDF of PIT values over nearest calibration points.
+class LocalEmpiricalModel(PitCdfModel, StandardizedNeighbours):
+    """Weighted empirical CDF of PIT values over the k nearest calibration points.
 
     predict(gamma; x) = sum_i w_i(x) I(pit_i <= gamma), with the weights
-    supported on the neighborhood of x in standardized feature space. The
-    curve is a nondecreasing step function of gamma by construction.
+    supported on the k nearest neighbours of x in standardized feature space.
+    The curve is a nondecreasing step function of gamma by construction.
     """
 
     backend = "local-empirical"
 
-    def __init__(self, xs, pit_values, cfg: LocalEmpiricalConfig,
-                 mean=None, scale=None):
+    def __init__(self, xs, pit_values, cfg: LocalEmpiricalConfig, mean=None, scale=None):
         self.xs = feature_rows(xs)
         self.pit_values = np.asarray(pit_values, dtype=float).ravel()
         if self.xs.shape[0] != self.pit_values.shape[0]:
             raise LengthMismatch("feature rows and pit values differ in length")
         self.cfg = cfg
-        if mean is None:
-            mean = self.xs.mean(axis=0)
-            scale = self.xs.std(axis=0)
-            scale = np.where(scale > 0, scale, 1.0)
-        self.mean = np.asarray(mean, dtype=float)
-        self.scale = np.asarray(scale, dtype=float)
-        self._std_xs = (self.xs - self.mean) / self.scale
-        self._tree = cKDTree(self._std_xs)
+        self._build_tree(self.xs, cfg.k, mean, scale)
 
     def _neighborhoods(self, xs):
-        """Neighbour indices and normalized weights of each feature row, each (n_x, m).
-
-        Bandwidth neighbourhoods differ in size: a short row is padded with
-        index -1 and weight 0, and an empty ball takes the nearest point.
-        """
-        q = (np.asarray(xs, dtype=float).reshape(-1, self.mean.size) - self.mean) / self.scale
-        if self.cfg.k is not None:
-            dist, idx = self._tree.query(q, k=self.cfg.k)
-            idx = idx.reshape(q.shape[0], -1)
-            return idx, self._weights(dist.reshape(idx.shape))
-        balls = [sorted(ball) or [self._tree.query(qi, k=1)[1]]
-                 for qi, ball in zip(q, self._tree.query_ball_point(q, self.cfg.bandwidth))]
-        idx = np.full((q.shape[0], max(map(len, balls))), -1)
-        w = np.zeros(idx.shape)
-        for r, ball in enumerate(balls):
-            idx[r, :len(ball)] = ball
-            w[r, :len(ball)] = self._weights(np.linalg.norm(self._std_xs[ball] - q[r], axis=1))
-        return idx, w
-
-    def _weights(self, dist):
-        """Normalized weights of each row of neighbour distances."""
+        """Neighbour indices and normalized weights of each feature row, each (n_x, k)."""
+        dist, idx = self._query(xs)
         if self.cfg.weighting == "inverse-distance":
             # offset by the mean distance so a coincident point cannot
             # swallow the whole neighborhood
             w = 1.0 / (dist + np.mean(dist, axis=-1, keepdims=True) + 1e-300)
         else:
             w = np.ones(dist.shape)
-        return w / w.sum(axis=-1, keepdims=True)
+        return idx, w / w.sum(axis=-1, keepdims=True)
 
     def predict_matrix(self, gammas, xs) -> np.ndarray:
         """One neighbourhood query for all rows of ``xs``, then each row's weighted ECDF."""
         idx, w = self._neighborhoods(xs)
-        pits = np.where(idx >= 0, self.pit_values[idx], np.inf)
-        return _weighted_ecdf(pits, w, _gamma_rows(gammas, idx.shape[0]))
+        return _weighted_ecdf(self.pit_values[idx], w, _gamma_rows(gammas, idx.shape[0]))
 
     def predict_curves(self, pit_rows, gammas, x) -> np.ndarray:
         """r(gamma; x) for each row of PIT values (one per feature row), shape (rows, G).
@@ -329,26 +316,25 @@ class LocalEmpiricalModel(PitCdfModel):
 
     @classmethod
     def from_json(cls, doc: dict) -> "LocalEmpiricalModel":
-        cfg = LocalEmpiricalConfig(**doc["config"])
+        """Load a model file; older files hold ``"bandwidth": null``, which is dropped."""
+        config = dict(doc["config"])
+        if config.pop("bandwidth", None) is not None:
+            raise PitcalError("radius (bandwidth) neighbourhoods are no longer supported")
         return cls(
-            np.array(doc["xs"]), np.array(doc["pit_values"]), cfg,
+            np.array(doc["xs"]), np.array(doc["pit_values"]), LocalEmpiricalConfig(**config),
             mean=np.array(doc["standardization"]["mean"]),
             scale=np.array(doc["standardization"]["scale"]),
         )
 
 
 def _weighted_ecdf(pits, w, gammas) -> np.ndarray:
-    """Weight of the (R, m) ``pits`` at or below each of the (R, G) ``gammas``, per row.
-
-    PIT values of +inf pad short rows with weight 0; each row's full weight is exactly 1.
-    """
+    """Weight of the (R, m) ``pits`` at or below each of the (R, G) ``gammas``; rows sum to 1."""
     r = np.arange(pits.shape[0])[:, None]
     order = np.argsort(pits, axis=1, kind="stable")
     pits_sorted = pits[r, order]
     cumw = np.zeros((pits.shape[0], pits.shape[1] + 1))
     np.cumsum(w[r, order], axis=1, out=cumw[:, 1:])
     cumw[:, -1] = 1.0
-    cumw[:, :-1][np.isinf(pits_sorted)] = 1.0
     out = [c[np.searchsorted(p, g, side="right")] for p, c, g in zip(pits_sorted, cumw, gammas)]
     return np.clip(np.array(out), 0.0, 1.0)
 
@@ -364,7 +350,7 @@ def fit_local_empirical(cal: CalibrationSet, pit_values, cfg: LocalEmpiricalConf
     pit_values = np.asarray(pit_values, dtype=float).ravel()
     if pit_values.shape[0] != len(cal):
         raise LengthMismatch(f"{pit_values.shape[0]} pit values for {len(cal)} rows")
-    if cfg.k is not None and cfg.k > len(cal):
+    if cfg.k > len(cal):
         raise InsufficientData(f"k={cfg.k} exceeds n={len(cal)}")
     return LocalEmpiricalModel(cal.xs, pit_values, cfg)
 

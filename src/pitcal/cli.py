@@ -70,6 +70,9 @@ def _read_config_file(path: str, subparser: argparse.ArgumentParser) -> dict:
     for key, value in out.items():
         convert, choices = flags[key].type or str, flags[key].choices
         if value is None:
+            if flags[key].default is not None:
+                raise ConfigError(f"{path}: {key}: null given for a setting whose default "
+                                  f"is {flags[key].default!r}")
             continue
         try:
             convert(str(value))
@@ -255,23 +258,23 @@ def cmd_diagnose(cfg: dict) -> int:
     n_gammas = int(cfg["n_gammas"])
     if n_gammas < 1:
         raise ConfigError(f"n_gammas must be >= 1, got {n_gammas}")
+    n_eval_points = int(cfg["n_eval_points"])
+    if n_eval_points < 1:
+        raise ConfigError(f"n_eval_points must be >= 1, got {n_eval_points}")
     gammas = np.linspace(0.05, 0.95, n_gammas)
     seed = int(cfg["seed"])
     cal, initial, pits, points = _prepare(cfg)
 
-    # null refits always use the local backend, the one the test is valid for
-    def fit_fn(c, p):
-        return fit_pit_model(c, p, "local", seed, k=cfg["k"], weighting=cfg["weighting"])
-
-    observed = fit_fn(cal, pits)
+    # the local backend, the one the test is valid for
+    observed = fit_pit_model(cal, pits, "local", seed, k=cfg["k"], weighting=cfg["weighting"])
     if points is None:
-        points = [cal.xs[i] for i in range(min(int(cfg["n_eval_points"]), len(cal)))]
+        points = [cal.xs[i] for i in range(min(n_eval_points, len(cal)))]
     stamp = _stamp(cfg, seed)
     out = _ensure_outdir(cfg["out_dir"])
 
     results = []
     for i, x in enumerate(points):
-        res, curve = mc_local_test(observed, fit_fn, cal, x, n_mc, gammas, eta=eta,
+        res, curve = mc_local_test(observed, x, n_mc, gammas, eta=eta,
                                    seed=rngmod.derive_seed(seed, "diagnose", i))
         with open(out / f"alp_{i}.csv", "w", encoding="utf-8") as fh:
             fh.write(f"# {stamp}\n")

@@ -5,10 +5,11 @@ The local coverage test (Zhao, Izbicki & Lee, UAI 2021) measures the mean
 squared deviation of the fitted PIT-CDF curve from the diagonal over a gamma
 grid. Its null distribution is simulated by refitting the regression on B
 resampled uniform PIT vectors, which is valid for local estimators whose fit
-at x only uses calibration points near x: the k-nearest-neighbor backend
-qualifies, network fits do not. :func:`mc_local_test` runs it in one pass per
-x: one neighbourhood query, each null vector drawn once, and one (B, G) array
-of null curves giving the statistic, the p-value and the band. The p-value is
+at x only uses calibration points near x: the k-nearest-neighbour backend
+(:class:`LocalEmpiricalModel`) qualifies, network fits do not, and the test
+takes no other backend. :func:`mc_local_test` runs it in one pass per x: one
+neighbourhood query, each null vector drawn once, and one (B, G) array of
+null curves giving the statistic, the p-value and the band. The p-value is
 #{T_b > T_obs}/B, not the (1 + #{T_b >= T_obs})/(B + 1) of Phipson & Smyth
 (2010), because the acceptance tests and benchmark references fix it exactly.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import rng as rngmod
-from .calibrate import CalibrationSet, PitCdfModel
+from .calibrate import CalibrationSet, LocalEmpiricalModel, PitCdfModel
 from .errors import LengthMismatch
 from .grid import GridDensity
 
@@ -86,23 +87,25 @@ def local_test_statistic(r: PitCdfModel, x, gammas=None) -> float:
     return float(_deviation(np.asarray(r.predict_curve(g, x), dtype=float), g))
 
 
-def mc_local_test(observed: PitCdfModel, fit_fn, cal: CalibrationSet, x, n_mc: int,
-                  gammas, eta: float = 0.05, seed: int = 0):
+def mc_local_test(observed: LocalEmpiricalModel, x, n_mc: int, gammas, eta=0.05, seed=0):
     """Local coverage test at ``x`` in one pass; returns ``(LocalTestResult, AlpCurve)``.
 
-    ``observed`` is fitted on the observed PIT values of ``cal``. Replicate b
-    refits it on ``derived_rng(seed, "null-pits", b)`` uniforms: all at once
-    through ``observed.predict_curves`` when it has one, else by ``fit_fn``.
-    The curve holds the observed r(gamma; x) and the nearest-rank band: with
-    k = floor(B * eta / 2), the (k+1)-th and (B-k)-th smallest null values.
+    ``observed`` is the local-empirical fit on the observed PIT values.
+    Replicate b refits it on ``derived_rng(seed, "null-pits", b)`` uniforms,
+    one per calibration row, and the observed fit (row 0 of the curves) and
+    all replicates share one neighbourhood query through
+    ``observed.predict_curves``. The curve holds the observed
+    r(gamma; x) and the nearest-rank band: with k = floor(B * eta / 2), the
+    (k+1)-th and (B-k)-th smallest null values. Any other backend raises
+    :class:`TypeError`.
     """
+    if not isinstance(observed, LocalEmpiricalModel):
+        raise TypeError("the local coverage test needs the local-empirical backend, "
+                        f"got {type(observed).__name__}")
     g = np.asarray(gammas, dtype=float)
-    nulls = (rngmod.derived_rng(seed, "null-pits", b).uniform(size=len(cal)) for b in range(n_mc))
-    if hasattr(observed, "predict_curves"):  # row 0, the observed fit, shares the query
-        curves = observed.predict_curves(itertools.chain([observed.pit_values], nulls), g, x)
-    else:
-        curves = np.array([observed.predict_curve(g, x)]
-                          + [fit_fn(cal, p).predict_curve(g, x) for p in nulls], dtype=float)
+    n = observed.pit_values.size
+    nulls = (rngmod.derived_rng(seed, "null-pits", b).uniform(size=n) for b in range(n_mc))
+    curves = observed.predict_curves(itertools.chain([observed.pit_values], nulls), g, x)
     stats = _deviation(curves, g)
     ranked = np.sort(curves[1:], axis=0)
     k = int(np.floor(n_mc * eta / 2.0))
@@ -116,18 +119,19 @@ def mc_p_value(fit_fn, cal: CalibrationSet, pit_values, x, n_mc: int,
                gammas=None, seed: int = 0) -> LocalTestResult:
     """Monte Carlo p-value of the local null "the model is exact near x".
 
-    ``fit_fn(cal, pit_values) -> PitCdfModel`` must be the same backend and
-    configuration used for the observed statistic. Runs :func:`mc_local_test`
-    once. The p-value is the fraction of null replicates whose statistic
-    strictly exceeds the observed one, #{T_b > T_obs}/B, so it lives on the
-    lattice {0, 1/B, ..., 1}; Phipson & Smyth's (1 + #{T_b >= T_obs})/(B + 1)
-    is not used, because acceptance 7 and the benchmark references fix it.
+    ``fit_fn(cal, pit_values)`` fits the observed model, which must be a
+    :class:`LocalEmpiricalModel`; :func:`mc_local_test` runs once and refits
+    it on each null replicate. The p-value is the fraction of null replicates
+    whose statistic strictly exceeds the observed one, #{T_b > T_obs}/B, so it
+    lives on the lattice {0, 1/B, ..., 1}; Phipson & Smyth's
+    (1 + #{T_b >= T_obs})/(B + 1) is not used, because acceptance 7 and the
+    benchmark references fix it.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     g = DEFAULT_TEST_GAMMAS if gammas is None else gammas
     observed = fit_fn(cal, np.asarray(pit_values, dtype=float))
-    return mc_local_test(observed, fit_fn, cal, x, n_mc, g, seed=seed)[0]
+    return mc_local_test(observed, x, n_mc, g, seed=seed)[0]
 
 
 def mc_confidence_band(fit_fn, cal: CalibrationSet, pit_values, x, n_mc: int,
@@ -141,7 +145,7 @@ def mc_confidence_band(fit_fn, cal: CalibrationSet, pit_values, x, n_mc: int,
     if n_mc < 20:
         raise ValueError("need at least 20 replicates for a useful band")
     observed = fit_fn(cal, np.asarray(pit_values, dtype=float))
-    curve = mc_local_test(observed, fit_fn, cal, x, n_mc, gammas, eta=eta, seed=seed)[1]
+    curve = mc_local_test(observed, x, n_mc, gammas, eta=eta, seed=seed)[1]
     return curve.band_lo, curve.band_hi
 
 

@@ -19,9 +19,8 @@ Conventions
   :func:`knot_slopes`, five-secant windows in ``_segment_slopes``),
   ``_hermite`` is the only Hermite basis (:meth:`MonotoneSpline.__call__`,
   ``_pit_rows`` and :func:`invert_rows`), ``_pit_rows`` is the only PIT
-  evaluator (:func:`pit` is a batch of one, :func:`pit_matrix` integrates
-  density rows and calls it), and :func:`invert_rows` is the only quantile
-  inverter (:func:`invert_cdf` is a batch of one).
+  evaluator (:func:`pit` is a batch of one), and :func:`invert_rows` is the
+  only quantile inverter (:func:`invert_cdf` is a batch of one).
 * Point queries touch only the spline segment they land in: quantile
   inversion bisects within one segment, and PIT evaluation limits the slopes
   of the queried segment alone. Both equal the whole-spline computation bit
@@ -306,7 +305,7 @@ def invert_cdf(c: GridCdf, p: float) -> float:
 def pit(c: GridCdf, y: float) -> float:
     """Interpolated CDF value at ``y``, clamped to {0, 1} off the grid.
 
-    A batch of one of :func:`_pit_rows`, the evaluator :func:`pit_matrix` uses.
+    A batch of one of :func:`_pit_rows`.
     """
     return float(_pit_rows(c.grid.points, c.values[None, :], np.array([y], dtype=float))[0])
 
@@ -457,13 +456,6 @@ def invert_rows(points: np.ndarray, cdf_rows: np.ndarray, ps) -> np.ndarray:
             break
     out[e] = hi
     return out.reshape(shape)
-
-
-def pit_matrix(grid: YGrid, density_rows: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """PIT of one response per density row: each row integrated, then :func:`_pit_rows`."""
-    pts = grid.points
-    cdf_rows = cdf_rows_from_density_rows(pts, np.asarray(density_rows, dtype=float))
-    return _pit_rows(pts, cdf_rows, np.asarray(ys, dtype=float))
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,12 @@ def default_k(n: int) -> int:
 
 
 def split_calibration(data: CalibrationSet, fraction: float):
-    """(train, cal): the first ``int(n * fraction)`` rows train, the rest calibrate."""
+    """(train, cal): the first ``int(n * fraction)`` rows train, the rest calibrate.
+
+    A fraction outside (0, 1), NaN included, or an empty part is a configuration error.
+    """
+    if not 0.0 < float(fraction) < 1.0:
+        raise ConfigError(f"train fraction must be in (0, 1), got {fraction}")
     n_train = int(len(data) * float(fraction))
     if n_train < 1 or n_train >= len(data):
         raise ConfigError(f"train fraction {fraction} leaves an empty split of {len(data)} rows")
@@ -61,24 +66,22 @@ def build_initial(kind: str, grid, train: CalibrationSet, *, mean_k=50, sd_scale
 
 
 def fit_pit_model(cal: CalibrationSet, pits, backend: str, seed: int, *, k=None,
-                  bandwidth=None, weighting="uniform", k_factor=50, net=None):
+                  weighting="uniform", k_factor=50, net=None):
     """Fit the PIT-CDF map r(gamma; x) with the named backend.
 
-    ``local`` uses ``k`` neighbours (:func:`default_k` when neither ``k`` nor
-    ``bandwidth`` is set); a ``k`` above the calibration row count is a
-    configuration error. ``net`` holds :class:`MonotoneNetConfig` fields; its
-    ``seed`` defaults to ``seed``, and the augmentation draws from
+    ``local`` uses the ``k`` nearest neighbours (:func:`default_k` when ``k``
+    is None); a ``k`` above the calibration row count is a configuration
+    error. ``net`` holds :class:`MonotoneNetConfig` fields; its ``seed``
+    defaults to ``seed``, and the augmentation draws from
     ``derive_seed(seed, "augment")`` with ``k_factor`` levels per row.
     """
     if backend == "local":
-        if k is None and bandwidth is None:
-            k = default_k(len(cal))
         try:
-            cfg = LocalEmpiricalConfig(k=int(k) if k is not None else None,
-                                       bandwidth=bandwidth, weighting=weighting)
+            cfg = LocalEmpiricalConfig(k=default_k(len(cal)) if k is None else int(k),
+                                       weighting=weighting)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if cfg.k is not None and cfg.k > len(cal):
+        if cfg.k > len(cal):
             raise ConfigError(f"k={cfg.k} exceeds the {len(cal)} calibration rows")
         return fit_local_empirical(cal, pits, cfg)
     if backend == "net":

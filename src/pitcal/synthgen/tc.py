@@ -49,7 +49,6 @@ class TcModelConfig:
     pca_eofs: np.ndarray  # (3, 80)
     profile_mean: np.ndarray  # (80,)
     step_minutes: int = 30
-    var_order: int = 3
     storm_length_range: tuple = (400, 700)
     initial_intensity_range: tuple = (25.0, 45.0)
 

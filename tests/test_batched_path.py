@@ -48,16 +48,8 @@ def frozen_model_cdf(model, x):
 def frozen_local_curve(model, gammas, x):
     """The local backend's single-point neighbourhood and weighted ECDF."""
     q = (np.asarray(x, dtype=float).ravel() - model.mean) / model.scale
-    if model.cfg.k is not None:
-        dist, idx = model._tree.query(q, k=model.cfg.k)
-        dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
-    else:
-        idx = np.array(sorted(model._tree.query_ball_point(q, model.cfg.bandwidth)), dtype=int)
-        if idx.size == 0:
-            dist, idx = model._tree.query(q, k=1)
-            dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
-        else:
-            dist = np.linalg.norm(model._std_xs[idx] - q, axis=1)
+    dist, idx = model._tree.query(q, k=model.cfg.k)
+    dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
     if model.cfg.weighting == "inverse-distance":
         w = 1.0 / (dist + np.mean(dist) + 1e-300)
     else:
@@ -169,8 +161,7 @@ def frozen_constructor(recipe, data, train, cal, rep_seed):
         return lambda x: frozen_interval(initial_spline(x), max(0.0, 0.5 - q),
                                          min(1.0, 0.5 + q), level)
     pits = compute_pit_values(initial, cal)
-    fit_args = {key: params.pop(key) for key in ("k", "bandwidth", "weighting", "k_factor")
-                if key in params}
+    fit_args = {key: params.pop(key) for key in ("k", "weighting", "k_factor") if key in params}
     r = fit_pit_model(cal, pits, recipe.backend, rep_seed, **fit_args, net=params)
     if recipe.method == "calpit-int":
         return lambda x: frozen_interval(frozen_recalibrate(initial, r, x)[2],
@@ -265,7 +256,7 @@ def test_local_uniform_equals_frozen_exactly(generator, method):
 
 
 @pytest.mark.parametrize("method", ["calpit-int", "calpit-hpd"])
-@pytest.mark.parametrize("params", [{"bandwidth": 0.4}, {"k": 30, "weighting": "inverse-distance"}])
+@pytest.mark.parametrize("params", [{"k": 30, "weighting": "inverse-distance"}])
 def test_local_neighbourhood_rules_equal_frozen_exactly(method, params):
     recipe = recipe_for("ex2-skewed", method, backend_params=params)
     assert_batched_equals_frozen(recipe, 0.0)

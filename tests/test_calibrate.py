@@ -174,6 +174,20 @@ class TestLocalEmpirical:
             curve = model.predict_curve(gam, [xv])
             assert np.max(np.abs(curve - gam)) <= eps
 
+    def test_knn_mean_shares_the_standardized_tree(self):
+        # the second feature is constant, so its scale is 1; k == 1 keeps the
+        # neighbour axis
+        xs = np.column_stack([np.linspace(-1, 1, 9), np.full(9, 3.0)])
+        model = fit_local_empirical(CalibrationSet(xs, np.zeros(9)),
+                                    np.linspace(0.05, 0.95, 9), LocalEmpiricalConfig(k=1))
+        knn = KnnMeanRegressor(CalibrationSet(xs, np.arange(9.0)), k=1)
+        assert model.scale[1] == 1.0
+        assert np.array_equal(knn.mean, model.mean) and np.array_equal(knn.scale, model.scale)
+        dist, idx = model._query(xs[[2, 7]])
+        assert dist.shape == idx.shape == (2, 1)
+        assert idx[:, 0].tolist() == [2, 7]
+        assert knn.predict(xs[[2, 7]]).tolist() == [2.0, 7.0]
+
     def test_k_too_large(self):
         cal = CalibrationSet(np.zeros((3, 1)), np.zeros(3))
         with pytest.raises(InsufficientData):
@@ -181,19 +195,11 @@ class TestLocalEmpirical:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            LocalEmpiricalConfig(k=3, bandwidth=0.5)
-        with pytest.raises(ValueError):
+            LocalEmpiricalConfig(k=0)
+        with pytest.raises(TypeError):
             LocalEmpiricalConfig()
         with pytest.raises(ValueError):
             LocalEmpiricalConfig(k=3, weighting="nope")
-
-    def test_bandwidth_mode(self):
-        rng = np.random.default_rng(8)
-        cal = CalibrationSet(rng.uniform(-1, 1, size=(200, 1)), np.zeros(200))
-        pits = rng.uniform(size=200)
-        model = fit_local_empirical(cal, pits, LocalEmpiricalConfig(bandwidth=0.5))
-        val = model.predict(0.5, [0.0])
-        assert 0.0 <= val <= 1.0
 
     def test_monotone_in_gamma_exactly(self):
         rng = np.random.default_rng(5)

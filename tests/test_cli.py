@@ -269,11 +269,16 @@ EXIT_CASES = [
      ["calibrate", "--initial", "gaussian-fit", "--sd-scale", -1], 2, "error:"),
     ("gen_threads_unknown", None, False, ["gen", "--threads", 1], 2, "usage:"),
     ("calibrate_threads_unknown", 300, False, ["calibrate", "--threads", 1], 2, "usage:"),
+    ("config_null_for_a_default", None, False, ["gen"], 2, "error:"),
+    ("train_fraction_nan", 300, False,
+     ["calibrate", "--initial", "gaussian-fit", "--train-fraction", "nan"], 2, "error:"),
+    ("diagnose_no_eval_points", 300, False, ["diagnose", "--n-eval-points", 0], 2, "error:"),
 ]
 
 # cases that also read a --config file with this text
 EXIT_CONFIG_FILES = {"config_value_not_a_number": "alpha = abc\n",
-                     "config_value_not_a_choice": "window_mode = foo\n"}
+                     "config_value_not_a_choice": "window_mode = foo\n",
+                     "config_null_for_a_default": "seed = null\n"}
 
 # cases whose dataset has two features
 EXIT_TWO_FEATURES = {"eval_x_one_component_two_features",

@@ -101,32 +101,25 @@ class TestLocalTestStatistic:
         assert local_test_statistic(Square(), [0.0], np.array([0.5])) == pytest.approx(0.0625)
 
 
-class _CannedModel(PitCdfModel):
-    backend = "stub"
-
-    def __init__(self, value):
-        self.value = value
-
-    def predict_curve(self, gammas, x):
-        return np.full(np.asarray(gammas, dtype=float).shape, self.value)
-
-
 class TestMcPValue:
     def test_zero_statistic_gives_p_one(self):
-        cal = CalibrationSet(np.zeros((10, 1)), np.zeros(10))
-
-        calls = {"n": 0}
-
-        def fit(c, pits):
-            calls["n"] += 1
-            # first call: the observed model (identity); nulls: off-diagonal
-            if calls["n"] == 1:
-                return IdentityPitCdf()
-            return _CannedModel(0.4)
-
-        res = mc_p_value(fit, cal, np.zeros(10), [0.0], 25, np.array([0.25, 0.5, 0.75]), seed=0)
+        # 32 evenly spaced PITs at one x: with every row a neighbour the observed
+        # curve is exactly diagonal at the test levels, and every null curve is off it
+        n = 32
+        cal = CalibrationSet(np.zeros((n, 1)), np.zeros(n))
+        pits = (np.arange(n) + 0.5) / n
+        res = mc_p_value(local_fit_fn(n), cal, pits, [0.0], 25, np.array([0.25, 0.5, 0.75]),
+                         seed=0)
         assert res.statistic == 0.0
         assert res.p_value == 1.0
+
+    def test_non_local_model_is_type_error(self):
+        cal = CalibrationSet(np.zeros((10, 1)), np.zeros(10))
+        with pytest.raises(TypeError, match="local-empirical"):
+            mc_p_value(lambda c, p: IdentityPitCdf(), cal, np.zeros(10), [0.0], 25)
+        with pytest.raises(TypeError, match="local-empirical"):
+            mc_confidence_band(lambda c, p: IdentityPitCdf(), cal, np.zeros(10), [0.0], 20,
+                               np.array([0.5]))
 
     def test_p_on_lattice(self):
         cal, model = gaussian_data(400, seed=1)
@@ -172,23 +165,16 @@ class TestMcPValue:
 
 class TestConfidenceBand:
     def test_nearest_rank_rule_b20(self):
-        cal = CalibrationSet(np.zeros((5, 1)), np.zeros(5))
-        values = {}
-
-        def fit(c, pits):
-            # deterministic distinct constant per replicate, keyed by the
-            # first pit value drawn for that replicate
-            key = round(float(pits[0]), 12)
-            if key not in values:
-                values[key] = len(values)
-            return _CannedModel(values[key] / 100.0)
-
+        n = 200
+        cal = CalibrationSet(np.zeros((n, 1)), np.zeros(n))
+        fit = local_fit_fn(n)
         gam = np.array([0.5])
-        lo, hi = mc_confidence_band(fit, cal, np.zeros(5), [0.0], 20, gam, eta=0.1, seed=3)
-        # replicate values are 0.01..0.20 in arrival order (observed fit is 0.00)
-        all_values = sorted(v / 100.0 for v in values.values())[1:]
-        assert lo[0] == pytest.approx(all_values[1])   # 2nd smallest
-        assert hi[0] == pytest.approx(all_values[18])  # 19th smallest
+        lo, hi = mc_confidence_band(fit, cal, np.zeros(n), [0.0], 20, gam, eta=0.1, seed=3)
+        # each replicate's curve at 0.5: the share of its n null PITs at or below it
+        nulls = [rngmod.derived_rng(3, "null-pits", b).uniform(size=n) for b in range(20)]
+        values = sorted(fit(cal, p).predict(0.5, [0.0]) for p in nulls)
+        assert lo[0] == values[1]   # 2nd smallest
+        assert hi[0] == values[18]  # 19th smallest
 
     def test_band_covers_diagonal_under_null(self):
         cal, model = gaussian_data(2000, seed=6)

@@ -16,13 +16,14 @@ from pitcal.grid import (
     GridCdf,
     GridDensity,
     YGrid,
+    _pit_rows,
     cdf_from_density,
+    cdf_rows_from_density_rows,
     default_grid,
     fit_monotone_spline,
     invert_cdf,
     pit,
     pit_from_samples,
-    pit_matrix,
     read_grid_csv,
     renormalize_density,
     widen_density,
@@ -253,7 +254,7 @@ class TestBatchPit:
         rng = np.random.default_rng(11)
         rows = rng.uniform(0.01, 1.0, size=(20, 101))
         ys = rng.uniform(-6, 6, size=20)
-        batch = pit_matrix(g, rows, ys)
+        batch = _pit_rows(g.points, cdf_rows_from_density_rows(g.points, rows), ys)
         for i in range(20):
             c = cdf_from_density(renormalize_density(GridDensity(g, rows[i])))
             assert abs(batch[i] - pit(c, ys[i])) < 1e-12

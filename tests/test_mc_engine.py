@@ -28,16 +28,8 @@ from pitcal.errors import LengthMismatch
 def _old_neighborhood(model, x):
     """The local backend's single-point neighbourhood query and weights."""
     q = (np.asarray(x, dtype=float).ravel() - model.mean) / model.scale
-    if model.cfg.k is not None:
-        dist, idx = model._tree.query(q, k=model.cfg.k)
-        dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
-    else:
-        idx = np.array(sorted(model._tree.query_ball_point(q, model.cfg.bandwidth)), dtype=int)
-        if idx.size == 0:
-            dist, idx = model._tree.query(q, k=1)
-            dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
-        else:
-            dist = np.linalg.norm(model._std_xs[idx] - q, axis=1)
+    dist, idx = model._tree.query(q, k=model.cfg.k)
+    dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
     if model.cfg.weighting == "inverse-distance":
         w = 1.0 / (dist + np.mean(dist) + 1e-300)
     else:
@@ -111,18 +103,6 @@ def _old_mc_confidence_band(fit_fn, cal, pit_values, x, n_mc, gammas, eta=0.05, 
 # generated cases
 # ----------------------------------------------------------------------
 
-class _CurveOnly(PitCdfModel):
-    """A local fit seen through ``predict_curve`` alone (no batched primitive)."""
-
-    backend = "curve-only"
-
-    def __init__(self, model):
-        self.model = model
-
-    def predict_curve(self, gammas, x):
-        return self.model.predict_curve(gammas, x)
-
-
 @st.composite
 def cases(draw):
     seed = draw(st.integers(min_value=0, max_value=10**6))
@@ -140,12 +120,8 @@ def cases(draw):
     else:
         pits = rng.uniform(size=n)
         gammas = np.linspace(0.05, 0.95, draw(st.integers(min_value=1, max_value=25)))
-    if draw(st.booleans()):
-        hood = {"k": draw(st.integers(min_value=1, max_value=n))}
-    else:
-        hood = {"bandwidth": draw(st.sampled_from([0.05, 0.3, 1.0, 3.0]))}
-    cfg = LocalEmpiricalConfig(weighting=draw(st.sampled_from(["uniform", "inverse-distance"])),
-                               **hood)
+    cfg = LocalEmpiricalConfig(k=draw(st.integers(min_value=1, max_value=n)),
+                               weighting=draw(st.sampled_from(["uniform", "inverse-distance"])))
     x = xs[draw(st.integers(min_value=0, max_value=n - 1))] if draw(st.booleans()) \
         else rng.uniform(-1.2, 1.2, size=dim)
     return {
@@ -186,7 +162,7 @@ class TestMatchesPerReplicateRefits:
         new, old = _fits(c["cfg"])
         args = (c["cal"], c["pits"], c["x"], c["n_mc"], c["gammas"])
         observed = new(c["cal"], c["pits"])
-        res, curve = mc_local_test(observed, new, c["cal"], c["x"], c["n_mc"], c["gammas"],
+        res, curve = mc_local_test(observed, c["x"], c["n_mc"], c["gammas"],
                                    eta=c["eta"], seed=c["seed"])
         t_obs, p = _old_mc_p_value(old, *args, seed=c["seed"])
         old_lo, old_hi = _old_mc_confidence_band(old, *args, eta=c["eta"], seed=c["seed"])
@@ -201,22 +177,6 @@ class TestMatchesPerReplicateRefits:
         for values in (curve.r_values, curve.band_lo, curve.band_hi):
             assert np.all(np.diff(values) >= 0)
             assert np.all((values >= 0.0) & (values <= 1.0))
-
-    @settings(max_examples=30, deadline=None)
-    @given(cases())
-    def test_model_without_batch_takes_refits(self, c):
-        # the fallback path (one fit_fn call per replicate) gives the same test
-        new, _ = _fits(c["cfg"])
-        observed = new(c["cal"], c["pits"])
-        args = (c["cal"], c["x"], c["n_mc"], c["gammas"])
-        res, curve = mc_local_test(observed, new, *args, eta=c["eta"], seed=c["seed"])
-        fallback = lambda cal, pits: _CurveOnly(new(cal, pits))  # noqa: E731
-        res_f, curve_f = mc_local_test(_CurveOnly(observed), fallback, *args,
-                                       eta=c["eta"], seed=c["seed"])
-        assert (res.statistic, res.p_value) == (res_f.statistic, res_f.p_value)
-        for a, b in ((curve.r_values, curve_f.r_values), (curve.band_lo, curve_f.band_lo),
-                     (curve.band_hi, curve_f.band_hi)):
-            assert np.array_equal(a, b)
 
 
 class TestPredictCurves:

@@ -113,15 +113,10 @@ def frozen_bench_build_initial(recipe, data, train):
 def frozen_bench_fit_pit_model(recipe, cal, pits, seed):
     if recipe.backend == "local":
         k = recipe.backend_params.get("k")
-        bandwidth = recipe.backend_params.get("bandwidth")
-        if k is None and bandwidth is None:
+        if k is None:
             k = max(10, min(len(cal) // 10, 1000))
         weighting = recipe.backend_params.get("weighting", "uniform")
-        cfg = LocalEmpiricalConfig(
-            k=int(k) if k is not None else None,
-            bandwidth=bandwidth,
-            weighting=weighting,
-        )
+        cfg = LocalEmpiricalConfig(k=int(k), weighting=weighting)
         return fit_local_empirical(cal, pits, cfg)
     params = dict(recipe.backend_params)
     k_factor = int(params.pop("k_factor", 50))
@@ -184,7 +179,7 @@ def test_cli_assembly_matches_frozen_helpers(csv_path, initial, backend, k, weig
 
 BENCH_CASES = [
     ("uniform", "local", {"k": 50}, "full"),
-    ("marginal", "local", {"bandwidth": 0.3}, "split"),
+    ("marginal", "local", {"k": 30}, "split"),
     ("gaussian-fit", "local", {"mean_k": 20, "weighting": "inverse-distance"}, "split"),
     ("generator", "local", {}, "full"),
     ("generator", "net", {"hidden_layers": (4, 4), "max_epochs": 2, "patience": 2,
@@ -218,8 +213,7 @@ def test_bench_assembly_matches_frozen_helpers(initial, backend, params, experim
     initial_new = build_initial(initial, data.grid, train_new, mean_k=rest.pop("mean_k", 50),
                                 generator_model=data.initial)
     pits_new = compute_pit_values(initial_new, cal_new)
-    fit_args = {key: rest.pop(key) for key in ("k", "bandwidth", "weighting", "k_factor")
-                if key in rest}
+    fit_args = {key: rest.pop(key) for key in ("k", "weighting", "k_factor") if key in rest}
     model_new = fit_pit_model(cal_new, pits_new, backend, rep_seed, **fit_args, net=rest)
 
     assert np.array_equal(pits_old, pits_new)
@@ -243,7 +237,7 @@ class TestValidation:
             assert len(train) == n // 2
 
     @pytest.mark.parametrize("kwargs", [
-        {"k": 0}, {"k": 31}, {"k": 5, "bandwidth": 0.5}, {"weighting": "nope"},
+        {"k": 0}, {"k": 31}, {"k": "many"}, {"weighting": "nope"},
     ])
     def test_local_config_errors(self, kwargs):
         cal = CalibrationSet(np.zeros((30, 1)), np.zeros(30))

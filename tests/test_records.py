@@ -24,6 +24,7 @@ from pitcal.calibrate import (
     load_pit_model,
     save_pit_model,
 )
+from pitcal.errors import PitcalError
 from pitcal.monotone_net import MonotoneNetConfig, MonotoneNetModel, _init_params
 
 
@@ -33,7 +34,6 @@ def frozen_local_to_json(model) -> dict:
         "backend": model.backend,
         "config": {
             "k": model.cfg.k,
-            "bandwidth": model.cfg.bandwidth,
             "weighting": model.cfg.weighting,
         },
         "standardization": {"mean": model.mean.tolist(), "scale": model.scale.tolist()},
@@ -117,8 +117,6 @@ def net_model():
 
 MODELS = {
     "local-k": (lambda: local_model(LocalEmpiricalConfig(k=7)), frozen_local_to_json),
-    "local-bandwidth": (lambda: local_model(LocalEmpiricalConfig(bandwidth=0.8)),
-                        frozen_local_to_json),
     "local-inverse-distance": (
         lambda: local_model(LocalEmpiricalConfig(k=9, weighting="inverse-distance")),
         frozen_local_to_json),
@@ -143,6 +141,24 @@ def test_save_load_round_trip_matches_hand_listed(name, tmp_path):
     assert type(loaded) is type(model)
     assert_same_doc(loaded.to_json(), frozen(model))
     assert_same_doc(loaded.to_json(), frozen(loaded))
+
+
+def test_model_file_with_bandwidth_key(tmp_path):
+    # files written while the local backend also took a radius hold "bandwidth": null
+    model = local_model(LocalEmpiricalConfig(k=7, weighting="inverse-distance"))
+    doc = model.to_json()
+    doc["config"] = {"k": 7, "bandwidth": None, "weighting": "inverse-distance"}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc, indent=1))
+    loaded = load_pit_model(path)
+    assert_same_doc(loaded.to_json(), model.to_json())
+    xs = np.random.default_rng(3).normal(size=(15, 2))
+    gammas = np.linspace(0.0, 1.0, 11)
+    assert np.array_equal(loaded.predict_matrix(gammas, xs), model.predict_matrix(gammas, xs))
+    doc["config"] = {"k": None, "bandwidth": 0.8, "weighting": "uniform"}
+    path.write_text(json.dumps(doc, indent=1))
+    with pytest.raises(PitcalError, match="bandwidth"):
+        load_pit_model(path)
 
 
 RECIPES = {

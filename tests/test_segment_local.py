@@ -3,7 +3,7 @@
 ``grid`` reads every CDF through one spline core: ``_fc_slopes`` limits the
 slopes of whole rows (``knot_slopes``, ``fit_monotone_spline``) and of
 five-secant windows (``_segment_slopes``), ``_hermite`` evaluates every
-segment (``__call__``, ``invert_rows``, ``pit``, ``pit_matrix``), and
+segment (``__call__``, ``invert_rows``, ``pit``, ``_pit_rows``), and
 ``cdf_from_density`` is a batch of one of ``cdf_rows_from_density_rows``. The references below are frozen
 copies of the separate implementations that came before the shared core, so
 the core is never checked against itself. Each must be reproduced exactly, so
@@ -20,6 +20,7 @@ from pitcal.grid import (
     GridCdf,
     GridDensity,
     YGrid,
+    _pit_rows,
     _segment_slopes,
     cdf_from_density,
     cdf_rows_from_density_rows,
@@ -28,7 +29,6 @@ from pitcal.grid import (
     invert_rows,
     knot_slopes,
     pit,
-    pit_matrix,
 )
 
 
@@ -285,7 +285,7 @@ class TestPitMatrixSlopes:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6), st.sampled_from([0.0, 0.5]))
-    def test_pit_matrix_equals_per_row_spline(self, seed, flat_share):
+    def test_pit_rows_equal_per_row_spline(self, seed, flat_share):
         rng = np.random.default_rng(seed)
         grid = YGrid(np.linspace(-2.0, 2.0, 41))
         pts = grid.points
@@ -297,8 +297,8 @@ class TestPitMatrixSlopes:
             [pts[0], pts[-1], pts[0] - 0.5, pts[-1] + 0.5],  # ends and off the grid
             rng.uniform(-2.5, 2.5, size=12),
         ])
-        got = pit_matrix(grid, rows, ys)
         cdfs = cdf_rows_from_density_rows(pts, rows)
+        got = _pit_rows(pts, cdfs, ys)
         for i, y in enumerate(ys):
             want = reference_pit(pts, cdfs[i], y)
             assert got[i] == want
