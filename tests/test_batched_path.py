@@ -256,7 +256,8 @@ def test_local_uniform_equals_frozen_exactly(generator, method):
 
 
 @pytest.mark.parametrize("method", ["calpit-int", "calpit-hpd"])
-@pytest.mark.parametrize("params", [{"k": 30, "weighting": "inverse-distance"}])
+@pytest.mark.parametrize("params", [{"k": 80},
+                                    {"k": 30, "weighting": "inverse-distance"}])
 def test_local_neighbourhood_rules_equal_frozen_exactly(method, params):
     recipe = recipe_for("ex2-skewed", method, backend_params=params)
     assert_batched_equals_frozen(recipe, 0.0)

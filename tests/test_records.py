@@ -19,6 +19,7 @@ from pitcal.calibrate import (
     CalibrationSet,
     IdentityPitCdf,
     LocalEmpiricalConfig,
+    LocalEmpiricalModel,
     PredictionSet,
     fit_local_empirical,
     load_pit_model,
@@ -115,8 +116,17 @@ def net_model():
                                               batch_size=256, max_epochs=7, seed=5))
 
 
+def legacy_local_model(cfg):
+    """A local model read from a file that still lists ``"bandwidth": null``."""
+    doc = local_model(cfg).to_json()
+    doc["config"] = {"k": cfg.k, "bandwidth": None, "weighting": cfg.weighting}
+    return LocalEmpiricalModel.from_json(json.loads(json.dumps(doc)))
+
+
 MODELS = {
     "local-k": (lambda: local_model(LocalEmpiricalConfig(k=7)), frozen_local_to_json),
+    "local-bandwidth": (lambda: legacy_local_model(LocalEmpiricalConfig(k=8)),
+                        frozen_local_to_json),
     "local-inverse-distance": (
         lambda: local_model(LocalEmpiricalConfig(k=9, weighting="inverse-distance")),
         frozen_local_to_json),

@@ -285,7 +285,7 @@ class TestPitMatrixSlopes:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6), st.sampled_from([0.0, 0.5]))
-    def test_pit_rows_equal_per_row_spline(self, seed, flat_share):
+    def test_pit_matrix_equals_per_row_spline(self, seed, flat_share):
         rng = np.random.default_rng(seed)
         grid = YGrid(np.linspace(-2.0, 2.0, 41))
         pts = grid.points
