@@ -13,7 +13,6 @@ from .errors import (
     ConfigError,
     DegenerateDensity,
     DegenerateRecalibration,
-    EmptySample,
     HpdSearchFailed,
     InsufficientCalibration,
     InsufficientData,
@@ -22,7 +21,6 @@ from .errors import (
     InvalidGrid,
     LengthMismatch,
     ModelEvalError,
-    NonMonotoneInput,
     NonStationaryVar,
     PitcalError,
     TrainingDiverged,
@@ -30,14 +28,11 @@ from .errors import (
 from .grid import (
     GridCdf,
     GridDensity,
-    MonotoneSpline,
     YGrid,
     cdf_from_density,
     default_grid,
-    fit_monotone_spline,
     invert_cdf,
     pit,
-    pit_from_samples,
     renormalize_density,
     widen_density,
 )
@@ -45,7 +40,6 @@ from .models import (
     CallableDensityModel,
     GaussianInitialModel,
     MarginalHistogramModel,
-    SampleBasedModel,
     UniformInitialModel,
 )
 from .calibrate import (
@@ -92,17 +86,15 @@ __all__ = [
     "__version__",
     # errors
     "PitcalError", "InvalidGrid", "InvalidDensity", "DegenerateDensity",
-    "InvalidBandwidth", "NonMonotoneInput", "EmptySample", "LengthMismatch",
-    "InsufficientData", "InsufficientCalibration", "TrainingDiverged",
-    "DegenerateRecalibration", "HpdSearchFailed", "ModelEvalError",
-    "NonStationaryVar", "ConfigError",
+    "InvalidBandwidth", "LengthMismatch", "InsufficientData",
+    "InsufficientCalibration", "TrainingDiverged", "DegenerateRecalibration",
+    "HpdSearchFailed", "ModelEvalError", "NonStationaryVar", "ConfigError",
     # grid
-    "YGrid", "GridDensity", "GridCdf", "MonotoneSpline", "fit_monotone_spline",
-    "cdf_from_density", "invert_cdf", "pit", "pit_from_samples",
+    "YGrid", "GridDensity", "GridCdf", "cdf_from_density", "invert_cdf", "pit",
     "renormalize_density", "widen_density", "default_grid",
     # initial models
     "GaussianInitialModel", "UniformInitialModel", "MarginalHistogramModel",
-    "CallableDensityModel", "SampleBasedModel",
+    "CallableDensityModel",
     # calibration
     "CalibrationSet", "AugmentedCalibrationSet", "PitCdfModel", "IdentityPitCdf",
     "LocalEmpiricalConfig", "LocalEmpiricalModel", "RecalibratedDistribution",

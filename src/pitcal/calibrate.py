@@ -36,7 +36,6 @@ from .grid import (
     invert_rows,
     knot_slopes,
     pit,
-    pit_from_samples,
 )
 from .models import cdf_rows, feature_rows
 
@@ -123,25 +122,16 @@ class AugmentedCalibrationSet:
 def compute_pit_values(model, cal: CalibrationSet) -> np.ndarray:
     """PIT(y_i; x_i) under the initial model, one value per calibration row.
 
-    Grid-backed models evaluate all rows' CDFs from :func:`cdf_rows` at once
-    (an error of a batched model names row -1). Sample-based models take the
-    fraction of forward draws at or below the observed response.
+    All rows' CDFs come from :func:`cdf_rows` at once (an error of a batched
+    model names row -1).
     """
-    if not getattr(model, "sample_based", False):
-        try:
-            rows = cdf_rows(model, cal.xs)
-        except ModelEvalError:
-            raise
-        except PitcalError as exc:
-            raise ModelEvalError(-1, str(exc)) from exc
-        return _pit_rows(model.grid.points, rows, cal.ys)
-    out = np.empty(len(cal))
-    for i in range(len(cal)):
-        try:
-            out[i] = pit_from_samples(model.draws_at(cal.xs[i]), cal.ys[i])
-        except Exception as exc:  # noqa: BLE001 - contract: wrap with row index
-            raise ModelEvalError(i, str(exc)) from exc
-    return out
+    try:
+        rows = cdf_rows(model, cal.xs)
+    except ModelEvalError:
+        raise
+    except PitcalError as exc:
+        raise ModelEvalError(-1, str(exc)) from exc
+    return _pit_rows(model.grid.points, rows, cal.ys)
 
 
 def augment(cal: CalibrationSet, pit_values, k_factor: int, seed: int) -> AugmentedCalibrationSet:
@@ -477,8 +467,6 @@ class RecalibratedInitialModel:
     this model should look conditionally uniform if the map fixed the original
     miscalibration.
     """
-
-    sample_based = False
 
     def __init__(self, base_model, r: PitCdfModel):
         self.base_model = base_model

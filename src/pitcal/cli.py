@@ -61,7 +61,7 @@ def _read_config_file(path: str, subparser: argparse.ArgumentParser) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, raw = line.partition("=")
                 out[key.strip().replace("-", "_")] = _parse_value(raw.strip())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     flags = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
     unknown = set(out) - set(flags)
@@ -184,8 +184,8 @@ def _prepare(cfg: dict):
     """
     if not cfg["data"]:
         raise ConfigError("--data is required")
-    if not os.path.exists(cfg["data"]):
-        raise ConfigError(f"dataset not found: {cfg['data']}")
+    if not os.path.isfile(cfg["data"]):
+        raise ConfigError(f"dataset not found or not a file: {cfg['data']}")
     if int(cfg["grid_points"]) < 3:
         raise ConfigError(f"grid_points must be >= 3, got {cfg['grid_points']}")
     data = read_calibration_csv(cfg["data"])

@@ -25,29 +25,35 @@ def write_calibration_csv(path, cal: CalibrationSet, comment: str | None = None)
 
 
 def read_calibration_csv(path) -> CalibrationSet:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     xs, ys = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                if header[-1] != "y" or not all(c == f"x{j}" for j, c in enumerate(header[:-1])):
-                    raise ConfigError(f"{path}: expected header x0,...,y, got {line!r}")
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise ConfigError(f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
-            try:
-                row = [float(v) for v in parts]
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-            if not all(math.isfinite(v) for v in row):
-                raise ConfigError(f"{path}:{lineno}: non-finite value")
-            xs.append(row[:-1])
-            ys.append(row[-1])
+    header = None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            header = line.split(",")
+            if header[-1] != "y" or not all(c == f"x{j}" for j, c in enumerate(header[:-1])):
+                raise ConfigError(f"{path}: expected header x0,...,y, got {line!r}")
+            if len(header) < 2:
+                raise ConfigError(f"{path}: no feature column before y")
+            continue
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise ConfigError(f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
+        try:
+            row = [float(v) for v in parts]
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        if not all(math.isfinite(v) for v in row):
+            raise ConfigError(f"{path}:{lineno}: non-finite value")
+        xs.append(row[:-1])
+        ys.append(row[-1])
     if header is None or not ys:
         raise ConfigError(f"{path}: no data rows")
     return CalibrationSet(np.array(xs), np.array(ys))

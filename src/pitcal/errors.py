@@ -21,14 +21,6 @@ class InvalidBandwidth(PitcalError):
     """Kernel bandwidth must be strictly positive."""
 
 
-class NonMonotoneInput(PitcalError):
-    """Spline ordinates decrease by more than the snapping tolerance."""
-
-
-class EmptySample(PitcalError):
-    """A sample-based operation received no draws."""
-
-
 class LengthMismatch(PitcalError):
     """Paired sequences differ in length."""
 

@@ -17,10 +17,10 @@ Conventions
 * Every CDF is read through one monotone cubic with one core: ``_fc_slopes``
   is the only Fritsch-Carlson slope limiter (whole rows in
   :func:`knot_slopes`, five-secant windows in ``_segment_slopes``),
-  ``_hermite`` is the only Hermite basis (:meth:`MonotoneSpline.__call__`,
-  ``_pit_rows`` and :func:`invert_rows`), ``_pit_rows`` is the only PIT
-  evaluator (:func:`pit` is a batch of one), and :func:`invert_rows` is the
-  only quantile inverter (:func:`invert_cdf` is a batch of one).
+  ``_hermite`` is the only Hermite basis (``_pit_rows`` and
+  :func:`invert_rows`), ``_pit_rows`` is the only PIT evaluator (:func:`pit`
+  is a batch of one), and :func:`invert_rows` is the only quantile inverter
+  (:func:`invert_cdf` is a batch of one).
 * Point queries touch only the spline segment they land in: quantile
   inversion bisects within one segment, and PIT evaluation limits the slopes
   of the queried segment alone. Both equal the whole-spline computation bit
@@ -36,33 +36,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDensity,
-    EmptySample,
-    InvalidBandwidth,
-    InvalidDensity,
-    InvalidGrid,
-    NonMonotoneInput,
-)
+from .errors import DegenerateDensity, InvalidBandwidth, InvalidDensity, InvalidGrid
 
 __all__ = [
     "YGrid",
     "GridDensity",
     "GridCdf",
-    "MonotoneSpline",
-    "fit_monotone_spline",
     "knot_slopes",
     "cdf_from_density",
     "invert_cdf",
     "invert_rows",
     "pit",
-    "pit_from_samples",
     "renormalize_density",
     "widen_density",
     "default_grid",
     "trapezoid_weights",
     "write_grid_csv",
-    "read_grid_csv",
 ]
 
 _SNAP_TOL = 1e-9
@@ -212,55 +201,6 @@ def _fc_slopes(d: np.ndarray, real: np.ndarray) -> np.ndarray:
     return m[:, 1:-1] * np.minimum(tau[:, :-1], tau[:, 1:])
 
 
-@dataclass(frozen=True, eq=False)
-class MonotoneSpline:
-    """Shape-preserving cubic Hermite interpolant of nondecreasing data.
-
-    Evaluation reproduces the knots exactly, never overshoots the adjacent
-    knot ordinates, and is nondecreasing everywhere. Outside the knot range
-    the spline continues as a constant, which keeps CDF and quantile uses
-    well-defined.
-    """
-
-    knots_x: np.ndarray
-    knots_y: np.ndarray
-    slopes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "knots_x", _frozen(self.knots_x))
-        object.__setattr__(self, "knots_y", _frozen(self.knots_y))
-        object.__setattr__(self, "slopes", _frozen(self.slopes))
-
-    def __call__(self, q) -> np.ndarray:
-        q_arr = np.asarray(q, dtype=float)
-        scalar = q_arr.ndim == 0
-        idx, h, t = _locate(self.knots_x, np.atleast_1d(q_arr))
-        ys, m = self.knots_y, self.slopes
-        out = _hermite(ys[idx], ys[idx + 1], h * m[idx], h * m[idx + 1], np.clip(t, 0.0, 1.0))
-        return float(out[0]) if scalar else out
-
-
-def fit_monotone_spline(xs, ys) -> MonotoneSpline:
-    """Fit a monotone cubic Hermite spline to nondecreasing data.
-
-    Knot slopes come from :func:`knot_slopes`. Ordinates that decrease by at
-    most 1e-9 are snapped up; larger decreases raise :class:`NonMonotoneInput`.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.size < 2 or xs.shape != ys.shape:
-        raise NonMonotoneInput("need 1-D xs/ys of equal length >= 2")
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise NonMonotoneInput("spline knots must be finite")
-    h = np.diff(xs)
-    if (h <= 0).any():
-        raise InvalidGrid("spline abscissae must be strictly increasing")
-    if (np.diff(ys) < -_SNAP_TOL).any():
-        raise NonMonotoneInput("ordinates decrease by more than 1e-9")
-    ys = np.maximum.accumulate(ys)
-    return MonotoneSpline(xs, ys, knot_slopes(xs, ys[None, :])[0])
-
-
 def knot_slopes(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Fritsch-Carlson slopes at every knot of each nondecreasing row, shape (N, G).
 
@@ -308,14 +248,6 @@ def pit(c: GridCdf, y: float) -> float:
     A batch of one of :func:`_pit_rows`.
     """
     return float(_pit_rows(c.grid.points, c.values[None, :], np.array([y], dtype=float))[0])
-
-
-def pit_from_samples(draws, y: float) -> float:
-    """Fraction of forward draws at or below ``y``."""
-    draws = np.asarray(draws, dtype=float)
-    if draws.size == 0:
-        raise EmptySample("need at least one draw to approximate the PIT")
-    return float(np.mean(draws <= y))
 
 
 def renormalize_density(d: GridDensity) -> GridDensity:
@@ -371,7 +303,7 @@ def _segment_slopes(xs: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.nda
     so the pair needs only the five secants ``idx - 2 .. idx + 2``, which
     :func:`_fc_slopes` limits as it limits a whole row; secants past the ends
     are clipped and marked not real. The result therefore equals
-    ``fit_monotone_spline(xs, row).slopes[[i, i + 1]]`` bit for bit.
+    ``knot_slopes(xs, rows)[:, [i, i + 1]]`` bit for bit.
     """
     n = xs.size
     sec = idx[:, None] + np.arange(-2, 3)
@@ -470,17 +402,3 @@ def write_grid_csv(path, grid: YGrid, values: np.ndarray, comment: str | None = 
         fh.write("y,value\n")
         for y, v in zip(grid.points, np.asarray(values, dtype=float)):
             fh.write(f"{float(y)!r},{float(v)!r}\n")
-
-
-def read_grid_csv(path):
-    """Read a ``y,value`` CSV written by :func:`write_grid_csv`."""
-    ys, vs = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("y,"):
-                continue
-            a, b = line.split(",")
-            ys.append(float(a))
-            vs.append(float(b))
-    return YGrid(np.array(ys)), np.array(vs)

@@ -2,9 +2,9 @@
 
 These are deliberately simple: a fixed-width Gaussian around a point
 prediction, a flat density over the grid range, a feature-independent
-marginal histogram, an arbitrary callable, and a forward-sampling wrapper for
-models without a closed-form CDF. Any of them can seed the recalibration
-pipeline, which morphs the initial shape toward the calibration data.
+marginal histogram, and an arbitrary callable. Any of them can seed the
+recalibration pipeline, which morphs the initial shape toward the calibration
+data.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import rng as rngmod
 from .errors import ModelEvalError
 from .grid import (
     GridCdf,
@@ -30,24 +29,12 @@ __all__ = [
     "UniformInitialModel",
     "MarginalHistogramModel",
     "CallableDensityModel",
-    "SampleBasedModel",
     "cdf_rows",
     "model_cdf",
 ]
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _SMOOTH_STEPS = 2.0  # Gaussian widening of grid histograms, in grid steps
-
-
-def _smoothed_histogram(grid: YGrid, ys) -> GridDensity:
-    """Histogram of ``ys`` on the grid cells, widened by ``_SMOOTH_STEPS`` grid steps."""
-    ys = np.asarray(ys, dtype=float).ravel()
-    pts = grid.points
-    edges = np.concatenate([[pts[0]], 0.5 * (pts[1:] + pts[:-1]), [pts[-1]]])
-    counts, _ = np.histogram(np.clip(ys, pts[0], pts[-1]), bins=edges)
-    raw = GridDensity(grid, counts / np.maximum(np.diff(edges), 1e-300) / max(ys.size, 1))
-    step = (grid.hi - grid.lo) / (len(grid) - 1)
-    return widen_density(raw, _SMOOTH_STEPS * step)
 
 
 def feature_rows(xs) -> np.ndarray:
@@ -85,8 +72,6 @@ def model_cdf(model, x) -> GridCdf:
 class GaussianInitialModel:
     """Gaussian density N(mean_fn(x), sd_fn(x)^2) truncated to the grid."""
 
-    sample_based = False
-
     def __init__(self, grid: YGrid, mean_fn: Callable, sd_fn: Callable | float):
         self.grid = grid
         self.mean_fn = mean_fn
@@ -110,8 +95,6 @@ class GaussianInitialModel:
 class UniformInitialModel:
     """Flat density over the grid range; the maximally agnostic start."""
 
-    sample_based = False
-
     def __init__(self, grid: YGrid):
         self.grid = grid
         span = grid.hi - grid.lo
@@ -132,11 +115,15 @@ class MarginalHistogramModel:
     initial model whose local miscalibration the diagnostics should expose.
     """
 
-    sample_based = False
-
     def __init__(self, grid: YGrid, ys):
         self.grid = grid
-        self._density = _smoothed_histogram(grid, ys)
+        ys = np.asarray(ys, dtype=float).ravel()
+        pts = grid.points
+        edges = np.concatenate([[pts[0]], 0.5 * (pts[1:] + pts[:-1]), [pts[-1]]])
+        counts, _ = np.histogram(np.clip(ys, pts[0], pts[-1]), bins=edges)
+        raw = GridDensity(grid, counts / np.maximum(np.diff(edges), 1e-300) / max(ys.size, 1))
+        step = (grid.hi - grid.lo) / (len(grid) - 1)
+        self._density = widen_density(raw, _SMOOTH_STEPS * step)
 
     def density_at(self, x) -> GridDensity:
         return self._density
@@ -148,8 +135,6 @@ class MarginalHistogramModel:
 class CallableDensityModel:
     """Wrap a function x -> density values on the fixed grid."""
 
-    sample_based = False
-
     def __init__(self, grid: YGrid, fn: Callable):
         self.grid = grid
         self.fn = fn
@@ -157,39 +142,3 @@ class CallableDensityModel:
     def density_at(self, x) -> GridDensity:
         vals = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
         return renormalize_density(GridDensity(self.grid, vals))
-
-
-class SampleBasedModel:
-    """Initial model known only through forward simulation.
-
-    ``sampler(x, rng, size)`` must return draws of the response. Draws are
-    deterministic per ``x`` (seed derived from the model seed and the feature
-    bytes), so repeated PIT evaluations agree.
-    """
-
-    sample_based = True
-
-    def __init__(self, grid: YGrid, sampler: Callable, n_draws: int = 2000, seed: int = 0):
-        self.grid = grid
-        self.sampler = sampler
-        self.n_draws = int(n_draws)
-        self.seed = int(seed)
-
-    def _rng_for(self, x: np.ndarray) -> np.random.Generator:
-        digest = np.asarray(x, dtype=float).tobytes().hex()
-        return rngmod.derived_rng(self.seed, "sample-model", digest)
-
-    def draws_at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.asarray(self.sampler(x, self._rng_for(x), self.n_draws), dtype=float)
-
-    def density_at(self, x) -> GridDensity:
-        # histogram of the draws on the grid cells; adequate for reshaping,
-        # while PIT values come from the draws directly
-        return _smoothed_histogram(self.grid, self.draws_at(x))
-
-    def cdf_at(self, x) -> GridCdf:
-        draws = np.sort(self.draws_at(x))
-        vals = np.searchsorted(draws, self.grid.points, side="right") / draws.size
-        vals[-1] = 1.0
-        return GridCdf(self.grid, vals)

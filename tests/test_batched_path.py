@@ -28,7 +28,7 @@ from pitcal.calibrate import (
     compute_pit_values,
 )
 from pitcal.errors import DegenerateRecalibration
-from pitcal.grid import cdf_from_density, fit_monotone_spline, renormalize_density
+from pitcal.grid import cdf_from_density, knot_slopes, renormalize_density
 from pitcal.monotone_net import MonotoneNetModel, _forward
 from pitcal.pipeline import build_initial, fit_pit_model, split_calibration
 
@@ -72,14 +72,19 @@ def frozen_curve(r, gammas, x):
     return frozen_local_curve(r, gammas, x)
 
 
+def frozen_spline(c):
+    """``(knots_x, knots_y, slopes)`` of the monotone cubic through a :class:`GridCdf`."""
+    return c.grid.points, c.values, knot_slopes(c.grid.points, c.values[None, :])[0]
+
+
 def frozen_derivative(sp, q):
-    """``MonotoneSpline.derivative``: the analytic derivative, zero off the knots' range."""
-    idx = np.clip(np.searchsorted(sp.knots_x, q, side="right") - 1, 0, sp.knots_x.size - 2)
-    h = sp.knots_x[idx + 1] - sp.knots_x[idx]
-    t = (q - sp.knots_x[idx]) / h
+    """The spline's analytic derivative, zero off the knots' range."""
+    xs, ys, m = sp
+    idx = np.clip(np.searchsorted(xs, q, side="right") - 1, 0, xs.size - 2)
+    h = xs[idx + 1] - xs[idx]
+    t = (q - xs[idx]) / h
     inside = (t >= 0.0) & (t <= 1.0)
     t = np.clip(t, 0.0, 1.0)
-    ys, m = sp.knots_y, sp.slopes
     t2 = t * t
     out = (ys[idx] * (6 * t2 - 6 * t) / h + m[idx] * (3 * t2 - 4 * t + 1)
            + ys[idx + 1] * (-6 * t2 + 6 * t) / h + m[idx + 1] * (3 * t2 - 2 * t))
@@ -87,8 +92,8 @@ def frozen_derivative(sp, q):
 
 
 def frozen_solve(sp, target):
-    """``MonotoneSpline.solve``: float bisection within the segment holding the answer."""
-    xs, ys = sp.knots_x, sp.knots_y
+    """Float bisection within the spline segment holding the answer."""
+    xs, ys, m = sp
     if target <= ys[0]:
         return float(xs[0])
     if target > ys[-1]:
@@ -97,7 +102,7 @@ def frozen_solve(sp, target):
     lo, hi = float(xs[j - 1]), float(xs[j])
     x0, h = lo, hi - lo
     y0, y1 = float(ys[j - 1]), float(ys[j])
-    hm0, hm1 = h * float(sp.slopes[j - 1]), h * float(sp.slopes[j])
+    hm0, hm1 = h * float(m[j - 1]), h * float(m[j])
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         t = (mid - x0) / h
@@ -125,7 +130,7 @@ def frozen_recalibrate(model, r, x):
     vals[0] = 0.0
     vals[-1] = 1.0
     cdf = GridCdf(grid, vals)
-    sp = fit_monotone_spline(grid.points, cdf.values)
+    sp = frozen_spline(cdf)
     pdf = renormalize_density(GridDensity(grid, np.maximum(frozen_derivative(sp, grid.points), 0.0)))
     return cdf, pdf, sp
 
@@ -149,8 +154,7 @@ def frozen_constructor(recipe, data, train, cal, rep_seed):
                             generator_model=data.initial)
 
     def initial_spline(x):
-        c = frozen_model_cdf(initial, x)
-        return fit_monotone_spline(c.grid.points, c.values)
+        return frozen_spline(frozen_model_cdf(initial, x))
 
     if recipe.method == "initial":
         return lambda x: frozen_interval(initial_spline(x), alpha / 2.0, 1.0 - alpha / 2.0, level)

@@ -273,16 +273,25 @@ EXIT_CASES = [
     ("train_fraction_nan", 300, False,
      ["calibrate", "--initial", "gaussian-fit", "--train-fraction", "nan"], 2, "error:"),
     ("diagnose_no_eval_points", 300, False, ["diagnose", "--n-eval-points", 0], 2, "error:"),
+    ("data_is_a_directory", None, False, ["diagnose"], 2, "error:"),
+    ("data_not_utf8", None, False, ["calibrate"], 2, "error:"),
+    ("config_not_utf8", 300, False, ["calibrate"], 2, "error:"),
+    ("no_feature_column", 300, False, ["diagnose", "--n-mc", 20], 2, "error:"),
 ]
 
-# cases that also read a --config file with this text
-EXIT_CONFIG_FILES = {"config_value_not_a_number": "alpha = abc\n",
-                     "config_value_not_a_choice": "window_mode = foo\n",
-                     "config_null_for_a_default": "seed = null\n"}
+# cases that also read a --config file with these bytes
+EXIT_CONFIG_FILES = {"config_value_not_a_number": b"alpha = abc\n",
+                     "config_value_not_a_choice": b"window_mode = foo\n",
+                     "config_null_for_a_default": b"seed = null\n",
+                     "config_not_utf8": b"alpha = \xff\xfe\n"}
 
-# cases whose dataset has two features
-EXIT_TWO_FEATURES = {"eval_x_one_component_two_features",
-                     "diagnose_eval_x_one_component_two_features"}
+# cases whose dataset has other than one feature
+EXIT_FEATURES = {"eval_x_one_component_two_features": 2,
+                 "diagnose_eval_x_one_component_two_features": 2,
+                 "no_feature_column": 0}
+
+# cases whose --data is these bytes, or a directory where None
+EXIT_DATA = {"data_is_a_directory": None, "data_not_utf8": b"x0,y\n\xff\xfe,1\n"}
 
 
 @pytest.mark.parametrize("case,rows,constant_y,args,code,prefix", EXIT_CASES,
@@ -290,11 +299,18 @@ EXIT_TWO_FEATURES = {"eval_x_one_component_two_features",
 def test_documented_exit_codes(tmp_path, capsys, case, rows, constant_y, args, code, prefix):
     argv = list(args)
     if rows is not None:
-        dim = 2 if case in EXIT_TWO_FEATURES else 1
+        dim = EXIT_FEATURES.get(case, 1)
         argv += ["--data", _write_csv(tmp_path / "data.csv", rows, constant_y, dim)]
+    if case in EXIT_DATA:
+        data = tmp_path / "data"
+        if EXIT_DATA[case] is None:
+            data.mkdir()
+        else:
+            data.write_bytes(EXIT_DATA[case])
+        argv += ["--data", data]
     if case in EXIT_CONFIG_FILES:
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(EXIT_CONFIG_FILES[case])
+        cfg.write_bytes(EXIT_CONFIG_FILES[case])
         argv += ["--config", cfg]
     out = tmp_path / "out"
     assert run(argv + ["--out-dir", out]) == code

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import kstest
 
-from pitcal.calibrate import CalibrationSet, compute_pit_values
 from pitcal.grid import GridDensity, YGrid, default_grid, pit, widen_density
 from pitcal.models import (
     _SMOOTH_STEPS,
     GaussianInitialModel,
     MarginalHistogramModel,
-    SampleBasedModel,
     UniformInitialModel,
     model_cdf,
 )
@@ -54,40 +51,6 @@ class TestMarginalModel:
         assert pit(c, float(np.median(ys))) == pytest.approx(0.5, abs=0.03)
 
 
-class TestSampleBasedModel:
-    def _model(self, grid):
-        def sampler(x, rng, size):
-            return float(x[0]) + rng.standard_normal(size)
-
-        return SampleBasedModel(grid, sampler, n_draws=4000, seed=9)
-
-    def test_draws_deterministic_per_x(self):
-        grid = YGrid(np.linspace(-6, 6, 101))
-        model = self._model(grid)
-        a = model.draws_at([0.5])
-        b = model.draws_at([0.5])
-        np.testing.assert_array_equal(a, b)
-        c = model.draws_at([0.6])
-        assert not np.array_equal(a, c)
-
-    def test_pit_values_from_draws_uniform_when_true(self):
-        grid = YGrid(np.linspace(-6, 6, 101))
-        model = self._model(grid)
-        rng = np.random.default_rng(12)
-        xs = rng.uniform(-1, 1, size=(800, 1))
-        ys = xs[:, 0] + rng.standard_normal(800)
-        pits = compute_pit_values(model, CalibrationSet(xs, ys))
-        assert kstest(pits, "uniform").pvalue > 0.01
-
-    def test_cdf_at_matches_draw_fractions(self):
-        grid = YGrid(np.linspace(-6, 6, 101))
-        model = self._model(grid)
-        c = model.cdf_at([0.0])
-        draws = model.draws_at([0.0])
-        mid = grid.points[50]
-        assert c.values[50] == pytest.approx(np.mean(draws <= mid), abs=1e-12)
-
-
 def marginal_histogram_reference(grid, ys):
     """``MarginalHistogramModel.__init__``'s density before the shared helper."""
     ys = np.asarray(ys, dtype=float)
@@ -97,18 +60,6 @@ def marginal_histogram_reference(grid, ys):
     widths = np.diff(edges)
     raw = GridDensity(grid, counts / np.maximum(widths, 1e-300) / max(len(ys), 1))
     step = (grid.hi - grid.lo) / (len(grid) - 1)
-    return widen_density(raw, _SMOOTH_STEPS * step)
-
-
-def sample_histogram_reference(model, x):
-    """``SampleBasedModel.density_at`` before the shared helper."""
-    draws = model.draws_at(x)
-    pts = model.grid.points
-    edges = np.concatenate([[pts[0]], 0.5 * (pts[1:] + pts[:-1]), [pts[-1]]])
-    counts, _ = np.histogram(np.clip(draws, pts[0], pts[-1]), bins=edges)
-    widths = np.diff(edges)
-    raw = GridDensity(model.grid, counts / np.maximum(widths, 1e-300) / draws.size)
-    step = (model.grid.hi - model.grid.lo) / (len(model.grid) - 1)
     return widen_density(raw, _SMOOTH_STEPS * step)
 
 
@@ -123,8 +74,3 @@ class TestHistogramHelper:
         ys = np.concatenate([grid.points[[0, -1]], rng.normal(0.0, 2.0, size=n)])[:n]
         assert np.array_equal(MarginalHistogramModel(grid, ys).density_at([0.0]).values,
                               marginal_histogram_reference(grid, ys).values)
-        model = SampleBasedModel(grid, lambda x, r, size: r.normal(x[0], 2.0, size),
-                                 n_draws=n, seed=seed)
-        x = np.array([rng.normal()])
-        assert np.array_equal(model.density_at(x).values,
-                              sample_histogram_reference(model, x).values)

@@ -1,9 +1,9 @@
 """Segment-local and batched grid computations against frozen reference paths.
 
 ``grid`` reads every CDF through one spline core: ``_fc_slopes`` limits the
-slopes of whole rows (``knot_slopes``, ``fit_monotone_spline``) and of
-five-secant windows (``_segment_slopes``), ``_hermite`` evaluates every
-segment (``__call__``, ``invert_rows``, ``pit``, ``_pit_rows``), and
+slopes of whole rows (``knot_slopes``) and of five-secant windows
+(``_segment_slopes``), ``_hermite`` evaluates every segment (``invert_rows``,
+``pit``, ``_pit_rows``), and
 ``cdf_from_density`` is a batch of one of ``cdf_rows_from_density_rows``. The references below are frozen
 copies of the separate implementations that came before the shared core, so
 the core is never checked against itself. Each must be reproduced exactly, so
@@ -24,7 +24,6 @@ from pitcal.grid import (
     _segment_slopes,
     cdf_from_density,
     cdf_rows_from_density_rows,
-    fit_monotone_spline,
     invert_cdf,
     invert_rows,
     knot_slopes,
@@ -33,7 +32,7 @@ from pitcal.grid import (
 
 
 def reference_slopes(xs, ys):
-    """Fritsch-Carlson slopes as ``fit_monotone_spline`` computed them alone."""
+    """Fritsch-Carlson slopes as the whole-row spline fit computed them alone."""
     xs = np.asarray(xs, dtype=float)
     ys = np.maximum.accumulate(np.asarray(ys, dtype=float))
     n = xs.size
@@ -61,7 +60,7 @@ def reference_slopes(xs, ys):
 
 
 def reference_eval(xs, ys, m, q):
-    """``MonotoneSpline.__call__`` with its own Hermite basis, on an array."""
+    """The stand-alone spline's evaluation with its own Hermite basis, on an array."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
     idx = np.searchsorted(xs, q, side="right") - 1
     idx = np.clip(idx, 0, xs.size - 2)
@@ -133,6 +132,11 @@ def reference_cdf_from_density(d):
     return GridCdf(d.grid, cum)
 
 
+def pit_curve(xs, ys, q):
+    """``_pit_rows`` of every query under the one CDF row ``ys``."""
+    return _pit_rows(xs, np.broadcast_to(ys, (q.size, ys.size)), q)
+
+
 def random_knots(rng, n, flat_share):
     """Strictly increasing abscissae and nondecreasing ordinates with flat runs."""
     xs = np.cumsum(rng.uniform(0.01, 2.0, size=n)) - rng.uniform(0.0, 10.0)
@@ -159,18 +163,16 @@ class TestFitAndEval:
         rng = np.random.default_rng(n * 10 + int(flat_share * 2))
         for _ in range(300):
             xs, ys = random_knots(rng, n, flat_share)
-            sp = fit_monotone_spline(xs, ys)
-            m = reference_slopes(xs, ys)
-            assert np.array_equal(sp.slopes, m)
+            assert np.array_equal(knot_slopes(xs, ys[None, :])[0], reference_slopes(xs, ys))
             q = np.concatenate([xs, rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, size=20)])
-            assert np.array_equal(sp(q), reference_eval(xs, sp.knots_y, m, q))
+            assert pit_curve(xs, ys, q).tolist() == [reference_pit(xs, ys, y) for y in q]
 
     def test_secant_ratios_across_the_circle(self):
         # with secants 1 and r the first segment has alpha = 1 and
         # beta = (1 + r) / 2, so r near 4.657 puts r2 on either side of 9
         for r in np.linspace(4.4, 4.9, 501):
             xs, ys = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 1.0 + r])
-            assert np.array_equal(fit_monotone_spline(xs, ys).slopes, reference_slopes(xs, ys))
+            assert np.array_equal(knot_slopes(xs, ys[None, :])[0], reference_slopes(xs, ys))
             got = _segment_slopes(xs, ys[None, :], np.array([0]))[0]
             assert np.array_equal(got, reference_slopes(xs, ys)[:2])
 
@@ -183,13 +185,13 @@ class TestFitAndEval:
     def test_full_row_slopes_and_values(self, seed, n, flat_share):
         rng = np.random.default_rng(seed)
         xs, ys = random_knots(rng, n, flat_share)
-        sp = fit_monotone_spline(xs, ys)
-        m = reference_slopes(xs, ys)
-        assert np.array_equal(sp.slopes, m)
+        assert np.array_equal(knot_slopes(xs, ys[None, :])[0], reference_slopes(xs, ys))
         q = np.concatenate([xs, rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, size=200)])
-        assert np.array_equal(sp(q), reference_eval(xs, sp.knots_y, m, q))
-        assert type(sp(float(q[-1]))) is float
-        assert sp(float(q[-1])) == reference_eval(xs, sp.knots_y, m, q[-1])[0]
+        assert pit_curve(xs, ys, q).tolist() == [reference_pit(xs, ys, y) for y in q]
+        if n >= 3:  # a YGrid needs three points
+            one = pit(GridCdf(YGrid(xs), ys), float(q[-1]))
+            assert type(one) is float
+            assert one == reference_pit(xs, ys, q[-1])
 
 
 class TestSolve:
