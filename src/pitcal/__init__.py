@@ -20,7 +20,6 @@ from .errors import (
     InvalidDensity,
     InvalidGrid,
     LengthMismatch,
-    ModelEvalError,
     NonStationaryVar,
     PitcalError,
     TrainingDiverged,
@@ -36,12 +35,7 @@ from .grid import (
     renormalize_density,
     widen_density,
 )
-from .models import (
-    CallableDensityModel,
-    GaussianInitialModel,
-    MarginalHistogramModel,
-    UniformInitialModel,
-)
+from .models import GaussianInitialModel, MarginalHistogramModel, UniformInitialModel
 from .calibrate import (
     AugmentedCalibrationSet,
     CalibrationSet,
@@ -63,23 +57,8 @@ from .calibrate import (
     save_pit_model,
 )
 from .monotone_net import MonotoneNetConfig, MonotoneNetModel, fit_monotone_net
-from .diagnose import (
-    AlpCurve,
-    LocalTestResult,
-    alp_curve,
-    cde_loss,
-    local_test_statistic,
-    mc_confidence_band,
-    mc_local_test,
-    mc_p_value,
-)
-from .bench import (
-    CoverageReport,
-    ExperimentRecipe,
-    classify_coverage,
-    conditional_coverage,
-    run_experiment,
-)
+from .diagnose import AlpCurve, LocalTestResult, cde_loss, mc_local_test, mc_p_value
+from .bench import CoverageReport, ExperimentRecipe, classify_coverage, run_experiment
 from .baselines import ConformalCalibration, DcpModel, RegSplitModel, fit_knn_mean
 
 __all__ = [
@@ -88,13 +67,12 @@ __all__ = [
     "PitcalError", "InvalidGrid", "InvalidDensity", "DegenerateDensity",
     "InvalidBandwidth", "LengthMismatch", "InsufficientData",
     "InsufficientCalibration", "TrainingDiverged", "DegenerateRecalibration",
-    "HpdSearchFailed", "ModelEvalError", "NonStationaryVar", "ConfigError",
+    "HpdSearchFailed", "NonStationaryVar", "ConfigError",
     # grid
     "YGrid", "GridDensity", "GridCdf", "cdf_from_density", "invert_cdf", "pit",
     "renormalize_density", "widen_density", "default_grid",
     # initial models
     "GaussianInitialModel", "UniformInitialModel", "MarginalHistogramModel",
-    "CallableDensityModel",
     # calibration
     "CalibrationSet", "AugmentedCalibrationSet", "PitCdfModel", "IdentityPitCdf",
     "LocalEmpiricalConfig", "LocalEmpiricalModel", "RecalibratedDistribution",
@@ -103,11 +81,9 @@ __all__ = [
     "estimated_ot", "save_pit_model", "load_pit_model",
     "MonotoneNetConfig", "MonotoneNetModel", "fit_monotone_net",
     # diagnostics
-    "AlpCurve", "LocalTestResult", "alp_curve", "local_test_statistic",
-    "mc_local_test", "mc_p_value", "mc_confidence_band", "cde_loss",
+    "AlpCurve", "LocalTestResult", "mc_local_test", "mc_p_value", "cde_loss",
     # bench
-    "ExperimentRecipe", "CoverageReport", "conditional_coverage",
-    "classify_coverage", "run_experiment",
+    "ExperimentRecipe", "CoverageReport", "classify_coverage", "run_experiment",
     # baselines
     "ConformalCalibration", "RegSplitModel", "DcpModel", "fit_knn_mean",
 ]

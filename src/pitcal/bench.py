@@ -36,7 +36,6 @@ from .synthgen import TwoGroupConfig, sample_example1, sample_example2
 __all__ = [
     "ExperimentRecipe",
     "CoverageReport",
-    "conditional_coverage",
     "classify_coverage",
     "run_experiment",
     "REPORT_FORMAT_VERSION",
@@ -45,9 +44,9 @@ __all__ = [
 REPORT_FORMAT_VERSION = 1
 
 _GENERATORS = {
-    "ex1": lambda n, seed, params: sample_example1(TwoGroupConfig(**params), n, seed),
-    "ex2-skewed": lambda n, seed, params: sample_example2("skewed", n, seed, **params),
-    "ex2-kurtotic": lambda n, seed, params: sample_example2("kurtotic", n, seed, **params),
+    "ex1": lambda n, seed: sample_example1(TwoGroupConfig(), n, seed),
+    "ex2-skewed": lambda n, seed: sample_example2("skewed", n, seed),
+    "ex2-kurtotic": lambda n, seed: sample_example2("kurtotic", n, seed),
 }
 
 _METHODS = ("calpit-int", "calpit-hpd", "dcp", "regsplit", "oracle", "initial")
@@ -70,8 +69,6 @@ class ExperimentRecipe:
     backend_params: dict = field(default_factory=dict)
     experiment: str = "full"  # "full" uses all data for calibration; "split" halves it
     test_grid_size: int | None = None
-    test_xs: tuple | None = None
-    generator_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.generator not in _GENERATORS:
@@ -90,14 +87,6 @@ class ExperimentRecipe:
             raise ConfigError("n, realizations and mc_draws must be >= 1")
         if self.test_grid_size is not None and self.test_grid_size < 1:
             raise ConfigError(f"test_grid_size must be >= 1, got {self.test_grid_size}")
-
-    def to_config(self) -> dict:
-        """The fields in order, with ``test_xs`` (when set) last as lists of floats."""
-        doc = asdict(self)
-        test_xs = doc.pop("test_xs")
-        if test_xs is not None:
-            doc["test_xs"] = [list(np.atleast_1d(x).astype(float)) for x in test_xs]
-        return doc
 
 
 @dataclass
@@ -130,7 +119,7 @@ class CoverageReport:
                 )
 
 
-def _score_sets(sets, oracle, test_xs, n_draws: int, seed: int, label: tuple,
+def _score_sets(sets, oracle, xs, n_draws: int, seed: int, label: tuple,
                 n_threads: int = 1):
     """Share of oracle draws inside each point's set, and the set's size.
 
@@ -138,7 +127,7 @@ def _score_sets(sets, oracle, test_xs, n_draws: int, seed: int, label: tuple,
     depend on how ``n_threads`` workers split the points.
     """
     def score(i):
-        draws = oracle.sample(test_xs[i], rngmod.derived_rng(seed, *label, i), n_draws)
+        draws = oracle.sample(xs[i], rngmod.derived_rng(seed, *label, i), n_draws)
         return float(np.mean(sets[i].contains(draws))), sets[i].total_size()
 
     if n_threads > 1:
@@ -147,15 +136,6 @@ def _score_sets(sets, oracle, test_xs, n_draws: int, seed: int, label: tuple,
     else:
         results = [score(i) for i in range(len(sets))]
     return np.array([c for c, _ in results]), np.array([z for _, z in results])
-
-
-def conditional_coverage(method, oracle, test_xs, n_draws: int, seed: int) -> np.ndarray:
-    """Fraction of oracle response draws captured by the method's set, per x."""
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
-    test_xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in test_xs]
-    sets = [method(x) for x in test_xs]
-    return _score_sets(sets, oracle, test_xs, n_draws, seed, ("coverage",))[0]
 
 
 def classify_coverage(empirical: float, nominal: float, n_draws: int,
@@ -178,11 +158,9 @@ def classify_coverage(empirical: float, nominal: float, n_draws: int,
 
 def _default_test_grid(recipe: ExperimentRecipe) -> np.ndarray:
     """Test points as rows, shape (n_points, d)."""
-    if recipe.test_xs is not None:
-        return np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in recipe.test_xs])
     if recipe.generator == "ex1":
         g = recipe.test_grid_size or 30
-        lo, hi = recipe.generator_params.get("x_range", (-5.0, 5.0))
+        lo, hi = TwoGroupConfig().x_range
         axis = np.linspace(lo, hi, g)
         return np.array([[a, b] for a in axis for b in axis])
     g = recipe.test_grid_size or 41
@@ -232,20 +210,20 @@ def run_experiment(recipe: ExperimentRecipe, n_threads: int = 1) -> CoverageRepo
     point order, so the report does not depend on scheduling.
     """
     t_start = time.perf_counter()
-    test_xs = _default_test_grid(recipe)
-    n_points = len(test_xs)
+    xs = _default_test_grid(recipe)
+    n_points = len(xs)
     coverage = np.zeros(n_points)
     sizes = np.zeros(n_points)
 
     for rep in range(recipe.n_realizations):
         rep_seed = rngmod.derive_seed(recipe.seed, "realization", rep)
-        data = _GENERATORS[recipe.generator](recipe.n, rep_seed, recipe.generator_params)
+        data = _GENERATORS[recipe.generator](recipe.n, rep_seed)
         if recipe.experiment == "split" or recipe.method in ("regsplit",):
             train, cal = split_calibration(data.cal, 0.5)
         else:
             train = cal = data.cal
-        sets = _prediction_sets(recipe, data, train, cal, rep_seed, test_xs)
-        cov, size = _score_sets(sets, data.oracle, test_xs, recipe.n_mc_draws, recipe.seed,
+        sets = _prediction_sets(recipe, data, train, cal, rep_seed, xs)
+        cov, size = _score_sets(sets, data.oracle, xs, recipe.n_mc_draws, recipe.seed,
                                 ("coverage", rep), n_threads)
         coverage += cov
         sizes += size
@@ -256,7 +234,7 @@ def run_experiment(recipe: ExperimentRecipe, n_threads: int = 1) -> CoverageRepo
 
     points = []
     tallies = {"under": 0, "correct": 0, "over": 0}
-    for i, x in enumerate(test_xs):
+    for i, x in enumerate(xs):
         label = classify_coverage(coverage[i], nominal, recipe.n_mc_draws, recipe.n_realizations)
         tallies[label] += 1
         points.append({
@@ -273,7 +251,7 @@ def run_experiment(recipe: ExperimentRecipe, n_threads: int = 1) -> CoverageRepo
         "proportion_over": tallies["over"] / n_points,
         "mean_size": float(np.mean(sizes)),
         "runtime_seconds": time.perf_counter() - t_start,
-        "config": recipe.to_config(),
+        "config": asdict(recipe),
         "seed": recipe.seed,
     }
     return CoverageReport(points=points, summary=summary)

@@ -8,6 +8,11 @@ sets. Two interchangeable regression backends satisfy the same interface:
 
 * a local empirical estimator (k nearest neighbors, exact in gamma), and
 * a partially monotone neural network (see :mod:`pitcal.monotone_net`).
+
+Every step takes all feature points in one batch, and each per-x call is a
+batch of one. :class:`RecalibratedInitialModel` answers ``cdf_matrix(xs)``
+with :func:`recalibrate_rows`, so a recalibrated family is itself an initial
+model.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .errors import (
     HpdSearchFailed,
     InsufficientData,
     LengthMismatch,
-    ModelEvalError,
     PitcalError,
 )
 from .grid import (
@@ -122,16 +126,9 @@ class AugmentedCalibrationSet:
 def compute_pit_values(model, cal: CalibrationSet) -> np.ndarray:
     """PIT(y_i; x_i) under the initial model, one value per calibration row.
 
-    All rows' CDFs come from :func:`cdf_rows` at once (an error of a batched
-    model names row -1).
+    All rows' CDFs come from one :func:`cdf_rows` call.
     """
-    try:
-        rows = cdf_rows(model, cal.xs)
-    except ModelEvalError:
-        raise
-    except PitcalError as exc:
-        raise ModelEvalError(-1, str(exc)) from exc
-    return _pit_rows(model.grid.points, rows, cal.ys)
+    return _pit_rows(model.grid.points, cdf_rows(model, cal.xs), cal.ys)
 
 
 def augment(cal: CalibrationSet, pit_values, k_factor: int, seed: int) -> AugmentedCalibrationSet:
@@ -187,9 +184,6 @@ class PitCdfModel:
         """r(gamma; x) at one feature point: a batch of one of :meth:`predict_matrix`."""
         return self.predict_matrix(gammas, np.asarray(x, dtype=float).reshape(1, -1))[0]
 
-    def predict(self, gamma: float, x) -> float:
-        return float(self.predict_curve(np.array([gamma]), x)[0])
-
     def to_json(self) -> dict:
         raise NotImplementedError(f"backend {self.backend} is not serializable")
 
@@ -224,10 +218,19 @@ class StandardizedNeighbours:
         self._tree = cKDTree((xs - self.mean) / self.scale)
 
     def _query(self, xs):
-        """``(dist, idx)`` of each row of ``xs``, each (n_x, k); ``xs`` is (n_x, d) or (n_x,)."""
+        """``(dist, idx)`` of each row of ``xs``, each (n_x, k); ``xs`` is (n_x, d) or (n_x,).
+
+        A row whose standardized distances overflow has no neighbours (the
+        tree reports index n at distance inf) and raises :class:`InsufficientData`.
+        """
         q = (np.asarray(xs, dtype=float).reshape(-1, self.mean.size) - self.mean) / self.scale
         dist, idx = self._tree.query(q, k=self.k)  # drops the neighbour axis when k == 1
-        return dist.reshape(q.shape[0], self.k), idx.reshape(q.shape[0], self.k)
+        dist, idx = dist.reshape(q.shape[0], self.k), idx.reshape(q.shape[0], self.k)
+        far = np.flatnonzero(np.isinf(dist[:, -1]))
+        if far.size:
+            raise InsufficientData(f"feature row {far[0]} is too far from the data for {self.k} "
+                                   "neighbours")
+        return dist, idx
 
 
 @dataclass(frozen=True)
@@ -247,7 +250,7 @@ class LocalEmpiricalConfig:
 class LocalEmpiricalModel(PitCdfModel, StandardizedNeighbours):
     """Weighted empirical CDF of PIT values over the k nearest calibration points.
 
-    predict(gamma; x) = sum_i w_i(x) I(pit_i <= gamma), with the weights
+    r(gamma; x) = sum_i w_i(x) I(pit_i <= gamma), with the weights
     supported on the k nearest neighbours of x in standardized feature space.
     The curve is a nondecreasing step function of gamma by construction.
     """
@@ -473,12 +476,9 @@ class RecalibratedInitialModel:
         self.r = r
         self.grid = base_model.grid
 
-    def density_at(self, x) -> GridDensity:
-        return recalibrate(self.base_model, self.r, x).pdf
-
-    def cdf_at(self, x) -> GridCdf:
-        cdf = recalibrate_rows(self.base_model, self.r, np.asarray(x, dtype=float).reshape(1, -1))
-        return GridCdf(self.grid, cdf[0])
+    def cdf_matrix(self, xs) -> np.ndarray:
+        """Recalibrated CDF rows of all feature rows of ``xs``: :func:`recalibrate_rows`."""
+        return recalibrate_rows(self.base_model, self.r, xs)
 
 
 def central_intervals(points, cdf, p_lo: float, p_hi: float, level: float) -> list:

@@ -114,7 +114,10 @@ def _parse_points(spec: str, dim: int) -> np.ndarray:
         raise ConfigError(f"no evaluation points in {spec!r}")
     if any(x.size != dim for x in pts):
         raise ConfigError(f"each point of {spec!r} needs {dim} component(s), one per data feature")
-    return np.stack(pts)
+    pts = np.stack(pts)
+    if not np.all(np.isfinite(pts)):
+        raise ConfigError(f"evaluation points must be finite, got {spec!r}")
+    return pts
 
 
 def _ensure_outdir(path: str) -> Path:

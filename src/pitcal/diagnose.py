@@ -1,5 +1,5 @@
-"""Calibration diagnostics: local P-P curves, Monte Carlo coverage tests,
-null confidence bands, and the estimable density-estimation loss.
+"""Calibration diagnostics: the local coverage test with its P-P curve and
+null band, and the estimable density-estimation loss.
 
 The local coverage test (Zhao, Izbicki & Lee, UAI 2021) measures the mean
 squared deviation of the fitted PIT-CDF curve from the diagonal over a gamma
@@ -9,7 +9,8 @@ at x only uses calibration points near x: the k-nearest-neighbour backend
 (:class:`LocalEmpiricalModel`) qualifies, network fits do not, and the test
 takes no other backend. :func:`mc_local_test` runs it in one pass per x: one
 neighbourhood query, each null vector drawn once, and one (B, G) array of
-null curves giving the statistic, the p-value and the band. The p-value is
+null curves giving the statistic, the p-value and the band; a fitted map's
+P-P curve at one x alone is its ``predict_curve``. The p-value is
 #{T_b > T_obs}/B, not the (1 + #{T_b >= T_obs})/(B + 1) of Phipson & Smyth
 (2010), because the acceptance tests and benchmark references fix it exactly.
 """
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import rng as rngmod
-from .calibrate import CalibrationSet, LocalEmpiricalModel, PitCdfModel
+from .calibrate import CalibrationSet, LocalEmpiricalModel
 from .errors import LengthMismatch
 from .grid import GridDensity
 
@@ -31,11 +32,8 @@ __all__ = [
     "AlpCurve",
     "LocalTestResult",
     "DEFAULT_TEST_GAMMAS",
-    "alp_curve",
-    "local_test_statistic",
     "mc_local_test",
     "mc_p_value",
-    "mc_confidence_band",
     "cde_loss",
 ]
 
@@ -45,13 +43,13 @@ DEFAULT_TEST_GAMMAS = np.linspace(0.05, 0.95, 21)
 
 @dataclass(frozen=True)
 class AlpCurve:
-    """Local P-P curve r(gamma; x) versus gamma, with an optional null band."""
+    """Local P-P curve r(gamma; x) versus gamma, with its null band."""
 
     x: np.ndarray
     gammas: np.ndarray
     r_values: np.ndarray
-    band_lo: np.ndarray | None = None
-    band_hi: np.ndarray | None = None
+    band_lo: np.ndarray
+    band_hi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -64,27 +62,9 @@ class LocalTestResult:
     n_mc: int
 
 
-def alp_curve(r: PitCdfModel, x, gammas, band=None) -> AlpCurve:
-    """Evaluate the fitted PIT-CDF at one feature point over a gamma grid."""
-    gammas = np.asarray(gammas, dtype=float)
-    if gammas.ndim != 1 or np.any(np.diff(gammas) <= 0):
-        raise ValueError("gammas must be a strictly increasing 1-D grid")
-    values = np.asarray(r.predict_curve(gammas, x), dtype=float)
-    lo = hi = None
-    if band is not None:
-        lo, hi = band
-    return AlpCurve(np.asarray(x, dtype=float), gammas, values, lo, hi)
-
-
 def _deviation(curves, g) -> np.ndarray:
     """Mean squared deviation of each curve (last axis) from the diagonal over ``g``."""
     return np.mean((curves - g) ** 2, axis=-1)
-
-
-def local_test_statistic(r: PitCdfModel, x, gammas=None) -> float:
-    """Mean squared deviation of r(gamma; x) from the diagonal over the grid."""
-    g = DEFAULT_TEST_GAMMAS if gammas is None else np.asarray(gammas, dtype=float)
-    return float(_deviation(np.asarray(r.predict_curve(g, x), dtype=float), g))
 
 
 def mc_local_test(observed: LocalEmpiricalModel, x, n_mc: int, gammas, eta=0.05, seed=0):
@@ -132,21 +112,6 @@ def mc_p_value(fit_fn, cal: CalibrationSet, pit_values, x, n_mc: int,
     g = DEFAULT_TEST_GAMMAS if gammas is None else gammas
     observed = fit_fn(cal, np.asarray(pit_values, dtype=float))
     return mc_local_test(observed, x, n_mc, g, seed=seed)[0]
-
-
-def mc_confidence_band(fit_fn, cal: CalibrationSet, pit_values, x, n_mc: int,
-                       gammas, eta: float = 0.05, seed: int = 0):
-    """Pointwise null band ``(lo, hi)`` for the local P-P curve at level 1 - eta.
-
-    For each gamma, returns the nearest-rank eta/2 and 1 - eta/2 quantiles of
-    the null-replicate curve values: with k = floor(B * eta / 2), the
-    (k+1)-th smallest and (B-k)-th smallest of the B values (:func:`mc_local_test`).
-    """
-    if n_mc < 20:
-        raise ValueError("need at least 20 replicates for a useful band")
-    observed = fit_fn(cal, np.asarray(pit_values, dtype=float))
-    curve = mc_local_test(observed, x, n_mc, gammas, eta=eta, seed=seed)[1]
-    return curve.band_lo, curve.band_hi
 
 
 def cde_loss(pdfs, test_ys) -> float:

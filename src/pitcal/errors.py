@@ -45,17 +45,6 @@ class HpdSearchFailed(PitcalError):
     """Density-threshold bisection did not converge."""
 
 
-class ModelEvalError(PitcalError):
-    """An initial model failed to evaluate at a feature point.
-
-    Carries the row index of the offending evaluation.
-    """
-
-    def __init__(self, index, message=""):
-        self.index = index
-        super().__init__(f"model evaluation failed at row {index}: {message}")
-
-
 class NonStationaryVar(PitcalError):
     """VAR coefficients have companion-matrix spectral radius >= 1."""
 

@@ -1,10 +1,11 @@
 """Concrete initial conditional models backed by the response grid.
 
 These are deliberately simple: a fixed-width Gaussian around a point
-prediction, a flat density over the grid range, a feature-independent
-marginal histogram, and an arbitrary callable. Any of them can seed the
-recalibration pipeline, which morphs the initial shape toward the calibration
-data.
+prediction, a flat density over the grid range, and a feature-independent
+marginal histogram. Any of them can seed the recalibration pipeline, which
+morphs the initial shape toward the calibration data. An initial model
+answers for many feature points at once: :func:`cdf_rows` integrates its
+``density_matrix(xs)``, or reads ``cdf_matrix(xs)`` where the model has one.
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ModelEvalError
 from .grid import (
     GridCdf,
     GridDensity,
     YGrid,
-    cdf_from_density,
     cdf_rows_from_density_rows,
     renormalize_density,
     widen_density,
@@ -28,7 +27,6 @@ __all__ = [
     "GaussianInitialModel",
     "UniformInitialModel",
     "MarginalHistogramModel",
-    "CallableDensityModel",
     "cdf_rows",
     "model_cdf",
 ]
@@ -46,22 +44,14 @@ def feature_rows(xs) -> np.ndarray:
 def cdf_rows(model, xs) -> np.ndarray:
     """CDF of an initial model at each feature row of ``xs``, shape (n, G).
 
-    Models with ``density_matrix`` integrate all rows at once. Any other model
-    is evaluated row by row through ``cdf_at``, else ``density_at``, and a
-    failure there raises :class:`ModelEvalError` naming the row.
+    A model with ``cdf_matrix(xs)`` returns its rows itself; any other model
+    has ``density_matrix(xs)``, whose rows are integrated all at once.
     """
     xs = feature_rows(xs)
-    density_matrix = getattr(model, "density_matrix", None)
-    if density_matrix is not None:
-        return cdf_rows_from_density_rows(model.grid.points, density_matrix(xs))
-    cdf_at = getattr(model, "cdf_at", None) or (lambda x: cdf_from_density(model.density_at(x)))
-    out = np.empty((xs.shape[0], len(model.grid)))
-    for i, x in enumerate(xs):
-        try:
-            out[i] = cdf_at(x).values
-        except Exception as exc:  # noqa: BLE001 - contract: wrap with row index
-            raise ModelEvalError(i, str(exc)) from exc
-    return out
+    cdf_matrix = getattr(model, "cdf_matrix", None)
+    if cdf_matrix is not None:
+        return cdf_matrix(xs)
+    return cdf_rows_from_density_rows(model.grid.points, model.density_matrix(xs))
 
 
 def model_cdf(model, x) -> GridCdf:
@@ -131,14 +121,3 @@ class MarginalHistogramModel:
     def density_matrix(self, xs) -> np.ndarray:
         return np.tile(self._density.values, (feature_rows(xs).shape[0], 1))
 
-
-class CallableDensityModel:
-    """Wrap a function x -> density values on the fixed grid."""
-
-    def __init__(self, grid: YGrid, fn: Callable):
-        self.grid = grid
-        self.fn = fn
-
-    def density_at(self, x) -> GridDensity:
-        vals = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-        return renormalize_density(GridDensity(self.grid, vals))

@@ -32,7 +32,6 @@ __all__ = [
     "chunk_tc",
     "tc_summary_features",
     "write_storms_jsonl",
-    "read_storms_jsonl",
 ]
 
 N_RADII = 80
@@ -80,7 +79,6 @@ class StormRecord:
 @dataclass(frozen=True)
 class TcChunkResult:
     cal: CalibrationSet
-    storm_ids: np.ndarray
     skipped_storms: int
 
 
@@ -247,7 +245,7 @@ def _cut_windows(storms, window_hours: int, step_minutes: int, mode: str,
     """Cut storms as :func:`chunk_tc` describes; ``features(flat, w)`` makes one storm's rows."""
     w = window_hours * 60 // step_minutes + 1
     stride = _window_stride(w, mode, stride)
-    feats, targets, ids = [], [], []
+    feats, targets = [], []
     skipped = 0
     for storm in storms:
         length = storm.intensities.shape[0]
@@ -260,11 +258,10 @@ def _cut_windows(storms, window_hours: int, step_minutes: int, mode: str,
         flat = windows[starts].transpose(0, 2, 1).reshape(starts.size, -1)
         feats.append(features(flat, w))
         targets.append(storm.intensities[starts + w - 1])
-        ids.append(np.full(starts.size, storm.storm_id, dtype=int))
     if not feats:
         raise ValueError("no storm was long enough for a single window")
     cal = CalibrationSet(np.vstack(feats), np.concatenate(targets))
-    return TcChunkResult(cal=cal, storm_ids=np.concatenate(ids), skipped_storms=skipped)
+    return TcChunkResult(cal=cal, skipped_storms=skipped)
 
 
 def chunk_tc(storms, window_hours: int = 24, step_minutes: int = 30,
@@ -367,22 +364,3 @@ def write_storms_jsonl(storms, path, meta: dict | None = None):
                 }
                 fh.write(json.dumps(rec) + "\n")
 
-
-def read_storms_jsonl(path) -> list:
-    by_id: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            if "meta" in rec:
-                continue
-            by_id.setdefault(rec["storm_id"], []).append(rec)
-    storms = []
-    for sid in sorted(by_id):
-        rows = sorted(by_id[sid], key=lambda r: r["t_minutes"])
-        storms.append(StormRecord(
-            storm_id=sid,
-            t_minutes=np.array([r["t_minutes"] for r in rows]),
-            profiles=np.array([r["profile"] for r in rows]),
-            intensities=np.array([r["intensity"] for r in rows]),
-        ))
-    return storms

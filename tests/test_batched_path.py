@@ -10,6 +10,10 @@ segment-local bisection per quantile. With the local backend and a uniform
 initial model both paths run the same arithmetic, so every comparison is
 ``==``; the Gaussian initial model and the network reach the same values
 through other array shapes and are held to 1e-12.
+
+A recalibrated family used as an initial model once answered one row at a
+time through ``cdf_at``; its frozen copy below must match ``cdf_rows`` and
+``compute_pit_values`` of :class:`RecalibratedInitialModel` bit for bit.
 """
 
 import numpy as np
@@ -24,13 +28,17 @@ from pitcal.calibrate import (
     GridDensity,
     PredictionSet,
     RecalibratedDistribution,
+    RecalibratedInitialModel,
     calpit_hpd,
     compute_pit_values,
+    recalibrate_rows,
 )
 from pitcal.errors import DegenerateRecalibration
-from pitcal.grid import cdf_from_density, knot_slopes, renormalize_density
+from pitcal.grid import _pit_rows, cdf_from_density, knot_slopes, renormalize_density
+from pitcal.models import cdf_rows
 from pitcal.monotone_net import MonotoneNetModel, _forward
 from pitcal.pipeline import build_initial, fit_pit_model, split_calibration
+from pitcal.synthgen import sample_example2
 
 
 # ----------------------------------------------------------------------
@@ -38,11 +46,13 @@ from pitcal.pipeline import build_initial, fit_pit_model, split_calibration
 # ----------------------------------------------------------------------
 
 def frozen_model_cdf(model, x):
-    x = np.asarray(x, dtype=float)
-    cdf_at = getattr(model, "cdf_at", None)
-    if cdf_at is not None:
-        return cdf_at(x)
-    return cdf_from_density(model.density_at(x))
+    return cdf_from_density(model.density_at(np.asarray(x, dtype=float)))
+
+
+def frozen_recalibrated_cdf_rows(model, xs):
+    """``RecalibratedInitialModel.cdf_at`` row by row: a batch of one per feature row."""
+    return np.array([recalibrate_rows(model.base_model, model.r, x.reshape(1, -1))[0]
+                     for x in xs])
 
 
 def frozen_local_curve(model, gammas, x):
@@ -182,7 +192,7 @@ def realizations(recipe):
     """(data, train, cal, rep_seed) of each realization, as ``run_experiment`` draws them."""
     for rep in range(recipe.n_realizations):
         rep_seed = rngmod.derive_seed(recipe.seed, "realization", rep)
-        data = bench._GENERATORS[recipe.generator](recipe.n, rep_seed, recipe.generator_params)
+        data = bench._GENERATORS[recipe.generator](recipe.n, rep_seed)
         if recipe.experiment == "split" or recipe.method == "regsplit":
             train, cal = split_calibration(data.cal, 0.5)
         else:
@@ -279,3 +289,20 @@ def test_net_within_rounding(method):
     recipe = recipe_for("ex2-skewed", method, initial="generator", backend="net",
                         backend_params=dict(NET))
     assert_batched_equals_frozen(recipe, 1e-12)
+
+
+@pytest.mark.parametrize("backend", ["local", "net"])
+@pytest.mark.parametrize("initial", ["uniform", "gaussian-fit"])
+def test_recalibrated_initial_rows_equal_frozen_exactly(initial, backend):
+    data = sample_example2("skewed", 800, 21)
+    train, cal = split_calibration(data.cal, 0.5)
+    base = build_initial(initial, data.grid, train, mean_k=30)
+    params = {"k": 200} if backend == "local" else {"k_factor": 3, "net": {
+        "hidden_layers": (6, 6), "max_epochs": 2, "patience": 2, "batch_size": 512}}
+    r = fit_pit_model(cal, compute_pit_values(base, cal), backend, 5, **params)
+    recal = RecalibratedInitialModel(base, r)
+    test = sample_example2("skewed", 400, 22).cal
+    want = frozen_recalibrated_cdf_rows(recal, test.xs)
+    assert np.array_equal(cdf_rows(recal, test.xs), want)
+    assert np.array_equal(compute_pit_values(recal, test),
+                          _pit_rows(data.grid.points, want, test.ys))

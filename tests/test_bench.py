@@ -4,8 +4,8 @@ import pytest
 from pitcal.bench import (
     CoverageReport,
     ExperimentRecipe,
+    _score_sets,
     classify_coverage,
-    conditional_coverage,
     run_experiment,
 )
 from pitcal.calibrate import PredictionSet
@@ -36,6 +36,12 @@ class TestClassify:
     def test_pooled_draws_tighten_band(self):
         assert classify_coverage(0.91, 0.9, 1000, n_realizations=1) == "correct"
         assert classify_coverage(0.91, 0.9, 1000, n_realizations=10) == "over"
+
+
+def conditional_coverage(method, oracle, xs, n_draws, seed):
+    """Share of oracle draws inside ``method(x)`` at each x, scored as ``run_experiment`` does."""
+    xs = np.asarray(xs, dtype=float)
+    return _score_sets([method(x) for x in xs], oracle, xs, n_draws, seed, ("coverage",))[0]
 
 
 class TestConditionalCoverage:

@@ -29,12 +29,10 @@ from pitcal.errors import (
     DegenerateRecalibration,
     InsufficientData,
     LengthMismatch,
-    ModelEvalError,
 )
 from pitcal.grid import GridDensity, YGrid, cdf_from_density
 from pitcal.calibrate import RecalibratedDistribution
 from pitcal.models import (
-    CallableDensityModel,
     GaussianInitialModel,
     MarginalHistogramModel,
     UniformInitialModel,
@@ -52,26 +50,33 @@ def make_rd_from_density(grid, values):
     return RecalibratedDistribution(cdf=cdf, pdf=pdf)
 
 
+class DensityRows:
+    """An initial model whose ``density_matrix`` is ``fn`` of the feature rows."""
+
+    def __init__(self, grid, fn):
+        self.grid = grid
+        self.density_matrix = fn
+
+
 class TestComputePitValues:
     def test_pit_of_truth_is_uniform(self):
         data = sample_example2("skewed", 10000, seed=5)
-        truth = CallableDensityModel(data.grid, lambda x: data.oracle.pdf(data.grid.points, x))
+        truth = DensityRows(data.grid, lambda xs: np.array(
+            [data.oracle.pdf(data.grid.points, x) for x in xs]))
         sub = CalibrationSet(data.cal.xs[:2000], data.cal.ys[:2000])
         pits = compute_pit_values(truth, sub)
         assert kstest(pits, "uniform").pvalue > 0.01
 
     def test_point_mass_below_gives_ones(self):
         data = sample_example2("skewed", 50, seed=5)
-        lo = data.grid.lo
-        span = data.grid.hi - data.grid.lo
 
-        def low_spike(x):
-            vals = np.zeros(len(data.grid))
-            vals[0] = 1.0
-            vals[1] = 0.5
+        def low_spike(xs):
+            vals = np.zeros((len(xs), len(data.grid)))
+            vals[:, 0] = 1.0
+            vals[:, 1] = 0.5
             return vals
 
-        model = CallableDensityModel(data.grid, low_spike)
+        model = DensityRows(data.grid, low_spike)
         pits = compute_pit_values(model, data.cal)
         assert np.all(pits > 0.999)
 
@@ -84,20 +89,6 @@ class TestComputePitValues:
         # globally much closer to uniform than on the bimodal slice, which rejects
         assert branch.pvalue < 1e-4
         assert overall.statistic < 0.5 * branch.statistic
-
-    def test_eval_error_carries_index(self):
-        grid = YGrid(np.linspace(0, 1, 5))
-
-        def bad(x):
-            if x[0] > 0.5:
-                raise RuntimeError("boom")
-            return np.ones(5)
-
-        model = CallableDensityModel(grid, bad)
-        cal = CalibrationSet(np.array([[0.0], [0.9]]), np.array([0.5, 0.5]))
-        with pytest.raises(ModelEvalError) as err:
-            compute_pit_values(model, cal)
-        assert err.value.index == 1
 
 
 class TestAugment:
@@ -153,14 +144,14 @@ class TestLocalEmpirical:
     def test_three_neighbor_count(self):
         cal = CalibrationSet(np.array([[0.0], [0.1], [-0.1]]), np.zeros(3))
         model = fit_local_empirical(cal, [0.1, 0.5, 0.9], LocalEmpiricalConfig(k=3))
-        assert model.predict(0.5, [0.0]) == pytest.approx(2.0 / 3.0)
+        assert model.predict_curve([0.5], [0.0])[0] == pytest.approx(2.0 / 3.0)
 
     def test_gamma_one_is_one(self):
         rng = np.random.default_rng(8)
         cal = CalibrationSet(rng.normal(size=(50, 2)), np.zeros(50))
         model = fit_local_empirical(cal, rng.uniform(size=50), LocalEmpiricalConfig(k=10))
         for _ in range(5):
-            assert model.predict(1.0, rng.normal(size=2)) == 1.0
+            assert model.predict_curve([1.0], rng.normal(size=2))[0] == 1.0
 
     def test_well_specified_sup_deviation_within_dkw(self):
         rng = np.random.default_rng(42)
@@ -421,7 +412,7 @@ class TestSerialization:
         path = tmp_path / "id.json"
         save_pit_model(IdentityPitCdf(), path)
         loaded = load_pit_model(path)
-        assert loaded.predict(0.3, [0.0]) == 0.3
+        assert loaded.predict_curve([0.3], [0.0])[0] == 0.3
 
 
 def _flat_xs_outputs(kind, xs):
@@ -447,3 +438,21 @@ def _flat_xs_outputs(kind, xs):
 def test_flat_xs_are_one_feature_rows(kind):
     xs = np.linspace(-1.0, 1.0, 12) ** 3
     assert np.array_equal(_flat_xs_outputs(kind, xs), _flat_xs_outputs(kind, xs[:, None]))
+
+
+@pytest.mark.parametrize("kind", ["LocalEmpiricalModel", "KnnMeanRegressor"])
+def test_point_beyond_float_range_has_no_neighbours(kind):
+    # standardized distances to 1e300 overflow, so the tree finds no neighbour
+    # (index n at distance inf) for that row
+    rng = np.random.default_rng(4)
+    cal = CalibrationSet(rng.uniform(size=(30, 1)), rng.normal(size=30))
+    if kind == "LocalEmpiricalModel":
+        model = fit_local_empirical(cal, rng.uniform(size=30), LocalEmpiricalConfig(k=5))
+        predict = lambda xs: model.predict_matrix(np.linspace(0.0, 1.0, 5), xs)  # noqa: E731
+    else:
+        model = KnnMeanRegressor(cal, k=5)
+        predict = model.predict
+    xs = np.array([[0.5], [1e300], [0.2]])
+    with pytest.raises(InsufficientData, match="row 1 "):
+        predict(xs)
+    assert np.all(np.isfinite(predict(xs[[0, 2]])))

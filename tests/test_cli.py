@@ -277,6 +277,14 @@ EXIT_CASES = [
     ("data_not_utf8", None, False, ["calibrate"], 2, "error:"),
     ("config_not_utf8", 300, False, ["calibrate"], 2, "error:"),
     ("no_feature_column", 300, False, ["diagnose", "--n-mc", 20], 2, "error:"),
+    ("eval_x_nan", 300, False, ["calibrate", "--eval-x=nan"], 2, "error:"),
+    ("diagnose_eval_x_inf", 300, False, ["diagnose", "--eval-x=inf", "--n-mc", 20], 2, "error:"),
+    ("eval_x_beyond_float_range", 300, False, ["calibrate", "--eval-x=1e300"],
+     3, "numerical failure:"),
+    ("diagnose_eval_x_beyond_float_range", 300, False,
+     ["diagnose", "--eval-x=1e300", "--n-mc", 20], 3, "numerical failure:"),
+    ("gaussian_fit_eval_x_beyond_float_range", 300, False,
+     ["calibrate", "--initial", "gaussian-fit", "--eval-x=1e300"], 3, "numerical failure:"),
 ]
 
 # cases that also read a --config file with these bytes

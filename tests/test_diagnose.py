@@ -3,21 +3,15 @@ import pytest
 from scipy.stats import kstest
 
 import pitcal.rng as rngmod
+from pitcal import cli
 from pitcal.calibrate import (
     CalibrationSet,
     IdentityPitCdf,
     LocalEmpiricalConfig,
-    PitCdfModel,
     compute_pit_values,
     fit_local_empirical,
 )
-from pitcal.diagnose import (
-    alp_curve,
-    cde_loss,
-    local_test_statistic,
-    mc_confidence_band,
-    mc_p_value,
-)
+from pitcal.diagnose import cde_loss, mc_local_test, mc_p_value
 from pitcal.errors import LengthMismatch
 from pitcal.grid import GridDensity, YGrid, default_grid
 from pitcal.models import GaussianInitialModel
@@ -33,6 +27,21 @@ def local_fit_fn(k):
     return fit
 
 
+def band(fit, cal, pits, x, n_mc, gammas, eta, seed):
+    """The null band ``(lo, hi)`` of the local coverage test at ``x``."""
+    curve = mc_local_test(fit(cal, np.asarray(pits, dtype=float)), x, n_mc, gammas, eta=eta,
+                          seed=seed)[1]
+    return curve.band_lo, curve.band_hi
+
+
+def statistic_at_one_x(pits, gammas):
+    """The test statistic when every row sits at x = 0 and is a neighbour."""
+    n = len(pits)
+    model = fit_local_empirical(CalibrationSet(np.zeros((n, 1)), np.zeros(n)), pits,
+                                LocalEmpiricalConfig(k=n))
+    return mc_local_test(model, [0.0], 20, np.asarray(gammas, dtype=float))[0].statistic
+
+
 def gaussian_data(n, seed, shift=0.0, sd=2.0):
     rng = rngmod.derived_rng(seed, "gauss-data")
     xs = rng.uniform(-1, 1, size=(n, 1))
@@ -46,16 +55,14 @@ def gaussian_data(n, seed, shift=0.0, sd=2.0):
 class TestAlpCurve:
     def test_identity_on_diagonal(self):
         gam = np.linspace(0.05, 0.95, 19)
-        curve = alp_curve(IdentityPitCdf(), [0.0], gam)
-        np.testing.assert_allclose(curve.r_values, gam, atol=1e-12)
+        np.testing.assert_allclose(IdentityPitCdf().predict_curve(gam, [0.0]), gam, atol=1e-12)
 
     def test_negatively_biased_model_below_diagonal(self):
         data = sample_example2("skewed", 10000, seed=3)
         pits = compute_pit_values(data.initial, data.cal)
         r = fit_local_empirical(data.cal, pits, LocalEmpiricalConfig(k=500))
         gam = np.linspace(0.05, 0.95, 19)
-        curve = alp_curve(r, [1.0], gam)
-        mid = curve.r_values[np.argmin(np.abs(gam - 0.5))]
+        mid = r.predict_curve(gam, [1.0])[np.argmin(np.abs(gam - 0.5))]
         # oracle: P(PIT <= 0.5 | x=1) = truth CDF at the initial median ~ 0.12
         assert float(data.oracle.cdf(1.0, [1.0])) < 0.2
         assert mid < 0.5
@@ -65,40 +72,27 @@ class TestAlpCurve:
         pits = compute_pit_values(data.initial, data.cal)
         r = fit_local_empirical(data.cal, pits, LocalEmpiricalConfig(k=500))
         gam = np.linspace(0.05, 0.95, 19)
-        curve = alp_curve(r, [-1.0], gam).r_values
+        curve = r.predict_curve(gam, [-1.0])
         # initial over-dispersed at x = -1: below the diagonal left of 1/2,
         # above right of it, crossing near the middle
         assert curve[2] < gam[2]
         assert curve[-3] > gam[-3]
         assert abs(curve[9] - 0.5) < 0.05
 
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            alp_curve(IdentityPitCdf(), [0.0], np.array([0.5, 0.4]))
-
 
 class TestLocalTestStatistic:
     def test_identity_zero(self):
-        assert local_test_statistic(IdentityPitCdf(), [0.0]) == 0.0
+        # 32 evenly spaced PITs: the curve is the diagonal at quarter levels
+        assert statistic_at_one_x((np.arange(32) + 0.5) / 32, [0.25, 0.5, 0.75]) == 0.0
 
     def test_constant_half(self):
-        class Half(PitCdfModel):
-            backend = "stub"
-
-            def predict_curve(self, gammas, x):
-                return np.full(np.asarray(gammas).shape, 0.5)
-
-        stat = local_test_statistic(Half(), [0.0], np.array([0.25, 0.5, 0.75]))
+        # one PIT below every level and one above: the curve is 1/2 throughout
+        stat = statistic_at_one_x([0.1, 0.9], [0.25, 0.5, 0.75])
         assert stat == pytest.approx(1.0 / 24.0)
 
     def test_square_curve(self):
-        class Square(PitCdfModel):
-            backend = "stub"
-
-            def predict_curve(self, gammas, x):
-                return np.asarray(gammas) ** 2
-
-        assert local_test_statistic(Square(), [0.0], np.array([0.5])) == pytest.approx(0.0625)
+        # a quarter of the PITs at or below 1/2: r(1/2) = (1/2)^2
+        assert statistic_at_one_x([0.1, 0.6, 0.7, 0.8], [0.5]) == pytest.approx(0.0625)
 
 
 class TestMcPValue:
@@ -118,8 +112,7 @@ class TestMcPValue:
         with pytest.raises(TypeError, match="local-empirical"):
             mc_p_value(lambda c, p: IdentityPitCdf(), cal, np.zeros(10), [0.0], 25)
         with pytest.raises(TypeError, match="local-empirical"):
-            mc_confidence_band(lambda c, p: IdentityPitCdf(), cal, np.zeros(10), [0.0], 20,
-                               np.array([0.5]))
+            mc_local_test(IdentityPitCdf(), [0.0], 20, np.array([0.5]))
 
     def test_p_on_lattice(self):
         cal, model = gaussian_data(400, seed=1)
@@ -136,13 +129,15 @@ class TestMcPValue:
         cfg = LocalEmpiricalConfig(k=40)
         fit = local_fit_fn(40)
         gam = np.linspace(0.05, 0.95, 21)
-        obs = fit(cal, pits)
-        t_obs = local_test_statistic(obs, [0.1], gam)
+
+        def stat(model):
+            return float(np.mean((model.predict_curve(gam, [0.1]) - gam) ** 2))
+
+        t_obs = stat(fit(cal, pits))
         nulls = []
         for b in range(30):
             null_pits = rngmod.derived_rng(9, "null-pits", b).uniform(size=len(cal))
-            null_model = fit_local_empirical(cal, null_pits, cfg)
-            nulls.append(local_test_statistic(null_model, [0.1], gam))
+            nulls.append(stat(fit_local_empirical(cal, null_pits, cfg)))
         expected = np.mean([t_obs < t for t in nulls])
         res = mc_p_value(fit, cal, pits, [0.1], 30, gam, seed=9)
         assert res.p_value == pytest.approx(expected)
@@ -169,10 +164,10 @@ class TestConfidenceBand:
         cal = CalibrationSet(np.zeros((n, 1)), np.zeros(n))
         fit = local_fit_fn(n)
         gam = np.array([0.5])
-        lo, hi = mc_confidence_band(fit, cal, np.zeros(n), [0.0], 20, gam, eta=0.1, seed=3)
+        lo, hi = band(fit, cal, np.zeros(n), [0.0], 20, gam, eta=0.1, seed=3)
         # each replicate's curve at 0.5: the share of its n null PITs at or below it
         nulls = [rngmod.derived_rng(3, "null-pits", b).uniform(size=n) for b in range(20)]
-        values = sorted(fit(cal, p).predict(0.5, [0.0]) for p in nulls)
+        values = sorted(fit(cal, p).predict_curve(gam, [0.0])[0] for p in nulls)
         assert lo[0] == values[1]   # 2nd smallest
         assert hi[0] == values[18]  # 19th smallest
 
@@ -181,7 +176,7 @@ class TestConfidenceBand:
         pits = compute_pit_values(model, cal)
         fit = local_fit_fn(200)
         gam = np.linspace(0.1, 0.9, 17)
-        lo, hi = mc_confidence_band(fit, cal, pits, [0.3], 200, gam, eta=0.1, seed=11)
+        lo, hi = band(fit, cal, pits, [0.3], 200, gam, eta=0.1, seed=11)
         covered = np.mean((gam >= lo) & (gam <= hi))
         assert covered >= 0.85
 
@@ -192,15 +187,18 @@ class TestConfidenceBand:
             cal, model = gaussian_data(n, seed=8)
             pits = compute_pit_values(model, cal)
             fit = local_fit_fn(max(20, n // 10))
-            lo, hi = mc_confidence_band(fit, cal, pits, [0.0], 100, gam, eta=0.1, seed=13)
+            lo, hi = band(fit, cal, pits, [0.0], 100, gam, eta=0.1, seed=13)
             widths[n] = float(hi[0] - lo[0])
         assert widths[8000] < widths[500]
 
-    def test_requires_enough_replicates(self):
-        cal = CalibrationSet(np.zeros((5, 1)), np.zeros(5))
-        with pytest.raises(ValueError):
-            mc_confidence_band(lambda c, p: IdentityPitCdf(), cal, np.zeros(5),
-                               [0.0], 10, np.array([0.5]))
+    def test_requires_enough_replicates(self, tmp_path):
+        # the band needs 20 replicates; diagnose refuses fewer as a usage error
+        data = tmp_path / "data.csv"
+        data.write_text("x0,y\n" + "".join(f"{i / 10!r},{i % 7!r}\n" for i in range(30)))
+        argv = ["diagnose", "--data", str(data), "--k", "10", "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv + ["--n-mc", "19"]) == 2
+        assert not (tmp_path / "out").exists()
+        assert cli.main(argv + ["--n-mc", "20", "--n-eval-points", "1"]) == 0
 
 
 class TestCdeLoss:

@@ -17,7 +17,7 @@ from pitcal.calibrate import (
     PitCdfModel,
     fit_local_empirical,
 )
-from pitcal.diagnose import DEFAULT_TEST_GAMMAS, mc_confidence_band, mc_local_test, mc_p_value
+from pitcal.diagnose import DEFAULT_TEST_GAMMAS, mc_local_test, mc_p_value
 from pitcal.errors import LengthMismatch
 
 
@@ -152,9 +152,10 @@ class TestMatchesPerReplicateRefits:
         t_obs, p = _old_mc_p_value(old, *args, seed=c["seed"])
         assert res.statistic == t_obs
         assert res.p_value == p
-        lo, hi = mc_confidence_band(new, *args, eta=c["eta"], seed=c["seed"])
+        curve = mc_local_test(new(c["cal"], c["pits"]), c["x"], c["n_mc"], c["gammas"],
+                              eta=c["eta"], seed=c["seed"])[1]
         old_lo, old_hi = _old_mc_confidence_band(old, *args, eta=c["eta"], seed=c["seed"])
-        assert np.array_equal(lo, old_lo) and np.array_equal(hi, old_hi)
+        assert np.array_equal(curve.band_lo, old_lo) and np.array_equal(curve.band_hi, old_hi)
 
     @settings(max_examples=60, deadline=None)
     @given(cases())

@@ -78,7 +78,7 @@ class TestExampleTwo:
         data, net = skewed_net
         # local-empirical oracle value: P(Y <= -1 | x = -1) ~ 0.88
         assert float(data.oracle.cdf(-1.0, [-1.0])) > 0.85
-        assert net.predict(0.5, [-1.0]) > 0.55
+        assert net.predict_curve([0.5], [-1.0])[0] > 0.55
 
 
 class TestMonotonicity:

@@ -1,7 +1,8 @@
 """Serialized records equal the hand-listed builders they replaced.
 
-Model configs, :meth:`ExperimentRecipe.to_config` and
-:meth:`PredictionSet.to_json` are built with ``dataclasses.asdict``. The
+Model configs, a benchmark report's ``config`` (``asdict`` of its
+:class:`ExperimentRecipe`) and :meth:`PredictionSet.to_json` are built with
+``dataclasses.asdict``. The
 frozen copies below are the builders that listed every field by hand. The
 new documents must give the same JSON text, key order included, and equal
 dicts once read back: ``asdict`` keeps tuple fields as tuples, which JSON
@@ -9,6 +10,7 @@ writes as the same lists the old builders made.
 """
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -69,7 +71,7 @@ def frozen_identity_to_json(model) -> dict:
 
 
 def frozen_to_config(recipe) -> dict:
-    doc = {
+    return {
         "generator": recipe.generator,
         "method": recipe.method,
         "n": recipe.n,
@@ -82,11 +84,7 @@ def frozen_to_config(recipe) -> dict:
         "backend_params": dict(recipe.backend_params),
         "experiment": recipe.experiment,
         "test_grid_size": recipe.test_grid_size,
-        "generator_params": dict(recipe.generator_params),
     }
-    if recipe.test_xs is not None:
-        doc["test_xs"] = [list(np.atleast_1d(x).astype(float)) for x in recipe.test_xs]
-    return doc
 
 
 def frozen_set_to_json(ps) -> dict:
@@ -173,20 +171,17 @@ def test_model_file_with_bandwidth_key(tmp_path):
 
 RECIPES = {
     "defaults": dict(generator="ex2-skewed", method="calpit-int", n=500),
-    "test-xs": dict(generator="ex1", method="dcp", n=300, alpha=0.2, seed=4,
-                    test_xs=(np.array([0.5, -1.0]), [2.0, 3.0]), generator_params={"b": 1}),
+    "ex1-dcp": dict(generator="ex1", method="dcp", n=300, alpha=0.2, seed=4),
     "tuple-backend-params": dict(generator="ex2-kurtotic", method="calpit-hpd", n=200,
                                  backend="net", experiment="split", test_grid_size=7,
                                  backend_params={"hidden_layers": (8, 8), "k_factor": 5}),
-    "one-feature-test-xs": dict(generator="ex2-skewed", method="oracle", n=100,
-                                test_xs=(0.25, np.array([0.75]))),
 }
 
 
 @pytest.mark.parametrize("name", list(RECIPES))
 def test_recipe_to_config_matches_hand_listed(name):
     recipe = ExperimentRecipe(**RECIPES[name])
-    assert_same_doc(recipe.to_config(), frozen_to_config(recipe))
+    assert_same_doc(asdict(recipe), frozen_to_config(recipe))
 
 
 @pytest.mark.parametrize("ps", [

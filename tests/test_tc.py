@@ -13,7 +13,7 @@ from pitcal.synthgen import (
     var_spectral_radius,
     write_storms_jsonl,
 )
-from pitcal.synthgen.tc import _logit, read_storms_jsonl, windowed_summaries
+from pitcal.synthgen.tc import _logit, windowed_summaries
 
 
 class TestTransforms:
@@ -142,7 +142,6 @@ class TestWindows:
             slow = chunk_tc(storms, stride=stride)
             np.testing.assert_array_equal(fast.cal.xs, tc_summary_features(slow.cal.xs))
             np.testing.assert_array_equal(fast.cal.ys, slow.cal.ys)
-            np.testing.assert_array_equal(fast.storm_ids, slow.storm_ids)
 
 
 class TestRecursionOracle:
@@ -198,12 +197,13 @@ class TestJsonl:
         storms = simulate_tc(cfg, 2, seed=17)
         path = tmp_path / "storms.jsonl"
         write_storms_jsonl(storms, path, meta={"seed": 17})
-        loaded = read_storms_jsonl(path)
-        assert len(loaded) == 2
-        for orig, back in zip(storms, loaded):
-            assert back.storm_id == orig.storm_id
-            np.testing.assert_array_equal(back.t_minutes, orig.t_minutes)
-            np.testing.assert_allclose(back.profiles, orig.profiles, atol=1e-6)
-            np.testing.assert_allclose(back.intensities, orig.intensities, atol=1e-12)
-        first = json.loads(path.read_text().splitlines()[0])
-        assert first["meta"]["seed"] == 17
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert lines[0] == {"meta": {"seed": 17}}
+        records = lines[1:]
+        assert len(records) == sum(s.intensities.size for s in storms)
+        for orig in storms:
+            rows = [r for r in records if r["storm_id"] == orig.storm_id]
+            np.testing.assert_array_equal([r["t_minutes"] for r in rows], orig.t_minutes)
+            np.testing.assert_allclose([r["profile"] for r in rows], orig.profiles, atol=1e-6)
+            np.testing.assert_allclose([r["intensity"] for r in rows], orig.intensities,
+                                       atol=1e-12)
