@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .calibrate import CalibrationSet
@@ -25,35 +23,35 @@ def write_calibration_csv(path, cal: CalibrationSet, comment: str | None = None)
 
 
 def read_calibration_csv(path) -> CalibrationSet:
+    """Parse the data rows in one numpy pass; re-scan a bad file only to name its bad line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            rows = [(n, s) for n, s in enumerate(map(str.strip, fh), 1) if s and s[0] != "#"]
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from exc
-    xs, ys = [], []
-    header = None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line.split(",")
-            if header[-1] != "y" or not all(c == f"x{j}" for j, c in enumerate(header[:-1])):
-                raise ConfigError(f"{path}: expected header x0,...,y, got {line!r}")
-            if len(header) < 2:
-                raise ConfigError(f"{path}: no feature column before y")
-            continue
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ConfigError(f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
-        try:
-            row = [float(v) for v in parts]
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        if not all(math.isfinite(v) for v in row):
-            raise ConfigError(f"{path}:{lineno}: non-finite value")
-        xs.append(row[:-1])
-        ys.append(row[-1])
-    if header is None or not ys:
+    header = rows[0][1].split(",") if rows else None
+    if header and (header[-1] != "y"
+                   or not all(c == f"x{j}" for j, c in enumerate(header[:-1]))):
+        raise ConfigError(f"{path}: expected header x0,...,y, got {rows[0][1]!r}")
+    if header and len(header) < 2:
+        raise ConfigError(f"{path}: no feature column before y")
+    if len(rows) < 2:
         raise ConfigError(f"{path}: no data rows")
-    return CalibrationSet(np.array(xs), np.array(ys))
+    width = len(header)
+    try:
+        values = np.loadtxt([line for _, line in rows[1:]], delimiter=",", comments=None,
+                            converters=float, ndmin=2)
+    except ValueError:  # a bad value, or rows of unequal length
+        values = None
+    if values is None or values.shape[1] != width or not np.isfinite(values).all():
+        for lineno, line in rows[1:]:  # name the first bad line, in file order
+            parts = line.split(",")
+            if len(parts) != width:
+                raise ConfigError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
+            try:
+                row = [float(v) for v in parts]
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            if not np.isfinite(row).all():
+                raise ConfigError(f"{path}:{lineno}: non-finite value")
+    return CalibrationSet(np.ascontiguousarray(values[:, :-1]), values[:, -1])

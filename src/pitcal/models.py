@@ -5,7 +5,9 @@ prediction, a flat density over the grid range, and a feature-independent
 marginal histogram. Any of them can seed the recalibration pipeline, which
 morphs the initial shape toward the calibration data. An initial model
 answers for many feature points at once: :func:`cdf_rows` integrates its
-``density_matrix(xs)``, or reads ``cdf_matrix(xs)`` where the model has one.
+``density_matrix(xs)``, or reads ``cdf_matrix(xs)``. The two feature-independent
+models integrate once and return one cached CDF row as a read-only broadcast
+(n, G) view, so callers must not write into :func:`cdf_rows` results.
 """
 
 from __future__ import annotations
@@ -45,12 +47,12 @@ def cdf_rows(model, xs) -> np.ndarray:
     """CDF of an initial model at each feature row of ``xs``, shape (n, G).
 
     A model with ``cdf_matrix(xs)`` returns its rows itself; any other model
-    has ``density_matrix(xs)``, whose rows are integrated all at once.
+    has ``density_matrix(xs)``, whose rows are integrated all at once. The
+    rows may be a read-only broadcast view: callers must not write into them.
     """
     xs = feature_rows(xs)
-    cdf_matrix = getattr(model, "cdf_matrix", None)
-    if cdf_matrix is not None:
-        return cdf_matrix(xs)
+    if hasattr(model, "cdf_matrix"):
+        return model.cdf_matrix(xs)
     return cdf_rows_from_density_rows(model.grid.points, model.density_matrix(xs))
 
 
@@ -82,22 +84,29 @@ class GaussianInitialModel:
         return _INV_SQRT_2PI * np.exp(-0.5 * z * z) / sd[:, None]
 
 
-class UniformInitialModel:
-    """Flat density over the grid range; the maximally agnostic start."""
+class _FeatureIndependentModel:
+    """An initial model that ignores ``x``: one density, integrated once, one cached CDF row."""
 
-    def __init__(self, grid: YGrid):
-        self.grid = grid
-        span = grid.hi - grid.lo
-        self._density = GridDensity(grid, np.full(len(grid), 1.0 / span))
+    def __init__(self, density: GridDensity):
+        self.grid = density.grid
+        self._density = density
+        self._cdf_row = cdf_rows_from_density_rows(self.grid.points, density.values[None, :])[0]
 
     def density_at(self, x) -> GridDensity:
         return self._density
 
-    def density_matrix(self, xs) -> np.ndarray:
-        return np.tile(self._density.values, (feature_rows(xs).shape[0], 1))
+    def cdf_matrix(self, xs) -> np.ndarray:
+        return np.broadcast_to(self._cdf_row, (feature_rows(xs).shape[0], self._cdf_row.size))
 
 
-class MarginalHistogramModel:
+class UniformInitialModel(_FeatureIndependentModel):
+    """Flat density over the grid range; the maximally agnostic start."""
+
+    def __init__(self, grid: YGrid):
+        super().__init__(GridDensity(grid, np.full(len(grid), 1.0 / (grid.hi - grid.lo))))
+
+
+class MarginalHistogramModel(_FeatureIndependentModel):
     """Feature-independent estimate of the marginal response distribution.
 
     A histogram on the grid cells, lightly widened so the density is smooth
@@ -106,18 +115,10 @@ class MarginalHistogramModel:
     """
 
     def __init__(self, grid: YGrid, ys):
-        self.grid = grid
         ys = np.asarray(ys, dtype=float).ravel()
         pts = grid.points
         edges = np.concatenate([[pts[0]], 0.5 * (pts[1:] + pts[:-1]), [pts[-1]]])
         counts, _ = np.histogram(np.clip(ys, pts[0], pts[-1]), bins=edges)
         raw = GridDensity(grid, counts / np.maximum(np.diff(edges), 1e-300) / max(ys.size, 1))
         step = (grid.hi - grid.lo) / (len(grid) - 1)
-        self._density = widen_density(raw, _SMOOTH_STEPS * step)
-
-    def density_at(self, x) -> GridDensity:
-        return self._density
-
-    def density_matrix(self, xs) -> np.ndarray:
-        return np.tile(self._density.values, (feature_rows(xs).shape[0], 1))
-
+        super().__init__(widen_density(raw, _SMOOTH_STEPS * step))
