@@ -54,7 +54,6 @@ from .calibrate import (
     fit_local_empirical,
     load_pit_model,
     recalibrate,
-    save_pit_model,
 )
 from .monotone_net import MonotoneNetConfig, MonotoneNetModel, fit_monotone_net
 from .diagnose import AlpCurve, LocalTestResult, cde_loss, mc_local_test, mc_p_value
@@ -78,7 +77,7 @@ __all__ = [
     "LocalEmpiricalConfig", "LocalEmpiricalModel", "RecalibratedDistribution",
     "RecalibratedInitialModel", "PredictionSet", "compute_pit_values", "augment",
     "fit_local_empirical", "recalibrate", "calpit_interval", "calpit_hpd",
-    "estimated_ot", "save_pit_model", "load_pit_model",
+    "estimated_ot", "load_pit_model",
     "MonotoneNetConfig", "MonotoneNetModel", "fit_monotone_net",
     # diagnostics
     "AlpCurve", "LocalTestResult", "mc_local_test", "mc_p_value", "cde_loss",

@@ -10,7 +10,6 @@ from the total pooled draw count.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -94,6 +93,8 @@ class CoverageReport:
     points: list
     summary: dict
 
+    CSV_HEADER = ("x0", "x1", "empirical", "classification", "set_size")
+
     def to_json(self) -> dict:
         return {
             "format_version": REPORT_FORMAT_VERSION,
@@ -101,22 +102,10 @@ class CoverageReport:
             "summary": self.summary,
         }
 
-    def write_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-
-    def write_csv(self, path, comment: str | None = None):
-        with open(path, "w", encoding="utf-8") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
-            fh.write("x0,x1,empirical,classification,set_size\n")
-            for rec in self.points:
-                x = rec["x"]
-                x1 = repr(float(x[1])) if len(x) > 1 else ""
-                fh.write(
-                    f"{float(x[0])!r},{x1},{rec['empirical']!r},"
-                    f"{rec['classification']},{rec['mean_set_size']!r}\n"
-                )
+    def csv_rows(self) -> list:
+        """One row per point under :attr:`CSV_HEADER`; ``x1`` is empty for one feature."""
+        return [(p["x"][0], p["x"][1] if len(p["x"]) > 1 else "", p["empirical"],
+                 p["classification"], p["mean_set_size"]) for p in self.points]
 
 
 def _score_sets(sets, oracle, xs, n_draws: int, seed: int, label: tuple,

@@ -63,7 +63,6 @@ __all__ = [
     "calpit_interval",
     "calpit_hpd",
     "estimated_ot",
-    "save_pit_model",
     "load_pit_model",
 ]
 
@@ -346,11 +345,6 @@ def fit_local_empirical(cal: CalibrationSet, pit_values, cfg: LocalEmpiricalConf
     if cfg.k > len(cal):
         raise InsufficientData(f"k={cfg.k} exceeds n={len(cal)}")
     return LocalEmpiricalModel(cal.xs, pit_values, cfg)
-
-
-def save_pit_model(model: PitCdfModel, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json(), fh, indent=1)
 
 
 def load_pit_model(path) -> PitCdfModel:

@@ -23,10 +23,10 @@ from . import rng as rngmod
 from .bench import ExperimentRecipe, run_experiment
 from .calibrate import (calpit_hpd, central_intervals, compute_pit_values, recalibrate_rows,
                         recalibrated_distributions)
-from .dataio import read_calibration_csv, write_calibration_csv
+from .dataio import read_calibration_csv, write_calibration_csv, write_csv, write_json
 from .diagnose import mc_local_test
 from .errors import ConfigError, PitcalError
-from .grid import default_grid, write_grid_csv
+from .grid import default_grid
 from .pipeline import build_initial, fit_pit_model, split_calibration
 from .synthgen import (
     TwoGroupConfig,
@@ -121,8 +121,12 @@ def _parse_points(spec: str, dim: int) -> np.ndarray:
 
 
 def _ensure_outdir(path: str) -> Path:
+    """``path`` as a directory, made if missing; a file in the way is a configuration error."""
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out-dir {path}: {exc}") from exc
     return out
 
 
@@ -134,30 +138,27 @@ def cmd_gen(cfg: dict) -> int:
     size = "storms" if cfg["example"] == "tc" else "n"
     if int(cfg[size]) < 1:
         raise ConfigError(f"{size} must be >= 1, got {cfg[size]}")
-    out = _ensure_outdir(cfg["out_dir"])
     seed = int(cfg["seed"])
-    stamp = _stamp(cfg, seed)
     example = cfg["example"]
-
+    storms = None
     if example == "ex1":
-        data = sample_example1(TwoGroupConfig(), int(cfg["n"]), seed)
-        write_calibration_csv(out / "dataset.csv", data.cal, comment=stamp)
+        cal = sample_example1(TwoGroupConfig(), int(cfg["n"]), seed).cal
     elif example in ("ex2-skewed", "ex2-kurtotic"):
-        data = sample_example2(example.split("-")[1], int(cfg["n"]), seed)
-        write_calibration_csv(out / "dataset.csv", data.cal, comment=stamp)
+        cal = sample_example2(example.split("-")[1], int(cfg["n"]), seed).cal
     elif example == "tc":
-        tc_cfg = default_tc_config()
-        storms = simulate_tc(tc_cfg, int(cfg["storms"]), seed)
-        write_storms_jsonl(storms, out / "storms.jsonl", meta=_meta(cfg, seed))
+        storms = simulate_tc(default_tc_config(), int(cfg["storms"]), seed)
         chunks = chunk_tc(storms, mode=cfg["window_mode"])
-        write_calibration_csv(out / "dataset.csv", chunks.cal, comment=stamp)
+        cal = chunks.cal
         if chunks.skipped_storms:
             print(f"skipped {chunks.skipped_storms} storms shorter than one window")
     else:
         raise ConfigError(f"unknown example {example!r}")
 
-    with open(out / "generator_meta.json", "w", encoding="utf-8") as fh:
-        json.dump({**_meta(cfg, seed), "config": cfg}, fh, indent=1)
+    out = _ensure_outdir(cfg["out_dir"])
+    if storms is not None:
+        write_storms_jsonl(storms, out / "storms.jsonl", meta=_meta(cfg, seed))
+    write_calibration_csv(out / "dataset.csv", cal, comment=_stamp(cfg, seed))
+    write_json(out / "generator_meta.json", {**_meta(cfg, seed), "config": cfg})
     print(f"wrote {out / 'dataset.csv'}")
     return 0
 
@@ -222,13 +223,6 @@ def cmd_calibrate(cfg: dict) -> int:
     model = fit_pit_model(cal, pits, cfg["backend"], seed, k=cfg["k"],
                           weighting=cfg["weighting"], k_factor=cfg["k_factor"],
                           net=_net_params(cfg, seed))
-    stamp = _stamp(cfg, seed)
-    out = _ensure_outdir(cfg["out_dir"])
-
-    doc = model.to_json()
-    doc.update(_meta(cfg, seed))
-    with open(out / "model.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
 
     # all points in one batch; intervals read the recalibrated CDF alone and
     # only HPD sets build the density
@@ -241,12 +235,17 @@ def cmd_calibrate(cfg: dict) -> int:
         hpds = [calpit_hpd(rd, alpha).to_json() for rd in
                 recalibrated_distributions(grid, cdf)] if cfg["hpd"] else None
         for i, x in enumerate(points):
-            write_grid_csv(out / f"recal_cdf_{i}.csv", grid, cdf[i], comment=stamp)
             sets.append({"x": [float(v) for v in x], "interval": intervals[i].to_json()})
             if hpds:
                 sets[-1]["hpd"] = hpds[i]
-    with open(out / "sets.json", "w", encoding="utf-8") as fh:
-        json.dump({**_meta(cfg, seed), "alpha": cfg["alpha"], "sets": sets}, fh, indent=1)
+
+    # every result is in hand: a failed run leaves no file behind
+    out, stamp = _ensure_outdir(cfg["out_dir"]), _stamp(cfg, seed)
+    write_json(out / "model.json", {**model.to_json(), **_meta(cfg, seed)})
+    for i in range(len(sets)):
+        write_csv(out / f"recal_cdf_{i}.csv", ("y", "value"), zip(grid.points, cdf[i]),
+                  comment=stamp)
+    write_json(out / "sets.json", {**_meta(cfg, seed), "alpha": cfg["alpha"], "sets": sets})
     print(f"wrote {out / 'model.json'} and {len(sets)} evaluation points")
     return 0
 
@@ -272,26 +271,25 @@ def cmd_diagnose(cfg: dict) -> int:
     observed = fit_pit_model(cal, pits, "local", seed, k=cfg["k"], weighting=cfg["weighting"])
     if points is None:
         points = [cal.xs[i] for i in range(min(n_eval_points, len(cal)))]
-    stamp = _stamp(cfg, seed)
-    out = _ensure_outdir(cfg["out_dir"])
 
-    results = []
+    results, curves = [], []
     for i, x in enumerate(points):
         res, curve = mc_local_test(observed, x, n_mc, gammas, eta=eta,
                                    seed=rngmod.derive_seed(seed, "diagnose", i))
-        with open(out / f"alp_{i}.csv", "w", encoding="utf-8") as fh:
-            fh.write(f"# {stamp}\n")
-            fh.write("gamma,r,lo,hi\n")
-            for row in zip(gammas, curve.r_values, curve.band_lo, curve.band_hi):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        curves.append(curve)
         results.append({
             "x": [float(v) for v in np.atleast_1d(x)],
             "statistic": res.statistic,
             "p_value": res.p_value,
             "B": res.n_mc,
         })
-    with open(out / "local_tests.json", "w", encoding="utf-8") as fh:
-        json.dump({**_meta(cfg, seed), "results": results}, fh, indent=1)
+
+    # every test is done: a failed run leaves no file behind
+    out, stamp = _ensure_outdir(cfg["out_dir"]), _stamp(cfg, seed)
+    for i, curve in enumerate(curves):
+        write_csv(out / f"alp_{i}.csv", ("gamma", "r", "lo", "hi"),
+                  zip(gammas, curve.r_values, curve.band_lo, curve.band_hi), comment=stamp)
+    write_json(out / "local_tests.json", {**_meta(cfg, seed), "results": results})
     print(f"wrote {len(results)} ALP curves and {out / 'local_tests.json'}")
     return 0
 
@@ -301,7 +299,6 @@ def cmd_diagnose(cfg: dict) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_bench(cfg: dict) -> int:
-    out = _ensure_outdir(cfg["out_dir"])
     seed = int(cfg["seed"])
     realizations = int(cfg["realizations"])
     mc_draws = int(cfg["mc_draws"])
@@ -324,12 +321,16 @@ def cmd_bench(cfg: dict) -> int:
         experiment=cfg["experiment"],
         test_grid_size=None if cfg["test_grid"] is None else int(cfg["test_grid"]),
     )
-    n_threads = int(cfg["threads"]) if cfg["threads"] else (os.cpu_count() or 1)
+    n_threads = (os.cpu_count() or 1) if cfg["threads"] is None else int(cfg["threads"])
+    if n_threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {n_threads}")
+    out = _ensure_outdir(cfg["out_dir"])
     report = run_experiment(recipe, n_threads=n_threads)
     report.summary["tool_version"] = __version__
     report.summary["config_hash"] = _config_hash(cfg)
-    report.write_json(out / "report.json")
-    report.write_csv(out / "report.csv", comment=_stamp(cfg, seed))
+    write_json(out / "report.json", report.to_json())
+    write_csv(out / "report.csv", report.CSV_HEADER, report.csv_rows(),
+              comment=_stamp(cfg, seed))
     s = report.summary
     print(
         f"under={s['proportion_under']:.3f} correct={s['proportion_correct']:.3f} "

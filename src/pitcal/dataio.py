@@ -1,25 +1,45 @@
-"""CSV schema for calibration data."""
+"""The writers of every JSON and CSV output file, and the calibration CSV reader.
+
+JSON is UTF-8 with ``indent=1``. A CSV is an optional ``# comment`` line, a
+header, then the rows; numbers go out as ``repr(float(v))``, which reads back
+bit for bit.
+"""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
 from .calibrate import CalibrationSet
 from .errors import ConfigError
 
-__all__ = ["write_calibration_csv", "read_calibration_csv"]
+__all__ = ["write_json", "write_csv", "write_calibration_csv", "read_calibration_csv"]
+
+
+def write_json(path, doc):
+    """``doc`` as UTF-8 JSON with ``indent=1``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+
+
+def write_csv(path, header, rows, comment: str | None = None):
+    """``# comment`` (when non-empty), the ``header`` names, then one line per row.
+
+    Strings go out as given and numbers as ``repr(float(v))``.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(v if isinstance(v, str) else repr(float(v)) for v in row) + "\n"
+                      for row in rows)
 
 
 def write_calibration_csv(path, cal: CalibrationSet, comment: str | None = None):
     """Rows ``x0,...,x{d-1},y`` with round-trip precision."""
-    d = cal.dim
-    header = ",".join(f"x{j}" for j in range(d)) + ",y"
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(header + "\n")
-        for i in range(len(cal)):
-            fh.write(",".join(repr(float(v)) for v in cal.xs[i]) + f",{float(cal.ys[i])!r}\n")
+    write_csv(path, [f"x{j}" for j in range(cal.dim)] + ["y"],
+              map(np.ndarray.tolist, np.column_stack((cal.xs, cal.ys))), comment=comment)
 
 
 def read_calibration_csv(path) -> CalibrationSet:

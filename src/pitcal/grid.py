@@ -51,7 +51,6 @@ __all__ = [
     "widen_density",
     "default_grid",
     "trapezoid_weights",
-    "write_grid_csv",
 ]
 
 _SNAP_TOL = 1e-9
@@ -388,17 +387,3 @@ def invert_rows(points: np.ndarray, cdf_rows: np.ndarray, ps) -> np.ndarray:
             break
     out[e] = hi
     return out.reshape(shape)
-
-
-# ----------------------------------------------------------------------
-# Serialization
-# ----------------------------------------------------------------------
-
-def write_grid_csv(path, grid: YGrid, values: np.ndarray, comment: str | None = None):
-    """Write ``y,value`` rows with full round-trip precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write("y,value\n")
-        for y, v in zip(grid.points, np.asarray(values, dtype=float)):
-            fh.write(f"{float(y)!r},{float(v)!r}\n")

@@ -50,6 +50,12 @@ class MonotoneNetConfig:
             raise ValueError("patience, batch_size and max_epochs must be >= 1")
         if any(h < 1 for h in self.hidden_layers):
             raise ValueError("hidden layer widths must be >= 1")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
 
 

@@ -56,8 +56,8 @@ def build_initial(kind: str, grid, train: CalibrationSet, *, mean_k=50, sd_scale
     if kind == "gaussian-fit":
         if int(mean_k) < 1:
             raise ConfigError(f"mean_k must be >= 1, got {mean_k}")
-        if not float(sd_scale) > 0.0:
-            raise ConfigError(f"sd_scale must be > 0, got {sd_scale}")
+        if not 0.0 < float(sd_scale) < np.inf:
+            raise ConfigError(f"sd_scale must be finite and > 0, got {sd_scale}")
         mu = fit_knn_mean(train, k=int(mean_k))
         resid = train.ys - mu.predict(train.xs)
         sd = float(np.std(resid)) or 1.0

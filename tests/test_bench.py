@@ -9,6 +9,7 @@ from pitcal.bench import (
     run_experiment,
 )
 from pitcal.calibrate import PredictionSet
+from pitcal.dataio import write_csv, write_json
 from pitcal.errors import ConfigError
 from pitcal.synthgen import sample_example2
 
@@ -158,8 +159,8 @@ class TestRunExperiment:
         report = run_experiment(recipe)
         jpath = tmp_path / "report.json"
         cpath = tmp_path / "report.csv"
-        report.write_json(jpath)
-        report.write_csv(cpath, comment="stamp")
+        write_json(jpath, report.to_json())
+        write_csv(cpath, report.CSV_HEADER, report.csv_rows(), comment="stamp")
         import json
 
         doc = json.loads(jpath.read_text())

@@ -23,8 +23,8 @@ from pitcal.calibrate import (
     load_pit_model,
     recalibrate,
     recalibrate_rows,
-    save_pit_model,
 )
+from pitcal.dataio import write_json
 from pitcal.errors import (
     DegenerateRecalibration,
     InsufficientData,
@@ -399,7 +399,7 @@ class TestSerialization:
         pits = rng.uniform(size=100)
         model = fit_local_empirical(cal, pits, LocalEmpiricalConfig(k=20))
         path = tmp_path / "model.json"
-        save_pit_model(model, path)
+        write_json(path, model.to_json())
         loaded = load_pit_model(path)
         gam = np.linspace(0.05, 0.95, 11)
         x = rng.normal(size=2)
@@ -410,7 +410,7 @@ class TestSerialization:
 
     def test_identity_round_trip(self, tmp_path):
         path = tmp_path / "id.json"
-        save_pit_model(IdentityPitCdf(), path)
+        write_json(path, IdentityPitCdf().to_json())
         loaded = load_pit_model(path)
         assert loaded.predict_curve([0.3], [0.0])[0] == 0.3
 

@@ -285,6 +285,30 @@ EXIT_CASES = [
      ["diagnose", "--eval-x=1e300", "--n-mc", 20], 3, "numerical failure:"),
     ("gaussian_fit_eval_x_beyond_float_range", 300, False,
      ["calibrate", "--initial", "gaussian-fit", "--eval-x=1e300"], 3, "numerical failure:"),
+    ("diagnose_second_eval_x_beyond_float_range", 300, False,
+     ["diagnose", "--eval-x=0;1e300", "--n-mc", 20], 3, "numerical failure:"),
+    ("out_dir_is_a_file", 300, False, ["calibrate", "--eval-x=0.5"], 2, "error:"),
+    ("diagnose_out_dir_under_a_file", 300, False,
+     ["diagnose", "--n-mc", 20, "--n-eval-points", 1], 2, "error:"),
+    ("gen_out_dir_under_a_file", None, False, ["gen", "--n", 10], 2, "error:"),
+    ("bench_out_dir_is_a_file", None, False,
+     ["bench", "--n", 50, "--realizations", 1, "--mc-draws", 10, "--test-grid", 2], 2, "error:"),
+    ("net_lr_negative", 300, False, ["calibrate", "--backend", "net", "--net-lr", -1],
+     2, "error:"),
+    ("net_lr_infinite", 300, False, ["calibrate", "--backend", "net", "--net-lr", "inf"],
+     2, "error:"),
+    ("net_lr_decay_negative", 300, False,
+     ["calibrate", "--backend", "net", "--net-lr-decay", -2], 2, "error:"),
+    ("net_lr_decay_above_one", 300, False,
+     ["calibrate", "--backend", "net", "--net-lr-decay", 2], 2, "error:"),
+    ("net_weight_decay_negative", 300, False,
+     ["calibrate", "--backend", "net", "--net-weight-decay", -5], 2, "error:"),
+    ("bench_threads_negative", None, False,
+     ["bench", "--n", 50, "--realizations", 1, "--mc-draws", 10, "--threads", -3], 2, "error:"),
+    ("bench_threads_zero", None, False,
+     ["bench", "--n", 50, "--realizations", 1, "--mc-draws", 10, "--threads", 0], 2, "error:"),
+    ("sd_scale_infinite", 300, False,
+     ["calibrate", "--initial", "gaussian-fit", "--sd-scale", "inf"], 2, "error:"),
 ]
 
 # cases that also read a --config file with these bytes
@@ -300,6 +324,10 @@ EXIT_FEATURES = {"eval_x_one_component_two_features": 2,
 
 # cases whose --data is these bytes, or a directory where None
 EXIT_DATA = {"data_is_a_directory": None, "data_not_utf8": b"x0,y\n\xff\xfe,1\n"}
+
+# cases whose --out-dir is this path, below tmp_path, where tmp_path/"out" is a file
+EXIT_OUT_FILE = {"out_dir_is_a_file": "out", "diagnose_out_dir_under_a_file": "out/sub",
+                 "gen_out_dir_under_a_file": "out/sub", "bench_out_dir_is_a_file": "out"}
 
 
 @pytest.mark.parametrize("case,rows,constant_y,args,code,prefix", EXIT_CASES,
@@ -321,12 +349,15 @@ def test_documented_exit_codes(tmp_path, capsys, case, rows, constant_y, args, c
         cfg.write_bytes(EXIT_CONFIG_FILES[case])
         argv += ["--config", cfg]
     out = tmp_path / "out"
+    if case in EXIT_OUT_FILE:
+        out.write_text("a file, not a directory\n")
+        out = tmp_path / EXIT_OUT_FILE[case]
     assert run(argv + ["--out-dir", out]) == code
     err = capsys.readouterr().err.splitlines()
     if prefix is None:
         assert err == []
     else:
         assert any(line.startswith(prefix) for line in err), err
-    if code == 2:
-        # configuration mistakes are caught before any output file is written
-        assert not out.exists() or not any(out.iterdir())
+    if code != 0:
+        # a run that fails, on its configuration or on its numbers, writes no output file
+        assert not out.is_dir() or not any(out.iterdir())

@@ -23,8 +23,8 @@ from pitcal.grid import (
     pit,
     renormalize_density,
     widen_density,
-    write_grid_csv,
 )
+from pitcal.dataio import write_csv
 
 
 def normal_cdf(x):
@@ -242,7 +242,7 @@ class TestSerialization:
         g = YGrid(np.linspace(-1, 2, 31))
         vals = np.exp(-np.abs(g.points))
         path = tmp_path / "density.csv"
-        write_grid_csv(path, g, vals, comment="test stamp")
+        write_csv(path, ("y", "value"), zip(g.points, vals), comment="test stamp")
         assert path.read_text().splitlines()[:2] == ["# test stamp", "y,value"]
         table = np.loadtxt(path, delimiter=",", skiprows=2)
         np.testing.assert_array_equal(table[:, 0], g.points)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pitcal.rng as rngmod
-from pitcal.calibrate import CalibrationSet, augment, load_pit_model, save_pit_model
+from pitcal.calibrate import CalibrationSet, augment, load_pit_model
+from pitcal.dataio import write_json
 from pitcal.errors import TrainingDiverged
 from pitcal.monotone_net import (
     MonotoneNetConfig,
@@ -169,7 +170,7 @@ class TestSerialization:
         cfg = MonotoneNetConfig(hidden_layers=(8,), batch_size=256, max_epochs=3, seed=3)
         net = fit_monotone_net(aug, cfg)
         path = tmp_path / "net.json"
-        save_pit_model(net, path)
+        write_json(path, net.to_json())
         loaded = load_pit_model(path)
         assert isinstance(loaded, MonotoneNetModel)
         gam = np.linspace(0.05, 0.95, 11)

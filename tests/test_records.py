@@ -25,8 +25,8 @@ from pitcal.calibrate import (
     PredictionSet,
     fit_local_empirical,
     load_pit_model,
-    save_pit_model,
 )
+from pitcal.dataio import write_json
 from pitcal.errors import PitcalError
 from pitcal.monotone_net import MonotoneNetConfig, MonotoneNetModel, _init_params
 
@@ -144,7 +144,7 @@ def test_model_to_json_matches_hand_listed(name):
 def test_save_load_round_trip_matches_hand_listed(name, tmp_path):
     build, frozen = MODELS[name]
     model = build()
-    save_pit_model(model, tmp_path / "model.json")
+    write_json(tmp_path / "model.json", model.to_json())
     loaded = load_pit_model(tmp_path / "model.json")
     assert type(loaded) is type(model)
     assert_same_doc(loaded.to_json(), frozen(model))
