@@ -252,6 +252,10 @@ class LocalEmpiricalModel(PitCdfModel, StandardizedNeighbours):
     r(gamma; x) = sum_i w_i(x) I(pit_i <= gamma), with the weights
     supported on the k nearest neighbours of x in standardized feature space.
     The curve is a nondecreasing step function of gamma by construction.
+    Uniform weights count: each row's neighbour PITs are sorted by value and
+    the count at or below gamma reads one cumulative table of k weights 1/k
+    (:func:`_uniform_ecdf`). Inverse-distance weights sort each row with its
+    weights and sum them (:func:`_weighted_ecdf`).
     """
 
     backend = "local-empirical"
@@ -265,20 +269,26 @@ class LocalEmpiricalModel(PitCdfModel, StandardizedNeighbours):
         self._build_tree(self.xs, cfg.k, mean, scale)
 
     def _neighborhoods(self, xs):
-        """Neighbour indices and normalized weights of each feature row, each (n_x, k)."""
+        """Neighbour indices of each feature row, (n_x, k), and their normalized
+        inverse-distance weights, (n_x, k); uniform weighting builds no weights (``None``)."""
         dist, idx = self._query(xs)
-        if self.cfg.weighting == "inverse-distance":
-            # offset by the mean distance so a coincident point cannot
-            # swallow the whole neighborhood
-            w = 1.0 / (dist + np.mean(dist, axis=-1, keepdims=True) + 1e-300)
-        else:
-            w = np.ones(dist.shape)
+        if self.cfg.weighting == "uniform":
+            return idx, None
+        # offset by the mean distance so a coincident point cannot
+        # swallow the whole neighborhood
+        w = 1.0 / (dist + np.mean(dist, axis=-1, keepdims=True) + 1e-300)
         return idx, w / w.sum(axis=-1, keepdims=True)
 
+    def _ecdf(self, pits, w, gammas) -> np.ndarray:
+        """Each row's ECDF of its (R, k) neighbour ``pits`` at its (R, G) ``gammas``."""
+        if self.cfg.weighting == "uniform":
+            return _uniform_ecdf(pits, gammas)
+        return _weighted_ecdf(pits, np.broadcast_to(w, pits.shape), gammas)
+
     def predict_matrix(self, gammas, xs) -> np.ndarray:
-        """One neighbourhood query for all rows of ``xs``, then each row's weighted ECDF."""
+        """One neighbourhood query for all rows of ``xs``, then each row's ECDF."""
         idx, w = self._neighborhoods(xs)
-        return _weighted_ecdf(self.pit_values[idx], w, _gamma_rows(gammas, idx.shape[0]))
+        return self._ecdf(self.pit_values[idx], w, _gamma_rows(gammas, idx.shape[0]))
 
     def predict_curves(self, pit_rows, gammas, x) -> np.ndarray:
         """r(gamma; x) for each row of PIT values (one per feature row), shape (rows, G).
@@ -294,7 +304,7 @@ class LocalEmpiricalModel(PitCdfModel, StandardizedNeighbours):
                 raise LengthMismatch(f"{row.shape[0]} pit values for {self.xs.shape[0]} rows")
             pits.append(row[idx[0]])
         pits = np.array(pits).reshape(len(pits), idx.shape[1])
-        return _weighted_ecdf(pits, np.broadcast_to(w, pits.shape), _gamma_rows(gammas, len(pits)))
+        return self._ecdf(pits, w, _gamma_rows(gammas, len(pits)))
 
     def to_json(self) -> dict:
         return {
@@ -319,16 +329,40 @@ class LocalEmpiricalModel(PitCdfModel, StandardizedNeighbours):
         )
 
 
+def _uniform_ecdf(pits, gammas) -> np.ndarray:
+    """Share of the (R, k) ``pits`` at or below each of the (R, G) ``gammas``.
+
+    Each row is sorted by value alone and counted; a count c reads the
+    cumulative sum of c weights 1/k, with the full count snapped to 1, which
+    are the values the weighted path's stable sort and cumsum give uniform weights.
+    """
+    k = pits.shape[1]
+    table = np.zeros(k + 1)
+    np.cumsum(np.full(k, 1.0 / k), out=table[1:])
+    table[-1] = 1.0
+    return np.clip(table, 0.0, 1.0)[_row_counts(np.sort(pits, axis=1), gammas)]
+
+
 def _weighted_ecdf(pits, w, gammas) -> np.ndarray:
-    """Weight of the (R, m) ``pits`` at or below each of the (R, G) ``gammas``; rows sum to 1."""
+    """Weight of the (R, m) ``pits`` at or below each of the (R, G) ``gammas``; rows sum to 1.
+
+    A stable sort keeps tied PITs in neighbour order, so their weights add up
+    in the same order every time.
+    """
     r = np.arange(pits.shape[0])[:, None]
     order = np.argsort(pits, axis=1, kind="stable")
-    pits_sorted = pits[r, order]
     cumw = np.zeros((pits.shape[0], pits.shape[1] + 1))
     np.cumsum(w[r, order], axis=1, out=cumw[:, 1:])
     cumw[:, -1] = 1.0
-    out = [c[np.searchsorted(p, g, side="right")] for p, c, g in zip(pits_sorted, cumw, gammas)]
-    return np.clip(np.array(out), 0.0, 1.0)
+    return np.clip(np.take_along_axis(cumw, _row_counts(pits[r, order], gammas), axis=1), 0.0, 1.0)
+
+
+def _row_counts(pits_sorted, gammas) -> np.ndarray:
+    """How many of each row's sorted PITs lie at or below each of its levels, shape (R, G)."""
+    counts = np.empty(gammas.shape, dtype=np.intp)
+    for i, (p, g) in enumerate(zip(pits_sorted, gammas)):
+        counts[i] = np.searchsorted(p, g, side="right")
+    return counts
 
 
 def _gamma_rows(gammas, n: int) -> np.ndarray:

@@ -77,14 +77,19 @@ def mc_local_test(observed: LocalEmpiricalModel, x, n_mc: int, gammas, eta=0.05,
     ``observed.predict_curves``. The curve holds the observed
     r(gamma; x) and the nearest-rank band: with k = floor(B * eta / 2), the
     (k+1)-th and (B-k)-th smallest null values. Any other backend raises
-    :class:`TypeError`.
+    :class:`TypeError`; ``n_mc < 1`` or an empty gamma grid raises :class:`ValueError`.
     """
     if not isinstance(observed, LocalEmpiricalModel):
         raise TypeError("the local coverage test needs the local-empirical backend, "
                         f"got {type(observed).__name__}")
+    if n_mc < 1:
+        raise ValueError(f"n_mc must be >= 1, got {n_mc}")
     g = np.asarray(gammas, dtype=float)
+    if g.size == 0:
+        raise ValueError("the gamma grid is empty")
     n = observed.pit_values.size
-    nulls = (rngmod.derived_rng(seed, "null-pits", b).uniform(size=n) for b in range(n_mc))
+    # random(n) draws the same doubles as uniform(size=n), with less overhead
+    nulls = (rngmod.derived_rng(seed, "null-pits", b).random(n) for b in range(n_mc))
     curves = observed.predict_curves(itertools.chain([observed.pit_values], nulls), g, x)
     stats = _deviation(curves, g)
     ranked = np.sort(curves[1:], axis=0)
@@ -107,8 +112,6 @@ def mc_p_value(fit_fn, cal: CalibrationSet, pit_values, x, n_mc: int,
     (1 + #{T_b >= T_obs})/(B + 1) is not used, because acceptance 7 and the
     benchmark references fix it.
     """
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
     g = DEFAULT_TEST_GAMMAS if gammas is None else gammas
     observed = fit_fn(cal, np.asarray(pit_values, dtype=float))
     return mc_local_test(observed, x, n_mc, g, seed=seed)[0]

@@ -62,12 +62,15 @@ def model_cdf(model, x) -> GridCdf:
 
 
 class GaussianInitialModel:
-    """Gaussian density N(mean_fn(x), sd_fn(x)^2) truncated to the grid."""
+    """Gaussian density N(mean_fn(x), sd_fn(x)^2) truncated to the grid.
+
+    ``sd_fn`` is a callable of x or a float, one width for every x.
+    """
 
     def __init__(self, grid: YGrid, mean_fn: Callable, sd_fn: Callable | float):
         self.grid = grid
         self.mean_fn = mean_fn
-        self.sd_fn = sd_fn if callable(sd_fn) else (lambda x, s=float(sd_fn): s)
+        self.sd_fn = sd_fn if callable(sd_fn) else float(sd_fn)
 
     def density_at(self, x) -> GridDensity:
         """The renormalized density at one x: a batch of one of :meth:`density_matrix`."""
@@ -79,7 +82,8 @@ class GaussianInitialModel:
         xs = feature_rows(xs)
         batch = getattr(self.mean_fn, "predict", None)  # e.g. KnnMeanRegressor
         mu = batch(xs) if batch is not None else np.array([float(self.mean_fn(x)) for x in xs])
-        sd = np.array([float(self.sd_fn(x)) for x in xs])
+        sd = (np.array([float(self.sd_fn(x)) for x in xs]) if callable(self.sd_fn)
+              else np.full(xs.shape[0], self.sd_fn))
         z = (self.grid.points[None, :] - mu[:, None]) / sd[:, None]
         return _INV_SQRT_2PI * np.exp(-0.5 * z * z) / sd[:, None]
 

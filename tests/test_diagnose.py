@@ -114,6 +114,17 @@ class TestMcPValue:
         with pytest.raises(TypeError, match="local-empirical"):
             mc_local_test(IdentityPitCdf(), [0.0], 20, np.array([0.5]))
 
+    def test_rejects_no_replicates_and_empty_grid(self):
+        cal = CalibrationSet(np.linspace(0, 1, 10), np.zeros(10))
+        observed = local_fit_fn(5)(cal, np.linspace(0, 1, 10))
+        for n_mc in (0, -3):
+            with pytest.raises(ValueError, match="n_mc"):
+                mc_local_test(observed, [0.5], n_mc, np.array([0.5]))
+            with pytest.raises(ValueError, match="n_mc"):
+                mc_p_value(local_fit_fn(5), cal, np.linspace(0, 1, 10), [0.5], n_mc)
+        with pytest.raises(ValueError, match="empty"):
+            mc_local_test(observed, [0.5], 20, np.array([]))
+
     def test_p_on_lattice(self):
         cal, model = gaussian_data(400, seed=1)
         pits = compute_pit_values(model, cal)

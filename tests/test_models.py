@@ -23,6 +23,17 @@ class TestGaussianModel:
             row = mat[i] / np.trapezoid(mat[i], grid.points)
             np.testing.assert_allclose(d.values, row, atol=1e-12)
 
+    def test_constant_sd_equals_callable(self):
+        grid = YGrid(np.linspace(-8, 8, 101))
+        xs = np.array([[0.0], [1.5], [-2.0], [7.9]])
+        for sd in (2.0, 0.3, 1.0 / 3.0):
+            mean = lambda x: float(x[0])  # noqa: E731
+            flat = GaussianInitialModel(grid, mean_fn=mean, sd_fn=sd).density_matrix(xs)
+            per_x = GaussianInitialModel(grid, mean_fn=mean, sd_fn=lambda x, s=sd: s)
+            assert np.array_equal(flat, per_x.density_matrix(xs))
+        assert GaussianInitialModel(grid, mean_fn=mean, sd_fn=2).density_matrix(xs[:0]).shape \
+            == (0, 101)
+
     def test_cdf_median(self):
         # grid symmetric about the mean, so truncation cannot bias the median
         grid = YGrid(np.linspace(-9, 11, 201))
