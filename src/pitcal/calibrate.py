@@ -134,7 +134,11 @@ def augment(cal: CalibrationSet, pit_values, k_factor: int, seed: int) -> Augmen
     """Draw K uniform levels per calibration point and record the indicators.
 
     gamma_{i,j} comes from a counter-based stream keyed on (seed, i), so the
-    augmentation of one row never depends on how many rows exist.
+    augmentation of one row never depends on how many rows exist. All rows
+    are drawn in one Philox4x64-10 pass (:func:`rng.row_uniforms`). Philox
+    output is a pure function of key and counter, so row i holds exactly the
+    first K doubles of a numpy ``Generator(Philox(key=k))`` with ``k`` the
+    uint64 pair (seed mod 2**64, i), clipped to [1e-12, 1 - 1e-12].
     """
     pit_values = np.asarray(pit_values, dtype=float).ravel()
     if pit_values.shape[0] != len(cal):
@@ -142,10 +146,7 @@ def augment(cal: CalibrationSet, pit_values, k_factor: int, seed: int) -> Augmen
     if k_factor < 1:
         raise ValueError("k_factor must be >= 1")
     n = len(cal)
-    gamma = np.empty(n * k_factor)
-    for i in range(n):
-        g = rngmod.row_philox(seed, i).uniform(size=k_factor)
-        gamma[i * k_factor : (i + 1) * k_factor] = np.clip(g, 1e-12, 1.0 - 1e-12)
+    gamma = np.clip(rngmod.row_uniforms(seed, n, k_factor).ravel(), 1e-12, 1.0 - 1e-12)
     row_index = np.repeat(np.arange(n), k_factor)
     w = (pit_values[row_index] <= gamma).astype(np.uint8)
     return AugmentedCalibrationSet(

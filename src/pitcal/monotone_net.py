@@ -120,23 +120,21 @@ def _init_params(dim_x: int, hidden: tuple, rng: np.random.Generator) -> dict:
     return p
 
 
-def _forward(params: dict, hidden: tuple, x_std: np.ndarray, gamma: np.ndarray,
+def _forward(params: dict, hidden: tuple, x_std: np.ndarray, z0: np.ndarray,
              keep: bool = False):
-    """Forward pass; with keep=True also returns intermediates for backprop."""
-    a = x_std
-    z0 = _mono_inputs(gamma)
-    z = z0
-    cache = {"a": [a], "z": [z], "s": [], "q": []} if keep else None
+    """Forward pass on ``z0 = _mono_inputs(gamma)``; keep=True also returns the backprop cache."""
+    a, z = x_std, z0
+    cache = {"a": [a], "z": [z]} if keep else None
     for k in range(len(hidden)):
-        s = a @ params[f"U{k}"].T + params[f"c{k}"]
-        a = np.maximum(s, 0.0)
-        pp = _softplus(params[f"P{k}"])
-        q = z @ pp.T + a @ params[f"B{k}"].T + params[f"b{k}"]
-        z = np.tanh(q)
+        s = a @ params[f"U{k}"].T
+        s += params[f"c{k}"]
+        a = np.maximum(s, 0.0, out=s)
+        q = z @ _softplus(params[f"P{k}"]).T
+        q += a @ params[f"B{k}"].T
+        q += params[f"b{k}"]
+        z = np.tanh(q, out=q)
         if keep:
-            cache["s"].append(s)
             cache["a"].append(a)
-            cache["q"].append(q)
             cache["z"].append(z)
     mono = z @ _softplus(params["p_out"]).T + z0 @ _softplus(params["p_skip"]).T
     gate_pre = a @ params["s_out"].T + params["s_bias"]
@@ -144,63 +142,58 @@ def _forward(params: dict, hidden: tuple, x_std: np.ndarray, gamma: np.ndarray,
     u = gate * mono + a @ params["r_out"].T + params["b_out"]
     yhat = _sigmoid(u[:, 0])
     if keep:
-        cache["mono"] = mono
-        cache["gate_pre"] = gate_pre
-        cache["gate"] = gate
-        cache["u"] = u
-        cache["yhat"] = yhat
+        cache.update(mono=mono, gate_pre=gate_pre, gate=gate, yhat=yhat)
         return yhat, cache
     return yhat
 
 
-def _backward(params: dict, hidden: tuple, cache: dict, w: np.ndarray) -> dict:
-    """Gradients of mean squared error w.r.t. all raw parameters."""
+def _backward(params: dict, hidden: tuple, cache: dict, w: np.ndarray, g: dict) -> None:
+    """Gradients of mean squared error w.r.t. all raw parameters, written into ``g``."""
     n = w.shape[0]
     yhat = cache["yhat"]
-    du = (2.0 / n) * (yhat - w) * yhat * (1.0 - yhat)
-    du = du[:, None]
+    du = ((2.0 / n) * (yhat - w) * yhat * (1.0 - yhat))[:, None]
 
-    g = {}
-    z_last = cache["z"][-1]
-    a_last = cache["a"][-1]
-    pp_out = _softplus(params["p_out"])
-    gate = cache["gate"]
-    dmono = du * gate
-    dgate = du * cache["mono"]
-    dgate_pre = dgate * _sigmoid(cache["gate_pre"])
-    g["p_out"] = (dmono.T @ z_last) * _sigmoid(params["p_out"])
-    g["p_skip"] = (dmono.T @ cache["z"][0]) * _sigmoid(params["p_skip"])
-    g["r_out"] = du.T @ a_last
-    g["b_out"] = du.sum(axis=0)
-    g["s_out"] = dgate_pre.T @ a_last
-    g["s_bias"] = dgate_pre.sum(axis=0)
+    z, a = cache["z"], cache["a"]
+    dmono = du * cache["gate"]
+    dgate_pre = du * cache["mono"] * _sigmoid(cache["gate_pre"])
+    g["p_out"][...] = (dmono.T @ z[-1]) * _sigmoid(params["p_out"])
+    g["p_skip"][...] = (dmono.T @ z[0]) * _sigmoid(params["p_skip"])
+    g["r_out"][...] = du.T @ a[-1]
+    g["b_out"][...] = du.sum(axis=0)
+    g["s_out"][...] = dgate_pre.T @ a[-1]
+    g["s_bias"][...] = dgate_pre.sum(axis=0)
 
-    L = len(hidden)
-    dz = dmono @ pp_out
-    da = [np.zeros_like(cache["a"][k + 1]) for k in range(L)]
-    if L:
-        da[L - 1] = du @ params["r_out"] + dgate_pre @ params["s_out"]
+    # the head's outer products have one term each, so broadcasting is exact
+    dz = dmono * _softplus(params["p_out"])
+    d_free = du * params["r_out"]
+    d_free += dgate_pre * params["s_out"]
 
-    # monotone tower backward, collecting gradients into the free activations
-    for k in range(L - 1, -1, -1):
-        dq = dz * (1.0 - cache["z"][k + 1] ** 2)
-        pp = _softplus(params[f"P{k}"])
-        g[f"P{k}"] = (dq.T @ cache["z"][k]) * _sigmoid(params[f"P{k}"])
-        g[f"B{k}"] = dq.T @ cache["a"][k + 1]
-        g[f"b{k}"] = dq.sum(axis=0)
-        da[k] = da[k] + dq @ params[f"B{k}"]
-        dz = dq @ pp
-
-    # free tower backward; nothing reads the gradient of the input features
-    d_next = None
-    for k in range(L - 1, -1, -1):
-        total = da[k] if d_next is None else da[k] + d_next
-        ds = total * (cache["s"][k] > 0.0)
-        g[f"U{k}"] = ds.T @ cache["a"][k]
-        g[f"c{k}"] = ds.sum(axis=0)
+    # layer k's monotone block reads the free activations a_{k+1}, so their
+    # gradient is complete once dq is; nothing reads the input features' gradient
+    for k in range(len(hidden) - 1, -1, -1):
+        dq = np.square(z[k + 1])
+        np.subtract(1.0, dq, out=dq)
+        dq *= dz
+        g[f"P{k}"][...] = (dq.T @ z[k]) * _sigmoid(params[f"P{k}"])
+        g[f"B{k}"][...] = dq.T @ a[k + 1]
+        g[f"b{k}"][...] = dq.sum(axis=0)
+        ds = dq @ params[f"B{k}"]
+        ds += d_free
+        ds *= a[k + 1] > 0.0
+        g[f"U{k}"][...] = ds.T @ a[k]
+        g[f"c{k}"][...] = ds.sum(axis=0)
         if k:
-            d_next = ds @ params[f"U{k}"]
-    return g
+            dz = dq @ _softplus(params[f"P{k}"])
+            d_free = ds @ params[f"U{k}"]
+
+
+def _views(flat: np.ndarray, template: dict) -> dict:
+    """Arrays shaped like ``template``'s values, laid end to end in ``flat``."""
+    out, start = {}, 0
+    for key, v in template.items():
+        out[key] = flat[start : start + v.size].reshape(v.shape)
+        start += v.size
+    return out
 
 
 class MonotoneNetModel(PitCdfModel):
@@ -210,13 +203,15 @@ class MonotoneNetModel(PitCdfModel):
 
     def __init__(self, params: dict, hidden: tuple, mean: np.ndarray,
                  scale: np.ndarray, config: MonotoneNetConfig,
-                 loss_history: list | None = None):
+                 loss_history: list | None = None, best_epoch: int | None = None):
         self.params = params
         self.hidden = tuple(hidden)
         self.mean = np.asarray(mean, dtype=float)
         self.scale = np.asarray(scale, dtype=float)
         self.config = config
+        # (train, validation) loss per epoch, and the epoch whose weights were kept
         self.loss_history = list(loss_history or [])
+        self.best_epoch = best_epoch
 
     def _standardize(self, xs: np.ndarray) -> np.ndarray:
         return (xs.reshape(-1, self.mean.size) - self.mean) / self.scale
@@ -230,7 +225,8 @@ class MonotoneNetModel(PitCdfModel):
         xs_std = self._standardize(np.asarray(xs, dtype=float))
         rows = _gamma_rows(gammas, xs_std.shape[0])
         tiled_x = np.repeat(xs_std, rows.shape[1], axis=0)
-        return _forward(self.params, self.hidden, tiled_x, rows.ravel()).reshape(rows.shape)
+        return _forward(self.params, self.hidden, tiled_x,
+                        _mono_inputs(rows.ravel())).reshape(rows.shape)
 
     def to_json(self) -> dict:
         return {
@@ -240,6 +236,8 @@ class MonotoneNetModel(PitCdfModel):
             "raw_weights": {k: v.tolist() for k, v in self.params.items()},
             "standardization": {"mean": self.mean.tolist(), "scale": self.scale.tolist()},
             "config": asdict(self.config),
+            "loss_history": [list(e) for e in self.loss_history],
+            "best_epoch": self.best_epoch,
         }
 
     @classmethod
@@ -250,6 +248,8 @@ class MonotoneNetModel(PitCdfModel):
             np.array(doc["standardization"]["mean"]),
             np.array(doc["standardization"]["scale"]),
             MonotoneNetConfig(**doc["config"]),
+            [tuple(e) for e in doc.get("loss_history", [])],
+            doc.get("best_epoch"),
         )
 
 
@@ -279,9 +279,9 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
 
     row_train = train_mask[aug.row_index]
     x_train = xs_std_base[aug.row_index[row_train]]
-    g_train = aug.gamma[row_train]
+    z_train = _mono_inputs(aug.gamma[row_train])
     w_train = aug.w[row_train].astype(float)
-    n_train = g_train.shape[0]
+    n_train = w_train.shape[0]
     if n_train == 0:
         raise ValueError("no training rows left after the validation split")
 
@@ -289,26 +289,32 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
     pit_val = aug.base_pit[val_base]
     m_grid = VAL_GAMMA_GRID.size
     val_x_tiled = np.repeat(x_val, m_grid, axis=0)
-    val_g_tiled = np.tile(VAL_GAMMA_GRID, x_val.shape[0])
+    val_z_tiled = _mono_inputs(np.tile(VAL_GAMMA_GRID, x_val.shape[0]))
     val_w = (pit_val[:, None] <= VAL_GAMMA_GRID[None, :]).astype(float).ravel()
 
     init_rng = rngmod.derived_rng(cfg.seed, "net-init")
-    params = _init_params(aug.base_xs.shape[1], cfg.hidden_layers, init_rng)
+    template = _init_params(aug.base_xs.shape[1], cfg.hidden_layers, init_rng)
+    # AdamW runs on one flat vector; params and grads are per-key views of it
+    flat = np.concatenate([v.ravel() for v in template.values()])
+    params = _views(flat, template)
+    grad = np.empty_like(flat)
+    grads = _views(grad, template)
 
-    m_state = {k: np.zeros_like(v) for k, v in params.items()}
-    v_state = {k: np.zeros_like(v) for k, v in params.items()}
+    m_state, v_state = np.zeros_like(flat), np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     # decaying a raw softplus parameter pulls the effective weight toward
     # softplus(0) = 0.69, not toward zero; exempt the monotone-path weights
     # and the gate bias, whose sane resting point is softplus(s_bias) = 1
     no_decay = {"p_out", "p_skip", "s_bias"}
-    decay_mask = {
-        key: 0.0 if (key.startswith("P") or key in no_decay) else 1.0 for key in params
-    }
+    wd = np.concatenate([
+        np.full(v.size, 0.0 if key.startswith("P") or key in no_decay else cfg.weight_decay)
+        for key, v in template.items()
+    ])
 
     best_val = np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_flat = flat.copy()
+    best_epoch = None
     bad_epochs = 0
     history = []
 
@@ -318,24 +324,24 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
         epoch_loss = 0.0
         for start in range(0, n_train, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            yhat, cache = _forward(params, cfg.hidden_layers, x_train[idx], g_train[idx], keep=True)
-            batch_loss = float(np.mean((yhat - w_train[idx]) ** 2))
+            w_batch = w_train[idx]
+            yhat, cache = _forward(params, cfg.hidden_layers, x_train[idx], z_train[idx], keep=True)
+            batch_loss = float(np.mean((yhat - w_batch) ** 2))
             if not np.isfinite(batch_loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             epoch_loss += batch_loss * idx.size
-            grads = _backward(params, cfg.hidden_layers, cache, w_train[idx])
+            _backward(params, cfg.hidden_layers, cache, w_batch, grads)
             step += 1
             bc1 = 1.0 - beta1**step
             bc2 = 1.0 - beta2**step
-            for key in params:
-                gk = grads[key]
-                m_state[key] = beta1 * m_state[key] + (1.0 - beta1) * gk
-                v_state[key] = beta2 * v_state[key] + (1.0 - beta2) * gk * gk
-                update = (m_state[key] / bc1) / (np.sqrt(v_state[key] / bc2) + eps)
-                wd = cfg.weight_decay * decay_mask[key]
-                params[key] = params[key] - lr * (update + wd * params[key])
+            m_state *= beta1
+            m_state += (1.0 - beta1) * grad
+            v_state *= beta2
+            v_state += (1.0 - beta2) * grad * grad
+            update = (m_state / bc1) / (np.sqrt(v_state / bc2) + eps)
+            flat -= lr * (update + wd * flat)
 
-        val_pred = _forward(params, cfg.hidden_layers, val_x_tiled, val_g_tiled)
+        val_pred = _forward(params, cfg.hidden_layers, val_x_tiled, val_z_tiled)
         val_loss = float(np.mean((val_pred - val_w) ** 2))
         if not np.isfinite(val_loss):
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
@@ -343,11 +349,13 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
 
         if val_loss < best_val - 1e-12:
             best_val = val_loss
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_flat = flat.copy()
+            best_epoch = epoch
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 break
 
-    return MonotoneNetModel(best_params, cfg.hidden_layers, mean, scale, cfg, history)
+    return MonotoneNetModel(_views(best_flat, template), cfg.hidden_layers, mean, scale, cfg,
+                            history, best_epoch)

@@ -36,7 +36,7 @@ from pitcal.calibrate import (
 from pitcal.errors import DegenerateRecalibration
 from pitcal.grid import _pit_rows, cdf_from_density, knot_slopes, renormalize_density
 from pitcal.models import cdf_rows
-from pitcal.monotone_net import MonotoneNetModel, _forward
+from pitcal.monotone_net import MonotoneNetModel, _forward, _mono_inputs
 from pitcal.pipeline import build_initial, fit_pit_model, split_calibration
 from pitcal.synthgen import sample_example2
 
@@ -78,7 +78,8 @@ def frozen_curve(r, gammas, x):
     if isinstance(r, MonotoneNetModel):
         gammas = np.asarray(gammas, dtype=float).ravel()
         x_std = r._standardize(np.asarray(x, dtype=float).reshape(1, -1))
-        return _forward(r.params, r.hidden, np.repeat(x_std, gammas.size, axis=0), gammas)
+        return _forward(r.params, r.hidden, np.repeat(x_std, gammas.size, axis=0),
+                        _mono_inputs(gammas))
     return frozen_local_curve(r, gammas, x)
 
 

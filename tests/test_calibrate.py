@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
@@ -138,6 +139,25 @@ class TestAugment:
         cal = CalibrationSet(rng.normal(size=(200, 1)), np.zeros(200))
         aug = augment(cal, rng.uniform(size=200), 20, seed=3)
         assert np.all(aug.gamma > 0.0) and np.all(aug.gamma < 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]),
+                  st.integers(min_value=0, max_value=2**64 - 1)),
+        st.sampled_from([1, 3, 4, 5, 20]),
+        st.sampled_from([0, 1, 7]),
+    )
+    def test_levels_equal_per_row_philox(self, seed, k_factor, n):
+        # reference: one numpy Philox generator per row, keyed on (seed, row);
+        # a list key above 2**63 would pass through float, so pass uint64
+        want = np.array([
+            np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+            .uniform(size=k_factor)
+            for i in range(n)
+        ]).reshape(n * k_factor)
+        cal = CalibrationSet(np.zeros((n, 1)), np.zeros(n))
+        aug = augment(cal, np.full(n, 0.5), k_factor, seed=seed)
+        assert np.array_equal(aug.gamma, np.clip(want, 1e-12, 1.0 - 1e-12))
 
 
 class TestLocalEmpirical:

@@ -7,10 +7,14 @@ from pitcal.calibrate import CalibrationSet, augment, load_pit_model
 from pitcal.dataio import write_json
 from pitcal.errors import TrainingDiverged
 from pitcal.monotone_net import (
+    VAL_GAMMA_GRID,
     MonotoneNetConfig,
     MonotoneNetModel,
     _forward,
     _init_params,
+    _mono_inputs,
+    _sigmoid,
+    _softplus,
     fit_monotone_net,
 )
 from pitcal.synthgen import sample_example2
@@ -116,7 +120,7 @@ def reference_predict_curve(model, gammas, x):
     gammas = np.asarray(gammas, dtype=float).ravel()
     x_std = model._standardize(np.asarray(x, dtype=float).ravel())
     xs = np.repeat(x_std, gammas.size, axis=0)
-    return _forward(model.params, model.hidden, xs, gammas)
+    return _forward(model.params, model.hidden, xs, _mono_inputs(gammas))
 
 
 class TestPredictCurve:
@@ -164,6 +168,180 @@ class TestPredictCurve:
         assert np.array_equal(flat, net.predict_matrix(gammas, xs[:, None]))
 
 
+def frozen_forward(params, hidden, x_std, gamma, keep=False):
+    """The network's forward pass before it took the monotone encodings."""
+    a = x_std
+    z0 = _mono_inputs(gamma)
+    z = z0
+    cache = {"a": [a], "z": [z], "s": [], "q": []} if keep else None
+    for k in range(len(hidden)):
+        s = a @ params[f"U{k}"].T + params[f"c{k}"]
+        a = np.maximum(s, 0.0)
+        pp = _softplus(params[f"P{k}"])
+        q = z @ pp.T + a @ params[f"B{k}"].T + params[f"b{k}"]
+        z = np.tanh(q)
+        if keep:
+            cache["s"].append(s)
+            cache["a"].append(a)
+            cache["q"].append(q)
+            cache["z"].append(z)
+    mono = z @ _softplus(params["p_out"]).T + z0 @ _softplus(params["p_skip"]).T
+    gate_pre = a @ params["s_out"].T + params["s_bias"]
+    gate = _softplus(gate_pre)
+    u = gate * mono + a @ params["r_out"].T + params["b_out"]
+    yhat = _sigmoid(u[:, 0])
+    if keep:
+        cache.update(mono=mono, gate_pre=gate_pre, gate=gate, u=u, yhat=yhat)
+        return yhat, cache
+    return yhat
+
+
+def frozen_backward(params, hidden, cache, w):
+    """The backward pass before it dropped its temporaries, returning a dict."""
+    n = w.shape[0]
+    yhat = cache["yhat"]
+    du = ((2.0 / n) * (yhat - w) * yhat * (1.0 - yhat))[:, None]
+    g = {}
+    z_last = cache["z"][-1]
+    a_last = cache["a"][-1]
+    pp_out = _softplus(params["p_out"])
+    dmono = du * cache["gate"]
+    dgate = du * cache["mono"]
+    dgate_pre = dgate * _sigmoid(cache["gate_pre"])
+    g["p_out"] = (dmono.T @ z_last) * _sigmoid(params["p_out"])
+    g["p_skip"] = (dmono.T @ cache["z"][0]) * _sigmoid(params["p_skip"])
+    g["r_out"] = du.T @ a_last
+    g["b_out"] = du.sum(axis=0)
+    g["s_out"] = dgate_pre.T @ a_last
+    g["s_bias"] = dgate_pre.sum(axis=0)
+    L = len(hidden)
+    dz = dmono @ pp_out
+    da = [np.zeros_like(cache["a"][k + 1]) for k in range(L)]
+    if L:
+        da[L - 1] = du @ params["r_out"] + dgate_pre @ params["s_out"]
+    for k in range(L - 1, -1, -1):
+        dq = dz * (1.0 - cache["z"][k + 1] ** 2)
+        pp = _softplus(params[f"P{k}"])
+        g[f"P{k}"] = (dq.T @ cache["z"][k]) * _sigmoid(params[f"P{k}"])
+        g[f"B{k}"] = dq.T @ cache["a"][k + 1]
+        g[f"b{k}"] = dq.sum(axis=0)
+        da[k] = da[k] + dq @ params[f"B{k}"]
+        dz = dq @ pp
+    d_next = None
+    for k in range(L - 1, -1, -1):
+        total = da[k] if d_next is None else da[k] + d_next
+        ds = total * (cache["s"][k] > 0.0)
+        g[f"U{k}"] = ds.T @ cache["a"][k]
+        g[f"c{k}"] = ds.sum(axis=0)
+        if k:
+            d_next = ds @ params[f"U{k}"]
+    return g
+
+
+def frozen_fit(aug, cfg):
+    """``fit_monotone_net`` with the passes above and per-key AdamW: (params, loss history)."""
+    mean = aug.base_xs.mean(axis=0)
+    scale = aug.base_xs.std(axis=0)
+    scale = np.where(scale > 0, scale, 1.0)
+    xs_std_base = (aug.base_xs - mean) / scale
+    perm = rngmod.derived_rng(cfg.seed, "net-split").permutation(aug.n_base)
+    n_val = max(1, int(round(cfg.val_fraction * aug.n_base)))
+    val_base = perm[:n_val]
+    train_mask = np.ones(aug.n_base, dtype=bool)
+    train_mask[val_base] = False
+    row_train = train_mask[aug.row_index]
+    x_train = xs_std_base[aug.row_index[row_train]]
+    g_train = aug.gamma[row_train]
+    w_train = aug.w[row_train].astype(float)
+    n_train = g_train.shape[0]
+    x_val = xs_std_base[val_base]
+    val_x_tiled = np.repeat(x_val, VAL_GAMMA_GRID.size, axis=0)
+    val_g_tiled = np.tile(VAL_GAMMA_GRID, x_val.shape[0])
+    val_w = (aug.base_pit[val_base][:, None] <= VAL_GAMMA_GRID[None, :]).astype(float).ravel()
+
+    params = _init_params(aug.base_xs.shape[1], cfg.hidden_layers,
+                          rngmod.derived_rng(cfg.seed, "net-init"))
+    m_state = {k: np.zeros_like(v) for k, v in params.items()}
+    v_state = {k: np.zeros_like(v) for k, v in params.items()}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    decay_mask = {key: 0.0 if (key.startswith("P") or key in {"p_out", "p_skip", "s_bias"})
+                  else 1.0 for key in params}
+    best_val = np.inf
+    best_params = {k: v.copy() for k, v in params.items()}
+    bad_epochs = 0
+    history = []
+    for epoch in range(cfg.max_epochs):
+        lr = cfg.learning_rate * (cfg.lr_decay ** epoch)
+        order = rngmod.derived_rng(cfg.seed, "net-shuffle", epoch).permutation(n_train)
+        epoch_loss = 0.0
+        for start in range(0, n_train, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            yhat, cache = frozen_forward(params, cfg.hidden_layers, x_train[idx], g_train[idx],
+                                         keep=True)
+            epoch_loss += float(np.mean((yhat - w_train[idx]) ** 2)) * idx.size
+            grads = frozen_backward(params, cfg.hidden_layers, cache, w_train[idx])
+            step += 1
+            bc1 = 1.0 - beta1**step
+            bc2 = 1.0 - beta2**step
+            for key in params:
+                gk = grads[key]
+                m_state[key] = beta1 * m_state[key] + (1.0 - beta1) * gk
+                v_state[key] = beta2 * v_state[key] + (1.0 - beta2) * gk * gk
+                update = (m_state[key] / bc1) / (np.sqrt(v_state[key] / bc2) + eps)
+                wd = cfg.weight_decay * decay_mask[key]
+                params[key] = params[key] - lr * (update + wd * params[key])
+        val_pred = frozen_forward(params, cfg.hidden_layers, val_x_tiled, val_g_tiled)
+        val_loss = float(np.mean((val_pred - val_w) ** 2))
+        history.append((epoch_loss / n_train, val_loss))
+        if val_loss < best_val - 1e-12:
+            best_val = val_loss
+            best_params = {k: v.copy() for k, v in params.items()}
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= cfg.patience:
+                break
+    return best_params, history
+
+
+class TestMatchesFrozenTraining:
+    """The fit with cached encodings, in-place passes and flat AdamW equals the frozen copy."""
+
+    @pytest.mark.parametrize("hidden", [(), (8,), (16, 16), (8, 8, 8)])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_params_and_history_equal(self, hidden, dim):
+        rng = np.random.default_rng(len(hidden) + 10 * dim)
+        n = 230  # 207 training points x 4 levels: batches of 100 leave 28 rows over
+        xs = rng.normal(size=(n, dim))
+        # PITs that depend on x, so the tower and the gate both get gradient
+        pits = np.clip(0.5 + 0.3 * np.tanh(xs.sum(axis=1)) + 0.2 * rng.normal(size=n), 0.0, 1.0)
+        aug = augment(CalibrationSet(xs, np.zeros(n)), pits, 4, seed=3)
+        cfg = MonotoneNetConfig(hidden_layers=hidden, learning_rate=3e-3, batch_size=100,
+                                max_epochs=6, seed=5)
+        assert len(aug) % cfg.batch_size != 0
+        want_params, want_history = frozen_fit(aug, cfg)
+        net = fit_monotone_net(aug, cfg)
+        assert net.loss_history == want_history
+        assert net.params.keys() == want_params.keys()
+        for key, value in want_params.items():
+            assert np.array_equal(net.params[key], value), key
+
+    def test_early_stop_before_max_epochs(self):
+        aug = calibrated_aug(n=300, k_factor=5)
+        # a large learning rate stalls the validation loss after a few epochs
+        cfg = MonotoneNetConfig(hidden_layers=(8, 8), learning_rate=0.3, batch_size=256,
+                                patience=3, max_epochs=30, seed=3)
+        want_params, want_history = frozen_fit(aug, cfg)
+        net = fit_monotone_net(aug, cfg)
+        assert len(want_history) < cfg.max_epochs
+        assert net.loss_history == want_history
+        for key, value in want_params.items():
+            assert np.array_equal(net.params[key], value), key
+        vals = [v for _, v in want_history]
+        assert net.best_epoch == int(np.argmin(vals))
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         aug = calibrated_aug(n=300, k_factor=5)
@@ -183,6 +361,21 @@ class TestSerialization:
         assert doc["backend"] == "monotone-net"
         assert doc["format_version"] == 1
         assert "raw_weights" in doc and "standardization" in doc
+        assert len(doc["loss_history"]) == 3
+        assert loaded.loss_history == net.loss_history
+        assert loaded.best_epoch == net.best_epoch is not None
+
+    def test_file_without_training_record_loads(self, tmp_path):
+        net = fit_monotone_net(calibrated_aug(n=300, k_factor=5),
+                               MonotoneNetConfig(hidden_layers=(8,), max_epochs=2, seed=3))
+        doc = net.to_json()
+        del doc["loss_history"], doc["best_epoch"]
+        path = tmp_path / "old.json"
+        write_json(path, doc)
+        loaded = load_pit_model(path)
+        assert loaded.loss_history == [] and loaded.best_epoch is None
+        gam = np.linspace(0.05, 0.95, 11)
+        assert np.array_equal(loaded.predict_curve(gam, [0.4]), net.predict_curve(gam, [0.4]))
 
 
 class TestDivergence:

@@ -63,6 +63,8 @@ def frozen_net_to_json(model) -> dict:
             "max_epochs": model.config.max_epochs,
             "seed": model.config.seed,
         },
+        "loss_history": [[train, val] for train, val in model.loss_history],
+        "best_epoch": model.best_epoch,
     }
 
 
@@ -111,7 +113,8 @@ def net_model():
     return MonotoneNetModel(_init_params(2, (8, 8), rng), (8, 8), rng.normal(size=2),
                             rng.uniform(0.5, 2.0, size=2),
                             MonotoneNetConfig(hidden_layers=(8, 8), learning_rate=3e-3,
-                                              batch_size=256, max_epochs=7, seed=5))
+                                              batch_size=256, max_epochs=7, seed=5),
+                            [(0.25, 0.3), (0.125, 0.2), (0.1, 0.21)], 1)
 
 
 def legacy_local_model(cfg):
