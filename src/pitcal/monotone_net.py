@@ -9,9 +9,11 @@ predictions in [0, 1].
 
 Training is plain mini-batch AdamW on the squared error of the indicator
 targets, with a multiplicative learning-rate decay per epoch and early
-stopping on a validation loss evaluated over a fixed gamma grid. Everything
-runs in numpy: deterministic under a seed, and the fitted model serializes to
-a binary-free JSON document.
+stopping on a validation loss evaluated over a fixed gamma grid. The network
+trains in float32, as the paper's UMNN does in PyTorch; the validation loss
+that drives early stopping is summed in float64, and the fitted weights are
+stored and evaluated in float64. Everything runs in numpy: deterministic under
+a seed, and the fitted model serializes to a binary-free JSON document.
 """
 
 from __future__ import annotations
@@ -278,9 +280,9 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
     train_mask[val_base] = False
 
     row_train = train_mask[aug.row_index]
-    x_train = xs_std_base[aug.row_index[row_train]]
-    z_train = _mono_inputs(aug.gamma[row_train])
-    w_train = aug.w[row_train].astype(float)
+    x_train = xs_std_base[aug.row_index[row_train]].astype(np.float32)
+    z_train = _mono_inputs(aug.gamma[row_train]).astype(np.float32)
+    w_train = aug.w[row_train].astype(np.float32)
     n_train = w_train.shape[0]
     if n_train == 0:
         raise ValueError("no training rows left after the validation split")
@@ -288,14 +290,15 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
     x_val = xs_std_base[val_base]
     pit_val = aug.base_pit[val_base]
     m_grid = VAL_GAMMA_GRID.size
-    val_x_tiled = np.repeat(x_val, m_grid, axis=0)
-    val_z_tiled = _mono_inputs(np.tile(VAL_GAMMA_GRID, x_val.shape[0]))
+    val_x_tiled = np.repeat(x_val, m_grid, axis=0).astype(np.float32)
+    val_z_tiled = _mono_inputs(np.tile(VAL_GAMMA_GRID, x_val.shape[0])).astype(np.float32)
+    # float64 targets make the validation loss a float64 sum of float32 predictions
     val_w = (pit_val[:, None] <= VAL_GAMMA_GRID[None, :]).astype(float).ravel()
 
     init_rng = rngmod.derived_rng(cfg.seed, "net-init")
     template = _init_params(aug.base_xs.shape[1], cfg.hidden_layers, init_rng)
-    # AdamW runs on one flat vector; params and grads are per-key views of it
-    flat = np.concatenate([v.ravel() for v in template.values()])
+    # AdamW runs on one flat float32 vector; params and grads are per-key views of it
+    flat = np.concatenate([v.ravel() for v in template.values()]).astype(np.float32)
     params = _views(flat, template)
     grad = np.empty_like(flat)
     grads = _views(grad, template)
@@ -310,7 +313,7 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
     wd = np.concatenate([
         np.full(v.size, 0.0 if key.startswith("P") or key in no_decay else cfg.weight_decay)
         for key, v in template.items()
-    ])
+    ]).astype(np.float32)
 
     best_val = np.inf
     best_flat = flat.copy()
@@ -318,44 +321,48 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
     bad_epochs = 0
     history = []
 
-    for epoch in range(cfg.max_epochs):
-        lr = cfg.learning_rate * (cfg.lr_decay ** epoch)
-        order = rngmod.derived_rng(cfg.seed, "net-shuffle", epoch).permutation(n_train)
-        epoch_loss = 0.0
-        for start in range(0, n_train, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            w_batch = w_train[idx]
-            yhat, cache = _forward(params, cfg.hidden_layers, x_train[idx], z_train[idx], keep=True)
-            batch_loss = float(np.mean((yhat - w_batch) ** 2))
-            if not np.isfinite(batch_loss):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-            epoch_loss += batch_loss * idx.size
-            _backward(params, cfg.hidden_layers, cache, w_batch, grads)
-            step += 1
-            bc1 = 1.0 - beta1**step
-            bc2 = 1.0 - beta2**step
-            m_state *= beta1
-            m_state += (1.0 - beta1) * grad
-            v_state *= beta2
-            v_state += (1.0 - beta2) * grad * grad
-            update = (m_state / bc1) / (np.sqrt(v_state / bc2) + eps)
-            flat -= lr * (update + wd * flat)
+    # float32 overflows sooner than float64; the checks below raise TrainingDiverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.max_epochs):
+            lr = cfg.learning_rate * (cfg.lr_decay ** epoch)
+            order = rngmod.derived_rng(cfg.seed, "net-shuffle", epoch).permutation(n_train)
+            epoch_loss = 0.0
+            for start in range(0, n_train, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                w_batch = w_train[idx]
+                yhat, cache = _forward(params, cfg.hidden_layers, x_train[idx], z_train[idx],
+                                       keep=True)
+                batch_loss = float(np.mean((yhat - w_batch) ** 2))
+                if not np.isfinite(batch_loss):
+                    raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+                epoch_loss += batch_loss * idx.size
+                _backward(params, cfg.hidden_layers, cache, w_batch, grads)
+                step += 1
+                bc1 = 1.0 - beta1**step
+                bc2 = 1.0 - beta2**step
+                m_state *= beta1
+                m_state += (1.0 - beta1) * grad
+                v_state *= beta2
+                v_state += (1.0 - beta2) * grad * grad
+                update = (m_state / bc1) / (np.sqrt(v_state / bc2) + eps)
+                flat -= lr * (update + wd * flat)
 
-        val_pred = _forward(params, cfg.hidden_layers, val_x_tiled, val_z_tiled)
-        val_loss = float(np.mean((val_pred - val_w) ** 2))
-        if not np.isfinite(val_loss):
-            raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
-        history.append((epoch_loss / n_train, val_loss))
+            val_pred = _forward(params, cfg.hidden_layers, val_x_tiled, val_z_tiled)
+            val_loss = float(np.mean((val_pred - val_w) ** 2))
+            if not np.isfinite(val_loss):
+                raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
+            history.append((epoch_loss / n_train, val_loss))
 
-        if val_loss < best_val - 1e-12:
-            best_val = val_loss
-            best_flat = flat.copy()
-            best_epoch = epoch
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                break
+            if val_loss < best_val - 1e-12:
+                best_val = val_loss
+                best_flat = flat.copy()
+                best_epoch = epoch
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if bad_epochs >= cfg.patience:
+                    break
 
-    return MonotoneNetModel(_views(best_flat, template), cfg.hidden_layers, mean, scale, cfg,
-                            history, best_epoch)
+    # the fitted model holds float64 widenings of the float32 weights
+    return MonotoneNetModel(_views(best_flat.astype(float), template), cfg.hidden_layers,
+                            mean, scale, cfg, history, best_epoch)

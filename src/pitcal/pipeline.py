@@ -95,5 +95,8 @@ def fit_pit_model(cal: CalibrationSet, pits, backend: str, seed: int, *, k=None,
         if k_factor < 1:
             raise ConfigError(f"k_factor must be >= 1, got {k_factor}")
         aug = augment(cal, pits, k_factor, rngmod.derive_seed(seed, "augment"))
-        return fit_monotone_net(aug, cfg)
+        try:
+            return fit_monotone_net(aug, cfg)
+        except ValueError as exc:  # a validation split that leaves no training row
+            raise ConfigError(f"network configuration: {exc}") from exc
     raise ConfigError(f"unknown backend {backend!r}")

@@ -233,6 +233,8 @@ EXIT_CASES = [
      ["calibrate", "--backend", "net", "--net-hidden", "x"], 2, "error:"),
     ("net_val_fraction_above_one", 300, False,
      ["calibrate", "--backend", "net", "--net-val-fraction", 2], 2, "error:"),
+    ("net_val_fraction_leaves_no_training_rows", 400, False,
+     ["calibrate", "--backend", "net", "--net-val-fraction", 0.999], 2, "error:"),
     ("diagnose_too_few_replicates", 300, False, ["diagnose", "--n-mc", 5], 2, "error:"),
     ("diagnose_band_eta_above_one", 300, False, ["diagnose", "--band-eta", 3], 2, "error:"),
     ("grid_points_below_three", 300, False, ["calibrate", "--grid-points", 2], 2, "error:"),
