@@ -50,7 +50,6 @@ from .calibrate import (
     calpit_hpd,
     calpit_interval,
     compute_pit_values,
-    estimated_ot,
     fit_local_empirical,
     load_pit_model,
     recalibrate,
@@ -77,7 +76,7 @@ __all__ = [
     "LocalEmpiricalConfig", "LocalEmpiricalModel", "RecalibratedDistribution",
     "RecalibratedInitialModel", "PredictionSet", "compute_pit_values", "augment",
     "fit_local_empirical", "recalibrate", "calpit_interval", "calpit_hpd",
-    "estimated_ot", "load_pit_model",
+    "load_pit_model",
     "MonotoneNetConfig", "MonotoneNetModel", "fit_monotone_net",
     # diagnostics
     "AlpCurve", "LocalTestResult", "mc_local_test", "mc_p_value", "cde_loss",

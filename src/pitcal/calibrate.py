@@ -36,10 +36,8 @@ from .grid import (
     GridCdf,
     GridDensity,
     _pit_rows,
-    invert_cdf,
     invert_rows,
     knot_slopes,
-    pit,
 )
 from .models import cdf_rows, feature_rows
 
@@ -62,7 +60,6 @@ __all__ = [
     "central_intervals",
     "calpit_interval",
     "calpit_hpd",
-    "estimated_ot",
     "load_pit_model",
 ]
 
@@ -409,10 +406,6 @@ class RecalibratedDistribution:
     cdf: GridCdf
     pdf: GridDensity
 
-    def quantile(self, p: float) -> float:
-        """Leftmost response value whose recalibrated CDF reaches ``p``."""
-        return invert_cdf(self.cdf, p)
-
 
 @dataclass(frozen=True)
 class PredictionSet:
@@ -605,7 +598,3 @@ def calpit_hpd(rd: RecalibratedDistribution, alpha: float) -> PredictionSet:
         raise HpdSearchFailed(f"HPD mass {mass:.6f} misses target {1.0 - alpha:.6f}")
     return PredictionSet(tuple(intervals), nominal_level=1.0 - alpha, kind="hpd")
 
-
-def estimated_ot(rd: RecalibratedDistribution, initial_cdf: GridCdf, y: float) -> float:
-    """Transport of a response value: recalibrated quantile of its initial CDF."""
-    return rd.quantile(pit(initial_cdf, y))

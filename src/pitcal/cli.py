@@ -178,6 +178,10 @@ _NET_FIELDS = {
     "net_val_fraction": ("val_fraction", 0.1, float),
     "net_max_epochs": ("max_epochs", 100, int),
 }
+_NET_HELP = {
+    "net_batch": "training rows per batch: each batch holds max(1, NET_BATCH // K) "
+                 "calibration points with all K of their levels (K is --k-factor)",
+}
 
 
 def _prepare(cfg: dict):
@@ -389,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hpd", action="store_true")
     p.add_argument("--k-factor", dest="k_factor", type=int, default=50)
     for key, (_, default, _) in _NET_FIELDS.items():
-        p.add_argument("--" + key.replace("_", "-"), dest=key, default=default)
+        p.add_argument("--" + key.replace("_", "-"), dest=key, default=default,
+                       help=_NET_HELP.get(key))
     _add_common(p)
     p.set_defaults(func=cmd_calibrate)
 

@@ -9,7 +9,10 @@ predictions in [0, 1].
 
 Training is plain mini-batch AdamW on the squared error of the indicator
 targets, with a multiplicative learning-rate decay per epoch and early
-stopping on a validation loss evaluated over a fixed gamma grid. The network
+stopping on a validation loss evaluated over a fixed gamma grid. A batch
+holds ``max(1, batch_size // K)`` calibration points with all K of their
+augmented levels, so the feature tower runs once per point, not once per
+level; validation and prediction group their levels the same way. The network
 trains in float32, as the paper's UMNN does in PyTorch; the validation loss
 that drives early stopping is summed in float64, and the fitted weights are
 stored and evaluated in float64. Everything runs in numpy: deterministic under
@@ -35,6 +38,13 @@ VAL_GAMMA_GRID = np.linspace(0.025, 0.975, 41)
 
 @dataclass(frozen=True)
 class MonotoneNetConfig:
+    """Network shape and training settings.
+
+    ``batch_size`` counts augmented rows: a batch holds
+    ``max(1, batch_size // K)`` calibration points, each with all K of its
+    levels, so a K above ``batch_size`` gives one point per batch.
+    """
+
     hidden_layers: tuple = (64, 64, 64)
     learning_rate: float = 1e-3
     lr_decay: float = 0.95
@@ -122,52 +132,99 @@ def _init_params(dim_x: int, hidden: tuple, rng: np.random.Generator) -> dict:
     return p
 
 
+def _per_row(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w.T`` for feature rows ``a``, each row's sums rounded alike at any row count.
+
+    numpy sends a one-row product to gemv or dot, which round differently
+    from gemm; a second copy of the row keeps a batch of one equal to the
+    same row of a larger batch.
+    """
+    if a.shape[0] != 1:
+        return a @ w.T
+    return (np.repeat(a, 2, axis=0) @ w.T)[:1]
+
+
 def _forward(params: dict, hidden: tuple, x_std: np.ndarray, z0: np.ndarray,
              keep: bool = False):
-    """Forward pass on ``z0 = _mono_inputs(gamma)``; keep=True also returns the backprop cache."""
+    """Forward pass on m feature rows and their m*L level rows, ``yhat`` of shape (m*L,).
+
+    Rows i*L .. i*L + L - 1 of ``z0 = _mono_inputs(gamma)`` are the levels of
+    feature row i. The relu tower and the gate/shift head depend on x alone,
+    so they run once per feature row and broadcast over that row's L levels;
+    only the monotone path runs on all m*L rows. keep=True also returns the
+    backprop cache.
+    """
+    m = x_std.shape[0]
+    n_levels = z0.shape[0] // max(m, 1)
     a, z = x_std, z0
     cache = {"a": [a], "z": [z]} if keep else None
     for k in range(len(hidden)):
-        s = a @ params[f"U{k}"].T
+        s = _per_row(a, params[f"U{k}"])
         s += params[f"c{k}"]
         a = np.maximum(s, 0.0, out=s)
         q = z @ _softplus(params[f"P{k}"]).T
-        q += a @ params[f"B{k}"].T
-        q += params[f"b{k}"]
+        free = _per_row(a, params[f"B{k}"])
+        free += params[f"b{k}"]
+        grouped = q.reshape(m, n_levels, q.shape[1])  # a view of q, levels grouped by row
+        grouped += free[:, None, :]
         z = np.tanh(q, out=q)
         if keep:
             cache["a"].append(a)
             cache["z"].append(z)
     mono = z @ _softplus(params["p_out"]).T + z0 @ _softplus(params["p_skip"]).T
-    gate_pre = a @ params["s_out"].T + params["s_bias"]
+    gate_pre = _per_row(a, params["s_out"]) + params["s_bias"]
     gate = _softplus(gate_pre)
-    u = gate * mono + a @ params["r_out"].T + params["b_out"]
-    yhat = _sigmoid(u[:, 0])
+    u = mono.reshape(m, n_levels) * gate
+    u += _per_row(a, params["r_out"])
+    u += params["b_out"]
+    yhat = _sigmoid(u.ravel())
     if keep:
         cache.update(mono=mono, gate_pre=gate_pre, gate=gate, yhat=yhat)
         return yhat, cache
     return yhat
 
 
-def _backward(params: dict, hidden: tuple, cache: dict, w: np.ndarray, g: dict) -> None:
-    """Gradients of mean squared error w.r.t. all raw parameters, written into ``g``."""
-    n = w.shape[0]
-    yhat = cache["yhat"]
-    du = ((2.0 / n) * (yhat - w) * yhat * (1.0 - yhat))[:, None]
+# OpenBLAS's serial and threaded GEMM drivers cut a long reduction into blocks
+# differently unless its length is a multiple of the block unit, so a sum over
+# batch rows runs as a multiple-of-64-row product plus a short tail; the fitted
+# weights then do not depend on the BLAS thread count
+_ROW_BLOCK = 64
 
+
+def _row_sum_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a.T @ b``, the sum over rows, blocked the same way on any BLAS thread count."""
+    head = a.shape[0] - a.shape[0] % _ROW_BLOCK
+    out = a[:head].T @ b[:head]
+    if head < a.shape[0]:
+        out += a[head:].T @ b[head:]
+    return out
+
+
+def _backward(params: dict, hidden: tuple, cache: dict, w: np.ndarray, g: dict) -> None:
+    """Gradients of mean squared error w.r.t. all raw parameters, written into ``g``.
+
+    Per-level terms reach the once-per-feature-row tower and head through a
+    sum over each row's levels.
+    """
     z, a = cache["z"], cache["a"]
-    dmono = du * cache["gate"]
-    dgate_pre = du * cache["mono"] * _sigmoid(cache["gate_pre"])
+    m = a[0].shape[0]
+    yhat = cache["yhat"]
+    du = ((2.0 / yhat.shape[0]) * (yhat - w) * yhat * (1.0 - yhat)).reshape(m, -1)
+    du_row = du.sum(axis=1, keepdims=True)
+
+    dmono = (du * cache["gate"]).reshape(-1, 1)
+    dgate_pre = (du * cache["mono"].reshape(m, -1)).sum(axis=1, keepdims=True)
+    dgate_pre *= _sigmoid(cache["gate_pre"])
     g["p_out"][...] = (dmono.T @ z[-1]) * _sigmoid(params["p_out"])
     g["p_skip"][...] = (dmono.T @ z[0]) * _sigmoid(params["p_skip"])
-    g["r_out"][...] = du.T @ a[-1]
-    g["b_out"][...] = du.sum(axis=0)
+    g["r_out"][...] = du_row.T @ a[-1]
+    g["b_out"][...] = du_row.sum(axis=0)
     g["s_out"][...] = dgate_pre.T @ a[-1]
     g["s_bias"][...] = dgate_pre.sum(axis=0)
 
     # the head's outer products have one term each, so broadcasting is exact
     dz = dmono * _softplus(params["p_out"])
-    d_free = du * params["r_out"]
+    d_free = du_row * params["r_out"]
     d_free += dgate_pre * params["s_out"]
 
     # layer k's monotone block reads the free activations a_{k+1}, so their
@@ -176,13 +233,15 @@ def _backward(params: dict, hidden: tuple, cache: dict, w: np.ndarray, g: dict) 
         dq = np.square(z[k + 1])
         np.subtract(1.0, dq, out=dq)
         dq *= dz
-        g[f"P{k}"][...] = (dq.T @ z[k]) * _sigmoid(params[f"P{k}"])
-        g[f"B{k}"][...] = dq.T @ a[k + 1]
-        g[f"b{k}"][...] = dq.sum(axis=0)
-        ds = dq @ params[f"B{k}"]
+        g[f"P{k}"][...] = _row_sum_product(dq, z[k]) * _sigmoid(params[f"P{k}"])
+        # einsum sums over the levels about twice as fast as .sum(axis=1)
+        dq_row = np.einsum("mlh->mh", dq.reshape(m, -1, dq.shape[1]))
+        g[f"B{k}"][...] = _row_sum_product(dq_row, a[k + 1])
+        g[f"b{k}"][...] = dq_row.sum(axis=0)
+        ds = dq_row @ params[f"B{k}"]
         ds += d_free
         ds *= a[k + 1] > 0.0
-        g[f"U{k}"][...] = ds.T @ a[k]
+        g[f"U{k}"][...] = _row_sum_product(ds, a[k])
         g[f"c{k}"][...] = ds.sum(axis=0)
         if k:
             dz = dq @ _softplus(params[f"P{k}"])
@@ -226,8 +285,7 @@ class MonotoneNetModel(PitCdfModel):
         """
         xs_std = self._standardize(np.asarray(xs, dtype=float))
         rows = _gamma_rows(gammas, xs_std.shape[0])
-        tiled_x = np.repeat(xs_std, rows.shape[1], axis=0)
-        return _forward(self.params, self.hidden, tiled_x,
+        return _forward(self.params, self.hidden, xs_std,
                         _mono_inputs(rows.ravel())).reshape(rows.shape)
 
     def to_json(self) -> dict:
@@ -276,22 +334,24 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
     perm = split_rng.permutation(n_base)
     n_val = max(1, int(round(cfg.val_fraction * n_base)))
     val_base = perm[:n_val]
-    train_mask = np.ones(n_base, dtype=bool)
-    train_mask[val_base] = False
+    train_base = np.sort(perm[n_val:])
 
-    row_train = train_mask[aug.row_index]
-    x_train = xs_std_base[aug.row_index[row_train]].astype(np.float32)
-    z_train = _mono_inputs(aug.gamma[row_train]).astype(np.float32)
-    w_train = aug.w[row_train].astype(np.float32)
-    n_train = w_train.shape[0]
-    if n_train == 0:
+    # augment stores each point's K levels contiguously, so (n_base, K) views
+    # group them by point
+    n_levels = aug.k_factor
+    if train_base.size == 0:
         raise ValueError("no training rows left after the validation split")
+    x_train = xs_std_base[train_base].astype(np.float32)
+    z_train = _mono_inputs(aug.gamma.reshape(n_base, n_levels)[train_base].ravel()).astype(
+        np.float32).reshape(train_base.size, n_levels, _N_MONO_IN)
+    w_train = aug.w.reshape(n_base, n_levels)[train_base].astype(np.float32)
+    n_train = w_train.size
+    # a batch holds whole points: every augmented level of each
+    points_per_batch = max(1, cfg.batch_size // n_levels)
 
-    x_val = xs_std_base[val_base]
+    x_val = xs_std_base[val_base].astype(np.float32)
     pit_val = aug.base_pit[val_base]
-    m_grid = VAL_GAMMA_GRID.size
-    val_x_tiled = np.repeat(x_val, m_grid, axis=0).astype(np.float32)
-    val_z_tiled = _mono_inputs(np.tile(VAL_GAMMA_GRID, x_val.shape[0])).astype(np.float32)
+    val_z = np.tile(_mono_inputs(VAL_GAMMA_GRID), (x_val.shape[0], 1)).astype(np.float32)
     # float64 targets make the validation loss a float64 sum of float32 predictions
     val_w = (pit_val[:, None] <= VAL_GAMMA_GRID[None, :]).astype(float).ravel()
 
@@ -325,17 +385,17 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.max_epochs):
             lr = cfg.learning_rate * (cfg.lr_decay ** epoch)
-            order = rngmod.derived_rng(cfg.seed, "net-shuffle", epoch).permutation(n_train)
+            order = rngmod.derived_rng(cfg.seed, "net-shuffle", epoch).permutation(train_base.size)
             epoch_loss = 0.0
-            for start in range(0, n_train, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                w_batch = w_train[idx]
-                yhat, cache = _forward(params, cfg.hidden_layers, x_train[idx], z_train[idx],
-                                       keep=True)
+            for start in range(0, order.size, points_per_batch):
+                idx = order[start : start + points_per_batch]
+                w_batch = w_train[idx].ravel()
+                yhat, cache = _forward(params, cfg.hidden_layers, x_train[idx],
+                                       z_train[idx].reshape(-1, _N_MONO_IN), keep=True)
                 batch_loss = float(np.mean((yhat - w_batch) ** 2))
                 if not np.isfinite(batch_loss):
                     raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-                epoch_loss += batch_loss * idx.size
+                epoch_loss += batch_loss * w_batch.size
                 _backward(params, cfg.hidden_layers, cache, w_batch, grads)
                 step += 1
                 bc1 = 1.0 - beta1**step
@@ -347,7 +407,7 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
                 update = (m_state / bc1) / (np.sqrt(v_state / bc2) + eps)
                 flat -= lr * (update + wd * flat)
 
-            val_pred = _forward(params, cfg.hidden_layers, val_x_tiled, val_z_tiled)
+            val_pred = _forward(params, cfg.hidden_layers, x_val, val_z)
             val_loss = float(np.mean((val_pred - val_w) ** 2))
             if not np.isfinite(val_loss):
                 raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")

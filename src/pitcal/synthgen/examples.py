@@ -20,7 +20,7 @@ from scipy.special import ndtr
 from .. import rng as rngmod
 from ..calibrate import CalibrationSet
 from ..grid import YGrid, default_grid
-from ..models import GaussianInitialModel
+from ..models import GaussianInitialModel, feature_rows
 from .sinharcsinh import (
     SinhArcsinhParams,
     sinh_arcsinh_cdf,
@@ -177,6 +177,16 @@ class Example2Oracle:
         return sinh_arcsinh_sample(self.params_at(x), rng, size)
 
 
+class _FirstFeature:
+    """Example 2's initial mean, x itself: ``predict`` for a batch, ``__call__`` for one x."""
+
+    def predict(self, xs) -> np.ndarray:
+        return feature_rows(xs)[:, 0]
+
+    def __call__(self, x) -> float:
+        return float(np.ravel(x)[0])
+
+
 def sample_example2(setting: str, n: int, seed: int,
                     n_grid: int = 201) -> GeneratedData:
     """Draw (x, y) with x ~ U(-1, 1) and y from the chosen sinh-arcsinh law.
@@ -198,5 +208,5 @@ def sample_example2(setting: str, n: int, seed: int,
         tail = 1.0 - xs[:, 0] / 4.0
         ys = xs[:, 0] + 2.0 * np.sinh(np.arcsinh(w) / tail)
     grid = default_grid(ys, n_points=n_grid)
-    initial = GaussianInitialModel(grid, mean_fn=lambda x: float(np.ravel(x)[0]), sd_fn=2.0)
+    initial = GaussianInitialModel(grid, mean_fn=_FirstFeature(), sd_fn=2.0)
     return GeneratedData(cal=CalibrationSet(xs, ys), oracle=oracle, grid=grid, initial=initial)

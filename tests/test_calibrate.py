@@ -19,7 +19,6 @@ from pitcal.calibrate import (
     calpit_hpd,
     calpit_interval,
     compute_pit_values,
-    estimated_ot,
     fit_local_empirical,
     load_pit_model,
     recalibrate,
@@ -359,40 +358,6 @@ class TestIntervalAndHpd:
             calpit_interval(rd, 0.0)
         with pytest.raises(ValueError):
             calpit_hpd(rd, 1.0)
-
-
-class TestEstimatedOt:
-    def test_identity_fixed_point(self):
-        grid = YGrid(np.linspace(0, 1, 101))
-        rd = make_rd_from_density(grid, np.ones(101))
-        c0 = rd.cdf
-        for y in np.linspace(0.05, 0.95, 10):
-            assert abs(estimated_ot(rd, c0, y) - y) < 1e-6
-
-    def test_monotone_composition(self):
-        data = sample_example2("skewed", 5000, seed=9)
-        pits = compute_pit_values(data.initial, data.cal)
-        r = fit_local_empirical(data.cal, pits, LocalEmpiricalConfig(k=400))
-        rd = recalibrate(data.initial, r, [0.5])
-        c0 = model_cdf(data.initial, [0.5])
-        ys = np.linspace(data.grid.lo, data.grid.hi, 1000)
-        t = np.array([estimated_ot(rd, c0, y) for y in ys])
-        assert np.all(np.diff(t) >= -1e-9)
-
-    def test_near_identity_where_model_is_correct(self):
-        # the truth equals the initial model at x = 0, so the transport map is
-        # the identity up to estimation noise; tolerances derived from the
-        # local-ECDF noise scale at n = 10000, k = 500
-        data = sample_example2("skewed", 10000, seed=13)
-        pits = compute_pit_values(data.initial, data.cal)
-        r = fit_local_empirical(data.cal, pits, LocalEmpiricalConfig(k=500))
-        rd = recalibrate(data.initial, r, [0.0])
-        c0 = model_cdf(data.initial, [0.0])
-        qs = np.linspace(0.05, 0.95, 19)
-        ys = np.array([data.oracle.quantile(q, [0.0]) for q in qs])
-        t = np.array([estimated_ot(rd, c0, y) for y in ys])
-        assert np.mean(np.abs(t - ys)) < 0.1
-        assert np.max(np.abs(t - ys)) < 0.3
 
 
 class TestPredictionSet:

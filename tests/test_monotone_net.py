@@ -11,13 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 import pitcal
 import pitcal.rng as rngmod
-from pitcal.calibrate import CalibrationSet, augment, load_pit_model
+from pitcal.calibrate import CalibrationSet, augment, compute_pit_values, load_pit_model
 from pitcal.dataio import write_json
 from pitcal.errors import TrainingDiverged
 from pitcal.monotone_net import (
     VAL_GAMMA_GRID,
     MonotoneNetConfig,
     MonotoneNetModel,
+    _backward,
     _forward,
     _init_params,
     _mono_inputs,
@@ -69,8 +70,6 @@ class TestIdentityTarget:
 @pytest.fixture(scope="module")
 def skewed_net():
     data = sample_example2("skewed", 10000, seed=7)
-    from pitcal.calibrate import compute_pit_values
-
     pits = compute_pit_values(data.initial, data.cal)
     aug = augment(data.cal, pits, 50, seed=11)
     cfg = MonotoneNetConfig(hidden_layers=(32, 32), learning_rate=3e-3,
@@ -173,8 +172,7 @@ def reference_predict_curve(model, gammas, x):
     """``predict_curve`` as it was before it became a batch of one."""
     gammas = np.asarray(gammas, dtype=float).ravel()
     x_std = model._standardize(np.asarray(x, dtype=float).ravel())
-    xs = np.repeat(x_std, gammas.size, axis=0)
-    return _forward(model.params, model.hidden, xs, _mono_inputs(gammas))
+    return _forward(model.params, model.hidden, x_std, _mono_inputs(gammas))
 
 
 class TestPredictCurve:
@@ -292,8 +290,14 @@ def frozen_backward(params, hidden, cache, w):
     return g
 
 
-def frozen_fit(aug, cfg):
-    """``fit_monotone_net`` with the passes above and per-key AdamW: (params, loss history)."""
+def frozen_fit(aug, cfg, batches="points"):
+    """``fit_monotone_net`` with the passes above and per-key AdamW: (params, loss history).
+
+    ``batches="points"`` shuffles the training points and gives each batch
+    ``max(1, batch_size // K)`` of them with all K levels, as the trainer does;
+    ``batches="rows"`` shuffles the augmented rows and cuts batches of
+    ``batch_size`` rows, the order the trainer used before it grouped levels.
+    """
     mean = aug.base_xs.mean(axis=0)
     scale = aug.base_xs.std(axis=0)
     scale = np.where(scale > 0, scale, 1.0)
@@ -308,10 +312,21 @@ def frozen_fit(aug, cfg):
     g_train = aug.gamma[row_train]
     w_train = aug.w[row_train].astype(float)
     n_train = g_train.shape[0]
+    k_factor = aug.k_factor
+    n_points = n_train // k_factor
     x_val = xs_std_base[val_base]
     val_x_tiled = np.repeat(x_val, VAL_GAMMA_GRID.size, axis=0)
     val_g_tiled = np.tile(VAL_GAMMA_GRID, x_val.shape[0])
     val_w = (aug.base_pit[val_base][:, None] <= VAL_GAMMA_GRID[None, :]).astype(float).ravel()
+
+    def batch_rows(epoch):
+        if batches == "rows":
+            order = rngmod.derived_rng(cfg.seed, "net-shuffle", epoch).permutation(n_train)
+            return [order[i : i + cfg.batch_size] for i in range(0, n_train, cfg.batch_size)]
+        order = rngmod.derived_rng(cfg.seed, "net-shuffle", epoch).permutation(n_points)
+        per_batch = max(1, cfg.batch_size // k_factor)
+        return [(order[i : i + per_batch, None] * k_factor + np.arange(k_factor)).ravel()
+                for i in range(0, n_points, per_batch)]
 
     params = _init_params(aug.base_xs.shape[1], cfg.hidden_layers,
                           rngmod.derived_rng(cfg.seed, "net-init"))
@@ -327,10 +342,8 @@ def frozen_fit(aug, cfg):
     history = []
     for epoch in range(cfg.max_epochs):
         lr = cfg.learning_rate * (cfg.lr_decay ** epoch)
-        order = rngmod.derived_rng(cfg.seed, "net-shuffle", epoch).permutation(n_train)
         epoch_loss = 0.0
-        for start in range(0, n_train, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for idx in batch_rows(epoch):
             yhat, cache = frozen_forward(params, cfg.hidden_layers, x_train[idx], g_train[idx],
                                          keep=True)
             epoch_loss += float(np.mean((yhat - w_train[idx]) ** 2)) * idx.size
@@ -393,14 +406,15 @@ class TestMatchesFrozenTraining:
     @pytest.mark.parametrize("dim", [1, 3])
     def test_params_and_history_equal(self, hidden, dim):
         rng = np.random.default_rng(len(hidden) + 10 * dim)
-        n = 230  # 207 training points x 4 levels: batches of 100 leave 28 rows over
+        n = 230  # 207 training points x 4 levels: batches of 25 points leave 7 over
         xs = rng.normal(size=(n, dim))
         # PITs that depend on x, so the tower and the gate both get gradient
         pits = np.clip(0.5 + 0.3 * np.tanh(xs.sum(axis=1)) + 0.2 * rng.normal(size=n), 0.0, 1.0)
         aug = augment(CalibrationSet(xs, np.zeros(n)), pits, 4, seed=3)
         cfg = MonotoneNetConfig(hidden_layers=hidden, learning_rate=3e-3, batch_size=100,
                                 max_epochs=6, seed=5)
-        assert len(aug) % cfg.batch_size != 0
+        n_points = n - round(cfg.val_fraction * n)
+        assert n_points % (cfg.batch_size // aug.k_factor) != 0
         assert_matches_frozen(fit_monotone_net(aug, cfg), aug, cfg)
 
     def test_early_stop_before_max_epochs(self):
@@ -410,6 +424,51 @@ class TestMatchesFrozenTraining:
                                 patience=3, max_epochs=30, seed=3)
         want_history = assert_matches_frozen(fit_monotone_net(aug, cfg), aug, cfg)
         assert len(want_history) < cfg.max_epochs
+
+
+class TestGroupedPass:
+    """The pass on (m feature rows, L levels each) against the ungrouped frozen pass on
+    ``np.repeat``-ed feature rows, in float64."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from([(), (8,), (8, 8)]),
+        st.sampled_from([1, 3]),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=7),
+    )
+    def test_equals_repeated_rows(self, seed, hidden, dim, m, n_levels):
+        rng = np.random.default_rng(seed)
+        params = {k: v + rng.normal(0.0, 0.5, size=v.shape)
+                  for k, v in _init_params(dim, hidden, rng).items()}
+        xs = rng.normal(size=(m, dim))
+        gamma = rng.uniform(size=m * n_levels)
+        w = (rng.uniform(size=m * n_levels) < 0.5).astype(float)
+        yhat, cache = _forward(params, hidden, xs, _mono_inputs(gamma), keep=True)
+        want, want_cache = frozen_forward(params, hidden, np.repeat(xs, n_levels, axis=0),
+                                          gamma, keep=True)
+        np.testing.assert_allclose(yhat, want, rtol=0, atol=1e-12)
+        assert np.array_equal(_forward(params, hidden, xs, _mono_inputs(gamma)), yhat)
+        grads = {k: np.empty_like(v) for k, v in params.items()}
+        _backward(params, hidden, cache, w, grads)
+        want_grads = frozen_backward(params, hidden, want_cache, w)
+        for key, g in grads.items():
+            np.testing.assert_allclose(g, want_grads[key], rtol=1e-12, atol=1e-12, err_msg=key)
+
+
+class TestPointBatchesAgainstRowBatches:
+    """Point batches fit as well as the row-shuffled batches they replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("setting", ["skewed", "kurtotic"])
+    def test_best_validation_loss_within_one_percent(self, setting, seed):
+        data = sample_example2(setting, 2000, seed=seed)
+        aug = augment(data.cal, compute_pit_values(data.initial, data.cal), 10, seed=seed)
+        cfg = MonotoneNetConfig(hidden_layers=(16, 16), max_epochs=4, seed=seed)
+        got = min(v for _, v in fit_monotone_net(aug, cfg).loss_history)
+        want = min(v for _, v in frozen_fit(aug, cfg, batches="rows")[1])
+        assert abs(got - want) <= 0.01 * want
 
 
 class TestSerialization:

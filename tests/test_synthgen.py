@@ -5,6 +5,8 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
 import pitcal.rng as rngmod
+from pitcal.calibrate import compute_pit_values
+from pitcal.models import GaussianInitialModel
 from pitcal.synthgen import (
     Example1Oracle,
     SinhArcsinhParams,
@@ -97,6 +99,19 @@ class TestExample2:
                 for i in range(10000)
             ])
             assert kstest(pits, "uniform").pvalue > 0.01
+
+    @pytest.mark.parametrize("setting", ["skewed", "kurtotic"])
+    def test_batched_initial_mean_equals_scalar_mean(self, setting):
+        # the initial model's mean answers a batch at once; the per-row
+        # scalar mean it replaced must give the same values bit for bit
+        data = sample_example2(setting, 500, seed=3)
+        scalar = GaussianInitialModel(data.grid, mean_fn=lambda x: float(np.ravel(x)[0]),
+                                      sd_fn=2.0)
+        assert np.array_equal(compute_pit_values(data.initial, data.cal),
+                              compute_pit_values(scalar, data.cal))
+        for x in ([-0.7], [0.0], [0.45], 0.9):
+            assert np.array_equal(data.initial.density_at(x).values, scalar.density_at(x).values)
+        assert data.initial.mean_fn([0.45]) == 0.45
 
     def test_quantile_round_trip(self):
         data = sample_example2("kurtotic", 10, seed=1)
