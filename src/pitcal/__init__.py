@@ -28,10 +28,8 @@ from .grid import (
     GridCdf,
     GridDensity,
     YGrid,
-    cdf_from_density,
     default_grid,
     invert_cdf,
-    pit,
     renormalize_density,
     widen_density,
 )
@@ -67,7 +65,7 @@ __all__ = [
     "InsufficientCalibration", "TrainingDiverged", "DegenerateRecalibration",
     "HpdSearchFailed", "NonStationaryVar", "ConfigError",
     # grid
-    "YGrid", "GridDensity", "GridCdf", "cdf_from_density", "invert_cdf", "pit",
+    "YGrid", "GridDensity", "GridCdf", "invert_cdf",
     "renormalize_density", "widen_density", "default_grid",
     # initial models
     "GaussianInitialModel", "UniformInitialModel", "MarginalHistogramModel",

@@ -98,25 +98,31 @@ class CalibrationSet:
 class AugmentedCalibrationSet:
     """Oversampled regression rows (x_i, gamma_ij, w_ij), j = 1..K per point.
 
-    Stored compactly: features live once in ``base_xs`` and each augmented row
-    points back through ``row_index``. ``base_pit`` keeps the PIT value each
-    indicator was computed from, which the network trainer reuses for its
-    fixed-grid validation loss.
+    Stored per point: ``base_xs`` holds the n feature rows, ``base_pit`` their
+    PIT values and ``gamma`` the K levels of point i in row i, shape (n, K).
+    The indicator ``w`` = I(pit_i <= gamma_ij) is derived from them, and the
+    network trainer also reuses ``base_pit`` for its fixed-grid validation loss.
     """
 
     base_xs: np.ndarray
     base_pit: np.ndarray
-    row_index: np.ndarray
     gamma: np.ndarray
-    w: np.ndarray
-    k_factor: int
 
     def __len__(self) -> int:
-        return self.gamma.shape[0]
+        return self.gamma.size
 
     @property
     def n_base(self) -> int:
-        return self.base_xs.shape[0]
+        return self.gamma.shape[0]
+
+    @property
+    def k_factor(self) -> int:
+        return self.gamma.shape[1]
+
+    @property
+    def w(self) -> np.ndarray:
+        """The indicators I(pit_i <= gamma_ij), shape (n, K)."""
+        return self.base_pit[:, None] <= self.gamma
 
 
 def compute_pit_values(model, cal: CalibrationSet) -> np.ndarray:
@@ -128,7 +134,7 @@ def compute_pit_values(model, cal: CalibrationSet) -> np.ndarray:
 
 
 def augment(cal: CalibrationSet, pit_values, k_factor: int, seed: int) -> AugmentedCalibrationSet:
-    """Draw K uniform levels per calibration point and record the indicators.
+    """Draw K uniform levels per calibration point, row i of ``gamma`` for point i.
 
     gamma_{i,j} comes from a counter-based stream keyed on (seed, i), so the
     augmentation of one row never depends on how many rows exist. All rows
@@ -142,18 +148,8 @@ def augment(cal: CalibrationSet, pit_values, k_factor: int, seed: int) -> Augmen
         raise LengthMismatch(f"{pit_values.shape[0]} pit values for {len(cal)} rows")
     if k_factor < 1:
         raise ValueError("k_factor must be >= 1")
-    n = len(cal)
-    gamma = np.clip(rngmod.row_uniforms(seed, n, k_factor).ravel(), 1e-12, 1.0 - 1e-12)
-    row_index = np.repeat(np.arange(n), k_factor)
-    w = (pit_values[row_index] <= gamma).astype(np.uint8)
-    return AugmentedCalibrationSet(
-        base_xs=cal.xs,
-        base_pit=pit_values,
-        row_index=row_index,
-        gamma=gamma,
-        w=w,
-        k_factor=int(k_factor),
-    )
+    gamma = np.clip(rngmod.row_uniforms(seed, len(cal), k_factor), 1e-12, 1.0 - 1e-12)
+    return AugmentedCalibrationSet(base_xs=cal.xs, base_pit=pit_values, gamma=gamma)
 
 
 # ----------------------------------------------------------------------
@@ -287,22 +283,6 @@ class LocalEmpiricalModel(PitCdfModel, StandardizedNeighbours):
         """One neighbourhood query for all rows of ``xs``, then each row's ECDF."""
         idx, w = self._neighborhoods(xs)
         return self._ecdf(self.pit_values[idx], w, _gamma_rows(gammas, idx.shape[0]))
-
-    def predict_curves(self, pit_rows, gammas, x) -> np.ndarray:
-        """r(gamma; x) for each row of PIT values (one per feature row), shape (rows, G).
-
-        One neighbourhood query serves every row, and only each row's entries
-        in the neighbourhood are kept: memory is O(rows * k), never rows * n.
-        """
-        idx, w = self._neighborhoods(np.asarray(x, dtype=float).reshape(1, -1))
-        pits = []
-        for row in pit_rows:
-            row = np.asarray(row, dtype=float).ravel()
-            if row.shape[0] != self.xs.shape[0]:
-                raise LengthMismatch(f"{row.shape[0]} pit values for {self.xs.shape[0]} rows")
-            pits.append(row[idx[0]])
-        pits = np.array(pits).reshape(len(pits), idx.shape[1])
-        return self._ecdf(pits, w, _gamma_rows(gammas, len(pits)))
 
     def to_json(self) -> dict:
         return {

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import rng as rngmod
-from .bench import ExperimentRecipe, run_experiment
+from .bench import _GENERATORS, _INITIALS, _METHODS, ExperimentRecipe, run_experiment
 from .calibrate import (calpit_hpd, central_intervals, compute_pit_values, recalibrate_rows,
                         recalibrated_distributions)
 from .dataio import read_calibration_csv, write_calibration_csv, write_csv, write_json
@@ -28,15 +28,7 @@ from .diagnose import mc_local_test
 from .errors import ConfigError, PitcalError
 from .grid import default_grid
 from .pipeline import build_initial, fit_pit_model, split_calibration
-from .synthgen import (
-    TwoGroupConfig,
-    chunk_tc,
-    default_tc_config,
-    sample_example1,
-    sample_example2,
-    simulate_tc,
-    write_storms_jsonl,
-)
+from .synthgen import chunk_tc, default_tc_config, simulate_tc, write_storms_jsonl
 
 __all__ = ["main"]
 
@@ -135,24 +127,20 @@ def _ensure_outdir(path: str) -> Path:
 # ----------------------------------------------------------------------
 
 def cmd_gen(cfg: dict) -> int:
-    size = "storms" if cfg["example"] == "tc" else "n"
+    example = cfg["example"]
+    size = "storms" if example == "tc" else "n"
     if int(cfg[size]) < 1:
         raise ConfigError(f"{size} must be >= 1, got {cfg[size]}")
     seed = int(cfg["seed"])
-    example = cfg["example"]
     storms = None
-    if example == "ex1":
-        cal = sample_example1(TwoGroupConfig(), int(cfg["n"]), seed).cal
-    elif example in ("ex2-skewed", "ex2-kurtotic"):
-        cal = sample_example2(example.split("-")[1], int(cfg["n"]), seed).cal
-    elif example == "tc":
+    if example == "tc":
         storms = simulate_tc(default_tc_config(), int(cfg["storms"]), seed)
         chunks = chunk_tc(storms, mode=cfg["window_mode"])
         cal = chunks.cal
         if chunks.skipped_storms:
             print(f"skipped {chunks.skipped_storms} storms shorter than one window")
     else:
-        raise ConfigError(f"unknown example {example!r}")
+        cal = _GENERATORS[example](int(cfg["n"]), seed).cal
 
     out = _ensure_outdir(cfg["out_dir"])
     if storms is not None:
@@ -377,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate synthetic datasets with oracle metadata")
-    p.add_argument("--example", choices=["ex1", "ex2-skewed", "ex2-kurtotic", "tc"],
-                   default="ex2-skewed")
+    p.add_argument("--example", choices=[*_GENERATORS, "tc"], default="ex2-skewed")
     p.add_argument("--n", type=int, default=5000)
     p.add_argument("--storms", type=int, default=50)
     p.add_argument("--window-mode", dest="window_mode", choices=["overlapping", "gapped"],
@@ -409,17 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("bench", help="Monte Carlo conditional-coverage benchmark")
-    p.add_argument("--example", choices=["ex1", "ex2-skewed", "ex2-kurtotic"],
-                   default="ex2-skewed")
-    p.add_argument("--method",
-                   choices=["calpit-int", "calpit-hpd", "dcp", "regsplit", "oracle", "initial"],
-                   default="calpit-int")
+    p.add_argument("--example", choices=list(_GENERATORS), default="ex2-skewed")
+    p.add_argument("--method", choices=list(_METHODS), default="calpit-int")
     p.add_argument("--n", type=int, default=5000)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--realizations", type=int, default=10)
     p.add_argument("--mc-draws", dest="mc_draws", type=int, default=1000)
-    p.add_argument("--initial", choices=["uniform", "marginal", "gaussian-fit", "generator"],
-                   default="uniform")
+    p.add_argument("--initial", choices=list(_INITIALS), default="uniform")
     p.add_argument("--backend", choices=["local", "net"], default="local")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--experiment", choices=["full", "split"], default="full")

@@ -8,23 +8,23 @@ resampled uniform PIT vectors, which is valid for local estimators whose fit
 at x only uses calibration points near x: the k-nearest-neighbour backend
 (:class:`LocalEmpiricalModel`) qualifies, network fits do not, and the test
 takes no other backend. :func:`mc_local_test` runs it in one pass per x: one
-neighbourhood query, each null vector drawn once, and one (B, G) array of
-null curves giving the statistic, the p-value and the band; a fitted map's
-P-P curve at one x alone is its ``predict_curve``. The p-value is
-#{T_b > T_obs}/B, not the (1 + #{T_b >= T_obs})/(B + 1) of Phipson & Smyth
-(2010), because the acceptance tests and benchmark references fix it exactly.
+neighbourhood query, each null vector drawn once and read at the neighbours
+only, and one (B, G) array of null curves giving the statistic, the p-value
+and the band; a fitted map's P-P curve at one x alone is its
+``predict_curve``. The p-value is #{T_b > T_obs}/B, not the
+(1 + #{T_b >= T_obs})/(B + 1) of Phipson & Smyth (2010), because the
+acceptance tests and benchmark references fix it exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import rng as rngmod
-from .calibrate import CalibrationSet, LocalEmpiricalModel
+from .calibrate import CalibrationSet, LocalEmpiricalModel, _gamma_rows
 from .errors import LengthMismatch
 from .grid import GridDensity
 
@@ -70,31 +70,43 @@ def _deviation(curves, g) -> np.ndarray:
 def mc_local_test(observed: LocalEmpiricalModel, x, n_mc: int, gammas, eta=0.05, seed=0):
     """Local coverage test at ``x`` in one pass; returns ``(LocalTestResult, AlpCurve)``.
 
-    ``observed`` is the local-empirical fit on the observed PIT values.
-    Replicate b refits it on ``derived_rng(seed, "null-pits", b)`` uniforms,
-    one per calibration row, and the observed fit (row 0 of the curves) and
-    all replicates share one neighbourhood query through
-    ``observed.predict_curves``. The curve holds the observed
-    r(gamma; x) and the nearest-rank band: with k = floor(B * eta / 2), the
-    (k+1)-th and (B-k)-th smallest null values. Any other backend raises
-    :class:`TypeError`; ``n_mc < 1`` or an empty gamma grid raises :class:`ValueError`.
+    ``observed`` is the local-empirical fit on the observed PIT values. One
+    neighbourhood query of ``x`` gives the k neighbours; row 0 of a (B+1, k)
+    block holds their observed PIT values and row b+1 their entries of
+    ``derived_rng(seed, "null-pits", b)``'s uniforms, one per calibration row,
+    which refits the map on replicate b. ``observed._ecdf`` turns the block
+    into the curves. The result holds the observed r(gamma; x) and the
+    nearest-rank band: with k = floor(B * eta / 2), the (k+1)-th and
+    (B-k)-th smallest null values. Any other backend raises
+    :class:`TypeError`; an ``x`` without one component per feature raises
+    :class:`LengthMismatch`; ``n_mc < 1``, ``eta`` outside (0, 1) or an empty
+    gamma grid raises :class:`ValueError`.
     """
     if not isinstance(observed, LocalEmpiricalModel):
         raise TypeError("the local coverage test needs the local-empirical backend, "
                         f"got {type(observed).__name__}")
     if n_mc < 1:
         raise ValueError(f"n_mc must be >= 1, got {n_mc}")
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"eta must be in (0, 1), got {eta}")
     g = np.asarray(gammas, dtype=float)
     if g.size == 0:
         raise ValueError("the gamma grid is empty")
+    x = np.asarray(x, dtype=float)
+    if x.size != observed.xs.shape[1]:
+        raise LengthMismatch(f"x has {x.size} components for {observed.xs.shape[1]} features")
+    idx, w = observed._neighborhoods(x.reshape(1, -1))
+    idx = idx[0]
     n = observed.pit_values.size
-    # random(n) draws the same doubles as uniform(size=n), with less overhead
-    nulls = (rngmod.derived_rng(seed, "null-pits", b).random(n) for b in range(n_mc))
-    curves = observed.predict_curves(itertools.chain([observed.pit_values], nulls), g, x)
+    pits = np.empty((n_mc + 1, idx.size))
+    pits[0] = observed.pit_values[idx]
+    for b in range(n_mc):
+        # random(n) draws the same doubles as uniform(size=n), with less overhead
+        pits[b + 1] = rngmod.derived_rng(seed, "null-pits", b).random(n)[idx]
+    curves = observed._ecdf(pits, w, _gamma_rows(g, n_mc + 1))
     stats = _deviation(curves, g)
     ranked = np.sort(curves[1:], axis=0)
     k = int(np.floor(n_mc * eta / 2.0))
-    x = np.asarray(x, dtype=float)
     exceed = int(np.count_nonzero(stats[0] < stats[1:]))
     result = LocalTestResult(x, float(stats[0]), exceed / n_mc, int(n_mc))
     return result, AlpCurve(x, g, curves[0], ranked[k], ranked[n_mc - 1 - k])

@@ -18,9 +18,9 @@ Conventions
   is the only Fritsch-Carlson slope limiter (whole rows in
   :func:`knot_slopes`, five-secant windows in ``_segment_slopes``),
   ``_hermite`` is the only Hermite basis (``_pit_rows`` and
-  :func:`invert_rows`), ``_pit_rows`` is the only PIT evaluator (:func:`pit`
-  is a batch of one), and :func:`invert_rows` is the only quantile inverter
-  (:func:`invert_cdf` is a batch of one).
+  :func:`invert_rows`), ``_pit_rows`` is the only PIT evaluator, and
+  :func:`invert_rows` is the only quantile inverter (:func:`invert_cdf` is a
+  batch of one).
 * Point queries touch only the spline segment they land in: quantile
   inversion bisects within one segment, and PIT evaluation limits the slopes
   of the queried segment alone. Both equal the whole-spline computation bit
@@ -43,10 +43,8 @@ __all__ = [
     "GridDensity",
     "GridCdf",
     "knot_slopes",
-    "cdf_from_density",
     "invert_cdf",
     "invert_rows",
-    "pit",
     "renormalize_density",
     "widen_density",
     "default_grid",
@@ -107,7 +105,7 @@ class GridDensity:
     The container itself only checks shapes and finiteness; raw spline
     derivatives may carry small negative values, which
     :func:`renormalize_density` clips and rescales. Consumers that require a
-    proper density (e.g. :func:`cdf_from_density`) enforce nonnegativity.
+    proper density (e.g. :func:`cdf_rows_from_density_rows`) enforce nonnegativity.
     """
 
     grid: YGrid
@@ -219,16 +217,6 @@ def knot_slopes(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
 # Density / CDF operations
 # ----------------------------------------------------------------------
 
-def cdf_from_density(d: GridDensity) -> GridCdf:
-    """Cumulative trapezoid integral of a density, as a :class:`GridCdf`.
-
-    A batch of one of :func:`cdf_rows_from_density_rows`: the density is
-    renormalized to unit mass, the running integral is clamped to [0, 1], and
-    the final value is forced to exactly 1.
-    """
-    return GridCdf(d.grid, cdf_rows_from_density_rows(d.grid.points, d.values[None, :])[0])
-
-
 def invert_cdf(c: GridCdf, p: float) -> float:
     """Smallest response value whose interpolated CDF reaches ``p``.
 
@@ -239,14 +227,6 @@ def invert_cdf(c: GridCdf, p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must be in [0, 1], got {p}")
     return float(invert_rows(c.grid.points, c.values[None, :], [p])[0, 0])
-
-
-def pit(c: GridCdf, y: float) -> float:
-    """Interpolated CDF value at ``y``, clamped to {0, 1} off the grid.
-
-    A batch of one of :func:`_pit_rows`.
-    """
-    return float(_pit_rows(c.grid.points, c.values[None, :], np.array([y], dtype=float))[0])
 
 
 def renormalize_density(d: GridDensity) -> GridDensity:

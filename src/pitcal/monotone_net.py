@@ -336,15 +336,13 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
     val_base = perm[:n_val]
     train_base = np.sort(perm[n_val:])
 
-    # augment stores each point's K levels contiguously, so (n_base, K) views
-    # group them by point
     n_levels = aug.k_factor
     if train_base.size == 0:
         raise ValueError("no training rows left after the validation split")
     x_train = xs_std_base[train_base].astype(np.float32)
-    z_train = _mono_inputs(aug.gamma.reshape(n_base, n_levels)[train_base].ravel()).astype(
+    z_train = _mono_inputs(aug.gamma[train_base].ravel()).astype(
         np.float32).reshape(train_base.size, n_levels, _N_MONO_IN)
-    w_train = aug.w.reshape(n_base, n_levels)[train_base].astype(np.float32)
+    w_train = aug.w[train_base].astype(np.float32)
     n_train = w_train.size
     # a batch holds whole points: every augmented level of each
     points_per_batch = max(1, cfg.batch_size // n_levels)

@@ -178,13 +178,10 @@ class Example2Oracle:
 
 
 class _FirstFeature:
-    """Example 2's initial mean, x itself: ``predict`` for a batch, ``__call__`` for one x."""
+    """Example 2's initial mean, x itself, for a batch of feature rows."""
 
     def predict(self, xs) -> np.ndarray:
         return feature_rows(xs)[:, 0]
-
-    def __call__(self, x) -> float:
-        return float(np.ravel(x)[0])
 
 
 def sample_example2(setting: str, n: int, seed: int,

@@ -34,7 +34,7 @@ from pitcal.calibrate import (
     recalibrate_rows,
 )
 from pitcal.errors import DegenerateRecalibration
-from pitcal.grid import _pit_rows, cdf_from_density, knot_slopes, renormalize_density
+from pitcal.grid import _pit_rows, cdf_rows_from_density_rows, knot_slopes, renormalize_density
 from pitcal.models import cdf_rows
 from pitcal.monotone_net import MonotoneNetModel, _forward, _mono_inputs
 from pitcal.pipeline import build_initial, fit_pit_model, split_calibration
@@ -46,7 +46,8 @@ from pitcal.synthgen import sample_example2
 # ----------------------------------------------------------------------
 
 def frozen_model_cdf(model, x):
-    return cdf_from_density(model.density_at(np.asarray(x, dtype=float)))
+    d = model.density_at(np.asarray(x, dtype=float))
+    return GridCdf(d.grid, cdf_rows_from_density_rows(d.grid.points, d.values[None, :])[0])
 
 
 def frozen_recalibrated_cdf_rows(model, xs):

@@ -30,7 +30,7 @@ from pitcal.errors import (
     InsufficientData,
     LengthMismatch,
 )
-from pitcal.grid import GridDensity, YGrid, cdf_from_density
+from pitcal.grid import GridCdf, GridDensity, YGrid, cdf_rows_from_density_rows
 from pitcal.calibrate import RecalibratedDistribution
 from pitcal.models import (
     GaussianInitialModel,
@@ -46,7 +46,7 @@ def make_rd_from_density(grid, values):
     d = GridDensity(grid, values)
     total = np.trapezoid(values, grid.points)
     pdf = GridDensity(grid, values / total)
-    cdf = cdf_from_density(pdf)
+    cdf = GridCdf(grid, cdf_rows_from_density_rows(grid.points, pdf.values[None, :])[0])
     return RecalibratedDistribution(cdf=cdf, pdf=pdf)
 
 
@@ -91,13 +91,41 @@ class TestComputePitValues:
         assert overall.statistic < 0.5 * branch.statistic
 
 
+def frozen_flat_augment(cal, pit_values, k_factor, seed):
+    """``augment`` before it stored levels per point: flat ``(row_index, gamma, w)``, one
+    entry per augmented row."""
+    pit_values = np.asarray(pit_values, dtype=float).ravel()
+    n = len(cal)
+    gamma = np.clip(rngmod.row_uniforms(seed, n, k_factor).ravel(), 1e-12, 1.0 - 1e-12)
+    row_index = np.repeat(np.arange(n), k_factor)
+    w = (pit_values[row_index] <= gamma).astype(np.uint8)
+    return row_index, gamma, w
+
+
 class TestAugment:
     def test_counts_and_consistency(self):
         cal = CalibrationSet(np.array([[0.0], [1.0]]), np.array([0.0, 0.0]))
         aug = augment(cal, [0.3, 0.8], k_factor=3, seed=9)
-        assert len(aug) == 6
-        pit_per_row = aug.base_pit[aug.row_index]
-        np.testing.assert_array_equal(aug.w, (pit_per_row <= aug.gamma).astype(np.uint8))
+        assert (len(aug), aug.n_base, aug.k_factor) == (6, 2, 3)
+        assert aug.gamma.shape == aug.w.shape == (2, 3)
+        for i, p in enumerate([0.3, 0.8]):
+            np.testing.assert_array_equal(aug.w[i], p <= aug.gamma[i])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=30),
+           st.sampled_from([1, 3, 4, 5, 20]))
+    def test_per_point_arrays_equal_flat_layout(self, seed, n, k_factor):
+        rng = np.random.default_rng(seed)
+        cal = CalibrationSet(rng.normal(size=(n, 2)), np.zeros(n))
+        pits = rng.integers(0, 5, size=n) / 4.0  # ties, and PITs of exactly 0 and 1
+        aug = augment(cal, pits, k_factor, seed=seed)
+        row_index, gamma, w = frozen_flat_augment(cal, pits, k_factor, seed)
+        assert (len(aug), aug.n_base, aug.k_factor) == (gamma.size, n, k_factor)
+        assert aug.gamma.shape == aug.w.shape == (n, k_factor)
+        assert np.array_equal(aug.gamma.ravel(), gamma)
+        assert np.array_equal(aug.w.ravel().astype(np.uint8), w)
+        assert np.array_equal(np.repeat(aug.base_xs, k_factor, axis=0), cal.xs[row_index])
+        assert np.array_equal(np.repeat(aug.base_pit, k_factor), pits[row_index])
 
     def test_zero_pit_always_hit(self):
         cal = CalibrationSet(np.array([[0.0]]), np.array([0.0]))
@@ -117,7 +145,7 @@ class TestAugment:
         pits = rng.uniform(size=5)
         full = augment(CalibrationSet(xs, np.zeros(5)), pits, 4, seed=77)
         head = augment(CalibrationSet(xs[:3], np.zeros(3)), pits[:3], 4, seed=77)
-        np.testing.assert_array_equal(full.gamma[: 3 * 4], head.gamma)
+        np.testing.assert_array_equal(full.gamma[:3], head.gamma)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -153,7 +181,7 @@ class TestAugment:
             np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
             .uniform(size=k_factor)
             for i in range(n)
-        ]).reshape(n * k_factor)
+        ]).reshape(n, k_factor)
         cal = CalibrationSet(np.zeros((n, 1)), np.zeros(n))
         aug = augment(cal, np.full(n, 0.5), k_factor, seed=seed)
         assert np.array_equal(aug.gamma, np.clip(want, 1e-12, 1.0 - 1e-12))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from pitcal.cli import main
+from pitcal.dataio import write_calibration_csv
+from pitcal.synthgen import TwoGroupConfig, sample_example1, sample_example2
 
 
 def run(args):
@@ -42,6 +44,19 @@ class TestGen:
     def test_unknown_example_exits_2(self, tmp_path, capsys):
         code = run(["gen", "--example", "ex9", "--out-dir", tmp_path])
         assert code == 2
+
+    @pytest.mark.parametrize("example, sample", [
+        ("ex1", lambda n, seed: sample_example1(TwoGroupConfig(), n, seed)),
+        ("ex2-skewed", lambda n, seed: sample_example2("skewed", n, seed)),
+        ("ex2-kurtotic", lambda n, seed: sample_example2("kurtotic", n, seed)),
+    ], ids=["ex1", "ex2-skewed", "ex2-kurtotic"])
+    def test_dataset_is_the_generators_calibration_set(self, tmp_path, example, sample):
+        out = tmp_path / "g"
+        assert run(["gen", "--example", example, "--n", 300, "--seed", 5, "--out-dir", out]) == 0
+        meta = json.loads((out / "generator_meta.json").read_text())
+        stamp = f"pitcal {meta['tool_version']} config={meta['config_hash']} seed=5"
+        write_calibration_csv(tmp_path / "want.csv", sample(300, 5).cal, comment=stamp)
+        assert (out / "dataset.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestCalibrate:

@@ -125,6 +125,25 @@ class TestMcPValue:
         with pytest.raises(ValueError, match="empty"):
             mc_local_test(observed, [0.5], 20, np.array([]))
 
+    def test_rejects_x_without_one_component_per_feature(self):
+        # a one-feature model once answered x = [0.3, 0.9] for [0.3] alone
+        cal = CalibrationSet(np.linspace(0, 1, 10), np.zeros(10))
+        observed = local_fit_fn(5)(cal, np.linspace(0, 1, 10))
+        for x in ([0.3, 0.9], []):
+            with pytest.raises(LengthMismatch, match="components"):
+                mc_local_test(observed, x, 20, np.array([0.5]))
+        two = local_fit_fn(5)(CalibrationSet(np.zeros((10, 2)), np.zeros(10)), np.zeros(10))
+        with pytest.raises(LengthMismatch, match="components"):
+            mc_local_test(two, [0.3], 20, np.array([0.5]))
+
+    def test_rejects_eta_outside_unit_interval(self):
+        # eta = -0.1 once indexed past the replicates, and eta = 1.5 crossed the band
+        cal = CalibrationSet(np.linspace(0, 1, 10), np.zeros(10))
+        observed = local_fit_fn(5)(cal, np.linspace(0, 1, 10))
+        for eta in (-0.1, 0.0, 1.0, 1.5, np.nan):
+            with pytest.raises(ValueError, match="eta"):
+                mc_local_test(observed, [0.5], 20, np.array([0.5]), eta=eta)
+
     def test_p_on_lattice(self):
         cal, model = gaussian_data(400, seed=1)
         pits = compute_pit_values(model, cal)

@@ -16,11 +16,9 @@ from pitcal.grid import (
     GridDensity,
     YGrid,
     _pit_rows,
-    cdf_from_density,
     cdf_rows_from_density_rows,
     default_grid,
     invert_cdf,
-    pit,
     renormalize_density,
     widen_density,
 )
@@ -60,63 +58,62 @@ class TestYGrid:
             assert (a == b) is False
             assert (a != b) is True
             assert len({a, b}) == 2  # hashable by identity
-        assert pit(c, 0.5) == pytest.approx(0.5)
+        assert _pit_rows(g.points, c.values[None, :], np.array([0.5]))[0] == pytest.approx(0.5)
 
 
 class TestCdfFromDensity:
     def test_uniform_cumsum(self):
-        g = YGrid(np.array([0.0, 0.5, 1.0]))
-        c = cdf_from_density(GridDensity(g, np.ones(3)))
-        np.testing.assert_allclose(c.values, [0.0, 0.5, 1.0], atol=1e-15)
+        c = cdf_rows_from_density_rows(np.array([0.0, 0.5, 1.0]), np.ones((1, 3)))
+        np.testing.assert_allclose(c, [[0.0, 0.5, 1.0]], atol=1e-15)
 
     def test_triangle_symmetry(self):
-        g = YGrid(np.array([-1.0, 0.0, 1.0]))
-        c = cdf_from_density(GridDensity(g, np.array([0.0, 1.0, 0.0])))
-        np.testing.assert_allclose(c.values, [0.0, 0.5, 1.0], atol=1e-15)
+        c = cdf_rows_from_density_rows(np.array([-1.0, 0.0, 1.0]), np.array([[0.0, 1.0, 0.0]]))
+        np.testing.assert_allclose(c, [[0.0, 0.5, 1.0]], atol=1e-15)
 
     def test_standard_normal_median(self):
         g = YGrid(np.linspace(-5, 5, 201))
-        c = cdf_from_density(std_normal_density(g))
-        at_zero = c.values[100]
-        assert abs(at_zero - normal_cdf(0.0)) < 1e-4
+        c = cdf_rows_from_density_rows(g.points, std_normal_density(g).values[None, :])
+        assert abs(c[0, 100] - normal_cdf(0.0)) < 1e-4
 
     def test_negative_density_rejected(self):
-        g = YGrid(np.array([0.0, 0.5, 1.0]))
         with pytest.raises(InvalidDensity):
-            cdf_from_density(GridDensity(g, np.array([0.1, -0.2, 0.1])))
+            cdf_rows_from_density_rows(np.array([0.0, 0.5, 1.0]), np.array([[0.1, -0.2, 0.1]]))
 
     def test_endpoints_snapped(self):
         g = YGrid(np.linspace(-3, 3, 31))
-        c = cdf_from_density(std_normal_density(g))
-        assert c.values[0] == 0.0
-        assert c.values[-1] == 1.0
+        c = cdf_rows_from_density_rows(g.points, std_normal_density(g).values[None, :])
+        assert c[0, 0] == 0.0
+        assert c[0, -1] == 1.0
 
 
 class TestInvertCdf:
     def test_uniform_quantile(self):
         g = YGrid(np.linspace(0, 1, 11))
-        c = cdf_from_density(GridDensity(g, np.ones(11)))
+        c = GridCdf(g, cdf_rows_from_density_rows(g.points, np.ones((1, 11)))[0])
         assert abs(invert_cdf(c, 0.25) - 0.25) < 1e-12
 
     def test_normal_quantile_oracle(self):
         g = YGrid(np.linspace(-5, 5, 201))
-        c = cdf_from_density(std_normal_density(g))
+        rows = cdf_rows_from_density_rows(g.points, std_normal_density(g).values[None, :])
+        c = GridCdf(g, rows[0])
         assert abs(invert_cdf(c, 0.95) - ndtri(0.95)) < 0.01
 
     def test_p_zero_returns_first_point(self):
         g = YGrid(np.linspace(2, 7, 51))
-        c = cdf_from_density(std_normal_density(YGrid(np.linspace(2, 7, 51))))
+        rows = cdf_rows_from_density_rows(g.points, std_normal_density(g).values[None, :])
+        c = GridCdf(g, rows[0])
         assert invert_cdf(c, 0.0) == g.points[0]
 
     def test_cdf_fields_are_grid_and_values(self):
         g = YGrid(np.linspace(-5, 5, 201))
-        c = cdf_from_density(std_normal_density(g))
+        rows = cdf_rows_from_density_rows(g.points, std_normal_density(g).values[None, :])
+        c = GridCdf(g, rows[0])
         assert [f.name for f in dataclasses.fields(c)] == ["grid", "values"]
         assert type(invert_cdf(c, 0.5)) is float
 
     def test_p_out_of_range(self):
         g = YGrid(np.linspace(0, 1, 5))
-        c = cdf_from_density(GridDensity(g, np.ones(5)))
+        c = GridCdf(g, cdf_rows_from_density_rows(g.points, np.ones((1, 5)))[0])
         with pytest.raises(ValueError):
             invert_cdf(c, 1.5)
 
@@ -124,19 +121,19 @@ class TestInvertCdf:
 class TestPit:
     def test_normal_median(self):
         g = YGrid(np.linspace(-5, 5, 201))
-        c = cdf_from_density(std_normal_density(g))
-        assert abs(pit(c, 0.0) - 0.5) < 1e-4
+        c = cdf_rows_from_density_rows(g.points, std_normal_density(g).values[None, :])
+        assert abs(_pit_rows(g.points, c, np.array([0.0]))[0] - 0.5) < 1e-4
 
     def test_below_grid_clamps_to_zero(self):
         g = YGrid(np.linspace(0, 1, 5))
-        c = cdf_from_density(GridDensity(g, np.ones(5)))
-        assert pit(c, g.points[0] - 1.0) == 0.0
-        assert pit(c, g.points[-1] + 1.0) == 1.0
+        c = cdf_rows_from_density_rows(g.points, np.ones((2, 5)))
+        ys = np.array([g.points[0] - 1.0, g.points[-1] + 1.0])
+        assert _pit_rows(g.points, c, ys).tolist() == [0.0, 1.0]
 
     def test_identity_cdf(self):
         g = YGrid(np.linspace(0, 1, 101))
-        c = cdf_from_density(GridDensity(g, np.ones(101)))
-        assert abs(pit(c, 0.73) - 0.73) < 1e-9
+        c = cdf_rows_from_density_rows(g.points, np.ones((1, 101)))
+        assert abs(_pit_rows(g.points, c, np.array([0.73]))[0] - 0.73) < 1e-9
 
 
 class TestRenormalize:
@@ -203,10 +200,11 @@ class TestWiden:
 class TestRoundTrip:
     def test_pit_invert_round_trip(self):
         g = YGrid(np.linspace(-4, 4, 201))
-        c = cdf_from_density(std_normal_density(g))
+        rows = cdf_rows_from_density_rows(g.points, std_normal_density(g).values[None, :])
+        c = GridCdf(g, rows[0])
         for p in np.arange(0.01, 1.0, 0.01):
             y = invert_cdf(c, p)
-            assert abs(pit(c, y) - p) <= 1e-6
+            assert abs(_pit_rows(g.points, c.values[None, :], np.array([y]))[0] - p) <= 1e-6
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
@@ -219,10 +217,10 @@ class TestRoundTrip:
         vals = rng.uniform(0, 3, size=pts.size)
         if np.trapezoid(vals, pts) <= 0:
             vals = vals + 0.1
-        c = cdf_from_density(GridDensity(YGrid(pts), vals))
-        assert np.all(np.diff(c.values) >= 0)
-        assert 0.0 <= c.values[0] <= 1e-6
-        assert 1.0 - 1e-6 <= c.values[-1] <= 1.0
+        c = cdf_rows_from_density_rows(YGrid(pts).points, vals[None, :])[0]
+        assert np.all(np.diff(c) >= 0)
+        assert 0.0 <= c[0] <= 1e-6
+        assert 1.0 - 1e-6 <= c[-1] <= 1.0
 
 
 class TestBatchPit:
@@ -233,8 +231,9 @@ class TestBatchPit:
         ys = rng.uniform(-6, 6, size=20)
         batch = _pit_rows(g.points, cdf_rows_from_density_rows(g.points, rows), ys)
         for i in range(20):
-            c = cdf_from_density(renormalize_density(GridDensity(g, rows[i])))
-            assert abs(batch[i] - pit(c, ys[i])) < 1e-12
+            row = renormalize_density(GridDensity(g, rows[i])).values[None, :]
+            one = _pit_rows(g.points, cdf_rows_from_density_rows(g.points, row), ys[i : i + 1])
+            assert abs(batch[i] - one[0]) < 1e-12
 
 
 class TestSerialization:

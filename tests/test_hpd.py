@@ -24,7 +24,7 @@ from pitcal.calibrate import (
     recalibrate,
 )
 from pitcal.errors import HpdSearchFailed
-from pitcal.grid import GridDensity, YGrid, cdf_from_density
+from pitcal.grid import GridCdf, GridDensity, YGrid, cdf_rows_from_density_rows
 from pitcal.models import UniformInitialModel
 from pitcal.monotone_net import MonotoneNetConfig, fit_monotone_net
 from pitcal.synthgen import sample_example2
@@ -195,7 +195,8 @@ def rd_from_values(values, lo=0.0, hi=3.0):
     grid = YGrid(np.linspace(lo, hi, len(values)))
     values = np.asarray(values, dtype=float)
     pdf = GridDensity(grid, values / np.trapezoid(values, grid.points))
-    return RecalibratedDistribution(cdf=cdf_from_density(pdf), pdf=pdf)
+    cdf = GridCdf(grid, cdf_rows_from_density_rows(grid.points, pdf.values[None, :])[0])
+    return RecalibratedDistribution(cdf=cdf, pdf=pdf)
 
 
 def random_density(rng, kind, n=201):

@@ -5,8 +5,9 @@ row of neighbour PITs, a gather of the weights 1/k and a row-wise cumsum. They
 now sort the PIT values alone and read each count from one cumulative table
 of k weights 1/k. Both give the same doubles, so every comparison is ``==``.
 The references are the frozen copies in ``test_batched_path`` (the per-x curve
-of ``predict_matrix``) and ``test_mc_engine`` (the per-replicate curve of
-``predict_curves``); inverse-distance weighting runs through the same cases.
+of ``predict_matrix``) and ``test_mc_engine`` (the per-replicate curve of the
+local test's neighbour block); inverse-distance weighting runs through the same
+cases.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from pitcal.calibrate import (
     CalibrationSet,
     IdentityPitCdf,
     LocalEmpiricalConfig,
+    _gamma_rows,
     _uniform_ecdf,
     _weighted_ecdf,
     fit_local_empirical,
@@ -89,7 +91,9 @@ class TestMatchesStableArgsort:
     def test_predict_curves_equals_frozen_replicates(self, c):
         model, gammas = c["model"], c["gammas"]
         x = c["model"].xs[0]
-        got = model.predict_curves(iter(c["rows"]), gammas, x)
+        idx, w = model._neighborhoods(x[None, :])
+        rows = np.reshape(c["rows"], (len(c["rows"]), model.xs.shape[0]))
+        got = model._ecdf(rows[:, idx[0]], w, _gamma_rows(gammas, len(c["rows"])))
         assert got.shape == (len(c["rows"]), c["n_levels"])
         for i, row in enumerate(c["rows"]):
             want = _OldLocal(model, row).predict_curve(_row(gammas, i), x)
@@ -129,8 +133,9 @@ def test_zero_row_batch_has_one_column_per_level(make):
     gammas = np.linspace(0.0, 1.0, 5)
     assert model.predict_matrix(gammas, np.zeros((0, 1))).shape == (0, 5)
     assert model.predict_matrix(np.zeros((0, 5)), np.zeros((0, 1))).shape == (0, 5)
-    if hasattr(model, "predict_curves"):
-        assert model.predict_curves([], gammas, [0.5]).shape == (0, 5)
+    if hasattr(model, "_ecdf"):
+        _, w = model._neighborhoods(np.array([[0.5]]))
+        assert model._ecdf(np.zeros((0, 3)), w, np.zeros((0, 5))).shape == (0, 5)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 10000])

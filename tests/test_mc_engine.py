@@ -1,10 +1,16 @@
-"""The one-pass Monte Carlo local coverage test against the per-replicate refits.
+"""The one-pass Monte Carlo local coverage test against frozen copies of older paths.
 
-The reference below is the test as it ran before the batched engine: every
+The first reference is the test as it ran before the batched engine: every
 null replicate refitted the local backend (``with_pit_values``) and queried
 the neighbourhood again, once for the p-value and once more for the band.
-Both paths run the same arithmetic, so they must agree exactly.
+The second is the batched engine as it ran before it read the neighbours
+itself: ``frozen_predict_curves``, a copy of the deleted
+``LocalEmpiricalModel.predict_curves``, took each full-length PIT vector and
+kept its neighbour entries. All paths run the same arithmetic, so they must
+agree exactly.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -15,9 +21,10 @@ from pitcal.calibrate import (
     CalibrationSet,
     LocalEmpiricalConfig,
     PitCdfModel,
+    _gamma_rows,
     fit_local_empirical,
 )
-from pitcal.diagnose import DEFAULT_TEST_GAMMAS, mc_local_test, mc_p_value
+from pitcal.diagnose import DEFAULT_TEST_GAMMAS, _deviation, mc_local_test, mc_p_value
 from pitcal.errors import LengthMismatch
 
 
@@ -38,7 +45,7 @@ def _old_neighborhood(model, x):
 
 
 class _OldLocal(PitCdfModel):
-    """The local backend before ``predict_curves``: one query and one sort per curve."""
+    """The local backend before the batched engine: one query and one sort per curve."""
 
     backend = "frozen-local"
 
@@ -97,6 +104,36 @@ def _old_mc_confidence_band(fit_fn, cal, pit_values, x, n_mc, gammas, eta=0.05, 
     curves.sort(axis=0)
     k = int(np.floor(n_mc * eta / 2.0))
     return curves[k], curves[n_mc - 1 - k]
+
+
+# ----------------------------------------------------------------------
+# frozen reference: the batched engine through full-length PIT vectors
+# ----------------------------------------------------------------------
+
+def frozen_predict_curves(model, pit_rows, gammas, x):
+    """The deleted ``LocalEmpiricalModel.predict_curves``: one curve per full-length PIT row."""
+    idx, w = model._neighborhoods(np.asarray(x, dtype=float).reshape(1, -1))
+    pits = []
+    for row in pit_rows:
+        row = np.asarray(row, dtype=float).ravel()
+        if row.shape[0] != model.xs.shape[0]:
+            raise LengthMismatch(f"{row.shape[0]} pit values for {model.xs.shape[0]} rows")
+        pits.append(row[idx[0]])
+    pits = np.array(pits).reshape(len(pits), idx.shape[1])
+    return model._ecdf(pits, w, _gamma_rows(gammas, len(pits)))
+
+
+def frozen_mc_local_test(observed, x, n_mc, gammas, eta=0.05, seed=0):
+    """``mc_local_test`` as it ran on ``frozen_predict_curves``: (statistic, p-value, curves)."""
+    g = np.asarray(gammas, dtype=float)
+    n = observed.pit_values.size
+    nulls = (rngmod.derived_rng(seed, "null-pits", b).random(n) for b in range(n_mc))
+    curves = frozen_predict_curves(observed, itertools.chain([observed.pit_values], nulls), g, x)
+    stats = _deviation(curves, g)
+    ranked = np.sort(curves[1:], axis=0)
+    k = int(np.floor(n_mc * eta / 2.0))
+    p = int(np.count_nonzero(stats[0] < stats[1:])) / n_mc
+    return float(stats[0]), p, (curves[0], ranked[k], ranked[n_mc - 1 - k])
 
 
 # ----------------------------------------------------------------------
@@ -180,6 +217,21 @@ class TestMatchesPerReplicateRefits:
             assert np.all((values >= 0.0) & (values <= 1.0))
 
 
+class TestMatchesFrozenPredictCurves:
+    @pytest.mark.parametrize("weighting", ["uniform", "inverse-distance"])
+    @settings(max_examples=60, deadline=None)
+    @given(c=cases())
+    def test_engine_equals_frozen_full_length_draws(self, weighting, c):
+        cfg = LocalEmpiricalConfig(k=c["cfg"].k, weighting=weighting)
+        observed = fit_local_empirical(c["cal"], c["pits"], cfg)
+        args = (observed, c["x"], c["n_mc"], c["gammas"])
+        res, curve = mc_local_test(*args, eta=c["eta"], seed=c["seed"])
+        t_obs, p, (r, lo, hi) = frozen_mc_local_test(*args, eta=c["eta"], seed=c["seed"])
+        assert (res.statistic, res.p_value) == (t_obs, p)
+        assert np.array_equal(curve.r_values, r)
+        assert np.array_equal(curve.band_lo, lo) and np.array_equal(curve.band_hi, hi)
+
+
 class TestPredictCurves:
     @settings(max_examples=60, deadline=None)
     @given(cases(), st.integers(min_value=1, max_value=6))
@@ -188,7 +240,8 @@ class TestPredictCurves:
         rng = np.random.default_rng(c["seed"])
         rows = [c["pits"]] + [rng.integers(0, 21, size=len(c["cal"])) / 20.0
                               for _ in range(n_rows)]
-        curves = model.predict_curves(iter(rows), c["gammas"], c["x"])
+        idx, w = model._neighborhoods(np.reshape(c["x"], (1, -1)))
+        curves = model._ecdf(np.array(rows)[:, idx[0]], w, _gamma_rows(c["gammas"], len(rows)))
         assert curves.shape == (len(rows), c["gammas"].size)
         for row, got in zip(rows, curves):
             want = _OldLocal(model, row).predict_curve(c["gammas"], c["x"])
@@ -200,12 +253,7 @@ class TestPredictCurves:
     def test_full_mass_at_one(self):
         cal = CalibrationSet(np.linspace(0, 1, 30)[:, None], np.zeros(30))
         model = fit_local_empirical(cal, np.linspace(0, 1, 30), LocalEmpiricalConfig(k=7))
-        curves = model.predict_curves(np.random.default_rng(1).uniform(size=(5, 30)),
-                                      np.array([0.0, 1.0]), [0.4])
+        idx, w = model._neighborhoods(np.array([[0.4]]))
+        rows = np.random.default_rng(1).uniform(size=(5, 30))
+        curves = model._ecdf(rows[:, idx[0]], w, _gamma_rows(np.array([0.0, 1.0]), 5))
         assert np.all(curves[:, 1] == 1.0)
-
-    def test_rejects_row_of_wrong_length(self):
-        cal = CalibrationSet(np.zeros((10, 1)), np.zeros(10))
-        model = fit_local_empirical(cal, np.zeros(10), LocalEmpiricalConfig(k=3))
-        with pytest.raises(LengthMismatch):
-            model.predict_curves([np.zeros(10), np.zeros(9)], np.array([0.5]), [0.0])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pitcal.grid import GridDensity, YGrid, default_grid, pit, widen_density
+from pitcal.grid import GridDensity, YGrid, _pit_rows, default_grid, widen_density
 from pitcal.models import (
     _SMOOTH_STEPS,
     GaussianInitialModel,
@@ -39,7 +39,8 @@ class TestGaussianModel:
         grid = YGrid(np.linspace(-9, 11, 201))
         model = GaussianInitialModel(grid, mean_fn=lambda x: 1.0, sd_fn=2.0)
         c = model_cdf(model, [0.0])
-        assert pit(c, 1.0) == pytest.approx(0.5, abs=1e-4)
+        assert _pit_rows(grid.points, c.values[None, :], np.array([1.0]))[0] == pytest.approx(
+            0.5, abs=1e-4)
 
 
 class TestUniformModel:
@@ -59,7 +60,8 @@ class TestMarginalModel:
         model = MarginalHistogramModel(grid, ys)
         c = model_cdf(model, [123.0])  # feature ignored
         # the marginal CDF at the sample median should be near one half
-        assert pit(c, float(np.median(ys))) == pytest.approx(0.5, abs=0.03)
+        at_median = _pit_rows(grid.points, c.values[None, :], np.array([np.median(ys)]))[0]
+        assert at_median == pytest.approx(0.5, abs=0.03)
 
 
 def marginal_histogram_reference(grid, ys):

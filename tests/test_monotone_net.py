@@ -307,12 +307,12 @@ def frozen_fit(aug, cfg, batches="points"):
     val_base = perm[:n_val]
     train_mask = np.ones(aug.n_base, dtype=bool)
     train_mask[val_base] = False
-    row_train = train_mask[aug.row_index]
-    x_train = xs_std_base[aug.row_index[row_train]]
-    g_train = aug.gamma[row_train]
-    w_train = aug.w[row_train].astype(float)
-    n_train = g_train.shape[0]
     k_factor = aug.k_factor
+    # one row per (training point, level), each point's K levels in a run
+    x_train = np.repeat(xs_std_base[train_mask], k_factor, axis=0)
+    g_train = aug.gamma[train_mask].ravel()
+    w_train = aug.w[train_mask].ravel().astype(float)
+    n_train = g_train.shape[0]
     n_points = n_train // k_factor
     x_val = xs_std_base[val_base]
     val_x_tiled = np.repeat(x_val, VAL_GAMMA_GRID.size, axis=0)

@@ -3,11 +3,10 @@
 ``grid`` reads every CDF through one spline core: ``_fc_slopes`` limits the
 slopes of whole rows (``knot_slopes``) and of five-secant windows
 (``_segment_slopes``), ``_hermite`` evaluates every segment (``invert_rows``,
-``pit``, ``_pit_rows``), and
-``cdf_from_density`` is a batch of one of ``cdf_rows_from_density_rows``. The references below are frozen
-copies of the separate implementations that came before the shared core, so
-the core is never checked against itself. Each must be reproduced exactly, so
-every comparison here is ``==``.
+``_pit_rows``), and ``cdf_rows_from_density_rows`` integrates every density.
+The references below are frozen copies of the separate implementations that
+came before the shared core, so the core is never checked against itself. Each
+must be reproduced exactly, so every comparison here is ``==``.
 """
 
 import numpy as np
@@ -22,12 +21,10 @@ from pitcal.grid import (
     YGrid,
     _pit_rows,
     _segment_slopes,
-    cdf_from_density,
     cdf_rows_from_density_rows,
     invert_cdf,
     invert_rows,
     knot_slopes,
-    pit,
 )
 
 
@@ -188,10 +185,7 @@ class TestFitAndEval:
         assert np.array_equal(knot_slopes(xs, ys[None, :])[0], reference_slopes(xs, ys))
         q = np.concatenate([xs, rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, size=200)])
         assert pit_curve(xs, ys, q).tolist() == [reference_pit(xs, ys, y) for y in q]
-        if n >= 3:  # a YGrid needs three points
-            one = pit(GridCdf(YGrid(xs), ys), float(q[-1]))
-            assert type(one) is float
-            assert one == reference_pit(xs, ys, q[-1])
+        assert _pit_rows(xs, ys[None, :], q[-1:]).tolist() == [reference_pit(xs, ys, q[-1])]
 
 
 class TestSolve:
@@ -304,9 +298,7 @@ class TestPitMatrixSlopes:
         for i, y in enumerate(ys):
             want = reference_pit(pts, cdfs[i], y)
             assert got[i] == want
-            one = pit(GridCdf(grid, cdfs[i]), float(y))
-            assert type(one) is float
-            assert one == want
+            assert _pit_rows(pts, cdfs[i : i + 1], ys[i : i + 1]).tolist() == [want]
 
 
 class TestCdfFromDensity:
@@ -317,11 +309,12 @@ class TestCdfFromDensity:
             pts = np.cumsum(rng.uniform(0.001, 1.0, size=n_points)) - rng.uniform(0.0, 50.0)
             row = random_density_rows(rng, 1, n_points, rng.choice([0.0, 0.3, 0.7]))[0]
             d = GridDensity(YGrid(pts), row)
-            assert np.array_equal(cdf_from_density(d).values, reference_cdf_from_density(d).values)
+            assert np.array_equal(cdf_rows_from_density_rows(pts, row[None, :])[0],
+                                  reference_cdf_from_density(d).values)
 
     def test_keeps_density_errors(self):
-        g = YGrid(np.linspace(0.0, 1.0, 5))
+        pts = np.linspace(0.0, 1.0, 5)
         with pytest.raises(InvalidDensity):
-            cdf_from_density(GridDensity(g, np.array([0.1, -0.2, 0.1, 0.1, 0.1])))
+            cdf_rows_from_density_rows(pts, np.array([[0.1, -0.2, 0.1, 0.1, 0.1]]))
         with pytest.raises(DegenerateDensity):
-            cdf_from_density(GridDensity(g, np.zeros(5)))
+            cdf_rows_from_density_rows(pts, np.zeros((1, 5)))

@@ -111,7 +111,7 @@ class TestExample2:
                               compute_pit_values(scalar, data.cal))
         for x in ([-0.7], [0.0], [0.45], 0.9):
             assert np.array_equal(data.initial.density_at(x).values, scalar.density_at(x).values)
-        assert data.initial.mean_fn([0.45]) == 0.45
+        assert data.initial.mean_fn.predict([[0.45]]).tolist() == [0.45]
 
     def test_quantile_round_trip(self):
         data = sample_example2("kurtotic", 10, seed=1)
@@ -130,25 +130,25 @@ class TestExample1:
 
     def test_unimodal_below_zero(self):
         from pitcal.calibrate import RecalibratedDistribution, calpit_hpd
-        from pitcal.grid import GridDensity, YGrid, cdf_from_density
+        from pitcal.grid import GridCdf, GridDensity, YGrid, cdf_rows_from_density_rows
 
         oracle = Example1Oracle(TwoGroupConfig())
         grid = YGrid(np.linspace(-15, 15, 601))
         vals = oracle.pdf(grid.points, [-2.0, 0.0])
         pdf = GridDensity(grid, vals / np.trapezoid(vals, grid.points))
-        cdf = cdf_from_density(pdf)
+        cdf = GridCdf(grid, cdf_rows_from_density_rows(grid.points, pdf.values[None, :])[0])
         rd = RecalibratedDistribution(cdf, pdf)
         assert len(calpit_hpd(rd, 0.1).intervals) == 1
 
     def test_bimodal_oracle_hpd_beats_interval(self):
         from pitcal.calibrate import RecalibratedDistribution, calpit_hpd, calpit_interval
-        from pitcal.grid import GridDensity, YGrid, cdf_from_density
+        from pitcal.grid import GridCdf, GridDensity, YGrid, cdf_rows_from_density_rows
 
         oracle = Example1Oracle(TwoGroupConfig())
         grid = YGrid(np.linspace(-22, 22, 801))
         vals = oracle.pdf(grid.points, [5.0, 0.0])
         pdf = GridDensity(grid, vals / np.trapezoid(vals, grid.points))
-        cdf = cdf_from_density(pdf)
+        cdf = GridCdf(grid, cdf_rows_from_density_rows(grid.points, pdf.values[None, :])[0])
         rd = RecalibratedDistribution(cdf, pdf)
         hpd = calpit_hpd(rd, 0.1)
         interval = calpit_interval(rd, 0.1)
