@@ -21,7 +21,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import rng as rngmod
 from .errors import (
@@ -197,10 +196,14 @@ class StandardizedNeighbours:
     """The ``k`` nearest training rows in standardized feature space.
 
     Features are centred by ``mean`` and divided by ``scale`` (1 where a
-    feature does not vary) before the k-d tree ``_tree`` is built.
+    feature does not vary) before the k-d tree ``_tree`` is built. The tree
+    module, ``scipy.spatial``, loads at the first build, so a run that builds
+    no tree never pays for it.
     """
 
     def _build_tree(self, xs, k: int, mean=None, scale=None):
+        from scipy.spatial import cKDTree
+
         if mean is None:
             mean = xs.mean(axis=0)
             scale = xs.std(axis=0)

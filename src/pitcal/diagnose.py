@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import rng as rngmod
 from .calibrate import CalibrationSet, LocalEmpiricalModel, _gamma_rows
@@ -134,7 +133,9 @@ def cde_loss(pdfs, test_ys) -> float:
 
     mean_i [ integral f_i(y)^2 dy ] - 2 * mean_i [ f_i(y_i) ], with the
     integral taken by the trapezoid rule on each density's grid and the point
-    evaluation by shape-preserving spline interpolation (zero off the grid).
+    evaluation by linear interpolation between grid points (zero off the
+    grid), the same piecewise-linear density that the trapezoid rule and
+    ``calpit_hpd`` read.
     Lower is better; the true conditional density minimizes the expectation.
     """
     test_ys = np.asarray(test_ys, dtype=float).ravel()
@@ -149,7 +150,6 @@ def cde_loss(pdfs, test_ys) -> float:
             raise TypeError("pdfs must be GridDensity instances")
         pts = dens.grid.points
         sq += float(np.trapezoid(dens.values**2, pts))
-        if pts[0] <= y <= pts[-1]:
-            at_y += max(float(PchipInterpolator(pts, dens.values)(y)), 0.0)
+        at_y += max(float(np.interp(y, pts, dens.values, left=0.0, right=0.0)), 0.0)
     n = len(pdfs)
     return sq / n - 2.0 * at_y / n

@@ -329,9 +329,13 @@ class RidgeMean:
         self.coef = np.linalg.solve(z.T @ z + lam * np.eye(d), z.T @ (ys - ys.mean()))
         self.intercept = float(ys.mean())
 
+    def predict(self, xs) -> np.ndarray:
+        """Ridge means, one per row of ``xs``: (n, d), or (n,) for one feature."""
+        z = (np.asarray(xs, dtype=float).reshape(-1, self.mean.size) - self.mean) / self.scale
+        return z @ self.coef + self.intercept
+
     def __call__(self, x) -> float:
-        z = (np.asarray(x, dtype=float).ravel() - self.mean) / self.scale
-        return float(z @ self.coef + self.intercept)
+        return float(self.predict(x)[0])
 
 
 def fit_tc_initial(summary_cal, grid, sd_scale: float = 1.0, lam: float = 1.0):
@@ -344,8 +348,7 @@ def fit_tc_initial(summary_cal, grid, sd_scale: float = 1.0, lam: float = 1.0):
     from ..models import GaussianInitialModel
 
     mu = RidgeMean(summary_cal.xs, summary_cal.ys, lam=lam)
-    resid = np.array([summary_cal.ys[i] - mu(summary_cal.xs[i]) for i in range(len(summary_cal))])
-    sd = float(np.std(resid)) or 1.0
+    sd = float(np.std(summary_cal.ys - mu.predict(summary_cal.xs))) or 1.0
     return GaussianInitialModel(grid, mean_fn=mu, sd_fn=sd * sd_scale)
 
 

@@ -238,6 +238,15 @@ class TestCdeLoss:
         ys = [0.1, 0.4, 0.6, 0.9]
         assert cde_loss(pdfs, ys) == pytest.approx(-1.0, abs=1e-9)
 
+    def test_reads_the_piecewise_linear_density(self):
+        # triangle 0, 1, 0 on a three-point grid: unit trapezoid mass, and the
+        # trapezoid rule gives integral f^2 = 1. Read linearly, f(0.5) = 0.5 and
+        # f(1.25) = 0.75 (PCHIP would read 0.75 and 0.9375); f(2.5) = 0 off the grid.
+        grid = YGrid(np.array([0.0, 1.0, 2.0]))
+        tri = GridDensity(grid, np.array([0.0, 1.0, 0.0]))
+        assert cde_loss([tri, tri], [0.5, 1.25]) == pytest.approx(1.0 - 2.0 * (0.5 + 0.75) / 2)
+        assert cde_loss([tri], [2.5]) == pytest.approx(1.0)
+
     def test_point_mass_worse_than_uniform(self):
         grid = YGrid(np.linspace(0, 1, 101))
         spike = np.zeros(101)

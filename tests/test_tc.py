@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pitcal.errors import NonStationaryVar
 from pitcal.synthgen import (
@@ -13,7 +14,7 @@ from pitcal.synthgen import (
     var_spectral_radius,
     write_storms_jsonl,
 )
-from pitcal.synthgen.tc import _logit, windowed_summaries
+from pitcal.synthgen.tc import RidgeMean, _logit, windowed_summaries
 
 
 class TestTransforms:
@@ -189,6 +190,22 @@ class TestReproducibility:
         first_of_three = simulate_tc(cfg, 3, seed=13)[0]
         only_one = simulate_tc(cfg, 1, seed=13)[0]
         np.testing.assert_array_equal(first_of_three.intensities, only_one.intensities)
+
+
+class TestRidgeMean:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=300),
+           st.integers(min_value=1, max_value=8), st.floats(min_value=1e-3, max_value=10.0))
+    def test_predict_equals_per_row_means(self, seed, n, dim, lam):
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-5, 5, size=(n, dim)) * rng.uniform(0.1, 10, size=dim)
+        ys = rng.standard_normal(n) * 10.0 + 50.0
+        mu = RidgeMean(xs, ys, lam=lam)
+        per_row = np.array([(row - mu.mean) / mu.scale @ mu.coef + mu.intercept for row in xs])
+        batch = mu.predict(xs)
+        assert batch.shape == (n,)
+        np.testing.assert_allclose(batch, per_row, rtol=0, atol=1e-12)
+        assert mu(xs[0]) == pytest.approx(batch[0], rel=0, abs=1e-12)
 
 
 class TestJsonl:
