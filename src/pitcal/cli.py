@@ -27,7 +27,7 @@ from .dataio import read_calibration_csv, write_calibration_csv, write_csv, writ
 from .diagnose import mc_local_test
 from .errors import ConfigError, PitcalError
 from .grid import default_grid
-from .pipeline import build_initial, fit_pit_model, split_calibration
+from .pipeline import build_initial, check_train_fraction, fit_pit_model, split_calibration
 from .synthgen import chunk_tc, default_tc_config, simulate_tc, write_storms_jsonl
 
 __all__ = ["main"]
@@ -184,11 +184,13 @@ def _prepare(cfg: dict):
         raise ConfigError(f"dataset not found or not a file: {cfg['data']}")
     if int(cfg["grid_points"]) < 3:
         raise ConfigError(f"grid_points must be >= 3, got {cfg['grid_points']}")
+    # checked for every initial model, though only gaussian-fit splits the data
+    fraction = check_train_fraction(cfg["train_fraction"])
     data = read_calibration_csv(cfg["data"])
     points = _parse_points(str(cfg["eval_x"]), data.dim) if cfg["eval_x"] else None
     grid = default_grid(data.ys, n_points=int(cfg["grid_points"]))
     if cfg["initial"] == "gaussian-fit":
-        train, cal = split_calibration(data, cfg["train_fraction"])
+        train, cal = split_calibration(data, fraction)
     else:
         train = cal = data
     initial = build_initial(cfg["initial"], grid, train, mean_k=cfg["mean_k"],

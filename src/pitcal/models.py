@@ -62,15 +62,16 @@ def model_cdf(model, x) -> GridCdf:
 
 
 class GaussianInitialModel:
-    """Gaussian density N(mean_fn(x), sd_fn(x)^2) truncated to the grid.
+    """Gaussian density N(mean_fn(x), sd_fn^2) truncated to the grid.
 
-    ``sd_fn`` is a callable of x or a float, one width for every x.
+    ``sd_fn`` is a float, one width for every x. ``mean_fn`` maps one feature
+    row to its mean; one with ``predict(xs)`` is read for all rows at once.
     """
 
-    def __init__(self, grid: YGrid, mean_fn: Callable, sd_fn: Callable | float):
+    def __init__(self, grid: YGrid, mean_fn: Callable, sd_fn: float):
         self.grid = grid
         self.mean_fn = mean_fn
-        self.sd_fn = sd_fn if callable(sd_fn) else float(sd_fn)
+        self.sd_fn = float(sd_fn)
 
     def density_at(self, x) -> GridDensity:
         """The renormalized density at one x: a batch of one of :meth:`density_matrix`."""
@@ -82,10 +83,8 @@ class GaussianInitialModel:
         xs = feature_rows(xs)
         batch = getattr(self.mean_fn, "predict", None)  # e.g. KnnMeanRegressor
         mu = batch(xs) if batch is not None else np.array([float(self.mean_fn(x)) for x in xs])
-        sd = (np.array([float(self.sd_fn(x)) for x in xs]) if callable(self.sd_fn)
-              else np.full(xs.shape[0], self.sd_fn))
-        z = (self.grid.points[None, :] - mu[:, None]) / sd[:, None]
-        return _INV_SQRT_2PI * np.exp(-0.5 * z * z) / sd[:, None]
+        z = (self.grid.points[None, :] - mu[:, None]) / self.sd_fn
+        return _INV_SQRT_2PI * np.exp(-0.5 * z * z) / self.sd_fn
 
 
 class _FeatureIndependentModel:

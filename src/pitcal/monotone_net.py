@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import rng as rngmod
 from .calibrate import MODEL_FORMAT_VERSION, AugmentedCalibrationSet, PitCdfModel, _gamma_rows
 from .errors import TrainingDiverged
+from .normal import ndtri
 
 __all__ = ["MonotoneNetConfig", "MonotoneNetModel", "fit_monotone_net", "VAL_GAMMA_GRID"]
 
@@ -91,7 +91,8 @@ def _mono_inputs(gamma: np.ndarray) -> np.ndarray:
     P-P curves of roughly calibrated models are near-linear in log-odds, and
     the tail-sensitive coordinates let dispersion corrections stay linear
     instead of fighting saturating activations. All coordinates are
-    nondecreasing in gamma.
+    nondecreasing in gamma. The probit is :func:`pitcal.normal.ndtri`, a numpy
+    port of Cephes' routine.
     """
     g = np.clip(gamma, 1e-7, 1.0 - 1e-7)
     probit = ndtri(g)
@@ -144,14 +145,25 @@ def _per_row(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (np.repeat(a, 2, axis=0) @ w.T)[:1]
 
 
-def _forward(params: dict, hidden: tuple, x_std: np.ndarray, z0: np.ndarray,
+def _positive_weights(params: dict, n_layers: int) -> dict:
+    """softplus of the raw monotone-path weights, computed once per set of weights.
+
+    A forward and a backward pass on the same weights share one copy:
+    ``np.logaddexp`` on every raw matrix costs more than a small batch's products.
+    """
+    keys = [f"P{k}" for k in range(n_layers)] + ["p_out", "p_skip"]
+    return {key: _softplus(params[key]) for key in keys}
+
+
+def _forward(params: dict, positive: dict, hidden: tuple, x_std: np.ndarray, z0: np.ndarray,
              keep: bool = False):
     """Forward pass on m feature rows and their m*L level rows, ``yhat`` of shape (m*L,).
 
     Rows i*L .. i*L + L - 1 of ``z0 = _mono_inputs(gamma)`` are the levels of
     feature row i. The relu tower and the gate/shift head depend on x alone,
     so they run once per feature row and broadcast over that row's L levels;
-    only the monotone path runs on all m*L rows. keep=True also returns the
+    only the monotone path runs on all m*L rows. ``positive`` is
+    ``_positive_weights(params, len(hidden))``. keep=True also returns the
     backprop cache.
     """
     m = x_std.shape[0]
@@ -162,7 +174,7 @@ def _forward(params: dict, hidden: tuple, x_std: np.ndarray, z0: np.ndarray,
         s = _per_row(a, params[f"U{k}"])
         s += params[f"c{k}"]
         a = np.maximum(s, 0.0, out=s)
-        q = z @ _softplus(params[f"P{k}"]).T
+        q = z @ positive[f"P{k}"].T
         free = _per_row(a, params[f"B{k}"])
         free += params[f"b{k}"]
         grouped = q.reshape(m, n_levels, q.shape[1])  # a view of q, levels grouped by row
@@ -171,7 +183,7 @@ def _forward(params: dict, hidden: tuple, x_std: np.ndarray, z0: np.ndarray,
         if keep:
             cache["a"].append(a)
             cache["z"].append(z)
-    mono = z @ _softplus(params["p_out"]).T + z0 @ _softplus(params["p_skip"]).T
+    mono = z @ positive["p_out"].T + z0 @ positive["p_skip"].T
     gate_pre = _per_row(a, params["s_out"]) + params["s_bias"]
     gate = _softplus(gate_pre)
     u = mono.reshape(m, n_levels) * gate
@@ -200,7 +212,8 @@ def _row_sum_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _backward(params: dict, hidden: tuple, cache: dict, w: np.ndarray, g: dict) -> None:
+def _backward(params: dict, positive: dict, hidden: tuple, cache: dict, w: np.ndarray,
+              g: dict) -> None:
     """Gradients of mean squared error w.r.t. all raw parameters, written into ``g``.
 
     Per-level terms reach the once-per-feature-row tower and head through a
@@ -223,7 +236,7 @@ def _backward(params: dict, hidden: tuple, cache: dict, w: np.ndarray, g: dict) 
     g["s_bias"][...] = dgate_pre.sum(axis=0)
 
     # the head's outer products have one term each, so broadcasting is exact
-    dz = dmono * _softplus(params["p_out"])
+    dz = dmono * positive["p_out"]
     d_free = du_row * params["r_out"]
     d_free += dgate_pre * params["s_out"]
 
@@ -244,7 +257,7 @@ def _backward(params: dict, hidden: tuple, cache: dict, w: np.ndarray, g: dict) 
         g[f"U{k}"][...] = _row_sum_product(ds, a[k])
         g[f"c{k}"][...] = ds.sum(axis=0)
         if k:
-            dz = dq @ _softplus(params[f"P{k}"])
+            dz = dq @ positive[f"P{k}"]
             d_free = ds @ params[f"U{k}"]
 
 
@@ -267,6 +280,7 @@ class MonotoneNetModel(PitCdfModel):
                  loss_history: list | None = None, best_epoch: int | None = None):
         self.params = params
         self.hidden = tuple(hidden)
+        self.positive = _positive_weights(params, len(self.hidden))
         self.mean = np.asarray(mean, dtype=float)
         self.scale = np.asarray(scale, dtype=float)
         self.config = config
@@ -285,7 +299,7 @@ class MonotoneNetModel(PitCdfModel):
         """
         xs_std = self._standardize(np.asarray(xs, dtype=float))
         rows = _gamma_rows(gammas, xs_std.shape[0])
-        return _forward(self.params, self.hidden, xs_std,
+        return _forward(self.params, self.positive, self.hidden, xs_std,
                         _mono_inputs(rows.ravel())).reshape(rows.shape)
 
     def to_json(self) -> dict:
@@ -378,6 +392,7 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
     best_epoch = None
     bad_epochs = 0
     history = []
+    n_layers = len(cfg.hidden_layers)
 
     # float32 overflows sooner than float64; the checks below raise TrainingDiverged
     with np.errstate(over="ignore", invalid="ignore"):
@@ -388,13 +403,14 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
             for start in range(0, order.size, points_per_batch):
                 idx = order[start : start + points_per_batch]
                 w_batch = w_train[idx].ravel()
-                yhat, cache = _forward(params, cfg.hidden_layers, x_train[idx],
+                positive = _positive_weights(params, n_layers)
+                yhat, cache = _forward(params, positive, cfg.hidden_layers, x_train[idx],
                                        z_train[idx].reshape(-1, _N_MONO_IN), keep=True)
                 batch_loss = float(np.mean((yhat - w_batch) ** 2))
                 if not np.isfinite(batch_loss):
                     raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
                 epoch_loss += batch_loss * w_batch.size
-                _backward(params, cfg.hidden_layers, cache, w_batch, grads)
+                _backward(params, positive, cfg.hidden_layers, cache, w_batch, grads)
                 step += 1
                 bc1 = 1.0 - beta1**step
                 bc2 = 1.0 - beta2**step
@@ -405,7 +421,8 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
                 update = (m_state / bc1) / (np.sqrt(v_state / bc2) + eps)
                 flat -= lr * (update + wd * flat)
 
-            val_pred = _forward(params, cfg.hidden_layers, x_val, val_z)
+            val_pred = _forward(params, _positive_weights(params, n_layers), cfg.hidden_layers,
+                                x_val, val_z)
             val_loss = float(np.mean((val_pred - val_w) ** 2))
             if not np.isfinite(val_loss):
                 raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")

@@ -15,7 +15,9 @@ from .calibrate import CalibrationSet, LocalEmpiricalConfig, augment, fit_local_
 from .errors import ConfigError
 from .models import GaussianInitialModel, MarginalHistogramModel, UniformInitialModel
 
-__all__ = ["default_k", "split_calibration", "build_initial", "fit_pit_model"]
+__all__ = [
+    "default_k", "check_train_fraction", "split_calibration", "build_initial", "fit_pit_model",
+]
 
 
 def default_k(n: int) -> int:
@@ -23,14 +25,19 @@ def default_k(n: int) -> int:
     return max(10, min(n // 10, 1000))
 
 
+def check_train_fraction(fraction) -> float:
+    """``fraction`` as a float; one outside (0, 1), NaN included, is a configuration error."""
+    if not 0.0 < float(fraction) < 1.0:
+        raise ConfigError(f"train fraction must be in (0, 1), got {fraction}")
+    return float(fraction)
+
+
 def split_calibration(data: CalibrationSet, fraction: float):
     """(train, cal): the first ``int(n * fraction)`` rows train, the rest calibrate.
 
     A fraction outside (0, 1), NaN included, or an empty part is a configuration error.
     """
-    if not 0.0 < float(fraction) < 1.0:
-        raise ConfigError(f"train fraction must be in (0, 1), got {fraction}")
-    n_train = int(len(data) * float(fraction))
+    n_train = int(len(data) * check_train_fraction(fraction))
     if n_train < 1 or n_train >= len(data):
         raise ConfigError(f"train fraction {fraction} leaves an empty split of {len(data)} rows")
     return (CalibrationSet(data.xs[:n_train], data.ys[:n_train]),

@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .. import rng as rngmod
 from ..calibrate import CalibrationSet
 from ..grid import YGrid, default_grid
 from ..models import GaussianInitialModel, feature_rows
+from ..normal import ndtr
 from .sinharcsinh import (
     SinhArcsinhParams,
     sinh_arcsinh_cdf,

@@ -3,7 +3,8 @@
 Parametrization: Y = mu + sigma * sinh((asinh(W) + skew) / tail) with
 W ~ N(0, 1). At skew = 0, tail = 1 this reduces exactly to N(mu, sigma^2);
 positive skew shifts mass to the right; tail < 1 fattens both tails and
-tail > 1 thins them.
+tail > 1 thins them. The normal CDF and quantile are :mod:`pitcal.normal`'s
+numpy ports of Cephes' ``ndtr`` and ``ndtri``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+
+from ..normal import ndtr, ndtri
 
 __all__ = [
     "SinhArcsinhParams",

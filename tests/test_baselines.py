@@ -7,7 +7,7 @@ from pitcal.baselines import ConformalCalibration, DcpModel, RegSplitModel, fit_
 from pitcal.calibrate import CalibrationSet
 from pitcal.errors import InsufficientCalibration
 from pitcal.grid import YGrid
-from pitcal.models import GaussianInitialModel, UniformInitialModel
+from pitcal.models import GaussianInitialModel, UniformInitialModel, feature_rows
 from pitcal.synthgen import TwoGroupConfig, sample_example1, sample_example2
 
 
@@ -95,6 +95,18 @@ class TestKnnMean:
                               scalar.density_matrix(data.cal.xs))
 
 
+class HeteroscedasticGaussian:
+    """N(x, (2 - |x|)^2) on the grid: an initial model whose width varies with x."""
+
+    def __init__(self, grid):
+        self.grid = grid
+
+    def density_matrix(self, xs):
+        x = feature_rows(xs)[:, :1]
+        sd = 2.0 - np.abs(x)
+        return np.exp(-0.5 * ((self.grid.points - x) / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
+
+
 class TestDcp:
     def test_rank_arithmetic_probability_band(self):
         # pit values {0.1, 0.4, 0.6, 0.9} -> scores {0.4, 0.1, 0.1, 0.4};
@@ -117,9 +129,7 @@ class TestDcp:
 
     def test_width_varies_with_heteroscedastic_initial(self):
         grid = YGrid(np.linspace(-10, 10, 201))
-        initial = GaussianInitialModel(
-            grid, mean_fn=lambda x: float(x[0]), sd_fn=lambda x: 2.0 - abs(float(x[0]))
-        )
+        initial = HeteroscedasticGaussian(grid)
         rng = np.random.default_rng(4)
         xs = rng.uniform(-1, 1, size=(500, 1))
         ys = xs[:, 0] + (2.0 - np.abs(xs[:, 0])) * rng.standard_normal(500)

@@ -79,7 +79,7 @@ def frozen_curve(r, gammas, x):
     if isinstance(r, MonotoneNetModel):
         gammas = np.asarray(gammas, dtype=float).ravel()
         x_std = r._standardize(np.asarray(x, dtype=float).reshape(1, -1))
-        return _forward(r.params, r.hidden, x_std, _mono_inputs(gammas))
+        return _forward(r.params, r.positive, r.hidden, x_std, _mono_inputs(gammas))
     return frozen_local_curve(r, gammas, x)
 
 

@@ -289,6 +289,10 @@ EXIT_CASES = [
     ("config_null_for_a_default", None, False, ["gen"], 2, "error:"),
     ("train_fraction_nan", 300, False,
      ["calibrate", "--initial", "gaussian-fit", "--train-fraction", "nan"], 2, "error:"),
+    ("uniform_train_fraction_above_one", 300, False,
+     ["calibrate", "--initial", "uniform", "--train-fraction", 2], 2, "error:"),
+    ("diagnose_marginal_train_fraction_zero", 300, False,
+     ["diagnose", "--initial", "marginal", "--train-fraction", 0, "--n-mc", 20], 2, "error:"),
     ("diagnose_no_eval_points", 300, False, ["diagnose", "--n-eval-points", 0], 2, "error:"),
     ("data_is_a_directory", None, False, ["diagnose"], 2, "error:"),
     ("data_not_utf8", None, False, ["calibrate"], 2, "error:"),

@@ -23,14 +23,15 @@ class TestGaussianModel:
             row = mat[i] / np.trapezoid(mat[i], grid.points)
             np.testing.assert_allclose(d.values, row, atol=1e-12)
 
-    def test_constant_sd_equals_callable(self):
+    def test_rows_equal_the_normal_density_formula(self):
         grid = YGrid(np.linspace(-8, 8, 101))
         xs = np.array([[0.0], [1.5], [-2.0], [7.9]])
+        mean = lambda x: float(x[0])  # noqa: E731
         for sd in (2.0, 0.3, 1.0 / 3.0):
-            mean = lambda x: float(x[0])  # noqa: E731
-            flat = GaussianInitialModel(grid, mean_fn=mean, sd_fn=sd).density_matrix(xs)
-            per_x = GaussianInitialModel(grid, mean_fn=mean, sd_fn=lambda x, s=sd: s)
-            assert np.array_equal(flat, per_x.density_matrix(xs))
+            rows = GaussianInitialModel(grid, mean_fn=mean, sd_fn=sd).density_matrix(xs)
+            for row, x in zip(rows, xs):
+                want = np.exp(-0.5 * ((grid.points - x[0]) / sd) ** 2) / (sd * np.sqrt(2 * np.pi))
+                np.testing.assert_allclose(row, want, rtol=1e-14, atol=1e-300)
         assert GaussianInitialModel(grid, mean_fn=mean, sd_fn=2).density_matrix(xs[:0]).shape \
             == (0, 101)
 

@@ -22,6 +22,8 @@ from pitcal.monotone_net import (
     _forward,
     _init_params,
     _mono_inputs,
+    _per_row,
+    _positive_weights,
     _sigmoid,
     _softplus,
     fit_monotone_net,
@@ -172,7 +174,7 @@ def reference_predict_curve(model, gammas, x):
     """``predict_curve`` as it was before it became a batch of one."""
     gammas = np.asarray(gammas, dtype=float).ravel()
     x_std = model._standardize(np.asarray(x, dtype=float).ravel())
-    return _forward(model.params, model.hidden, x_std, _mono_inputs(gammas))
+    return _forward(model.params, model.positive, model.hidden, x_std, _mono_inputs(gammas))
 
 
 class TestPredictCurve:
@@ -218,6 +220,50 @@ class TestPredictCurve:
         flat = net.predict_matrix(gammas, xs)
         assert flat.shape == (3, 9)
         assert np.array_equal(flat, net.predict_matrix(gammas, xs[:, None]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from([1, 3]),
+        st.sampled_from([(), (8,), (6, 5)]),
+        st.integers(min_value=1, max_value=7),
+    )
+    def test_cached_positive_weights_equal_recomputed(self, seed, dim, hidden, n_x):
+        rng = np.random.default_rng(seed)
+        params = {k: v + rng.normal(0.0, 0.5, size=v.shape)
+                  for k, v in _init_params(dim, hidden, rng).items()}
+        net = MonotoneNetModel(params, hidden, rng.normal(size=dim),
+                               rng.uniform(0.5, 2.0, size=dim), MonotoneNetConfig(seed=1))
+        gammas = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(size=20)]))
+        xs = rng.normal(size=(n_x, dim))
+        want = recomputing_forward(params, hidden, net._standardize(xs),
+                                   _mono_inputs(np.tile(gammas, n_x))).reshape(n_x, -1)
+        assert np.array_equal(net.predict_matrix(gammas, xs), want)
+        reloaded = MonotoneNetModel.from_json(json.loads(json.dumps(net.to_json())))
+        assert np.array_equal(reloaded.predict_matrix(gammas, xs), want)
+
+
+def recomputing_forward(params, hidden, x_std, z0):
+    """The grouped forward pass as it was when it took softplus of every raw weight on each call."""
+    m = x_std.shape[0]
+    n_levels = z0.shape[0] // m
+    a, z = x_std, z0
+    for k in range(len(hidden)):
+        s = _per_row(a, params[f"U{k}"])
+        s += params[f"c{k}"]
+        a = np.maximum(s, 0.0, out=s)
+        q = z @ _softplus(params[f"P{k}"]).T
+        free = _per_row(a, params[f"B{k}"])
+        free += params[f"b{k}"]
+        grouped = q.reshape(m, n_levels, q.shape[1])
+        grouped += free[:, None, :]
+        z = np.tanh(q, out=q)
+    mono = z @ _softplus(params["p_out"]).T + z0 @ _softplus(params["p_skip"]).T
+    gate = _softplus(_per_row(a, params["s_out"]) + params["s_bias"])
+    u = mono.reshape(m, n_levels) * gate
+    u += _per_row(a, params["r_out"])
+    u += params["b_out"]
+    return _sigmoid(u.ravel())
 
 
 def frozen_forward(params, hidden, x_std, gamma, keep=False):
@@ -445,13 +491,14 @@ class TestGroupedPass:
         xs = rng.normal(size=(m, dim))
         gamma = rng.uniform(size=m * n_levels)
         w = (rng.uniform(size=m * n_levels) < 0.5).astype(float)
-        yhat, cache = _forward(params, hidden, xs, _mono_inputs(gamma), keep=True)
+        positive = _positive_weights(params, len(hidden))
+        yhat, cache = _forward(params, positive, hidden, xs, _mono_inputs(gamma), keep=True)
         want, want_cache = frozen_forward(params, hidden, np.repeat(xs, n_levels, axis=0),
                                           gamma, keep=True)
         np.testing.assert_allclose(yhat, want, rtol=0, atol=1e-12)
-        assert np.array_equal(_forward(params, hidden, xs, _mono_inputs(gamma)), yhat)
+        assert np.array_equal(_forward(params, positive, hidden, xs, _mono_inputs(gamma)), yhat)
         grads = {k: np.empty_like(v) for k, v in params.items()}
-        _backward(params, hidden, cache, w, grads)
+        _backward(params, positive, hidden, cache, w, grads)
         want_grads = frozen_backward(params, hidden, want_cache, w)
         for key, g in grads.items():
             np.testing.assert_allclose(g, want_grads[key], rtol=1e-12, atol=1e-12, err_msg=key)
