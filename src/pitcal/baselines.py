@@ -74,8 +74,8 @@ def fit_knn_mean(train: CalibrationSet, k: int = 50) -> KnnMeanRegressor:
 class RegSplitModel:
     """Point fit plus one global residual quantile.
 
-    ``fit_mean(train)`` returns a regressor with ``predict(xs)``, which gives
-    all residuals in one call, and a scalar ``__call__(x)``, as :func:`fit_knn_mean`.
+    ``fit_mean(train)`` returns a regressor with ``predict(xs)``, as
+    :func:`fit_knn_mean`, which gives all residuals and all centres in one call each.
     """
 
     def __init__(self, fit_mean, train: CalibrationSet, cal: CalibrationSet, alpha: float):
@@ -84,12 +84,15 @@ class RegSplitModel:
         self.calibration = ConformalCalibration.from_scores(residuals, alpha)
         self.alpha = alpha
 
-    def predict_set(self, x) -> PredictionSet:
-        center = self.mu(x)
+    def predict_sets(self, xs) -> list:
+        """One interval per feature row of ``xs``, centred on one ``mu.predict`` call."""
         q = self.calibration.threshold
-        return PredictionSet(
-            ((center - q, center + q),), nominal_level=1.0 - self.alpha, kind="interval"
-        )
+        return [PredictionSet(((c - q, c + q),), nominal_level=1.0 - self.alpha, kind="interval")
+                for c in self.mu.predict(xs).tolist()]
+
+    def predict_set(self, x) -> PredictionSet:
+        """The interval at one feature point: a batch of one of :meth:`predict_sets`."""
+        return self.predict_sets(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
 class DcpModel:

@@ -21,11 +21,11 @@ from .baselines import DcpModel, RegSplitModel, fit_knn_mean
 from .calibrate import (
     CalibrationSet,
     PredictionSet,
-    calpit_hpd,
     central_intervals,
     compute_pit_values,
+    hpd_rows,
     recalibrate_rows,
-    recalibrated_distributions,
+    recalibrated_pdf_rows,
 )
 from .errors import ConfigError
 from .models import cdf_rows
@@ -175,8 +175,7 @@ def _prediction_sets(recipe: ExperimentRecipe, data, train: CalibrationSet,
                                  level)
 
     if recipe.method == "regsplit":
-        model = RegSplitModel(fit_knn_mean, train, cal, alpha)
-        return [model.predict_set(x) for x in xs]
+        return RegSplitModel(fit_knn_mean, train, cal, alpha).predict_sets(xs)
 
     if recipe.method == "dcp":
         return DcpModel(initial, cal, alpha).predict_sets(xs)
@@ -187,7 +186,7 @@ def _prediction_sets(recipe: ExperimentRecipe, data, train: CalibrationSet,
     cdf = recalibrate_rows(initial, r, xs)
     if recipe.method == "calpit-int":
         return central_intervals(points, cdf, 0.5 * alpha, 1.0 - 0.5 * alpha, level)
-    return [calpit_hpd(rd, alpha) for rd in recalibrated_distributions(initial.grid, cdf)]
+    return hpd_rows(points, recalibrated_pdf_rows(points, cdf), alpha)
 
 
 def run_experiment(recipe: ExperimentRecipe, n_threads: int = 1) -> CoverageReport:

@@ -23,48 +23,22 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .errors import (
-    DegenerateDensity,
-    DegenerateRecalibration,
-    HpdSearchFailed,
-    InsufficientData,
-    LengthMismatch,
-    PitcalError,
-)
-from .grid import (
-    GridCdf,
-    GridDensity,
-    _pit_rows,
-    invert_rows,
-    knot_slopes,
-)
+from .errors import (DegenerateDensity, DegenerateRecalibration, HpdSearchFailed, InsufficientData,
+                     LengthMismatch, PitcalError)
+from .grid import GridCdf, GridDensity, _pit_rows, invert_rows, knot_slopes
 from .models import cdf_rows, feature_rows
 
 __all__ = [
-    "CalibrationSet",
-    "AugmentedCalibrationSet",
-    "PitCdfModel",
-    "IdentityPitCdf",
-    "LocalEmpiricalConfig",
-    "LocalEmpiricalModel",
-    "RecalibratedDistribution",
-    "RecalibratedInitialModel",
-    "PredictionSet",
-    "compute_pit_values",
-    "augment",
-    "fit_local_empirical",
-    "recalibrate",
-    "recalibrate_rows",
-    "recalibrated_distributions",
-    "central_intervals",
-    "calpit_interval",
-    "calpit_hpd",
-    "load_pit_model",
+    "CalibrationSet", "AugmentedCalibrationSet", "PitCdfModel", "IdentityPitCdf",
+    "LocalEmpiricalConfig", "LocalEmpiricalModel", "RecalibratedDistribution",
+    "RecalibratedInitialModel", "PredictionSet", "compute_pit_values", "augment",
+    "fit_local_empirical", "recalibrate", "recalibrate_rows", "recalibrated_pdf_rows",
+    "central_intervals", "calpit_interval", "calpit_hpd", "hpd_rows", "load_pit_model",
 ]
 
 MODEL_FORMAT_VERSION = 1
 
-# calpit_hpd: largest accepted miss of the 1 - alpha mass in the final check
+# hpd_rows: largest accepted miss of the 1 - alpha mass in the final check
 _HPD_MASS_TOL = 0.005
 
 
@@ -430,7 +404,7 @@ def recalibrate_rows(model, r: PitCdfModel, xs) -> np.ndarray:
     The CDF on the grid is r(F_init(y); x), made nondecreasing by a
     cumulative maximum, clipped to [0, 1] and endpoint-snapped to {0, 1}.
     Intervals read these rows alone; only HPD sets need the density of
-    :func:`recalibrated_distributions`. A map that collapses a row to a
+    :func:`recalibrated_pdf_rows`. A map that collapses a row to a
     constant, or a row whose whole mass lies inside one grid cell (narrower
     than the grid resolves), raises :class:`DegenerateRecalibration`.
     """
@@ -446,26 +420,26 @@ def recalibrate_rows(model, r: PitCdfModel, xs) -> np.ndarray:
     return vals
 
 
-def recalibrated_distributions(grid, cdf) -> list:
-    """One :class:`RecalibratedDistribution` per row of recalibrated ``cdf`` rows.
+def recalibrated_pdf_rows(points, cdf) -> np.ndarray:
+    """Recalibrated density rows of recalibrated ``cdf`` rows, shape (N, G).
 
     The density is the clipped knot slopes of each row's monotone cubic (the
     spline's derivative at the grid points), renormalized to unit mass; all
     rows take one :func:`knot_slopes` call. A row left with no mass raises
     :class:`DegenerateDensity`.
     """
-    pdf = np.maximum(knot_slopes(grid.points, cdf), 0.0)
-    total = np.trapezoid(pdf, grid.points, axis=1)
+    pdf = np.maximum(knot_slopes(points, cdf), 0.0)
+    total = np.trapezoid(pdf, points, axis=1)
     if np.any(total <= 0):
         raise DegenerateDensity("no positive mass left after clipping")
-    return [RecalibratedDistribution(cdf=GridCdf(grid, c), pdf=GridDensity(grid, f))
-            for c, f in zip(cdf, pdf / total[:, None])]
+    return pdf / total[:, None]
 
 
 def recalibrate(model, r: PitCdfModel, x) -> RecalibratedDistribution:
     """The recalibrated distribution at one x: a batch of one of :func:`recalibrate_rows`."""
     cdf = recalibrate_rows(model, r, np.asarray(x, dtype=float).reshape(1, -1))
-    return recalibrated_distributions(model.grid, cdf)[0]
+    pdf = recalibrated_pdf_rows(model.grid.points, cdf)
+    return RecalibratedDistribution(GridCdf(model.grid, cdf[0]), GridDensity(model.grid, pdf[0]))
 
 
 class RecalibratedInitialModel:
@@ -500,84 +474,98 @@ def calpit_interval(rd: RecalibratedDistribution, alpha: float) -> PredictionSet
                              1.0 - 0.5 * alpha, 1.0 - alpha)[0]
 
 
-def _interval_mass(pts: np.ndarray, f: np.ndarray, lo: float, hi: float) -> float:
-    """Trapezoid mass of the piecewise-linear density over [lo, hi]."""
-    grid = np.unique(np.concatenate([pts[(pts > lo) & (pts < hi)], [lo, hi]]))
-    vals = np.interp(grid, pts, f)
-    return float(np.trapezoid(vals, grid))
-
-
 def calpit_hpd(rd: RecalibratedDistribution, alpha: float) -> PredictionSet:
-    """Highest-density set {f >= t} of the recalibrated density with mass 1 - alpha.
+    """Highest-density set of one recalibrated density: a batch of one of :func:`hpd_rows`."""
+    return hpd_rows(rd.pdf.grid.points, rd.pdf.values[None, :], alpha)[0]
 
-    The density is piecewise linear between grid points, so the mass above a
-    level is a sum of per-cell trapezoids and quadratics in the level. A
-    bisection over the sorted distinct density values brackets the threshold,
-    and inside the bracket it is solved in closed form (Hyndman, 1996), which
-    makes the set's mass exact up to rounding. Density values closer than
-    1e-12 times the maximum count as one level. When the target mass falls in
-    the jump of cells lying flat at the threshold, those cells are filled left
-    to right and the last one is cut. An independent trapezoid check of the
-    final set's mass raises :class:`HpdSearchFailed` if it misses 1 - alpha by
-    more than 0.005.
+
+def hpd_rows(points, pdf, alpha: float) -> list:
+    """Highest-density set {f >= t} with mass 1 - alpha of each row of ``pdf``, shape (N, G).
+
+    Densities are piecewise linear between grid points, so the mass above a
+    level is a sum of per-cell trapezoids and quadratics in it. ceil(log2 G)
+    rounds of bisection over each row's sorted values bracket every threshold
+    at once, and each is then solved in closed form (Hyndman, 1996). Values
+    closer than 1e-12 times the row maximum count as one level. If the target
+    falls in the jump of cells lying flat at the threshold, they are filled
+    left to right and the last is cut. An independent check integrates each
+    kept piece of a cell against the density and raises :class:`HpdSearchFailed`
+    if a set's mass misses 1 - alpha by more than 0.005. Rows do not interact.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    pts = rd.pdf.grid.points
-    total = np.trapezoid(rd.pdf.values, pts)
-    target = (1.0 - alpha) * total
-    # snap values an ulp apart onto one level, so noisy plateaus are flat
-    uniq = np.unique(rd.pdf.values)
-    new_level = np.r_[True, np.diff(uniq) > 1e-12 * uniq[-1]]
-    levels = uniq[new_level]
-    f = levels[np.cumsum(new_level)[np.searchsorted(uniq, rd.pdf.values)] - 1]
+    pts, pdf = np.asarray(points, dtype=float), np.asarray(pdf, dtype=float)
+    n, g = pdf.shape
+    r = np.arange(n)[:, None]
+    h = pts[1:] - pts[:-1]
+    total = np.add.reduce(h * (pdf[:, 1:] + pdf[:, :-1]) / 2.0, axis=1)  # np.trapezoid's sum
+    target = ((1.0 - alpha) * total)[:, None]
+    # snap values an ulp apart onto one level, so noisy plateaus are flat:
+    # each sorted value takes the first value of its run of near-equal ones
+    order = pdf.argsort(axis=1)
+    ss = pdf[r, order]
+    new = np.ones((n, g), dtype=bool)
+    new[:, 1:] = ss[:, 1:] - ss[:, :-1] > 1e-12 * ss[:, -1:]
+    ss = ss[r, np.maximum.accumulate(np.where(new, np.arange(g), 0), axis=1)]
+    f = np.empty_like(pdf)
+    f[r, order] = ss
 
-    a, b, h = f[:-1], f[1:], np.diff(pts)
+    a, b = f[:, :-1], f[:, 1:]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     full = 0.5 * (a + b) * h
     q = 0.5 * h / np.where(hi > lo, hi - lo, np.inf)  # 0 on flat cells
 
-    def mass_above(t):
-        crossing = (lo < t) & (hi >= t)
-        return float(np.sum(full[lo >= t])
-                     + np.sum(q[crossing] * (hi[crossing] - t) * (hi[crossing] + t)))
+    def mass(t, whole):  # cells marked ``whole`` count in full, the others their part above t
+        m = q * np.maximum(hi - t, 0.0) * (hi + t)
+        np.copyto(m, full, where=whole)
+        return np.add.reduce(m, axis=1, keepdims=True)
 
-    # largest level v with mass_above(v) >= target; mass_above(levels[0]) = total
-    j, k = 0, levels.size
-    while k - j > 1:
-        mid = (j + k) // 2
-        if mass_above(levels[mid]) >= target:
-            j = mid
-        else:
-            k = mid
-    v = levels[j]
+    # largest position j of the sorted levels with mass >= target. Position 0
+    # passes; each round tries j + step, so j passes and j + 2 step fails.
+    # Positions past the end repeat the top level
+    rounds = (g - 1).bit_length()
+    levels = ss[:, np.minimum(np.arange(1 << rounds), g - 1)]
+    j = np.zeros((n, 1), dtype=np.intp)
+    for step in [1 << i for i in reversed(range(rounds))]:
+        t = levels[r, j + step]
+        np.add(j, step, out=j, where=mass(t, lo >= t) >= target)
+    v = levels[r, j]
     # on (v, next level] the cells crossing the level are fixed, so the mass
     # is m(t) = above - coef (t - v)(t + v), with above = m(v+) < m(v) when
     # cells lie flat at v
     crossing = (lo <= v) & (hi > v)
-    coef = float(np.sum(q[crossing]))
-    above = float(np.sum(full[lo > v])
-                  + np.sum(q[crossing] * (hi[crossing] - v) * (hi[crossing] + v)))
-    t = np.sqrt(v * v + (above - target) / coef) if target <= above else v
+    coef = np.add.reduce(q * crossing, axis=1, keepdims=True)
+    above = mass(v, lo > v)
+    jump = target > above  # the target falls in the jump of the cells lying flat at v
+    t = np.where(jump, v, np.sqrt(v * v + np.maximum(above - target, 0.0)
+                                  / np.where(jump, 1.0, coef)))
 
     s = (hi - t) / np.where(crossing, hi - lo, 1.0)  # share of a crossing cell above t
     start = np.where(crossing & (b > a), pts[1:] - s * h, pts[:-1])
     end = np.where(crossing & (a > b), pts[:-1] + s * h, pts[1:])
     keep = crossing | (lo > v)
-    if target > above:
-        # the target falls in the jump of the cells lying flat at v
-        flat_mass = np.where((a == v) & (b == v), full, 0.0)
-        before = np.cumsum(flat_mass) - flat_mass
+    if jump.any():
+        flat_mass = np.where(jump & (a == v) & (b == v), full, 0.0)
+        before = np.cumsum(flat_mass, axis=1) - flat_mass
         fill = (flat_mass > 0) & (before < target - above)
-        end = np.where(fill, pts[:-1] + np.minimum(h, (target - above - before) / v), end)
+        cut = (target - above - before) / np.where(jump, v, 1.0)
+        end = np.where(fill, pts[:-1] + np.minimum(h, cut), end)
         keep |= fill
     keep &= end > start
+
+    # the density is linear on a cell: a piece's mass is its width times its midpoint value
+    mid = pdf[:, :-1] + (pdf[:, 1:] - pdf[:, :-1]) / h * (0.5 * (start + end) - pts[:-1])
+    kept = np.add.reduce(np.where(keep, mid * (end - start), 0.0), axis=1) / total
+    bad = np.flatnonzero(np.abs(kept - (1.0 - alpha)) > _HPD_MASS_TOL)
+    if bad.size:
+        raise HpdSearchFailed(f"HPD mass {kept[bad[0]]:.6f} misses target {1.0 - alpha:.6f}")
+
+    # kept pieces closer than 1e-12 of the grid span join one interval
+    row = keep.nonzero()[0]
     start, end = start[keep], end[keep]
-    gap = start[1:] - end[:-1] > 1e-12 * (pts[-1] - pts[0])
-    intervals = list(zip(start[np.r_[True, gap]].tolist(), end[np.r_[gap, True]].tolist()))
-
-    mass = sum(_interval_mass(pts, rd.pdf.values, x0, x1) for x0, x1 in intervals) / total
-    if abs(mass - (1.0 - alpha)) > _HPD_MASS_TOL:
-        raise HpdSearchFailed(f"HPD mass {mass:.6f} misses target {1.0 - alpha:.6f}")
-    return PredictionSet(tuple(intervals), nominal_level=1.0 - alpha, kind="hpd")
-
+    opens = np.ones(row.size, dtype=bool)
+    opens[1:] = (row[1:] != row[:-1]) | (start[1:] - end[:-1] > 1e-12 * (pts[-1] - pts[0]))
+    los, his = start[opens].tolist(), end[np.append(opens[1:], True)].tolist()
+    stops = np.bincount(row[opens], minlength=n).cumsum().tolist()
+    return [PredictionSet(tuple(zip(los[i0:i1], his[i0:i1])), nominal_level=1.0 - alpha,
+                          kind="hpd") for i0, i1 in zip([0] + stops[:-1], stops)]

@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from . import rng as rngmod
 from .bench import _GENERATORS, _INITIALS, _METHODS, ExperimentRecipe, run_experiment
-from .calibrate import (calpit_hpd, central_intervals, compute_pit_values, recalibrate_rows,
-                        recalibrated_distributions)
+from .calibrate import (central_intervals, compute_pit_values, hpd_rows, recalibrate_rows,
+                        recalibrated_pdf_rows)
 from .dataio import read_calibration_csv, write_calibration_csv, write_csv, write_json
 from .diagnose import mc_local_test
 from .errors import ConfigError, PitcalError
@@ -226,12 +226,12 @@ def cmd_calibrate(cfg: dict) -> int:
         cdf = recalibrate_rows(initial, model, points)
         intervals = central_intervals(grid.points, cdf, 0.5 * alpha, 1.0 - 0.5 * alpha,
                                       1.0 - alpha)
-        hpds = [calpit_hpd(rd, alpha).to_json() for rd in
-                recalibrated_distributions(grid, cdf)] if cfg["hpd"] else None
+        hpds = hpd_rows(grid.points, recalibrated_pdf_rows(grid.points, cdf),
+                        alpha) if cfg["hpd"] else None
         for i, x in enumerate(points):
             sets.append({"x": [float(v) for v in x], "interval": intervals[i].to_json()})
             if hpds:
-                sets[-1]["hpd"] = hpds[i]
+                sets[-1]["hpd"] = hpds[i].to_json()
 
     # every result is in hand: a failed run leaves no file behind
     out, stamp = _ensure_outdir(cfg["out_dir"]), _stamp(cfg, seed)

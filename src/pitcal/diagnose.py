@@ -135,7 +135,7 @@ def cde_loss(pdfs, test_ys) -> float:
     integral taken by the trapezoid rule on each density's grid and the point
     evaluation by linear interpolation between grid points (zero off the
     grid), the same piecewise-linear density that the trapezoid rule and
-    ``calpit_hpd`` read.
+    ``hpd_rows`` read.
     Lower is better; the true conditional density minimizes the expectation.
     """
     test_ys = np.asarray(test_ys, dtype=float).ravel()

@@ -23,13 +23,10 @@ class TestConformalQuantile:
 
 
 class _ZeroMean:
-    """A constant-zero regressor with the batched and the scalar call ``fit_mean`` returns."""
+    """A constant-zero regressor with the batched call ``fit_mean`` returns."""
 
     def predict(self, xs):
         return np.zeros(len(xs))
-
-    def __call__(self, x):
-        return 0.0
 
 
 class TestRegSplit:

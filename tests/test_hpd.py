@@ -1,11 +1,16 @@
-"""Highest-density sets: invariants of ``calpit_hpd`` and agreement with the old search.
+"""Highest-density sets: invariants of ``hpd_rows`` and agreement with older searches.
 
-``calpit_hpd`` finds the density threshold in closed form on the
-piecewise-linear density ``rd.pdf``. ``bisection_hpd`` below is a frozen copy
-of the search it replaced: a bisection on the level that stops within 0.001
-of the target mass, with a separate fill of flat stretches when the bracket
-collapses. The closed form is exact, so the two agree only up to the old
-search's slack; the tolerances of each comparison say how far.
+``hpd_rows`` finds the density threshold of every row at once, in closed form
+on the piecewise-linear density; ``calpit_hpd`` is a batch of one of it.
+Two frozen references live below:
+
+* ``frozen_calpit_hpd`` is the per-x closed-form search that ``hpd_rows``
+  replaced. It solves the same equation with sums in another order, so the
+  two must give the same intervals with endpoints within 1e-12 of the grid span.
+* ``bisection_hpd`` is the older search: a bisection on the level that stops
+  within 0.001 of the target mass, with a separate fill of flat stretches
+  when the bracket collapses. The closed form is exact, so the two agree only
+  up to the old search's slack; the tolerances of each comparison say how far.
 """
 
 import numpy as np
@@ -16,11 +21,11 @@ from pitcal.calibrate import (
     LocalEmpiricalConfig,
     PredictionSet,
     RecalibratedDistribution,
-    _interval_mass,
     augment,
     calpit_hpd,
     compute_pit_values,
     fit_local_empirical,
+    hpd_rows,
     recalibrate,
 )
 from pitcal.errors import HpdSearchFailed
@@ -30,6 +35,71 @@ from pitcal.monotone_net import MonotoneNetConfig, fit_monotone_net
 from pitcal.synthgen import sample_example2
 
 ALPHAS = (0.05, 0.1, 0.5)
+
+
+def _interval_mass(pts, f, lo, hi):
+    """Trapezoid mass of the piecewise-linear density over [lo, hi]."""
+    grid = np.unique(np.concatenate([pts[(pts > lo) & (pts < hi)], [lo, hi]]))
+    vals = np.interp(grid, pts, f)
+    return float(np.trapezoid(vals, grid))
+
+
+# ----------------------------------------------------------------------
+# frozen copy of the per-x closed-form search
+# ----------------------------------------------------------------------
+
+def frozen_calpit_hpd(rd, alpha):
+    pts = rd.pdf.grid.points
+    total = np.trapezoid(rd.pdf.values, pts)
+    target = (1.0 - alpha) * total
+    uniq = np.unique(rd.pdf.values)
+    new_level = np.r_[True, np.diff(uniq) > 1e-12 * uniq[-1]]
+    levels = uniq[new_level]
+    f = levels[np.cumsum(new_level)[np.searchsorted(uniq, rd.pdf.values)] - 1]
+
+    a, b, h = f[:-1], f[1:], np.diff(pts)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    full = 0.5 * (a + b) * h
+    q = 0.5 * h / np.where(hi > lo, hi - lo, np.inf)
+
+    def mass_above(t):
+        crossing = (lo < t) & (hi >= t)
+        return float(np.sum(full[lo >= t])
+                     + np.sum(q[crossing] * (hi[crossing] - t) * (hi[crossing] + t)))
+
+    j, k = 0, levels.size
+    while k - j > 1:
+        mid = (j + k) // 2
+        if mass_above(levels[mid]) >= target:
+            j = mid
+        else:
+            k = mid
+    v = levels[j]
+    crossing = (lo <= v) & (hi > v)
+    coef = float(np.sum(q[crossing]))
+    above = float(np.sum(full[lo > v])
+                  + np.sum(q[crossing] * (hi[crossing] - v) * (hi[crossing] + v)))
+    t = np.sqrt(v * v + (above - target) / coef) if target <= above else v
+
+    s = (hi - t) / np.where(crossing, hi - lo, 1.0)
+    start = np.where(crossing & (b > a), pts[1:] - s * h, pts[:-1])
+    end = np.where(crossing & (a > b), pts[:-1] + s * h, pts[1:])
+    keep = crossing | (lo > v)
+    if target > above:
+        flat_mass = np.where((a == v) & (b == v), full, 0.0)
+        before = np.cumsum(flat_mass) - flat_mass
+        fill = (flat_mass > 0) & (before < target - above)
+        end = np.where(fill, pts[:-1] + np.minimum(h, (target - above - before) / v), end)
+        keep |= fill
+    keep &= end > start
+    start, end = start[keep], end[keep]
+    gap = start[1:] - end[:-1] > 1e-12 * (pts[-1] - pts[0])
+    intervals = list(zip(start[np.r_[True, gap]].tolist(), end[np.r_[gap, True]].tolist()))
+
+    mass = sum(_interval_mass(pts, rd.pdf.values, x0, x1) for x0, x1 in intervals) / total
+    if abs(mass - (1.0 - alpha)) > 0.005:
+        raise HpdSearchFailed(f"HPD mass {mass:.6f} misses target {1.0 - alpha:.6f}")
+    return PredictionSet(tuple(intervals), nominal_level=1.0 - alpha, kind="hpd")
 
 
 # ----------------------------------------------------------------------
@@ -208,21 +278,31 @@ def random_density(rng, kind, n=201):
         v[rng.uniform(size=n) < 0.4] = 0.0
     elif kind == "plateaus":  # exact ties on a few levels
         v = np.repeat(rng.integers(0, 4, size=n // 5 + 1) / 3.0, 5)[:n]
-    else:  # "noisy-plateaus": the same, with values an ulp or so apart
+    elif kind == "noisy-plateaus":  # the same, with values an ulp or so apart
         v = np.repeat(rng.uniform(0.0, 1.0, size=n // 7 + 1), 7)[:n]
         v = v * (1.0 + 2e-16 * rng.integers(-2, 3, size=n))
+    else:  # "mixed": ties on a few levels, zero stretches, values within the 1e-12 snap
+        v = np.repeat(rng.integers(0, 4, size=n // 5 + 1) / 3.0, 5)[:n]
+        v = v * (1.0 + 1e-13 * rng.integers(-3, 4, size=n))
     if not np.any(v > 0):
         v[n // 2] = 1.0
     return rd_from_values(v)
 
 
+KINDS = ["continuous", "zeros", "plateaus", "noisy-plateaus", "mixed"]
 densities = st.builds(
     lambda seed, kind, n: random_density(np.random.default_rng(seed), kind, n),
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.sampled_from(["continuous", "zeros", "plateaus", "noisy-plateaus"]),
+    st.sampled_from(KINDS),
     st.integers(min_value=3, max_value=301),
 )
 alphas = st.floats(min_value=0.01, max_value=0.99)
+
+
+def batched_hpd(rd, alpha):
+    """The set of ``rd`` as the middle row of a three-row :func:`hpd_rows` call."""
+    f = rd.pdf.values
+    return hpd_rows(rd.pdf.grid.points, np.stack([f[::-1], f, np.ones_like(f)]), alpha)[1]
 
 
 # ----------------------------------------------------------------------
@@ -233,18 +313,19 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     @given(densities, alphas)
     def test_mass_is_exact(self, rd, alpha):
-        pset = calpit_hpd(rd, alpha)
-        assert abs(set_mass(rd, pset) - (1.0 - alpha)) <= 1e-9
+        for hpd in (calpit_hpd, batched_hpd):
+            assert abs(set_mass(rd, hpd(rd, alpha)) - (1.0 - alpha)) <= 1e-9
 
     @settings(max_examples=200, deadline=None)
     @given(densities, alphas)
     def test_intervals_sorted_and_disjoint(self, rd, alpha):
-        ivs = calpit_hpd(rd, alpha).intervals
-        assert ivs
-        assert all(lo < hi for lo, hi in ivs)
-        assert all(hi_prev < lo_next for (_, hi_prev), (lo_next, _) in zip(ivs, ivs[1:]))
         pts = rd.pdf.grid.points
-        assert pts[0] <= ivs[0][0] and ivs[-1][1] <= pts[-1]
+        for hpd in (calpit_hpd, batched_hpd):
+            ivs = hpd(rd, alpha).intervals
+            assert ivs
+            assert all(lo < hi for lo, hi in ivs)
+            assert all(hi_prev < lo_next for (_, hi_prev), (lo_next, _) in zip(ivs, ivs[1:]))
+            assert pts[0] <= ivs[0][0] and ivs[-1][1] <= pts[-1]
 
     @settings(max_examples=200, deadline=None)
     @given(densities, alphas, alphas)
@@ -262,6 +343,33 @@ class TestProperties:
         rd = recalibrate(initial, r, np.array([0.5]))
         for alpha in ALPHAS:
             assert abs(set_mass(rd, calpit_hpd(rd, alpha)) - (1.0 - alpha)) <= 1e-9
+
+
+# ----------------------------------------------------------------------
+# agreement with the per-x search, and rows that do not interact
+# ----------------------------------------------------------------------
+
+class TestAgainstFrozenPerX:
+    @settings(max_examples=300, deadline=None)
+    @given(densities, st.floats(min_value=1e-3, max_value=1.0 - 1e-3))
+    def test_same_intervals(self, rd, alpha):
+        new, old = calpit_hpd(rd, alpha), frozen_calpit_hpd(rd, alpha)
+        assert len(new.intervals) == len(old.intervals)
+        span = rd.pdf.grid.points[-1] - rd.pdf.grid.points[0]
+        np.testing.assert_allclose(new.intervals, old.intervals, rtol=0, atol=1e-12 * span)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.lists(st.sampled_from(KINDS), min_size=2, max_size=6),
+           st.integers(min_value=3, max_value=301), alphas)
+    def test_each_row_equals_its_batch_of_one(self, seed, kinds, n, alpha):
+        rng = np.random.default_rng(seed)
+        rows = np.stack([random_density(rng, kind, n).pdf.values for kind in kinds])
+        pts = np.linspace(0.0, 3.0, n)
+        sets = hpd_rows(pts, rows, alpha)
+        assert len(sets) == len(kinds)
+        for i, pset in enumerate(sets):
+            assert pset == hpd_rows(pts, rows[i:i + 1], alpha)[0]
 
 
 # ----------------------------------------------------------------------
