@@ -112,18 +112,19 @@ def _score_sets(sets, oracle, xs, n_draws: int, seed: int, label: tuple,
                 n_threads: int = 1):
     """Share of oracle draws inside each point's set, and the set's size.
 
-    Point i draws from ``derived_rng(seed, *label, i)``, so the scores do not
-    depend on how ``n_threads`` workers split the points.
+    Point i draws from ``derived_rng(seed, *label, i)``, built before any worker
+    starts, so the scores do not depend on how ``n_threads`` workers split the points.
     """
-    def score(i):
-        draws = oracle.sample(xs[i], rngmod.derived_rng(seed, *label, i), n_draws)
+    def score(i, rng):
+        draws = oracle.sample(xs[i], rng, n_draws)
         return float(np.mean(sets[i].contains(draws))), sets[i].total_size()
 
+    rngs = rngmod.derived_rngs(seed, *label, count=len(sets))
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(score, range(len(sets))))
+            results = list(pool.map(score, range(len(sets)), rngs))
     else:
-        results = [score(i) for i in range(len(sets))]
+        results = list(map(score, range(len(sets)), rngs))
     return np.array([c for c, _ in results]), np.array([z for _, z in results])
 
 

@@ -337,9 +337,16 @@ def cmd_bench(cfg: dict) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
+def root_seed(raw: str) -> int:
+    """``raw`` as an integer seed that ``derive_seed`` accepts; anything else raises ValueError."""
+    seed = int(raw)
+    rngmod.derive_seed(seed)
+    return seed
+
+
 def _add_common(p):
     """Flags every command takes; added last, after the command's own flags."""
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=root_seed, default=0)
     p.add_argument("--out-dir", dest="out_dir", default="out")
     p.add_argument("--config", default=None,
                    help="key = value file; its values beat the defaults and flags beat both")

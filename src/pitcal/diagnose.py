@@ -73,13 +73,13 @@ def mc_local_test(observed: LocalEmpiricalModel, x, n_mc: int, gammas, eta=0.05,
     neighbourhood query of ``x`` gives the k neighbours; row 0 of a (B+1, k)
     block holds their observed PIT values and row b+1 their entries of
     ``derived_rng(seed, "null-pits", b)``'s uniforms, one per calibration row,
-    which refits the map on replicate b. ``observed._ecdf`` turns the block
-    into the curves. The result holds the observed r(gamma; x) and the
-    nearest-rank band: with k = floor(B * eta / 2), the (k+1)-th and
-    (B-k)-th smallest null values. Any other backend raises
-    :class:`TypeError`; an ``x`` without one component per feature raises
-    :class:`LengthMismatch`; ``n_mc < 1``, ``eta`` outside (0, 1) or an empty
-    gamma grid raises :class:`ValueError`.
+    seeded in one :func:`~pitcal.rng.derived_rngs` pass, which refits the map on
+    replicate b. ``observed._ecdf`` turns the block into the curves. The result
+    holds the observed r(gamma; x) and the nearest-rank band: with k =
+    floor(B * eta / 2), the (k+1)-th and (B-k)-th smallest null values. Any
+    other backend raises :class:`TypeError`; an ``x`` without one component
+    per feature raises :class:`LengthMismatch`; ``n_mc < 1``, ``eta`` outside
+    (0, 1) or an empty gamma grid raises :class:`ValueError`.
     """
     if not isinstance(observed, LocalEmpiricalModel):
         raise TypeError("the local coverage test needs the local-empirical backend, "
@@ -99,9 +99,9 @@ def mc_local_test(observed: LocalEmpiricalModel, x, n_mc: int, gammas, eta=0.05,
     n = observed.pit_values.size
     pits = np.empty((n_mc + 1, idx.size))
     pits[0] = observed.pit_values[idx]
-    for b in range(n_mc):
+    for b, rng in enumerate(rngmod.derived_rngs(seed, "null-pits", count=n_mc)):
         # random(n) draws the same doubles as uniform(size=n), with less overhead
-        pits[b + 1] = rngmod.derived_rng(seed, "null-pits", b).random(n)[idx]
+        pits[b + 1] = rng.random(n)[idx]
     curves = observed._ecdf(pits, w, _gamma_rows(g, n_mc + 1))
     stats = _deviation(curves, g)
     ranked = np.sort(curves[1:], axis=0)

@@ -9,35 +9,91 @@ be parallelized without changing results.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 
 import numpy as np
 
-__all__ = ["derive_seed", "derived_rng", "row_uniforms"]
+__all__ = ["derive_seed", "derived_rng", "derived_rngs", "row_uniforms"]
 
 _MASK64 = (1 << 64) - 1
+
+
+def _encode(label, int_tag=b"i") -> bytes:
+    """One path element: a tagged 16-byte signed integer or a length-prefixed string."""
+    if isinstance(label, (int, np.integer)):
+        if not -2**127 <= int(label) < 2**127:
+            raise ValueError(f"seed or integer label {label} is outside [-2**127, 2**127)")
+        return int_tag + int(label).to_bytes(16, "little", signed=True)
+    enc = str(label).encode("utf-8")
+    return b"s" + len(enc).to_bytes(4, "little") + enc
+
+
+def _path_hash(root_seed: int, labels):
+    """SHA-256 state after the root seed and the label path."""
+    return hashlib.sha256(b"".join([_encode(int(root_seed), int_tag=b""), *map(_encode, labels)]))
 
 
 def derive_seed(root_seed: int, *labels) -> int:
     """Derive a 64-bit child seed from a root seed and a label path.
 
-    Labels may be strings or integers; the mapping is stable across runs and
-    platforms (SHA-256 over the encoded path).
+    Labels may be strings or integers; integers outside [-2**127, 2**127) raise
+    :class:`ValueError`. Stable across runs and platforms (SHA-256 of the path).
     """
-    h = hashlib.sha256()
-    h.update(int(root_seed).to_bytes(16, "little", signed=True))
-    for label in labels:
-        if isinstance(label, (int, np.integer)):
-            h.update(b"i" + int(label).to_bytes(16, "little", signed=True))
-        else:
-            enc = str(label).encode("utf-8")
-            h.update(b"s" + len(enc).to_bytes(4, "little") + enc)
-    return int.from_bytes(h.digest()[:8], "little") & _MASK64
+    return int.from_bytes(_path_hash(root_seed, labels).digest()[:8], "little")
 
 
 def derived_rng(root_seed: int, *labels) -> np.random.Generator:
     """Generator seeded by :func:`derive_seed` of the given path."""
     return np.random.default_rng(derive_seed(root_seed, *labels))
+
+
+def _pcg64_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each uint64 ``s``, as (n, 4) rows."""
+    const = [0x43B0D7E5, 0x931E8875]  # numpy's INIT_A and MULT_A; the same for every seed
+
+    def hashmix(value):
+        old, const[0] = const[0], const[0] * const[1] & 0xFFFFFFFF
+        value = (value ^ np.uint32(old)) * np.uint32(const[0])
+        return value ^ (value >> np.uint32(16))
+
+    # numpy's pool of 4 uint32 words starts as (low, high, 0, 0) for any seed below 2**64
+    pool = [hashmix(w) for w in np.pad(seeds.view("<u4").reshape(-1, 2), ((0, 0), (0, 2))).T]
+    for src, dst in itertools.permutations(range(4), 2):
+        mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hashmix(pool[src])
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    const[:] = 0x8B51F9DD, 0x58F38DED  # INIT_B and MULT_B
+    return np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1).view("<u8")
+
+
+@functools.cache
+def _words_type():
+    """PCG64's seed source for precomputed words, defined on first use: it loads numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return _Words
+
+
+def derived_rngs(root_seed: int, *labels, count: int) -> list:
+    """``count`` generators; entry i draws what ``derived_rng(root_seed, *labels, i)`` draws,
+    bit for bit, but its seed source is precomputed words, so it neither pickles nor spawns."""
+    from numpy.random import PCG64, Generator
+
+    path, seeds = _path_hash(root_seed, labels), bytearray()
+    for i in range(count):
+        h = path.copy()
+        h.update(_encode(i))
+        seeds += h.digest()[:8]
+    words, words_type = _pcg64_words(np.frombuffer(seeds, dtype="<u8")), _words_type()
+    return [Generator(PCG64(words_type(row))) for row in words]
 
 
 # Philox4x64 round multipliers and Weyl key increments (Salmon et al., 2011)

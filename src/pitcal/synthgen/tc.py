@@ -52,12 +52,9 @@ class TcModelConfig:
     initial_intensity_range: tuple = (25.0, 45.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "var_coefficients", np.asarray(self.var_coefficients, dtype=float))
-        object.__setattr__(self, "var_intercept", np.asarray(self.var_intercept, dtype=float))
-        object.__setattr__(self, "var_noise_cov", np.asarray(self.var_noise_cov, dtype=float))
-        object.__setattr__(self, "intensity_betas", np.asarray(self.intensity_betas, dtype=float))
-        object.__setattr__(self, "pca_eofs", np.asarray(self.pca_eofs, dtype=float))
-        object.__setattr__(self, "profile_mean", np.asarray(self.profile_mean, dtype=float))
+        for name in ("var_coefficients", "var_intercept", "var_noise_cov", "intensity_betas",
+                     "pca_eofs", "profile_mean"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.var_coefficients.shape != (3, 3, 3):
             raise ValueError("var_coefficients must have shape (3, 3, 3)")
         if self.intensity_betas.shape != (13,):
@@ -86,13 +83,8 @@ def var_spectral_radius(coefficients) -> float:
     """Spectral radius of the VAR companion matrix."""
     a = np.asarray(coefficients, dtype=float)
     p, k, _ = a.shape
-    top = np.concatenate(list(a), axis=1)
-    if p == 1:
-        companion = top
-    else:
-        eye = np.eye(k * (p - 1))
-        zeros = np.zeros((k * (p - 1), k))
-        companion = np.vstack([top, np.hstack([eye, zeros])])
+    # lag blocks on top, then [I 0] shifting each lag down by one
+    companion = np.vstack([np.concatenate(list(a), axis=1), np.eye(k * (p - 1), k * p)])
     return float(np.max(np.abs(np.linalg.eigvals(companion))))
 
 
@@ -218,8 +210,7 @@ def simulate_tc(cfg: TcModelConfig, n_storms: int, seed: int) -> list:
         raise NonStationaryVar("companion-matrix spectral radius must be < 1")
     storms = []
     lo, hi = cfg.storm_length_range
-    for sid in range(n_storms):
-        storm_rng = rngmod.derived_rng(seed, "storm", sid)
+    for sid, storm_rng in enumerate(rngmod.derived_rngs(seed, "storm", count=n_storms)):
         length = int(storm_rng.integers(lo, hi + 1))
         profiles, intensities = _simulate_storm(cfg, length, storm_rng)
         t_minutes = np.arange(length) * cfg.step_minutes

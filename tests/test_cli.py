@@ -330,13 +330,19 @@ EXIT_CASES = [
      ["bench", "--n", 50, "--realizations", 1, "--mc-draws", 10, "--threads", 0], 2, "error:"),
     ("sd_scale_infinite", 300, False,
      ["calibrate", "--initial", "gaussian-fit", "--sd-scale", "inf"], 2, "error:"),
+    # seeds are encoded in 16 signed bytes
+    ("seed_above_sixteen_bytes", None, False, ["gen", "--n", 10, "--seed", 2**127], 2, "usage:"),
+    ("seed_below_sixteen_bytes", None, False, ["gen", "--n", 10, "--seed", -2**127 - 1],
+     2, "usage:"),
+    ("config_seed_above_sixteen_bytes", None, False, ["gen", "--n", 10], 2, "error:"),
 ]
 
 # cases that also read a --config file with these bytes
 EXIT_CONFIG_FILES = {"config_value_not_a_number": b"alpha = abc\n",
                      "config_value_not_a_choice": b"window_mode = foo\n",
                      "config_null_for_a_default": b"seed = null\n",
-                     "config_not_utf8": b"alpha = \xff\xfe\n"}
+                     "config_not_utf8": b"alpha = \xff\xfe\n",
+                     "config_seed_above_sixteen_bytes": f"seed = {2**127}\n".encode()}
 
 # cases whose dataset has other than one feature
 EXIT_FEATURES = {"eval_x_one_component_two_features": 2,

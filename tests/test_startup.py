@@ -1,4 +1,4 @@
-"""What a fresh process loads: ``import pitcal`` needs numpy alone.
+"""What a fresh process loads: ``import pitcal`` needs numpy alone, without numpy.random.
 
 No scipy module loads until a run first builds a k-d tree, which imports
 ``scipy.spatial`` (with ``scipy.sparse``, ``scipy.linalg`` and
@@ -18,10 +18,10 @@ import pitcal
 SRC = Path(pitcal.__file__).resolve().parents[1]
 
 
-def loaded_after(code: str) -> list:
-    """Run ``code`` in a fresh interpreter; return the scipy modules it left loaded."""
+def loaded_after(code: str, package: str = "scipy") -> list:
+    """Run ``code`` in a fresh interpreter; return the modules of ``package`` it left loaded."""
     probe = code + ("\nimport json, sys\nprint(json.dumps([m for m in sys.modules"
-                    " if m == 'scipy' or m.startswith('scipy.')]))")
+                    f" if m == {package!r} or m.startswith({package + '.'!r})]))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
@@ -31,6 +31,13 @@ def loaded_after(code: str) -> list:
 def test_import_loads_no_tree_or_interpolation_module():
     # nor any other scipy module
     assert loaded_after("import pitcal, pitcal.cli") == []
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # rng defines its numpy.random seed source on first use, not at import
+    assert loaded_after("import pitcal, pitcal.cli", "numpy.random") == []
+    assert loaded_after("import pitcal.rng\npitcal.rng.derived_rngs(0, count=1)",
+                        "numpy.random") != []
 
 
 def calibrate_loads(tmp_path, *flags) -> list:
