@@ -11,7 +11,6 @@ from the total pooled draw count.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -108,24 +107,15 @@ class CoverageReport:
                  p["classification"], p["mean_set_size"]) for p in self.points]
 
 
-def _score_sets(sets, oracle, xs, n_draws: int, seed: int, label: tuple,
-                n_threads: int = 1):
+def _score_sets(sets, oracle, xs, n_draws: int, seed: int, label: tuple):
     """Share of oracle draws inside each point's set, and the set's size.
 
-    Point i draws from ``derived_rng(seed, *label, i)``, built before any worker
-    starts, so the scores do not depend on how ``n_threads`` workers split the points.
+    Point i draws from ``derived_rng(seed, *label, i)``.
     """
-    def score(i, rng):
-        draws = oracle.sample(xs[i], rng, n_draws)
-        return float(np.mean(sets[i].contains(draws))), sets[i].total_size()
-
     rngs = rngmod.derived_rngs(seed, *label, count=len(sets))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(score, range(len(sets)), rngs))
-    else:
-        results = list(map(score, range(len(sets)), rngs))
-    return np.array([c for c, _ in results]), np.array([z for _, z in results])
+    coverage = [np.mean(s.contains(oracle.sample(x, rng, n_draws)))
+                for s, x, rng in zip(sets, xs, rngs)]
+    return np.array(coverage), np.array([s.total_size() for s in sets])
 
 
 def classify_coverage(empirical: float, nominal: float, n_draws: int,
@@ -163,9 +153,9 @@ def _prediction_sets(recipe: ExperimentRecipe, data, train: CalibrationSet,
     alpha = recipe.alpha
     level = 1.0 - alpha
     if recipe.method == "oracle":
-        return [PredictionSet(((float(data.oracle.quantile(alpha / 2.0, x)),
-                                float(data.oracle.quantile(1.0 - alpha / 2.0, x))),),
-                              nominal_level=level, kind="interval") for x in xs]
+        ends = [data.oracle.quantile([alpha / 2.0, 1.0 - alpha / 2.0], x) for x in xs]
+        return [PredictionSet(((float(lo), float(hi)),), nominal_level=level, kind="interval")
+                for lo, hi in ends]
 
     params = dict(recipe.backend_params)
     initial = build_initial(recipe.initial, data.grid, train, mean_k=params.pop("mean_k", 50),
@@ -193,10 +183,9 @@ def _prediction_sets(recipe: ExperimentRecipe, data, train: CalibrationSet,
 def run_experiment(recipe: ExperimentRecipe, n_threads: int = 1) -> CoverageReport:
     """Generate, fit, evaluate, and classify; deterministic under the seed.
 
-    Each realization builds all of its test points' sets in one batch. Scoring
-    a set against its oracle draws is an independent work unit; with
-    ``n_threads > 1`` the points are mapped over a thread pool and reduced in
-    point order, so the report does not depend on scheduling.
+    Each realization builds all of its test points' sets in one batch, then
+    scores them against oracle draws in one loop. ``n_threads`` is accepted
+    and ignored.
     """
     t_start = time.perf_counter()
     xs = _default_test_grid(recipe)
@@ -213,7 +202,7 @@ def run_experiment(recipe: ExperimentRecipe, n_threads: int = 1) -> CoverageRepo
             train = cal = data.cal
         sets = _prediction_sets(recipe, data, train, cal, rep_seed, xs)
         cov, size = _score_sets(sets, data.oracle, xs, recipe.n_mc_draws, recipe.seed,
-                                ("coverage", rep), n_threads)
+                                ("coverage", rep))
         coverage += cov
         sizes += size
 

@@ -23,10 +23,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .errors import (DegenerateDensity, DegenerateRecalibration, HpdSearchFailed, InsufficientData,
-                     LengthMismatch, PitcalError)
-from .grid import GridCdf, GridDensity, _pit_rows, invert_rows, knot_slopes
-from .models import cdf_rows, feature_rows
+from .errors import (DegenerateRecalibration, HpdSearchFailed, InsufficientData, LengthMismatch,
+                     PitcalError)
+from .grid import GridCdf, GridDensity, _pit_rows, invert_rows, knot_slopes, renormalize_rows
+from .models import cdf_rows, feature_rows, standardization, standardize
 
 __all__ = [
     "CalibrationSet", "AugmentedCalibrationSet", "PitCdfModel", "IdentityPitCdf",
@@ -169,8 +169,8 @@ class IdentityPitCdf(PitCdfModel):
 class StandardizedNeighbours:
     """The ``k`` nearest training rows in standardized feature space.
 
-    Features are centred by ``mean`` and divided by ``scale`` (1 where a
-    feature does not vary) before the k-d tree ``_tree`` is built. The tree
+    Features are centred by ``mean`` and divided by ``scale`` (see
+    :func:`standardization`) before the k-d tree ``_tree`` is built. The tree
     module, ``scipy.spatial``, loads at the first build, so a run that builds
     no tree never pays for it.
     """
@@ -179,13 +179,11 @@ class StandardizedNeighbours:
         from scipy.spatial import cKDTree
 
         if mean is None:
-            mean = xs.mean(axis=0)
-            scale = xs.std(axis=0)
-            scale = np.where(scale > 0, scale, 1.0)
+            mean, scale = standardization(xs)
         self.mean = np.asarray(mean, dtype=float)
         self.scale = np.asarray(scale, dtype=float)
         self.k = int(k)
-        self._tree = cKDTree((xs - self.mean) / self.scale)
+        self._tree = cKDTree(standardize(xs, self.mean, self.scale))
 
     def _query(self, xs):
         """``(dist, idx)`` of each row of ``xs``, each (n_x, k); ``xs`` is (n_x, d) or (n_x,).
@@ -193,7 +191,7 @@ class StandardizedNeighbours:
         A row whose standardized distances overflow has no neighbours (the
         tree reports index n at distance inf) and raises :class:`InsufficientData`.
         """
-        q = (np.asarray(xs, dtype=float).reshape(-1, self.mean.size) - self.mean) / self.scale
+        q = standardize(xs, self.mean, self.scale)
         dist, idx = self._tree.query(q, k=self.k)  # drops the neighbour axis when k == 1
         dist, idx = dist.reshape(q.shape[0], self.k), idx.reshape(q.shape[0], self.k)
         far = np.flatnonzero(np.isinf(dist[:, -1]))
@@ -424,15 +422,11 @@ def recalibrated_pdf_rows(points, cdf) -> np.ndarray:
     """Recalibrated density rows of recalibrated ``cdf`` rows, shape (N, G).
 
     The density is the clipped knot slopes of each row's monotone cubic (the
-    spline's derivative at the grid points), renormalized to unit mass; all
-    rows take one :func:`knot_slopes` call. A row left with no mass raises
-    :class:`DegenerateDensity`.
+    spline's derivative at the grid points), renormalized to unit mass by
+    :func:`renormalize_rows`; all rows take one :func:`knot_slopes` call. A
+    row left with no mass raises :class:`DegenerateDensity`.
     """
-    pdf = np.maximum(knot_slopes(points, cdf), 0.0)
-    total = np.trapezoid(pdf, points, axis=1)
-    if np.any(total <= 0):
-        raise DegenerateDensity("no positive mass left after clipping")
-    return pdf / total[:, None]
+    return renormalize_rows(points, knot_slopes(points, cdf))
 
 
 def recalibrate(model, r: PitCdfModel, x) -> RecalibratedDistribution:

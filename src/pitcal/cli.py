@@ -315,11 +315,8 @@ def cmd_bench(cfg: dict) -> int:
         experiment=cfg["experiment"],
         test_grid_size=None if cfg["test_grid"] is None else int(cfg["test_grid"]),
     )
-    n_threads = (os.cpu_count() or 1) if cfg["threads"] is None else int(cfg["threads"])
-    if n_threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {n_threads}")
     out = _ensure_outdir(cfg["out_dir"])
-    report = run_experiment(recipe, n_threads=n_threads)
+    report = run_experiment(recipe)
     report.summary["tool_version"] = __version__
     report.summary["config_hash"] = _config_hash(cfg)
     write_json(out / "report.json", report.to_json())
@@ -417,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", choices=["full", "split"], default="full")
     p.add_argument("--test-grid", dest="test_grid", type=int, default=None)
     p.add_argument("--quick", action="store_true", help="preset: 3 realizations x 300 draws")
-    p.add_argument("--threads", type=int, default=None, help="scoring threads (default: CPUs)")
     _add_common(p)
     p.set_defaults(func=cmd_bench)
     return parser

@@ -46,6 +46,7 @@ __all__ = [
     "invert_cdf",
     "invert_rows",
     "renormalize_density",
+    "renormalize_rows",
     "widen_density",
     "default_grid",
     "trapezoid_weights",
@@ -229,13 +230,19 @@ def invert_cdf(c: GridCdf, p: float) -> float:
     return float(invert_rows(c.grid.points, c.values[None, :], [p])[0, 0])
 
 
-def renormalize_density(d: GridDensity) -> GridDensity:
-    """Clip negative values to zero and rescale to unit trapezoid mass."""
-    vals = np.maximum(d.values, 0.0)
-    total = np.trapezoid(vals, d.grid.points)
-    if total <= 0:
+def renormalize_rows(points, rows) -> np.ndarray:
+    """``rows`` (N, G) clipped at zero, each rescaled to unit trapezoid mass over ``points``;
+    a row left with no mass raises :class:`DegenerateDensity`."""
+    vals = np.maximum(rows, 0.0)
+    total = np.trapezoid(vals, points, axis=1)
+    if np.any(total <= 0):
         raise DegenerateDensity("no positive mass left after clipping")
-    return GridDensity(d.grid, vals / total)
+    return vals / total[:, None]
+
+
+def renormalize_density(d: GridDensity) -> GridDensity:
+    """Clip negative values to zero and rescale to unit trapezoid mass: a batch of one."""
+    return GridDensity(d.grid, renormalize_rows(d.grid.points, d.values[None, :])[0])
 
 
 def widen_density(d: GridDensity, bandwidth: float) -> GridDensity:

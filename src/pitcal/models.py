@@ -43,6 +43,17 @@ def feature_rows(xs) -> np.ndarray:
     return xs if xs.ndim == 2 else xs.reshape(xs.shape[0] if xs.ndim else 1, -1)
 
 
+def standardization(xs) -> tuple:
+    """Column means of the (n, d) rows ``xs`` and their standard deviations, 1 where constant."""
+    scale = xs.std(axis=0)
+    return xs.mean(axis=0), np.where(scale > 0, scale, 1.0)
+
+
+def standardize(xs, mean, scale) -> np.ndarray:
+    """Rows of ``xs``, (n, d) or (n,) for one feature, less ``mean`` and over ``scale``."""
+    return (np.asarray(xs, dtype=float).reshape(-1, mean.size) - mean) / scale
+
+
 def cdf_rows(model, xs) -> np.ndarray:
     """CDF of an initial model at each feature row of ``xs``, shape (n, G).
 

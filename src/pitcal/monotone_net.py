@@ -28,6 +28,7 @@ import numpy as np
 from . import rng as rngmod
 from .calibrate import MODEL_FORMAT_VERSION, AugmentedCalibrationSet, PitCdfModel, _gamma_rows
 from .errors import TrainingDiverged
+from .models import standardization, standardize
 from .normal import ndtri
 
 __all__ = ["MonotoneNetConfig", "MonotoneNetModel", "fit_monotone_net", "VAL_GAMMA_GRID"]
@@ -288,16 +289,13 @@ class MonotoneNetModel(PitCdfModel):
         self.loss_history = list(loss_history or [])
         self.best_epoch = best_epoch
 
-    def _standardize(self, xs: np.ndarray) -> np.ndarray:
-        return (xs.reshape(-1, self.mean.size) - self.mean) / self.scale
-
     def predict_matrix(self, gammas, xs) -> np.ndarray:
         """r(gamma; x) for every (x row, gamma) pair in one forward pass, shape (n_x, G).
 
         ``xs`` is (n_x, d), or (n_x,) for a one-feature model; ``gammas`` is
         (G,) or (n_x, G).
         """
-        xs_std = self._standardize(np.asarray(xs, dtype=float))
+        xs_std = standardize(xs, self.mean, self.scale)
         rows = _gamma_rows(gammas, xs_std.shape[0])
         return _forward(self.params, self.positive, self.hidden, xs_std,
                         _mono_inputs(rows.ravel())).reshape(rows.shape)
@@ -338,10 +336,8 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
     """
     if len(aug) == 0:
         raise ValueError("augmented set is empty")
-    mean = aug.base_xs.mean(axis=0)
-    scale = aug.base_xs.std(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
-    xs_std_base = (aug.base_xs - mean) / scale
+    mean, scale = standardization(aug.base_xs)
+    xs_std_base = standardize(aug.base_xs, mean, scale)
 
     split_rng = rngmod.derived_rng(cfg.seed, "net-split")
     n_base = aug.n_base

@@ -51,13 +51,14 @@ class GeneratedData:
     initial: object | None = None
 
 
-def _bisect_quantile(cdf_fn, p: float, lo: float, hi: float) -> float:
+def _bisect_quantile(cdf_fn, p, lo: float, hi: float) -> np.ndarray:
+    """100 halvings of [lo, hi] towards ``cdf_fn(y) >= p``, for every level of ``p`` at once."""
+    p = np.asarray(p, dtype=float)
+    lo, hi = np.full(p.shape, lo), np.full(p.shape, hi)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if cdf_fn(mid) >= p:
-            hi = mid
-        else:
-            lo = mid
+        above = cdf_fn(mid) >= p
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
     return 0.5 * (lo + hi)
 
 
@@ -104,7 +105,8 @@ class Example1Oracle:
         means, scales, weights = self._components(x)
         y = np.asarray(y, dtype=float)
         z = (y[..., None] - means) / scales
-        return ndtr(z) @ weights
+        # one dot per y, so each value is the one a scalar y gets
+        return np.vecdot(ndtr(z), weights)
 
     def pdf(self, y, x):
         means, scales, weights = self._components(x)
@@ -116,9 +118,7 @@ class Example1Oracle:
         means, scales, weights = self._components(x)
         lo = float(np.min(means - 12.0 * scales))
         hi = float(np.max(means + 12.0 * scales))
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        out = np.array([_bisect_quantile(lambda y: self.cdf(y, x), pi, lo, hi) for pi in p_arr])
-        return out[0] if np.isscalar(p) or np.asarray(p).ndim == 0 else out
+        return _bisect_quantile(lambda y: self.cdf(y, x), p, lo, hi)[()]
 
     def sample(self, x, rng: np.random.Generator, size: int):
         means, scales, weights = self._components(x)

@@ -21,6 +21,7 @@ import numpy as np
 from .. import rng as rngmod
 from ..calibrate import CalibrationSet
 from ..errors import NonStationaryVar
+from ..models import standardization, standardize
 
 __all__ = [
     "TcModelConfig",
@@ -313,17 +314,15 @@ class RidgeMean:
     def __init__(self, xs, ys, lam: float = 1.0):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         ys = np.asarray(ys, dtype=float)
-        self.mean = xs.mean(axis=0)
-        self.scale = np.where(xs.std(axis=0) > 0, xs.std(axis=0), 1.0)
-        z = (xs - self.mean) / self.scale
+        self.mean, self.scale = standardization(xs)
+        z = standardize(xs, self.mean, self.scale)
         d = z.shape[1]
         self.coef = np.linalg.solve(z.T @ z + lam * np.eye(d), z.T @ (ys - ys.mean()))
         self.intercept = float(ys.mean())
 
     def predict(self, xs) -> np.ndarray:
         """Ridge means, one per row of ``xs``: (n, d), or (n,) for one feature."""
-        z = (np.asarray(xs, dtype=float).reshape(-1, self.mean.size) - self.mean) / self.scale
-        return z @ self.coef + self.intercept
+        return standardize(xs, self.mean, self.scale) @ self.coef + self.intercept
 
     def __call__(self, x) -> float:
         return float(self.predict(x)[0])

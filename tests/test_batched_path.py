@@ -35,7 +35,7 @@ from pitcal.calibrate import (
 )
 from pitcal.errors import DegenerateRecalibration
 from pitcal.grid import _pit_rows, cdf_rows_from_density_rows, knot_slopes, renormalize_density
-from pitcal.models import cdf_rows
+from pitcal.models import cdf_rows, standardize
 from pitcal.monotone_net import MonotoneNetModel, _forward, _mono_inputs
 from pitcal.pipeline import build_initial, fit_pit_model, split_calibration
 from pitcal.synthgen import sample_example2
@@ -78,7 +78,7 @@ def frozen_local_curve(model, gammas, x):
 def frozen_curve(r, gammas, x):
     if isinstance(r, MonotoneNetModel):
         gammas = np.asarray(gammas, dtype=float).ravel()
-        x_std = r._standardize(np.asarray(x, dtype=float).reshape(1, -1))
+        x_std = standardize(np.asarray(x, dtype=float).reshape(1, -1), r.mean, r.scale)
         return _forward(r.params, r.positive, r.hidden, x_std, _mono_inputs(gammas))
     return frozen_local_curve(r, gammas, x)
 

@@ -130,19 +130,6 @@ class TestRunExperiment:
         b["summary"].pop("runtime_seconds")
         assert a == b
 
-    @pytest.mark.parametrize("method", ["calpit-int", "calpit-hpd"])
-    def test_thread_count_does_not_change_report(self, method):
-        recipe = ExperimentRecipe(
-            generator="ex2-skewed", method=method, n=300, alpha=0.1,
-            n_realizations=2, n_mc_draws=80, seed=11, initial="uniform",
-            backend="local", backend_params={"k": 40}, test_grid_size=9,
-        )
-        one = run_experiment(recipe, n_threads=1).to_json()
-        two = run_experiment(recipe, n_threads=2).to_json()
-        one["summary"].pop("runtime_seconds")
-        two["summary"].pop("runtime_seconds")
-        assert one == two
-
     def test_unknown_components_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentRecipe(generator="nope", method="oracle", n=10)

@@ -324,10 +324,11 @@ EXIT_CASES = [
      ["calibrate", "--backend", "net", "--net-lr-decay", 2], 2, "error:"),
     ("net_weight_decay_negative", 300, False,
      ["calibrate", "--backend", "net", "--net-weight-decay", -5], 2, "error:"),
+    # bench takes no --threads, so these are unknown arguments
     ("bench_threads_negative", None, False,
-     ["bench", "--n", 50, "--realizations", 1, "--mc-draws", 10, "--threads", -3], 2, "error:"),
+     ["bench", "--n", 50, "--realizations", 1, "--mc-draws", 10, "--threads", -3], 2, "usage:"),
     ("bench_threads_zero", None, False,
-     ["bench", "--n", 50, "--realizations", 1, "--mc-draws", 10, "--threads", 0], 2, "error:"),
+     ["bench", "--n", 50, "--realizations", 1, "--mc-draws", 10, "--threads", 0], 2, "usage:"),
     ("sd_scale_infinite", 300, False,
      ["calibrate", "--initial", "gaussian-fit", "--sd-scale", "inf"], 2, "error:"),
     # seeds are encoded in 16 signed bytes

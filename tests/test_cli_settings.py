@@ -123,7 +123,7 @@ CASES = [
     ("diagnose", [], "n_mc = 40\nn_gammas = 5\nweighting = inverse-distance\nthreads = 2\n", []),
     ("diagnose", [], "n_mc = 40\neval_x = 0.5\n", ["--n-mc", "60", "--grid-points", "51"]),
     ("bench", [], None, []),
-    ("bench", ["--method", "dcp", "--quick", "--test-grid", "5", "--threads", "2", "--k", "20"],
+    ("bench", ["--method", "dcp", "--quick", "--test-grid", "5", "--k", "20"],
      None, []),
     ("bench", [], "method = calpit-hpd\nquick = true\nrealizations = 2\nk = 30\n", []),
     ("bench", [], "method = calpit-hpd\nrealizations = 2\ntest_grid = 3\n",
@@ -142,8 +142,8 @@ def test_settings_match_frozen_tables(tmp_path, monkeypatch, command, flags, fil
     argv += override
     old = frozen_settings(argv)
     new = new_settings(monkeypatch, argv)
-    if command in ("gen", "calibrate"):
-        # only bench reads --threads; gen and calibrate no longer take it
+    if command != "diagnose":
+        # only diagnose takes --threads, and it ignores it
         old.pop("threads", None)
     assert new == old
     assert cli._config_hash(new) == frozen_config_hash(old)
@@ -156,7 +156,7 @@ def test_file_values_sit_between_defaults_and_flags(tmp_path, monkeypatch):
     assert (cfg["n"], cfg["seed"], cfg["storms"]) == (60, 4, 50)
 
 
-@pytest.mark.parametrize("command", ["gen", "calibrate"])
+@pytest.mark.parametrize("command", ["gen", "calibrate", "bench"])
 def test_threads_is_an_unknown_config_key(tmp_path, capsys, command):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("threads = 1\n")

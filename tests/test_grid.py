@@ -20,6 +20,7 @@ from pitcal.grid import (
     default_grid,
     invert_cdf,
     renormalize_density,
+    renormalize_rows,
     widen_density,
 )
 from pitcal.dataio import write_csv
@@ -161,6 +162,49 @@ class TestRenormalize:
         twice = renormalize_density(once)
         assert abs(once.integral() - 1.0) < 1e-9
         np.testing.assert_allclose(twice.values, once.values, atol=1e-12)
+
+
+def frozen_renormalize_density(d):
+    """``renormalize_density`` as it was before it became a batch of one."""
+    vals = np.maximum(d.values, 0.0)
+    total = np.trapezoid(vals, d.grid.points)
+    if total <= 0:
+        raise DegenerateDensity("no positive mass left after clipping")
+    return GridDensity(d.grid, vals / total)
+
+
+def frozen_pdf_rows_renormalization(points, slopes):
+    """The clip and rescale ``recalibrated_pdf_rows`` did itself before ``renormalize_rows``."""
+    pdf = np.maximum(slopes, 0.0)
+    total = np.trapezoid(pdf, points, axis=1)
+    if np.any(total <= 0):
+        raise DegenerateDensity("no positive mass left after clipping")
+    return pdf / total[:, None]
+
+
+class TestRenormalizeRows:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 60), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_matches_frozen_copies(self, n_points, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        points = np.cumsum(rng.uniform(1e-3, 2.0, size=n_points)) - rng.uniform(0.0, 10.0)
+        rows = rng.normal(size=(n_rows, n_points)) * rng.uniform(1e-6, 1e3)
+        rows[rng.uniform(size=rows.shape) < 0.2] = 0.0
+        rows[:, rng.integers(n_points)] = abs(rows[:, 0]) + 1.0  # every row keeps some mass
+        got = renormalize_rows(points, rows)
+        assert np.array_equal(got, frozen_pdf_rows_renormalization(points, rows))
+        grid = YGrid(points)
+        for row, want in zip(rows, got):
+            assert np.array_equal(renormalize_density(GridDensity(grid, row)).values, want)
+            assert np.array_equal(frozen_renormalize_density(GridDensity(grid, row)).values,
+                                  want)
+
+    def test_a_massless_row_is_degenerate(self):
+        points = np.linspace(0.0, 1.0, 5)
+        rows = np.vstack([np.ones(5), -np.ones(5)])
+        with pytest.raises(DegenerateDensity):
+            renormalize_rows(points, rows)
+        assert renormalize_rows(points, rows[:0]).shape == (0, 5)
 
 
 class TestWiden:

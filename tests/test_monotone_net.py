@@ -28,6 +28,7 @@ from pitcal.monotone_net import (
     _softplus,
     fit_monotone_net,
 )
+from pitcal.models import standardize
 from pitcal.synthgen import sample_example2
 
 SMALL_CFG = dict(hidden_layers=(16, 16), learning_rate=3e-3, lr_decay=0.97,
@@ -173,7 +174,7 @@ class TestDeterminism:
 def reference_predict_curve(model, gammas, x):
     """``predict_curve`` as it was before it became a batch of one."""
     gammas = np.asarray(gammas, dtype=float).ravel()
-    x_std = model._standardize(np.asarray(x, dtype=float).ravel())
+    x_std = standardize(np.asarray(x, dtype=float).ravel(), model.mean, model.scale)
     return _forward(model.params, model.positive, model.hidden, x_std, _mono_inputs(gammas))
 
 
@@ -236,7 +237,7 @@ class TestPredictCurve:
                                rng.uniform(0.5, 2.0, size=dim), MonotoneNetConfig(seed=1))
         gammas = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(size=20)]))
         xs = rng.normal(size=(n_x, dim))
-        want = recomputing_forward(params, hidden, net._standardize(xs),
+        want = recomputing_forward(params, hidden, standardize(xs, net.mean, net.scale),
                                    _mono_inputs(np.tile(gammas, n_x))).reshape(n_x, -1)
         assert np.array_equal(net.predict_matrix(gammas, xs), want)
         reloaded = MonotoneNetModel.from_json(json.loads(json.dumps(net.to_json())))

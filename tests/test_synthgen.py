@@ -182,6 +182,34 @@ class TestExample1:
                 q = data.oracle.quantile(p, x)
                 assert data.oracle.cdf(q, x) == pytest.approx(p, abs=1e-9)
 
+    @pytest.mark.parametrize("x", [[-5.0, 0.0], [-0.3, 1.0], [0.0, 0.0], [1e-9, 2.0], [2.7, -1.0],
+                                   [5.0, 4.0]])
+    def test_quantile_levels_match_frozen_scalar_bisection(self, x):
+        # the quantile bisects every level in one pass; each must equal the
+        # scalar bisection of the scalar mixture CDF it replaced, one level at a time
+        from pitcal.normal import ndtr as pitcal_ndtr
+
+        def frozen_bisect(cdf_fn, p, lo, hi):
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                if cdf_fn(mid) >= p:
+                    hi = mid
+                else:
+                    lo = mid
+            return 0.5 * (lo + hi)
+
+        oracle = Example1Oracle(TwoGroupConfig())
+        means, scales, weights = oracle._components(x)
+        lo = float(np.min(means - 12.0 * scales))
+        hi = float(np.max(means + 12.0 * scales))
+        levels = np.array([0.0, 1e-300, 1e-12, 0.05, 0.1, 0.3, 0.5, 0.8, 0.9, 0.95,
+                           1.0 - 1e-12, 1.0])
+        frozen = [frozen_bisect(lambda y: pitcal_ndtr((y - means) / scales) @ weights, p, lo, hi)
+                  for p in levels]
+        assert oracle.quantile(levels, x).tolist() == frozen
+        assert [oracle.quantile(p, x) for p in levels] == frozen
+        assert oracle.quantile(levels[:0], x).shape == (0,)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TwoGroupConfig(minority_fraction=1.5)
