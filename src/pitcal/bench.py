@@ -153,7 +153,7 @@ def _prediction_sets(recipe: ExperimentRecipe, data, train: CalibrationSet,
     alpha = recipe.alpha
     level = 1.0 - alpha
     if recipe.method == "oracle":
-        ends = [data.oracle.quantile([alpha / 2.0, 1.0 - alpha / 2.0], x) for x in xs]
+        ends = data.oracle.quantile_rows([alpha / 2.0, 1.0 - alpha / 2.0], xs)
         return [PredictionSet(((float(lo), float(hi)),), nominal_level=level, kind="interval")
                 for lo, hi in ends]
 

@@ -16,7 +16,8 @@ Conventions
 * Quantile lookups on flat CDF segments return the leftmost response value.
 * Every CDF is read through one monotone cubic with one core: ``_fc_slopes``
   is the only Fritsch-Carlson slope limiter (whole rows in
-  :func:`knot_slopes`, five-secant windows in ``_segment_slopes``),
+  :func:`knot_slopes`, five-secant windows in ``_segment_slopes``; past the
+  ends of the data both repeat the end secant, so no knot is a special case),
   ``_hermite`` is the only Hermite basis (``_pit_rows`` and
   :func:`invert_rows`), ``_pit_rows`` is the only PIT evaluator, and
   :func:`invert_rows` is the only quantile inverter (:func:`invert_cdf` is a
@@ -171,31 +172,28 @@ def _hermite(y0, y1, hm0, hm1, t):
     )
 
 
-def _fc_slopes(d: np.ndarray, real: np.ndarray) -> np.ndarray:
+def _fc_slopes(d: np.ndarray) -> np.ndarray:
     """Fritsch-Carlson limited slopes at knots ``2 .. W - 2`` of (N, W) secants.
 
-    Knot ``k`` lies between secants ``k - 1`` and ``k``. Secants where ``real``
-    is False stand for "past the end of the data": a knot with one real
-    neighbour takes that secant as its raw slope, and they never limit a knot.
-    Raw slopes are secant averages, forced to zero next to a flat real secant,
+    Knot ``k`` lies between secants ``k - 1`` and ``k``. Callers pad past the
+    ends of the data by repeating the end secant, so an end knot's raw slope
+    is that secant and the pad never limits it (both of its ratios are 1).
+    Raw slopes are secant averages, forced to zero next to a flat secant,
     then scaled into the monotonicity circle (alpha^2 + beta^2 <= 9) of both
     adjacent segments; shrinking only ever preserves the constraint.
     """
     zero = d == 0.0
-    flat = real & zero
 
     # raw slopes at knots 1 .. W - 1
-    lr, rr = real[:, :-1], real[:, 1:]
-    m = np.where(lr & rr, 0.5 * (d[:, :-1] + d[:, 1:]), np.where(lr, d[:, :-1], d[:, 1:]))
-    m = np.where(flat[:, :-1] | flat[:, 1:], 0.0, m)
+    m = np.where(zero[:, :-1] | zero[:, 1:], 0.0, 0.5 * (d[:, :-1] + d[:, 1:]))
 
-    # monotonicity-circle factors of secants 1 .. W - 2; 1 where not real.
-    # A real flat secant has zero slope at both ends, so its ratios are 0.
+    # monotonicity-circle factors of secants 1 .. W - 2.
+    # A flat secant has zero slope at both ends, so its ratios are 0.
     safe_d = np.where(zero[:, 1:-1], 1.0, d[:, 1:-1])
     alpha = m[:, :-1] / safe_d
     beta = m[:, 1:] / safe_d
     r2 = alpha * alpha + beta * beta
-    tau = np.where(real[:, 1:-1] & (r2 > 9.0), 3.0 / np.sqrt(np.maximum(r2, 1e-300)), 1.0)
+    tau = np.where(r2 > 9.0, 3.0 / np.sqrt(np.maximum(r2, 1e-300)), 1.0)
     return m[:, 1:-1] * np.minimum(tau[:, :-1], tau[:, 1:])
 
 
@@ -206,12 +204,12 @@ def knot_slopes(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     at the end knots), zero next to every flat secant, limited to the
     monotonicity circle. They are also the spline's derivative at the knots.
     """
-    # two padding secants per side put every knot at positions 2 .. G + 1
-    d = np.zeros((rows.shape[0], points.size + 3))
+    # two copies of the end secant per side put every knot at positions 2 .. G + 1
+    d = np.empty((rows.shape[0], points.size + 3))
     d[:, 2:-2] = np.diff(rows, axis=1) / np.diff(points)
-    real = np.zeros(d.shape, dtype=bool)
-    real[:, 2:-2] = True
-    return _fc_slopes(d, real)
+    d[:, :2] = d[:, 2:3]
+    d[:, -2:] = d[:, -3:-2]
+    return _fc_slopes(d)
 
 
 # ----------------------------------------------------------------------
@@ -287,17 +285,15 @@ def _segment_slopes(xs: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.nda
 
     A knot's Fritsch-Carlson slope depends on the secants two to each side,
     so the pair needs only the five secants ``idx - 2 .. idx + 2``, which
-    :func:`_fc_slopes` limits as it limits a whole row; secants past the ends
-    are clipped and marked not real. The result therefore equals
-    ``knot_slopes(xs, rows)[:, [i, i + 1]]`` bit for bit.
+    :func:`_fc_slopes` limits as it limits a whole row; indices past the ends
+    are clipped, which repeats the end secant just as :func:`knot_slopes`
+    pads. The result therefore equals ``knot_slopes(xs, rows)[:, [i, i + 1]]``
+    bit for bit.
     """
-    n = xs.size
-    sec = idx[:, None] + np.arange(-2, 3)
-    real = (sec >= 0) & (sec <= n - 2)
-    sec = np.clip(sec, 0, n - 2)
+    sec = np.clip(idx[:, None] + np.arange(-2, 3), 0, xs.size - 2)
     r = np.arange(rows.shape[0])[:, None]
     d = (rows[r, sec + 1] - rows[r, sec]) / (xs[sec + 1] - xs[sec])
-    return _fc_slopes(d, real)
+    return _fc_slopes(d)
 
 
 def cdf_rows_from_density_rows(points: np.ndarray, density_rows: np.ndarray) -> np.ndarray:

@@ -51,17 +51,6 @@ class GeneratedData:
     initial: object | None = None
 
 
-def _bisect_quantile(cdf_fn, p, lo: float, hi: float) -> np.ndarray:
-    """100 halvings of [lo, hi] towards ``cdf_fn(y) >= p``, for every level of ``p`` at once."""
-    p = np.asarray(p, dtype=float)
-    lo, hi = np.full(p.shape, lo), np.full(p.shape, hi)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        above = cdf_fn(mid) >= p
-        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
-    return 0.5 * (lo + hi)
-
-
 # ----------------------------------------------------------------------
 # Example 1: unobserved two-group mixture
 # ----------------------------------------------------------------------
@@ -92,14 +81,13 @@ class Example1Oracle:
 
     def __init__(self, cfg: TwoGroupConfig):
         self.cfg = cfg
+        self.scales = np.array([cfg.majority_scale, cfg.minority_scale])
+        self.weights = np.array([1.0 - cfg.minority_fraction, cfg.minority_fraction])
 
     def _components(self, x):
         x1 = float(np.asarray(x, dtype=float).ravel()[0])
         offset = 0.5 * self.cfg.branch_gap * x1 if x1 > 0 else 0.0
-        means = np.array([offset, -offset])
-        scales = np.array([self.cfg.majority_scale, self.cfg.minority_scale])
-        weights = np.array([1.0 - self.cfg.minority_fraction, self.cfg.minority_fraction])
-        return means, scales, weights
+        return np.array([offset, -offset]), self.scales, self.weights
 
     def cdf(self, y, x):
         means, scales, weights = self._components(x)
@@ -114,11 +102,27 @@ class Example1Oracle:
         z = (y[..., None] - means) / scales
         return (_INV_SQRT_2PI * np.exp(-0.5 * z * z) / scales) @ weights
 
+    def quantile_rows(self, ps, xs) -> np.ndarray:
+        """Quantiles at levels ``ps`` (P,) for each feature row of ``xs`` (N, d), shape (N, P).
+
+        Every level of every row takes 100 halvings towards ``cdf >= p`` in one
+        pass, from a bracket 12 scales beyond the row's outermost means.
+        """
+        means = np.array([self._components(x)[0] for x in xs]).reshape(len(xs), 2)
+        scales, weights = self.scales, self.weights
+        p = np.broadcast_to(np.asarray(ps, dtype=float), (len(means), np.size(ps)))
+        lo = np.full(p.shape, np.min(means - 12.0 * scales, axis=1)[:, None])
+        hi = np.full(p.shape, np.max(means + 12.0 * scales, axis=1)[:, None])
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            # one dot per value, as :meth:`cdf` takes it
+            above = np.vecdot(ndtr((mid[..., None] - means[:, None]) / scales), weights) >= p
+            lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+        return 0.5 * (lo + hi)
+
     def quantile(self, p, x):
-        means, scales, weights = self._components(x)
-        lo = float(np.min(means - 12.0 * scales))
-        hi = float(np.max(means + 12.0 * scales))
-        return _bisect_quantile(lambda y: self.cdf(y, x), p, lo, hi)[()]
+        """Quantile at level ``p`` (a scalar or levels) for one feature row: a batch of one."""
+        return self.quantile_rows(np.ravel(p), [x])[0].reshape(np.shape(p))[()]
 
     def sample(self, x, rng: np.random.Generator, size: int):
         means, scales, weights = self._components(x)
@@ -172,6 +176,10 @@ class Example2Oracle:
 
     def quantile(self, p, x):
         return sinh_arcsinh_quantile(self.params_at(x), p)
+
+    def quantile_rows(self, ps, xs) -> np.ndarray:
+        """Quantiles at levels ``ps`` (P,) for each feature row of ``xs``, shape (N, P)."""
+        return np.array([self.quantile(ps, x) for x in xs]).reshape(len(xs), np.size(ps))
 
     def sample(self, x, rng: np.random.Generator, size: int):
         return sinh_arcsinh_sample(self.params_at(x), rng, size)

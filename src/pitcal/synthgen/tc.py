@@ -21,7 +21,7 @@ import numpy as np
 from .. import rng as rngmod
 from ..calibrate import CalibrationSet
 from ..errors import NonStationaryVar
-from ..models import standardization, standardize
+from ..models import GaussianInitialModel, standardization, standardize
 
 __all__ = [
     "TcModelConfig",
@@ -36,7 +36,10 @@ __all__ = [
 ]
 
 N_RADII = 80
-STEPS_6H = 12  # 30-minute steps per 6 hours
+STEP_MINUTES = 30  # the lags and the windows assume this step
+STEPS_6H = 6 * 60 // STEP_MINUTES
+_BURN_IN = 96  # steps simulated and dropped before a storm's first record
+_PAD = 4 * STEPS_6H  # the longest lag: PC2 24 hours back
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,6 @@ class TcModelConfig:
     noise_sd: float
     pca_eofs: np.ndarray  # (3, 80)
     profile_mean: np.ndarray  # (80,)
-    step_minutes: int = 30
     storm_length_range: tuple = (400, 700)
     initial_intensity_range: tuple = (25.0, 45.0)
 
@@ -156,52 +158,48 @@ def _logistic(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _simulate_storm(cfg: TcModelConfig, length: int, rng: np.random.Generator,
-                    burn_in: int = 96):
-    total = length + burn_in
+def _simulate_storm(cfg: TcModelConfig, length: int, rng: np.random.Generator):
+    """Profiles and intensities of one storm after a burn-in.
+
+    ``_PAD`` leading steps of zero components and initial Z stand for the time
+    before the storm, so every step reads all of its lags; the end is padded to
+    whole 6-hour blocks, one row each.
+    """
+    n = _BURN_IN + length
+    n_blocks = -(-(_PAD + n) // STEPS_6H)
     chol = np.linalg.cholesky(cfg.var_noise_cov)
     a = cfg.var_coefficients
 
-    dpc = np.zeros((total, 3))
-    noise = rng.standard_normal((total, 3)) @ chol.T
-    for t in range(total):
-        acc = cfg.var_intercept + noise[t]
-        for lag in range(1, 4):
-            if t - lag >= 0:
-                acc = acc + a[lag - 1] @ dpc[t - lag]
-        dpc[t] = acc
+    dpc = np.zeros((n_blocks * STEPS_6H, 3))
+    noise = rng.standard_normal((n, 3)) @ chol.T
+    for t, e in enumerate(noise, _PAD):
+        dpc[t] = cfg.var_intercept + e + a[0] @ dpc[t - 1] + a[1] @ dpc[t - 2] + a[2] @ dpc[t - 3]
     pc = np.cumsum(dpc, axis=0)
 
     y0 = rng.uniform(*cfg.initial_intensity_range)
-    z_init = _logit(y0 / 200.0)
-    z = np.full(total, z_init)
+    z = np.full((n_blocks, STEPS_6H), _logit(y0 / 200.0))
+    eps = np.zeros(z.shape)
+    eps.flat[_PAD:_PAD + n] = rng.normal(0.0, cfg.noise_sd, size=n)
+    p = pc.reshape(n_blocks, STEPS_6H, 3)
     b = cfg.intensity_betas
-    eps = rng.normal(0.0, cfg.noise_sd, size=total)
-
-    def z_at(t):
-        return z[t] if t >= 0 else z_init
-
-    def pc_at(t, j):
-        return pc[t, j] if t >= 0 else 0.0
-
-    for t in range(STEPS_6H, total):
-        dz_prev = z_at(t - STEPS_6H) - z_at(t - 2 * STEPS_6H)
-        dz = (
+    # Z reads Z only 6 and 12 hours back, so one statement steps a whole block;
+    # the first block after the pad keeps Z at its initial value
+    for i in range(_PAD // STEPS_6H + 1, n_blocks):
+        z[i] = z[i - 1] + (
             b[0]
-            + b[1] * z_at(t - STEPS_6H)
-            + b[2] * dz_prev
-            + b[3] * pc_at(t, 0) + b[4] * pc_at(t, 1) + b[5] * pc_at(t, 2)
-            + b[6] * pc_at(t - STEPS_6H, 0) + b[7] * pc_at(t - STEPS_6H, 1)
-            + b[8] * pc_at(t - STEPS_6H, 2)
-            + b[9] * pc_at(t - 2 * STEPS_6H, 0) + b[10] * pc_at(t - 2 * STEPS_6H, 1)
-            + b[11] * pc_at(t - 3 * STEPS_6H, 2)
-            + b[12] * pc_at(t - 4 * STEPS_6H, 1)
-            + eps[t]
+            + b[1] * z[i - 1]
+            + b[2] * (z[i - 1] - z[i - 2])
+            + b[3] * p[i, :, 0] + b[4] * p[i, :, 1] + b[5] * p[i, :, 2]
+            + b[6] * p[i - 1, :, 0] + b[7] * p[i - 1, :, 1] + b[8] * p[i - 1, :, 2]
+            + b[9] * p[i - 2, :, 0] + b[10] * p[i - 2, :, 1]
+            + b[11] * p[i - 3, :, 2]
+            + b[12] * p[i - 4, :, 1]
+            + eps[i]
         )
-        z[t] = z_at(t - STEPS_6H) + dz
 
-    profiles = cfg.profile_mean[None, :] + pc[burn_in:] @ cfg.pca_eofs
-    intensities = 200.0 * _logistic(z[burn_in:])
+    kept = slice(_PAD + _BURN_IN, _PAD + n)
+    profiles = cfg.profile_mean[None, :] + pc[kept] @ cfg.pca_eofs
+    intensities = 200.0 * _logistic(z.ravel()[kept])
     return profiles, intensities
 
 
@@ -214,7 +212,7 @@ def simulate_tc(cfg: TcModelConfig, n_storms: int, seed: int) -> list:
     for sid, storm_rng in enumerate(rngmod.derived_rngs(seed, "storm", count=n_storms)):
         length = int(storm_rng.integers(lo, hi + 1))
         profiles, intensities = _simulate_storm(cfg, length, storm_rng)
-        t_minutes = np.arange(length) * cfg.step_minutes
+        t_minutes = np.arange(length) * STEP_MINUTES
         storms.append(StormRecord(sid, t_minutes, profiles, intensities))
     return storms
 
@@ -232,10 +230,10 @@ def _window_stride(window_steps: int, mode: str, stride: int | None) -> int:
     raise ValueError(f"unknown windowing mode {mode!r}")
 
 
-def _cut_windows(storms, window_hours: int, step_minutes: int, mode: str,
-                 stride: int | None, features) -> TcChunkResult:
+def _cut_windows(storms, window_hours: int, mode: str, stride: int | None,
+                 features) -> TcChunkResult:
     """Cut storms as :func:`chunk_tc` describes; ``features(flat, w)`` makes one storm's rows."""
-    w = window_hours * 60 // step_minutes + 1
+    w = window_hours * 60 // STEP_MINUTES + 1
     stride = _window_stride(w, mode, stride)
     feats, targets = [], []
     skipped = 0
@@ -256,30 +254,29 @@ def _cut_windows(storms, window_hours: int, step_minutes: int, mode: str,
     return TcChunkResult(cal=cal, skipped_storms=skipped)
 
 
-def chunk_tc(storms, window_hours: int = 24, step_minutes: int = 30,
-             mode: str = "overlapping", stride: int | None = None) -> TcChunkResult:
+def chunk_tc(storms, window_hours: int = 24, mode: str = "overlapping",
+             stride: int | None = None) -> TcChunkResult:
     """Cut storms into trajectory windows with the current intensity as target.
 
-    A window holds ``window_hours * 60 / step_minutes + 1`` consecutive
+    A window holds ``window_hours * 60 / STEP_MINUTES + 1`` consecutive
     profiles (49 for the defaults), flattened into one feature row; the target
     is the intensity at the final step. ``overlapping`` shifts by one step;
     ``gapped`` leaves a full window-length gap between chunks so rows carry no
     shared history; an explicit ``stride`` overrides either. Storms shorter
     than one window are skipped and counted.
     """
-    return _cut_windows(storms, window_hours, step_minutes, mode, stride,
-                        lambda flat, w: flat)
+    return _cut_windows(storms, window_hours, mode, stride, lambda flat, w: flat)
 
 
-def windowed_summaries(storms, window_hours: int = 24, step_minutes: int = 30,
-                       mode: str = "overlapping", stride: int | None = None) -> TcChunkResult:
+def windowed_summaries(storms, window_hours: int = 24, mode: str = "overlapping",
+                       stride: int | None = None) -> TcChunkResult:
     """Like :func:`chunk_tc`, but rows are summary features, not raw windows.
 
     Equivalent to ``tc_summary_features(chunk_tc(...).cal.xs)`` while only
     ever holding one storm's windows in memory; overlapping windows over many
     long storms never materialize the full flattened feature matrix.
     """
-    return _cut_windows(storms, window_hours, step_minutes, mode, stride,
+    return _cut_windows(storms, window_hours, mode, stride,
                         lambda flat, w: tc_summary_features(flat, n_profiles=w))
 
 
@@ -324,9 +321,6 @@ class RidgeMean:
         """Ridge means, one per row of ``xs``: (n, d), or (n,) for one feature."""
         return standardize(xs, self.mean, self.scale) @ self.coef + self.intercept
 
-    def __call__(self, x) -> float:
-        return float(self.predict(x)[0])
-
 
 def fit_tc_initial(summary_cal, grid, sd_scale: float = 1.0, lam: float = 1.0):
     """Gaussian initial model for windowed storms: ridge mean on summaries.
@@ -335,8 +329,6 @@ def fit_tc_initial(summary_cal, grid, sd_scale: float = 1.0, lam: float = 1.0):
     deliberately under-disperse the model (useful for exercising the
     diagnostics and the recalibration fix).
     """
-    from ..models import GaussianInitialModel
-
     mu = RidgeMean(summary_cal.xs, summary_cal.ys, lam=lam)
     sd = float(np.std(summary_cal.ys - mu.predict(summary_cal.xs))) or 1.0
     return GaussianInitialModel(grid, mean_fn=mu, sd_fn=sd * sd_scale)

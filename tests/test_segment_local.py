@@ -301,6 +301,81 @@ class TestPitMatrixSlopes:
             assert _pit_rows(pts, cdfs[i : i + 1], ys[i : i + 1]).tolist() == [want]
 
 
+def masked_fc_slopes(d, real):
+    """The shared slope limiter as it was while secants past the ends were masked out."""
+    zero = d == 0.0
+    flat = real & zero
+    lr, rr = real[:, :-1], real[:, 1:]
+    m = np.where(lr & rr, 0.5 * (d[:, :-1] + d[:, 1:]), np.where(lr, d[:, :-1], d[:, 1:]))
+    m = np.where(flat[:, :-1] | flat[:, 1:], 0.0, m)
+    safe_d = np.where(zero[:, 1:-1], 1.0, d[:, 1:-1])
+    alpha = m[:, :-1] / safe_d
+    beta = m[:, 1:] / safe_d
+    r2 = alpha * alpha + beta * beta
+    tau = np.where(real[:, 1:-1] & (r2 > 9.0), 3.0 / np.sqrt(np.maximum(r2, 1e-300)), 1.0)
+    return m[:, 1:-1] * np.minimum(tau[:, :-1], tau[:, 1:])
+
+
+def masked_knot_slopes(points, rows):
+    d = np.zeros((rows.shape[0], points.size + 3))
+    d[:, 2:-2] = np.diff(rows, axis=1) / np.diff(points)
+    real = np.zeros(d.shape, dtype=bool)
+    real[:, 2:-2] = True
+    return masked_fc_slopes(d, real)
+
+
+def masked_segment_slopes(xs, rows, idx):
+    n = xs.size
+    sec = idx[:, None] + np.arange(-2, 3)
+    real = (sec >= 0) & (sec <= n - 2)
+    sec = np.clip(sec, 0, n - 2)
+    r = np.arange(rows.shape[0])[:, None]
+    d = (rows[r, sec + 1] - rows[r, sec]) / (xs[sec + 1] - xs[sec])
+    return masked_fc_slopes(d, real)
+
+
+class TestPaddedEdges:
+    """Repeating the end secant past the data equals masking those secants out."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.one_of(st.sampled_from([2, 3, 4, 5]), st.integers(min_value=6, max_value=60)),
+        st.sampled_from([0.0, 0.4, 1.0]),
+        st.sampled_from(["none", "steep", "shallow"]),
+    )
+    def test_padded_equals_masked(self, seed, n_points, flat_share, ends):
+        rng = np.random.default_rng(seed)
+        pts = np.cumsum(rng.uniform(0.01, 2.0, size=n_points)) - 5.0
+        # increments over many decades, so the monotonicity circle often limits
+        steps = np.exp(rng.uniform(-6.0, 6.0, size=(8, n_points - 1)))
+        if ends == "steep":
+            steps[:, [0, -1]] *= 1e6
+        elif ends == "shallow":
+            steps[:, [0, -1]] *= 1e-6
+        steps[rng.random(steps.shape) < flat_share] = 0.0
+        steps[0] = 0.0  # an all-flat row
+        rows = np.concatenate([np.zeros((8, 1)), np.cumsum(steps, axis=1)], axis=1)
+
+        # the limiter is reached through its two callers: whole rows, padded
+        # with the end secant, and every segment's window, clipped at both ends
+        assert np.array_equal(knot_slopes(pts, rows), masked_knot_slopes(pts, rows))
+        idx = np.arange(n_points - 1)
+        each = np.repeat(rows, idx.size, axis=0)
+        seg = np.tile(idx, rows.shape[0])
+        assert np.array_equal(_segment_slopes(pts, each, seg),
+                              masked_segment_slopes(pts, each, seg))
+
+    def test_end_limit_trips(self):
+        # a shallow end secant beside a steep one: the circle limit shrinks the
+        # second knot's slope, so the cases above cover the limiter at the ends
+        pts = np.arange(5.0)
+        rows = np.array([[0.0, 1e-6, 1.0, 1.0 + 1e-6, 1.0 + 2e-6]])
+        got = knot_slopes(pts, rows)
+        assert got[0, 1] < 0.5 * (1e-6 + (1.0 - 1e-6))
+        assert np.array_equal(got, masked_knot_slopes(pts, rows))
+
+
 class TestCdfFromDensity:
     def test_equals_scalar_trapezoid(self):
         rng = np.random.default_rng(11)

@@ -9,6 +9,7 @@ from pitcal.calibrate import compute_pit_values
 from pitcal.models import GaussianInitialModel
 from pitcal.synthgen import (
     Example1Oracle,
+    Example2Oracle,
     SinhArcsinhParams,
     TwoGroupConfig,
     sample_example1,
@@ -209,6 +210,21 @@ class TestExample1:
         assert oracle.quantile(levels, x).tolist() == frozen
         assert [oracle.quantile(p, x) for p in levels] == frozen
         assert oracle.quantile(levels[:0], x).shape == (0,)
+
+    @pytest.mark.parametrize("oracle", [Example1Oracle(TwoGroupConfig()),
+                                        Example2Oracle("skewed"), Example2Oracle("kurtotic")])
+    def test_quantile_rows_equal_per_row_quantiles(self, oracle):
+        # every row is bisected in one pass with its own bracket; each row
+        # must equal that row's own quantile call bit for bit
+        xs = np.array([[-5.0, 0.0], [-0.3, 1.0], [0.0, 0.0], [1e-9, 2.0], [0.7, -1.0],
+                       [5.0, 4.0]])
+        if isinstance(oracle, Example2Oracle):
+            xs = xs[:, :1] / 5.0
+        levels = np.array([0.0, 0.05, 0.5, 0.95, 1.0 - 1e-12])
+        got = oracle.quantile_rows(levels, xs)
+        assert got.shape == (6, 5)
+        assert got.tolist() == [oracle.quantile(levels, x).tolist() for x in xs]
+        assert oracle.quantile_rows(levels, xs[:0]).shape == (0, 5)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from pitcal.synthgen import (
     var_spectral_radius,
     write_storms_jsonl,
 )
-from pitcal.synthgen.tc import RidgeMean, _logit, windowed_summaries
+from pitcal.synthgen.tc import RidgeMean, _logistic, _logit, _simulate_storm, windowed_summaries
 
 
 class TestTransforms:
@@ -72,6 +73,86 @@ class TestDegenerateRecursion:
         # all chains share the same initial condition
         k0 = round((z[0] - z0) / 0.01)
         assert z[0] == pytest.approx(z0 + 0.01 * k0, abs=1e-9)
+
+
+def frozen_simulate_storm(cfg, length, rng, burn_in=96):
+    """The storm recursion as it was, checking each lag against the storm's start."""
+    total = length + burn_in
+    chol = np.linalg.cholesky(cfg.var_noise_cov)
+    a = cfg.var_coefficients
+
+    dpc = np.zeros((total, 3))
+    noise = rng.standard_normal((total, 3)) @ chol.T
+    for t in range(total):
+        acc = cfg.var_intercept + noise[t]
+        for lag in range(1, 4):
+            if t - lag >= 0:
+                acc = acc + a[lag - 1] @ dpc[t - lag]
+        dpc[t] = acc
+    pc = np.cumsum(dpc, axis=0)
+
+    y0 = rng.uniform(*cfg.initial_intensity_range)
+    z_init = _logit(y0 / 200.0)
+    z = np.full(total, z_init)
+    b = cfg.intensity_betas
+    eps = rng.normal(0.0, cfg.noise_sd, size=total)
+
+    def z_at(t):
+        return z[t] if t >= 0 else z_init
+
+    def pc_at(t, j):
+        return pc[t, j] if t >= 0 else 0.0
+
+    for t in range(12, total):
+        dz_prev = z_at(t - 12) - z_at(t - 24)
+        dz = (
+            b[0]
+            + b[1] * z_at(t - 12)
+            + b[2] * dz_prev
+            + b[3] * pc_at(t, 0) + b[4] * pc_at(t, 1) + b[5] * pc_at(t, 2)
+            + b[6] * pc_at(t - 12, 0) + b[7] * pc_at(t - 12, 1)
+            + b[8] * pc_at(t - 12, 2)
+            + b[9] * pc_at(t - 24, 0) + b[10] * pc_at(t - 24, 1)
+            + b[11] * pc_at(t - 36, 2)
+            + b[12] * pc_at(t - 48, 1)
+            + eps[t]
+        )
+        z[t] = z_at(t - 12) + dz
+
+    profiles = cfg.profile_mean[None, :] + pc[burn_in:] @ cfg.pca_eofs
+    intensities = 200.0 * _logistic(z[burn_in:])
+    return profiles, intensities
+
+
+def _variant(kind):
+    cfg = default_tc_config()
+    if kind == "default":
+        return cfg
+    if kind == "zero-var":
+        return dataclasses.replace(cfg, var_coefficients=np.zeros((3, 3, 3)))
+    # degenerate: no noise to speak of, intercepts only
+    betas = np.zeros(13)
+    betas[0] = 0.01
+    return dataclasses.replace(cfg, var_coefficients=np.zeros((3, 3, 3)),
+                               var_noise_cov=np.eye(3) * 1e-300, intensity_betas=betas,
+                               noise_sd=1e-300, initial_intensity_range=(40.0, 40.0))
+
+
+class TestPaddedRecursion:
+    """The padded, block-stepped recursion against the per-step one it replaced."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([1, 5, 11, 12, 13, 37, 49, 143, 401, 700]),
+           st.sampled_from(["default", "zero-var", "degenerate"]))
+    def test_equals_frozen_recursion(self, seed, length, kind):
+        cfg = _variant(kind)
+        profiles, intensities = _simulate_storm(cfg, length, np.random.default_rng(seed))
+        want_profiles, want_intensities = frozen_simulate_storm(cfg, length,
+                                                                np.random.default_rng(seed))
+        assert profiles.shape == (length, 80)
+        assert np.array_equal(profiles, want_profiles)
+        assert np.array_equal(intensities, want_intensities)
 
 
 class TestIntensityRange:
@@ -205,7 +286,6 @@ class TestRidgeMean:
         batch = mu.predict(xs)
         assert batch.shape == (n,)
         np.testing.assert_allclose(batch, per_row, rtol=0, atol=1e-12)
-        assert mu(xs[0]) == pytest.approx(batch[0], rel=0, abs=1e-12)
 
 
 class TestJsonl:
