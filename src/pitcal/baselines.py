@@ -56,7 +56,7 @@ class KnnMeanRegressor(StandardizedNeighbours):
     """Nearest-neighbor mean in standardized feature space."""
 
     def __init__(self, train: CalibrationSet, k: int = 50):
-        self._build_tree(train.xs, min(k, len(train)))
+        self._build_neighbours(train.xs, min(k, len(train)))
         self._ys = train.ys
 
     def predict(self, xs) -> np.ndarray:

@@ -21,6 +21,7 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng as rngmod
 from .errors import (DegenerateRecalibration, HpdSearchFailed, InsufficientData, LengthMismatch,
@@ -170,30 +171,69 @@ class StandardizedNeighbours:
     """The ``k`` nearest training rows in standardized feature space.
 
     Features are centred by ``mean`` and divided by ``scale`` (see
-    :func:`standardization`) before the k-d tree ``_tree`` is built. The tree
-    module, ``scipy.spatial``, loads at the first build, so a run that builds
-    no tree never pays for it.
+    :func:`standardization`). With two or more features a k-d tree answers;
+    its module, ``scipy.spatial``, loads at the first such build. With one
+    feature the k nearest rows are a contiguous run of the sorted column, so
+    the build is one stable argsort and a query binary-searches each run's
+    start. Ties follow one rule: the run is contiguous in the stable sort s of
+    the feature and starts at the smallest l with q - s[l] <= s[l + k] - q, so
+    a tie between its two ends goes to the lower end; inside the run, equal
+    distances keep run order. Distances are ``sqrt(d * d)``, as the tree
+    computes them.
     """
 
-    def _build_tree(self, xs, k: int, mean=None, scale=None):
-        from scipy.spatial import cKDTree
-
+    def _build_neighbours(self, xs, k: int, mean=None, scale=None):
         if mean is None:
             mean, scale = standardization(xs)
         self.mean = np.asarray(mean, dtype=float)
         self.scale = np.asarray(scale, dtype=float)
         self.k = int(k)
-        self._tree = cKDTree(standardize(xs, self.mean, self.scale))
+        s = standardize(xs, self.mean, self.scale)
+        if s.shape[1] == 1:
+            self._order = np.argsort(s[:, 0], kind="stable")
+            self._sorted = s[self._order, 0]
+            self._tree = None
+        else:
+            from scipy.spatial import cKDTree
+
+            self._tree = cKDTree(s)
+
+    def _window(self, q):
+        """``(dist, idx)`` of the one-feature queries ``q`` (n_x,) from the sorted column."""
+        s, k, n = self._sorted, self.k, self._sorted.size
+        if k > n:
+            return np.full((q.size, k), np.inf), np.full((q.size, k), n)
+        # the run starts at the smallest l with q - s[l] <= s[l + k] - q, in [p - k, p]
+        p = np.searchsorted(s, q)
+        lo, hi = np.maximum(p - k, 0), np.minimum(p, n - k)
+        for _ in range(k.bit_length()):
+            mid = (lo + hi) >> 1
+            # mid < hi keeps mid + k inside the column; rows already settled stay put
+            ok = (mid >= hi) | (q - s[mid] <= s[np.minimum(mid + k, n - 1)] - q)
+            lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)
+        d = sliding_window_view(s, k)[lo]  # a copy: each query's run, in place below
+        d -= q[:, None]
+        with np.errstate(over="ignore"):  # inf, as from the tree; _query raises on it
+            np.sqrt(np.multiply(d, d, out=d), out=d)
+        # an unstable sort, redone stably only in rows whose sorted distances tie
+        perm = np.argsort(d, axis=1)
+        dist = np.take_along_axis(d, perm, axis=1)
+        tied = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))
+        perm[tied] = np.argsort(d[tied], axis=1, kind="stable")
+        return dist, np.take_along_axis(sliding_window_view(self._order, k)[lo], perm, axis=1)
 
     def _query(self, xs):
         """``(dist, idx)`` of each row of ``xs``, each (n_x, k); ``xs`` is (n_x, d) or (n_x,).
 
-        A row whose standardized distances overflow has no neighbours (the
-        tree reports index n at distance inf) and raises :class:`InsufficientData`.
+        A row whose k-th standardized distance is inf (it overflows, or k
+        exceeds the rows and the slot reads index n) raises :class:`InsufficientData`.
         """
         q = standardize(xs, self.mean, self.scale)
-        dist, idx = self._tree.query(q, k=self.k)  # drops the neighbour axis when k == 1
-        dist, idx = dist.reshape(q.shape[0], self.k), idx.reshape(q.shape[0], self.k)
+        if self._tree is None:
+            dist, idx = self._window(q[:, 0])
+        else:
+            dist, idx = self._tree.query(q, k=self.k)  # drops the neighbour axis when k == 1
+            dist, idx = dist.reshape(q.shape[0], self.k), idx.reshape(q.shape[0], self.k)
         far = np.flatnonzero(np.isinf(dist[:, -1]))
         if far.size:
             raise InsufficientData(f"feature row {far[0]} is too far from the data for {self.k} "
@@ -235,7 +275,7 @@ class LocalEmpiricalModel(PitCdfModel, StandardizedNeighbours):
         if self.xs.shape[0] != self.pit_values.shape[0]:
             raise LengthMismatch("feature rows and pit values differ in length")
         self.cfg = cfg
-        self._build_tree(self.xs, cfg.k, mean, scale)
+        self._build_neighbours(self.xs, cfg.k, mean, scale)
 
     def _neighborhoods(self, xs):
         """Neighbour indices of each feature row, (n_x, k), and their normalized

@@ -163,7 +163,10 @@ class Example2Oracle:
         self.setting = setting
 
     def params_at(self, x) -> SinhArcsinhParams:
-        x1 = float(np.asarray(x, dtype=float).ravel()[0])
+        return self._params(float(np.asarray(x, dtype=float).ravel()[0]))
+
+    def _params(self, x1) -> SinhArcsinhParams:
+        """The law at first-feature value ``x1``: a float, or an (N, 1) column of them."""
         if self.setting == "skewed":
             return SinhArcsinhParams(mu=x1, sigma=2.0 - abs(x1), skew=x1, tail=1.0)
         return SinhArcsinhParams(mu=x1, sigma=2.0, skew=0.0, tail=1.0 - x1 / 4.0)
@@ -178,8 +181,11 @@ class Example2Oracle:
         return sinh_arcsinh_quantile(self.params_at(x), p)
 
     def quantile_rows(self, ps, xs) -> np.ndarray:
-        """Quantiles at levels ``ps`` (P,) for each feature row of ``xs``, shape (N, P)."""
-        return np.array([self.quantile(ps, x) for x in xs]).reshape(len(xs), np.size(ps))
+        """Quantiles at levels ``ps`` (P,) for each feature row of ``xs``, shape (N, P).
+
+        One ``ndtri`` call over the levels; each row's parameters broadcast over it.
+        """
+        return sinh_arcsinh_quantile(self._params(feature_rows(xs)[:, :1]), np.ravel(ps))
 
     def sample(self, x, rng: np.random.Generator, size: int):
         return sinh_arcsinh_sample(self.params_at(x), rng, size)

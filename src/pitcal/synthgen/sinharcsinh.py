@@ -28,15 +28,17 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 @dataclass(frozen=True)
 class SinhArcsinhParams:
+    """One law's parameters; arrays of them broadcast to a family of laws."""
+
     mu: float
     sigma: float
     skew: float = 0.0
     tail: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
+        if not np.all(np.greater(self.sigma, 0)):
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if not self.tail > 0:
+        if not np.all(np.greater(self.tail, 0)):
             raise ValueError(f"tail must be > 0, got {self.tail}")
 
 

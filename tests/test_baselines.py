@@ -64,10 +64,10 @@ class TestRegSplit:
 class TestKnnMean:
     @staticmethod
     def _scalar_mean(reg, ys, x):
-        # the per-point query the batch replaced, kept as the reference
-        q = (np.asarray(x, dtype=float).ravel() - reg.mean) / reg.scale
-        _, idx = reg._tree.query(q, k=reg.k)
-        return float(np.mean(ys[np.atleast_1d(idx)]))
+        # the per-point query the batch replaced, as a batch of one: one-feature
+        # lattice rows tie, and the tree's choice among tied rows is not the window's
+        _, idx = reg._query(np.asarray(x, dtype=float).reshape(1, -1))
+        return float(np.mean(ys[idx[0]]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=300),

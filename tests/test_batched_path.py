@@ -16,8 +16,11 @@ time through ``cdf_at``; its frozen copy below must match ``cdf_rows`` and
 ``compute_pit_values`` of :class:`RecalibratedInitialModel` bit for bit.
 """
 
+import functools
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import pitcal.rng as rngmod
 from pitcal import bench
@@ -56,11 +59,22 @@ def frozen_recalibrated_cdf_rows(model, xs):
                      for x in xs])
 
 
-def frozen_local_curve(model, gammas, x):
-    """The local backend's single-point neighbourhood and weighted ECDF."""
+@functools.lru_cache(maxsize=4)
+def frozen_tree(model):
+    """A k-d tree on the model's standardized rows, as every local model once built."""
+    return cKDTree(standardize(model.xs, model.mean, model.scale))
+
+
+def frozen_query(model, x):
+    """``(dist, idx)`` of one feature point's k nearest rows, from :func:`frozen_tree`."""
     q = (np.asarray(x, dtype=float).ravel() - model.mean) / model.scale
-    dist, idx = model._tree.query(q, k=model.cfg.k)
-    dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
+    dist, idx = frozen_tree(model).query(q, k=model.k)
+    return np.atleast_1d(dist), np.atleast_1d(idx)
+
+
+def frozen_local_curve(model, gammas, x, query=frozen_query):
+    """The local backend's single-point neighbourhood (from ``query``) and weighted ECDF."""
+    dist, idx = query(model, x)
     if model.cfg.weighting == "inverse-distance":
         w = 1.0 / (dist + np.mean(dist) + 1e-300)
     else:

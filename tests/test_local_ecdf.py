@@ -26,7 +26,7 @@ from pitcal.calibrate import (
 )
 from pitcal.monotone_net import MonotoneNetConfig, MonotoneNetModel, _init_params
 from test_batched_path import frozen_local_curve
-from test_mc_engine import _OldLocal
+from test_mc_engine import _OldLocal, old_query
 
 
 def _levels(draw, rng, pits, size):
@@ -84,7 +84,8 @@ class TestMatchesStableArgsort:
         got = model.predict_matrix(gammas, c["query"])
         assert got.shape == (c["query"].shape[0], c["n_levels"])
         for i, x in enumerate(c["query"]):
-            assert np.array_equal(got[i], frozen_local_curve(model, _row(gammas, i), x))
+            assert np.array_equal(got[i], frozen_local_curve(model, _row(gammas, i), x,
+                                                             query=old_query))
 
     @settings(max_examples=150, deadline=None)
     @given(ecdf_cases())

@@ -7,7 +7,7 @@ The second is the batched engine as it ran before it read the neighbours
 itself: ``frozen_predict_curves``, a copy of the deleted
 ``LocalEmpiricalModel.predict_curves``, took each full-length PIT vector and
 kept its neighbour entries. All paths run the same arithmetic, so they must
-agree exactly.
+agree exactly. The references' neighbourhoods come from :func:`old_query`.
 """
 
 import itertools
@@ -26,17 +26,30 @@ from pitcal.calibrate import (
 )
 from pitcal.diagnose import DEFAULT_TEST_GAMMAS, _deviation, mc_local_test, mc_p_value
 from pitcal.errors import LengthMismatch
+from test_batched_path import frozen_query
 
 
 # ----------------------------------------------------------------------
 # frozen reference: the local backend's curve and the MC test, per replicate
 # ----------------------------------------------------------------------
 
+def old_query(model, x):
+    """``(dist, idx)`` of one feature point: the frozen k-d tree's with two or more features.
+
+    A one-feature model answers from a sorted window, whose choice among tied
+    rows is not the tree's, and this module's lattice features tie; there the
+    model's own query, a batch of one, stands in. ``test_neighbours`` holds
+    that query to the tree.
+    """
+    if model.xs.shape[1] == 1:
+        dist, idx = model._query(np.reshape(x, (1, -1)))
+        return dist[0], idx[0]
+    return frozen_query(model, x)
+
+
 def _old_neighborhood(model, x):
     """The local backend's single-point neighbourhood query and weights."""
-    q = (np.asarray(x, dtype=float).ravel() - model.mean) / model.scale
-    dist, idx = model._tree.query(q, k=model.cfg.k)
-    dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
+    dist, idx = old_query(model, x)
     if model.cfg.weighting == "inverse-distance":
         w = 1.0 / (dist + np.mean(dist) + 1e-300)
     else:

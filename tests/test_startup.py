@@ -2,9 +2,10 @@
 
 No scipy module loads until a run first builds a k-d tree, which imports
 ``scipy.spatial`` (with ``scipy.sparse``, ``scipy.linalg`` and
-``scipy.special``); a network run builds none. Each check runs in a
-subprocess, because the test session itself has long since imported all of
-them.
+``scipy.special``). Only data with two or more features build one: one-feature
+neighbours come from a sorted window, and a network run queries none. Each
+check runs in a subprocess, because the test session itself has long since
+imported all of them.
 """
 
 import json
@@ -40,13 +41,20 @@ def test_import_leaves_numpy_random_unloaded():
                         "numpy.random") != []
 
 
-def calibrate_loads(tmp_path, *flags) -> list:
-    """Run one tiny ``pitcal calibrate`` in a fresh interpreter; return its scipy modules."""
+def cli_loads(tmp_path, argv, features: int = 1) -> list:
+    """Run one tiny ``pitcal`` command on 80 rows in a fresh interpreter; return its scipy modules."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
     data = tmp_path / "data.csv"
-    data.write_text("x0,y\n" + "".join(f"{i / 40!r},{(i * 7) % 11 / 10!r}\n" for i in range(80)))
-    argv = ["calibrate", "--data", str(data), "--initial", "uniform",
-            "--out-dir", str(tmp_path / "out"), *flags]
+    header = "".join(f"x{j}," for j in range(features)) + "y\n"
+    data.write_text(header + "".join(
+        f"{i / 40!r}," + f"{(i * 3) % 7 / 7!r}," * (features - 1) + f"{(i * 7) % 11 / 10!r}\n"
+        for i in range(80)))
+    argv = [argv[0], "--data", str(data), "--out-dir", str(tmp_path / "out"), *argv[1:]]
     return loaded_after(f"from pitcal import cli\nassert cli.main({argv!r}) == 0")
+
+
+def calibrate_loads(tmp_path, *flags, features: int = 1) -> list:
+    return cli_loads(tmp_path, ["calibrate", "--initial", "uniform", *flags], features)
 
 
 def test_network_calibration_builds_no_tree(tmp_path):
@@ -57,6 +65,17 @@ def test_network_calibration_builds_no_tree(tmp_path):
 
 
 def test_local_calibration_loads_the_tree_module(tmp_path):
-    # the same probe sees the lazy import happen, so the test above is not vacuous
-    assert "scipy.spatial" in calibrate_loads(tmp_path, "--backend", "local", "--eval-x=0.5",
-                                              "--k", "20")
+    # two features build a tree, so the probe sees the lazy import happen and the
+    # tests of runs that load no scipy are not vacuous
+    assert "scipy.spatial" in calibrate_loads(tmp_path, "--backend", "local", "--eval-x=0.5,0.5",
+                                              "--k", "20", features=2)
+
+
+def test_one_feature_neighbour_runs_load_no_scipy(tmp_path):
+    assert calibrate_loads(tmp_path / "cal", "--backend", "local", "--eval-x=0.5",
+                           "--k", "20") == []
+    assert (tmp_path / "cal" / "out" / "model.json").is_file()
+    assert cli_loads(tmp_path / "diag", ["diagnose", "--initial", "gaussian-fit", "--mean-k",
+                                         "10", "--k", "15", "--n-mc", "20",
+                                         "--n-eval-points", "2"]) == []
+    assert (tmp_path / "diag" / "out" / "local_tests.json").is_file()

@@ -121,6 +121,41 @@ class TestExample2:
                 q = data.oracle.quantile(p, x)
                 assert data.oracle.cdf(q, x) == pytest.approx(p, abs=1e-9)
 
+    @staticmethod
+    def frozen_quantile_rows(setting, ps, xs):
+        """The per-row loop the batch replaced: one closed-form quantile per feature row."""
+        rows = []
+        for x in xs:
+            x1 = float(np.asarray(x, dtype=float).ravel()[0])
+            if setting == "skewed":
+                p = SinhArcsinhParams(mu=x1, sigma=2.0 - abs(x1), skew=x1, tail=1.0)
+            else:
+                p = SinhArcsinhParams(mu=x1, sigma=2.0, skew=0.0, tail=1.0 - x1 / 4.0)
+            rows.append(sinh_arcsinh_quantile(p, ps))
+        return np.array(rows).reshape(len(xs), np.size(ps))
+
+    @pytest.mark.parametrize("setting", ["skewed", "kurtotic"])
+    def test_quantile_rows_equal_frozen_per_row_loop(self, setting):
+        rng = np.random.default_rng(7)
+        xs = np.concatenate([rng.uniform(-1, 1, size=(2000, 1)), [[0.0], [-0.0], [1.0], [-1.0]]])
+        ps = np.concatenate([rng.uniform(size=34), [0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, 1.0]])
+        oracle = Example2Oracle(setting)
+        got = oracle.quantile_rows(ps, xs)
+        assert got.shape == (2004, 40)
+        assert np.array_equal(got, self.frozen_quantile_rows(setting, ps, xs))
+        assert oracle.quantile_rows(ps, xs[:0]).shape == (0, 40)
+        assert oracle.quantile_rows(0.3, xs[:3]).shape == (3, 1)
+
+    @pytest.mark.parametrize("setting, x", [("skewed", 2.0), ("skewed", -2.5),
+                                            ("kurtotic", 4.0), ("skewed", np.nan)])
+    def test_quantile_rows_reject_a_row_without_a_law(self, setting, x):
+        # sigma <= 0 (skewed, |x| >= 2) or tail <= 0 (kurtotic, x >= 4) at any row
+        xs = np.array([[0.0], [x], [0.5]])
+        with pytest.raises(ValueError):
+            Example2Oracle(setting).quantile_rows(np.array([0.1, 0.9]), xs)
+        with pytest.raises(ValueError):
+            self.frozen_quantile_rows(setting, np.array([0.1, 0.9]), xs)
+
 
 class TestExample1:
     def test_weights_sum_to_one(self):
