@@ -49,7 +49,6 @@ from .calibrate import (
     calpit_interval,
     compute_pit_values,
     fit_local_empirical,
-    load_pit_model,
     recalibrate,
 )
 from .monotone_net import MonotoneNetConfig, MonotoneNetModel, fit_monotone_net
@@ -74,7 +73,6 @@ __all__ = [
     "LocalEmpiricalConfig", "LocalEmpiricalModel", "RecalibratedDistribution",
     "RecalibratedInitialModel", "PredictionSet", "compute_pit_values", "augment",
     "fit_local_empirical", "recalibrate", "calpit_interval", "calpit_hpd",
-    "load_pit_model",
     "MonotoneNetConfig", "MonotoneNetModel", "fit_monotone_net",
     # diagnostics
     "AlpCurve", "LocalTestResult", "mc_local_test", "mc_p_value", "cde_loss",

@@ -17,15 +17,14 @@ model.
 
 from __future__ import annotations
 
-import json
+import hashlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng as rngmod
-from .errors import (DegenerateRecalibration, HpdSearchFailed, InsufficientData, LengthMismatch,
-                     PitcalError)
+from .errors import DegenerateRecalibration, HpdSearchFailed, InsufficientData, LengthMismatch
 from .grid import GridCdf, GridDensity, _pit_rows, invert_rows, knot_slopes, renormalize_rows
 from .models import cdf_rows, feature_rows, standardization, standardize
 
@@ -34,10 +33,10 @@ __all__ = [
     "LocalEmpiricalConfig", "LocalEmpiricalModel", "RecalibratedDistribution",
     "RecalibratedInitialModel", "PredictionSet", "compute_pit_values", "augment",
     "fit_local_empirical", "recalibrate", "recalibrate_rows", "recalibrated_pdf_rows",
-    "central_intervals", "calpit_interval", "calpit_hpd", "hpd_rows", "load_pit_model",
+    "central_intervals", "calpit_interval", "calpit_hpd", "hpd_rows",
 ]
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # hpd_rows: largest accepted miss of the 1 - alpha mass in the final check
 _HPD_MASS_TOL = 0.005
@@ -151,9 +150,6 @@ class PitCdfModel:
         """r(gamma; x) at one feature point: a batch of one of :meth:`predict_matrix`."""
         return self.predict_matrix(gammas, np.asarray(x, dtype=float).reshape(1, -1))[0]
 
-    def to_json(self) -> dict:
-        raise NotImplementedError(f"backend {self.backend} is not serializable")
-
 
 class IdentityPitCdf(PitCdfModel):
     """The exact identity map r(gamma; x) = gamma (a perfectly calibrated model)."""
@@ -162,9 +158,6 @@ class IdentityPitCdf(PitCdfModel):
 
     def predict_matrix(self, gammas, xs) -> np.ndarray:
         return _gamma_rows(gammas, feature_rows(xs).shape[0]).copy()
-
-    def to_json(self) -> dict:
-        return {"format_version": MODEL_FORMAT_VERSION, "backend": self.backend}
 
 
 class StandardizedNeighbours:
@@ -182,11 +175,8 @@ class StandardizedNeighbours:
     computes them.
     """
 
-    def _build_neighbours(self, xs, k: int, mean=None, scale=None):
-        if mean is None:
-            mean, scale = standardization(xs)
-        self.mean = np.asarray(mean, dtype=float)
-        self.scale = np.asarray(scale, dtype=float)
+    def _build_neighbours(self, xs, k: int):
+        self.mean, self.scale = standardization(xs)
         self.k = int(k)
         s = standardize(xs, self.mean, self.scale)
         if s.shape[1] == 1:
@@ -269,13 +259,13 @@ class LocalEmpiricalModel(PitCdfModel, StandardizedNeighbours):
 
     backend = "local-empirical"
 
-    def __init__(self, xs, pit_values, cfg: LocalEmpiricalConfig, mean=None, scale=None):
+    def __init__(self, xs, pit_values, cfg: LocalEmpiricalConfig):
         self.xs = feature_rows(xs)
         self.pit_values = np.asarray(pit_values, dtype=float).ravel()
         if self.xs.shape[0] != self.pit_values.shape[0]:
             raise LengthMismatch("feature rows and pit values differ in length")
         self.cfg = cfg
-        self._build_neighbours(self.xs, cfg.k, mean, scale)
+        self._build_neighbours(self.xs, cfg.k)
 
     def _neighborhoods(self, xs):
         """Neighbour indices of each feature row, (n_x, k), and their normalized
@@ -300,26 +290,18 @@ class LocalEmpiricalModel(PitCdfModel, StandardizedNeighbours):
         return self._ecdf(self.pit_values[idx], w, _gamma_rows(gammas, idx.shape[0]))
 
     def to_json(self) -> dict:
+        """The fit, not the data: the calibration rows enter as their count and
+        the SHA-256 of the C-order float64 bytes of ``xs``, then ``pit_values``."""
+        rows = hashlib.sha256(self.xs.tobytes())
+        rows.update(self.pit_values.tobytes())
         return {
             "format_version": MODEL_FORMAT_VERSION,
             "backend": self.backend,
             "config": asdict(self.cfg),
             "standardization": {"mean": self.mean.tolist(), "scale": self.scale.tolist()},
-            "xs": self.xs.tolist(),
-            "pit_values": self.pit_values.tolist(),
+            "n_rows": int(self.pit_values.shape[0]),
+            "rows_sha256": rows.hexdigest(),
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "LocalEmpiricalModel":
-        """Load a model file; older files hold ``"bandwidth": null``, which is dropped."""
-        config = dict(doc["config"])
-        if config.pop("bandwidth", None) is not None:
-            raise PitcalError("radius (bandwidth) neighbourhoods are no longer supported")
-        return cls(
-            np.array(doc["xs"]), np.array(doc["pit_values"]), LocalEmpiricalConfig(**config),
-            mean=np.array(doc["standardization"]["mean"]),
-            scale=np.array(doc["standardization"]["scale"]),
-        )
 
 
 def _uniform_ecdf(pits, gammas) -> np.ndarray:
@@ -372,22 +354,6 @@ def fit_local_empirical(cal: CalibrationSet, pit_values, cfg: LocalEmpiricalConf
     if cfg.k > len(cal):
         raise InsufficientData(f"k={cfg.k} exceeds n={len(cal)}")
     return LocalEmpiricalModel(cal.xs, pit_values, cfg)
-
-
-def load_pit_model(path) -> PitCdfModel:
-    from .monotone_net import MonotoneNetModel
-
-    loaders = {
-        "local-empirical": LocalEmpiricalModel.from_json,
-        "identity": lambda doc: IdentityPitCdf(),
-        "monotone-net": MonotoneNetModel.from_json,
-    }
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    backend = doc.get("backend")
-    if backend not in loaders:
-        raise PitcalError(f"unknown model backend {backend!r}")
-    return loaders[backend](doc)
 
 
 # ----------------------------------------------------------------------

@@ -312,18 +312,6 @@ class MonotoneNetModel(PitCdfModel):
             "best_epoch": self.best_epoch,
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "MonotoneNetModel":
-        return cls(
-            {k: np.array(v, dtype=float) for k, v in doc["raw_weights"].items()},
-            tuple(doc["hidden_layers"]),
-            np.array(doc["standardization"]["mean"]),
-            np.array(doc["standardization"]["scale"]),
-            MonotoneNetConfig(**doc["config"]),
-            [tuple(e) for e in doc.get("loss_history", [])],
-            doc.get("best_epoch"),
-        )
-
 
 def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> MonotoneNetModel:
     """Train the monotone network on an augmented calibration set.

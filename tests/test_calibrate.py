@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.stats import kstest
 import pitcal.rng as rngmod
 from pitcal.baselines import KnnMeanRegressor, RegSplitModel
 from pitcal.calibrate import (
+    MODEL_FORMAT_VERSION,
     CalibrationSet,
     IdentityPitCdf,
     LocalEmpiricalConfig,
@@ -20,7 +22,6 @@ from pitcal.calibrate import (
     calpit_interval,
     compute_pit_values,
     fit_local_empirical,
-    load_pit_model,
     recalibrate,
     recalibrate_rows,
 )
@@ -406,26 +407,27 @@ class TestPredictionSet:
 
 
 class TestSerialization:
-    def test_local_model_round_trip(self, tmp_path):
+    def test_local_model_records_fit_not_rows(self, tmp_path):
         rng = np.random.default_rng(6)
         cal = CalibrationSet(rng.normal(size=(100, 2)), np.zeros(100))
         pits = rng.uniform(size=100)
         model = fit_local_empirical(cal, pits, LocalEmpiricalConfig(k=20))
         path = tmp_path / "model.json"
         write_json(path, model.to_json())
-        loaded = load_pit_model(path)
-        gam = np.linspace(0.05, 0.95, 11)
-        x = rng.normal(size=2)
-        np.testing.assert_allclose(loaded.predict_curve(gam, x), model.predict_curve(gam, x))
         doc = json.loads(path.read_text())
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == MODEL_FORMAT_VERSION == 2
         assert doc["backend"] == "local-empirical"
-
-    def test_identity_round_trip(self, tmp_path):
-        path = tmp_path / "id.json"
-        write_json(path, IdentityPitCdf().to_json())
-        loaded = load_pit_model(path)
-        assert loaded.predict_curve([0.3], [0.0])[0] == 0.3
+        assert doc["config"] == {"k": 20, "weighting": "uniform"}
+        assert "xs" not in doc and "pit_values" not in doc
+        assert doc["n_rows"] == len(cal)
+        assert doc["rows_sha256"] == hashlib.sha256(cal.xs.tobytes() + pits.tobytes()).hexdigest()
+        again = CalibrationSet(cal.xs.copy(), cal.ys.copy())
+        assert fit_local_empirical(again, pits.copy(), LocalEmpiricalConfig(k=20)).to_json() == doc
+        moved = pits.copy()
+        moved[37] = np.nextafter(moved[37], 1.0)
+        other = fit_local_empirical(cal, moved, LocalEmpiricalConfig(k=20)).to_json()
+        assert other["rows_sha256"] != doc["rows_sha256"]
+        assert {**other, "rows_sha256": doc["rows_sha256"]} == doc
 
 
 def _flat_xs_outputs(kind, xs):

@@ -139,10 +139,13 @@ class TestCalibrate:
                     "--net-hidden", "8,8", "--net-max-epochs", 3,
                     "--net-batch", 256, "--k-factor", 5,
                     "--eval-x=0.5", "--seed", 3, "--out-dir", out]) == 0
-        from pitcal.calibrate import load_pit_model
-
-        model = load_pit_model(out / "model.json")
-        assert model.backend == "monotone-net"
+        doc = json.loads((out / "model.json").read_text())
+        assert doc["backend"] == "monotone-net"
+        assert doc["hidden_layers"] == [8, 8]
+        weights = doc["raw_weights"]
+        assert set(weights) == {f"{name}{k}" for k in range(2) for name in "UcPBb"} | {
+            "p_out", "p_skip", "r_out", "b_out", "s_out", "s_bias"}
+        assert np.shape(weights["U0"]) == (8, 1) and np.shape(weights["B1"]) == (8, 8)
 
 
 class TestDiagnose:

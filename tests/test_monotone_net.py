@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import pitcal
 import pitcal.rng as rngmod
-from pitcal.calibrate import CalibrationSet, augment, compute_pit_values, load_pit_model
+from pitcal.calibrate import MODEL_FORMAT_VERSION, CalibrationSet, augment, compute_pit_values
 from pitcal.dataio import write_json
 from pitcal.errors import TrainingDiverged
 from pitcal.monotone_net import (
@@ -33,6 +33,16 @@ from pitcal.synthgen import sample_example2
 
 SMALL_CFG = dict(hidden_layers=(16, 16), learning_rate=3e-3, lr_decay=0.97,
                  batch_size=512, max_epochs=25, seed=1)
+
+
+def net_from_doc(doc):
+    """The network that a ``model.json`` document records, rebuilt from its JSON text."""
+    doc = json.loads(json.dumps(doc))
+    return MonotoneNetModel({k: np.array(v) for k, v in doc["raw_weights"].items()},
+                            doc["hidden_layers"], np.array(doc["standardization"]["mean"]),
+                            np.array(doc["standardization"]["scale"]),
+                            MonotoneNetConfig(**doc["config"]),
+                            [tuple(e) for e in doc["loss_history"]], doc["best_epoch"])
 
 
 def calibrated_aug(n=2000, k_factor=10, seed=0):
@@ -132,8 +142,7 @@ class TestFittedModel:
         assert mat.dtype == np.float64
         assert np.all(mat >= 0.0) and np.all(mat <= 1.0)
         assert np.all(np.diff(mat, axis=1) >= 0.0)
-        loaded = MonotoneNetModel.from_json(json.loads(json.dumps(net.to_json())))
-        assert np.array_equal(loaded.predict_matrix(gammas, grid), mat)
+        assert np.array_equal(net_from_doc(net.to_json()).predict_matrix(gammas, grid), mat)
 
 
 class TestDeterminism:
@@ -240,8 +249,7 @@ class TestPredictCurve:
         want = recomputing_forward(params, hidden, standardize(xs, net.mean, net.scale),
                                    _mono_inputs(np.tile(gammas, n_x))).reshape(n_x, -1)
         assert np.array_equal(net.predict_matrix(gammas, xs), want)
-        reloaded = MonotoneNetModel.from_json(json.loads(json.dumps(net.to_json())))
-        assert np.array_equal(reloaded.predict_matrix(gammas, xs), want)
+        assert np.array_equal(net_from_doc(net.to_json()).predict_matrix(gammas, xs), want)
 
 
 def recomputing_forward(params, hidden, x_std, z0):
@@ -526,31 +534,16 @@ class TestSerialization:
         net = fit_monotone_net(aug, cfg)
         path = tmp_path / "net.json"
         write_json(path, net.to_json())
-        loaded = load_pit_model(path)
-        assert isinstance(loaded, MonotoneNetModel)
-        gam = np.linspace(0.05, 0.95, 11)
-        np.testing.assert_allclose(
-            loaded.predict_curve(gam, [0.4]), net.predict_curve(gam, [0.4]), atol=1e-15
-        )
         doc = json.loads(path.read_text())
         assert doc["backend"] == "monotone-net"
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == MODEL_FORMAT_VERSION == 2
         assert "raw_weights" in doc and "standardization" in doc
         assert len(doc["loss_history"]) == 3
-        assert loaded.loss_history == net.loss_history
-        assert loaded.best_epoch == net.best_epoch is not None
-
-    def test_file_without_training_record_loads(self, tmp_path):
-        net = fit_monotone_net(calibrated_aug(n=300, k_factor=5),
-                               MonotoneNetConfig(hidden_layers=(8,), max_epochs=2, seed=3))
-        doc = net.to_json()
-        del doc["loss_history"], doc["best_epoch"]
-        path = tmp_path / "old.json"
-        write_json(path, doc)
-        loaded = load_pit_model(path)
-        assert loaded.loss_history == [] and loaded.best_epoch is None
+        loaded = net_from_doc(doc)
         gam = np.linspace(0.05, 0.95, 11)
         assert np.array_equal(loaded.predict_curve(gam, [0.4]), net.predict_curve(gam, [0.4]))
+        assert loaded.loss_history == net.loss_history
+        assert loaded.best_epoch == net.best_epoch is not None
 
 
 class TestDivergence:
