@@ -17,6 +17,7 @@ import numpy as np
 from .calibrate import (CalibrationSet, PredictionSet, StandardizedNeighbours, central_intervals,
                         compute_pit_values)
 from .errors import InsufficientCalibration
+from .grid import map_row_blocks
 from .models import cdf_rows
 
 __all__ = [
@@ -61,7 +62,9 @@ class KnnMeanRegressor(StandardizedNeighbours):
 
     def predict(self, xs) -> np.ndarray:
         """Neighbour means, one per row of ``xs``: (n, d), or (n,) for one feature."""
-        return self._ys[self._query(xs)[1]].mean(axis=1)
+        xs = np.asarray(xs, dtype=float).reshape(-1, self.mean.size)
+        # blocks of width 4k: a one-feature query holds up to five (rows, k) arrays at once
+        return map_row_blocks(lambda b: self._ys[self._query(b)[1]].mean(axis=1), 4 * self.k, xs)
 
     def __call__(self, x) -> float:
         return float(self.predict(x)[0])

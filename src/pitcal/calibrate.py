@@ -25,7 +25,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng as rngmod
 from .errors import DegenerateRecalibration, HpdSearchFailed, InsufficientData, LengthMismatch
-from .grid import GridCdf, GridDensity, _pit_rows, invert_rows, knot_slopes, renormalize_rows
+from .grid import (GridCdf, GridDensity, _pit_rows, invert_rows, knot_slopes, map_row_blocks,
+                   renormalize_rows)
 from .models import cdf_rows, feature_rows, standardization, standardize
 
 __all__ = [
@@ -101,9 +102,11 @@ class AugmentedCalibrationSet:
 def compute_pit_values(model, cal: CalibrationSet) -> np.ndarray:
     """PIT(y_i; x_i) under the initial model, one value per calibration row.
 
-    All rows' CDFs come from one :func:`cdf_rows` call.
+    Each block of rows of :func:`map_row_blocks` (width G) takes its CDFs from
+    one :func:`cdf_rows` call and its PITs from one ``_pit_rows`` call.
     """
-    return _pit_rows(model.grid.points, cdf_rows(model, cal.xs), cal.ys)
+    return map_row_blocks(lambda xs, ys: _pit_rows(model.grid.points, cdf_rows(model, xs), ys),
+                          len(model.grid), cal.xs, cal.ys)
 
 
 def augment(cal: CalibrationSet, pit_values, k_factor: int, seed: int) -> AugmentedCalibrationSet:

@@ -55,6 +55,17 @@ __all__ = [
 
 _SNAP_TOL = 1e-9
 _GRID_MARGIN = 0.1  # share of the data span added to each side by default_grid
+_BLOCK_FLOATS = 2**18  # float64 values in 2 MiB
+
+
+def map_row_blocks(f, width: int, *rows) -> np.ndarray:
+    """``f`` over consecutive blocks of at most ``max(1, 2**18 // width)`` rows of each of
+    ``rows``, joined: with ``width`` float64 values per row, each temporary of a pass stays
+    within 2 MiB at any row count. No rows make one call on the empty rows."""
+    n, step = len(rows[0]), max(1, _BLOCK_FLOATS // max(width, 1))
+    if n <= step:
+        return f(*rows)
+    return np.concatenate([f(*(r[i:i + step] for r in rows)) for i in range(0, n, step)])
 
 
 def _frozen(a) -> np.ndarray:

@@ -45,6 +45,7 @@ def feature_rows(xs) -> np.ndarray:
 
 def standardization(xs) -> tuple:
     """Column means of the (n, d) rows ``xs`` and their standard deviations, 1 where constant."""
+    xs = np.ascontiguousarray(xs)  # the sums run in one order whatever the memory layout
     scale = xs.std(axis=0)
     return xs.mean(axis=0), np.where(scale > 0, scale, 1.0)
 

@@ -13,13 +13,15 @@ ships, with the same coefficients, branch points and Horner order, so that
 
 Each routine picks one of three rational approximations per element. Rather
 than one pass per region, every element takes its region's coefficients in
-one gather and all elements run one Horner loop, so a call costs the same
-few dozen numpy operations at any size.
+one gather and all elements run one Horner loop: a few dozen numpy operations per
+block of :func:`pitcal.grid.map_row_blocks`, each element gathering a (9, 2) table.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .grid import map_row_blocks
 
 __all__ = ["ndtr", "ndtri"]
 
@@ -98,6 +100,10 @@ def _rational(table: np.ndarray, region: np.ndarray, v: np.ndarray, lead: np.nda
 def ndtri(y):
     """Standard normal quantile: 0 gives -inf, 1 gives inf, NaN or y outside [0, 1] gives NaN."""
     y = np.asarray(y, dtype=float)
+    return map_row_blocks(_ndtri, _NDTRI[..., 0].size, y.reshape(-1)).reshape(y.shape)[()]
+
+
+def _ndtri(y):
     w = y - 0.5
     central = (y > _EXPM2) & (y <= 1.0 - _EXPM2)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -107,8 +113,7 @@ def ndtri(y):
         ratio = _rational(_NDTRI, central + 2 * (x >= 8.0), v, v)
         # the cap makes x = inf give inf instead of inf/inf; finite x has log(x) < 4
         tail = np.copysign(x - np.minimum(np.log(x), 1e300) / x - ratio, w)
-        out = np.where(central, (w + w * ratio) * _S2PI, tail)
-    return out[()]
+        return np.where(central, (w + w * ratio) * _S2PI, tail)
 
 
 def ndtr(a):
@@ -117,6 +122,10 @@ def ndtr(a):
     With x = a / sqrt(2): 0.5 + erf(x)/2 for |a| < 1, else erfc(|x|)/2 or its complement.
     """
     a = np.asarray(a, dtype=float)
+    return map_row_blocks(_ndtr, _NDTR[..., 0].size, a.reshape(-1)).reshape(a.shape)[()]
+
+
+def _ndtr(a):
     x = a * _SQRT1_2
     z = np.abs(x)
     erf_side = z < 1.0
@@ -129,5 +138,4 @@ def ndtr(a):
         # erf(x) on the erf side, erfc(z) beyond it
         r = _rational(_NDTR, erf_side + 2 * (z >= 8.0), v, np.where(erf_side, x, e))
         half = 0.5 * np.where(erf_side, 1.0 - np.abs(r), r)
-        out = np.where(z < _SQRT1_2, 0.5 + 0.5 * r, np.where(x > 0.0, 1.0 - half, half))
-    return out[()]
+        return np.where(z < _SQRT1_2, 0.5 + 0.5 * r, np.where(x > 0.0, 1.0 - half, half))

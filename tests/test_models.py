@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pitcal.baselines import fit_knn_mean
+from pitcal.calibrate import CalibrationSet, LocalEmpiricalConfig, fit_local_empirical
 from pitcal.grid import GridDensity, YGrid, _pit_rows, default_grid, widen_density
 from pitcal.models import (
     _SMOOTH_STEPS,
@@ -9,6 +11,7 @@ from pitcal.models import (
     MarginalHistogramModel,
     UniformInitialModel,
     model_cdf,
+    standardization,
 )
 
 
@@ -88,3 +91,28 @@ class TestHistogramHelper:
         ys = np.concatenate([grid.points[[0, -1]], rng.normal(0.0, 2.0, size=n)])[:n]
         assert np.array_equal(MarginalHistogramModel(grid, ys).density_at([0.0]).values,
                               marginal_histogram_reference(grid, ys).values)
+
+
+
+class TestStandardizationLayout:
+    """The fit reads the rows' values, not their memory layout."""
+
+    def test_fortran_rows_fit_as_c_rows(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(100, 2))
+        xf = np.asfortranarray(x)
+        (mean, scale), (mean_f, scale_f) = standardization(x), standardization(xf)
+        assert np.array_equal(mean, mean_f) and np.array_equal(scale, scale_f)
+        # C-order rows keep the values the unconverted rows gave
+        assert np.array_equal(mean, x.mean(axis=0)) and np.array_equal(scale, x.std(axis=0))
+        cal = CalibrationSet(x, rng.normal(size=100))
+        cal_f = CalibrationSet(xf, cal.ys)
+        pits = rng.uniform(size=100)
+        gammas = np.linspace(0.0, 1.0, 11)
+        for weighting in ("uniform", "inverse-distance"):
+            cfg = LocalEmpiricalConfig(k=20, weighting=weighting)
+            want = fit_local_empirical(cal, pits, cfg).predict_matrix(gammas, x)
+            assert np.array_equal(fit_local_empirical(cal_f, pits, cfg).predict_matrix(gammas, xf),
+                                  want)
+        assert np.array_equal(fit_knn_mean(cal_f, k=15).predict(xf),
+                              fit_knn_mean(cal, k=15).predict(x))
