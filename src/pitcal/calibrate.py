@@ -219,7 +219,9 @@ class StandardizedNeighbours:
         """``(dist, idx)`` of each row of ``xs``, each (n_x, k); ``xs`` is (n_x, d) or (n_x,).
 
         A row whose k-th standardized distance is inf (it overflows, or k
-        exceeds the rows and the slot reads index n) raises :class:`InsufficientData`.
+        exceeds the rows and the slot reads index n) raises :class:`InsufficientData`,
+        which names the row by its feature values: callers pass row blocks, so a
+        position in ``xs`` need not be the row's position in the data.
         """
         q = standardize(xs, self.mean, self.scale)
         if self._tree is None:
@@ -229,8 +231,9 @@ class StandardizedNeighbours:
             dist, idx = dist.reshape(q.shape[0], self.k), idx.reshape(q.shape[0], self.k)
         far = np.flatnonzero(np.isinf(dist[:, -1]))
         if far.size:
-            raise InsufficientData(f"feature row {far[0]} is too far from the data for {self.k} "
-                                   "neighbours")
+            x = np.asarray(xs, dtype=float).reshape(q.shape)[far[0]]
+            raise InsufficientData(f"feature row ({', '.join(map(repr, x.tolist()))}) is too far "
+                                   f"from the data for {self.k} neighbours")
         return dist, idx
 
 

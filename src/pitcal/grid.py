@@ -63,9 +63,7 @@ def map_row_blocks(f, width: int, *rows) -> np.ndarray:
     ``rows``, joined: with ``width`` float64 values per row, each temporary of a pass stays
     within 2 MiB at any row count. No rows make one call on the empty rows."""
     n, step = len(rows[0]), max(1, _BLOCK_FLOATS // max(width, 1))
-    if n <= step:
-        return f(*rows)
-    return np.concatenate([f(*(r[i:i + step] for r in rows)) for i in range(0, n, step)])
+    return np.concatenate([f(*(r[i:i + step] for r in rows)) for i in range(0, max(n, 1), step)])
 
 
 def _frozen(a) -> np.ndarray:

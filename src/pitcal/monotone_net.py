@@ -28,7 +28,6 @@ import numpy as np
 from . import rng as rngmod
 from .calibrate import MODEL_FORMAT_VERSION, AugmentedCalibrationSet, PitCdfModel, _gamma_rows
 from .errors import TrainingDiverged
-from .grid import map_row_blocks
 from .models import standardization, standardize
 from .normal import ndtri
 
@@ -291,17 +290,15 @@ class MonotoneNetModel(PitCdfModel):
         self.best_epoch = best_epoch
 
     def predict_matrix(self, gammas, xs) -> np.ndarray:
-        """r(gamma; x) for every (x row, gamma) pair, shape (n_x, G).
+        """r(gamma; x) for every (x row, gamma) pair in one forward pass, shape (n_x, G).
 
         ``xs`` is (n_x, d), or (n_x,) for a one-feature model; ``gammas`` is
-        (G,) or (n_x, G). One forward pass per block of :func:`map_row_blocks`
-        (width G times the widest layer); :func:`_per_row` keeps rows independent of it.
+        (G,) or (n_x, G).
         """
         xs_std = standardize(xs, self.mean, self.scale)
         rows = _gamma_rows(gammas, xs_std.shape[0])
-        return map_row_blocks(lambda x, g: _forward(self.params, self.positive, self.hidden, x,
-                                                    _mono_inputs(g.ravel())).reshape(g.shape),
-                              rows.shape[1] * max(self.hidden + (_N_MONO_IN,)), xs_std, rows)
+        return _forward(self.params, self.positive, self.hidden, xs_std,
+                        _mono_inputs(rows.ravel())).reshape(rows.shape)
 
     def to_json(self) -> dict:
         return {

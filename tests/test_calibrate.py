@@ -458,7 +458,7 @@ def test_flat_xs_are_one_feature_rows(kind):
 @pytest.mark.parametrize("kind", ["LocalEmpiricalModel", "KnnMeanRegressor"])
 def test_point_beyond_float_range_has_no_neighbours(kind):
     # standardized distances to 1e300 overflow, so the tree finds no neighbour
-    # (index n at distance inf) for that row
+    # (index n at distance inf) for that row, which the error names by its value
     rng = np.random.default_rng(4)
     cal = CalibrationSet(rng.uniform(size=(30, 1)), rng.normal(size=30))
     if kind == "LocalEmpiricalModel":
@@ -468,6 +468,6 @@ def test_point_beyond_float_range_has_no_neighbours(kind):
         model = KnnMeanRegressor(cal, k=5)
         predict = model.predict
     xs = np.array([[0.5], [1e300], [0.2]])
-    with pytest.raises(InsufficientData, match="row 1 "):
+    with pytest.raises(InsufficientData, match=r"feature row \(1e\+300\) is too far"):
         predict(xs)
     assert np.all(np.isfinite(predict(xs[[0, 2]])))

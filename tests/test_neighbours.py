@@ -120,7 +120,7 @@ def test_example2_neighbours_equal_the_tree():
 def test_far_query_and_too_large_k_have_too_few_neighbours():
     xs = np.linspace(-1, 1, 9)
     reg = KnnMeanRegressor(CalibrationSet(xs, np.zeros(9)), k=3)
-    with pytest.raises(InsufficientData, match="feature row 1 "):
+    with pytest.raises(InsufficientData, match=r"feature row \(1e\+300\) is too far"):
         reg.predict(np.array([0.0, 1e300]))
     model = LocalEmpiricalModel(xs, np.linspace(0, 1, 9), LocalEmpiricalConfig(k=10))
     with pytest.raises(InsufficientData):

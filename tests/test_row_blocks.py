@@ -1,9 +1,8 @@
 """Passes over many rows run in row blocks of ``grid.map_row_blocks``, bit for bit.
 
 ``compute_pit_values`` (width G), ``KnnMeanRegressor.predict`` (width 4k),
-``ndtri`` and ``ndtr`` (width 18: each element gathers a (9, 2) coefficient
-table) and the network's ``predict_matrix`` (width G times the widest layer)
-walk their rows in blocks of at most 2**18 // width rows. The references
+and ``ndtri`` and ``ndtr`` (width 18: each element gathers a (9, 2) coefficient
+table) walk their rows in blocks of at most 2**18 // width rows. The references
 below are frozen copies of the one-shot code they replaced, which built every
 row's temporaries at once; every comparison is ``==``, NaN equal to NaN. The
 row counts straddle each pass's block boundary. The last group checks the
@@ -19,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from pitcal.baselines import KnnMeanRegressor, fit_knn_mean
 from pitcal.calibrate import CalibrationSet, RecalibratedInitialModel, compute_pit_values
+from pitcal.errors import InsufficientData
 from pitcal.grid import _pit_rows, cdf_rows_from_density_rows, map_row_blocks
 from pitcal.models import GaussianInitialModel, standardize
 from pitcal.monotone_net import MonotoneNetModel, _forward
@@ -180,6 +180,18 @@ def test_pit_values_equal_one_shot_property(kind, n, start):
     assert np.array_equal(compute_pit_values(model, cal), frozen_pit_values(model, cal))
 
 
+@pytest.mark.parametrize("kind, x", [("gaussian-fit", [1e300]),
+                                     ("gaussian-fit-2d", [1e300, -2.5])])
+def test_far_row_past_the_first_block_is_named_by_its_features(kind, x):
+    model, cal = fitted()[0][kind]
+    xs = cal.xs[:3000].copy()
+    xs[2000] = x  # past the first PIT block (1304 rows) and the first KNN block (1310)
+    with pytest.raises(InsufficientData) as exc:
+        compute_pit_values(model, CalibrationSet(xs, cal.ys[:3000]))
+    assert str(exc.value) == (f"feature row ({', '.join(map(repr, x))}) is too far from the "
+                              "data for 50 neighbours")
+
+
 @pytest.mark.parametrize("n", sizes(4 * 50))
 @pytest.mark.parametrize("kind", ["gaussian-fit", "gaussian-fit-2d"])
 def test_knn_predict_equals_one_shot(kind, n):
@@ -250,33 +262,6 @@ def test_normal_any_shape_equals_one_shot(fn, frozen, values):
         assert type(got) is np.float64
         assert np.array_equal(got, frozen(x), equal_nan=True)
     assert np.array_equal(fn(v.tolist()[:50]), frozen(v[:50]), equal_nan=True)
-
-
-def _net_rows():
-    b = 2**18 // (G * max(NET["hidden_layers"]))
-    return sorted({*sizes(G * max(NET["hidden_layers"])), 2 * b + 1})
-
-
-@pytest.mark.parametrize("n", _net_rows())
-def test_net_predict_matrix_equals_one_shot(n):
-    models, net = fitted()
-    cal = models["gaussian-fit"][1]
-    xs = cal.xs[:n]
-    shared = np.linspace(0.0, 1.0, G)
-    assert np.array_equal(net.predict_matrix(shared, xs), frozen_net_matrix(net, shared, xs))
-    rows = np.random.default_rng(n).uniform(size=(n, G))
-    assert np.array_equal(net.predict_matrix(rows, xs[:, 0]), frozen_net_matrix(net, rows, xs))
-
-
-def test_net_without_hidden_layers_equals_one_shot():
-    cal = fitted()[0]["gaussian-fit"][1]
-    small = head(cal, 200)
-    net = fit_pit_model(small, np.linspace(0.01, 0.99, 200), "net", 4, k_factor=2,
-                        net={**NET, "hidden_layers": ()})
-    for n in sizes(G * 4)[1:]:
-        xs = cal.xs[:n]
-        gammas = np.linspace(0.0, 1.0, G)
-        assert np.array_equal(net.predict_matrix(gammas, xs), frozen_net_matrix(net, gammas, xs))
 
 
 # ----------------------------------------------------------------------
