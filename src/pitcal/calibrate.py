@@ -25,8 +25,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng as rngmod
 from .errors import DegenerateRecalibration, HpdSearchFailed, InsufficientData, LengthMismatch
-from .grid import (GridCdf, GridDensity, _pit_rows, invert_rows, knot_slopes, map_row_blocks,
-                   renormalize_rows)
+from .grid import (_BLOCK_FLOATS, GridCdf, GridDensity, _pit_rows, invert_rows, knot_slopes,
+                   map_row_blocks, renormalize_rows)
 from .models import cdf_rows, feature_rows, standardization, standardize
 
 __all__ = [
@@ -163,29 +163,49 @@ class IdentityPitCdf(PitCdfModel):
         return _gamma_rows(gammas, feature_rows(xs).shape[0]).copy()
 
 
+# the scan answers for 2.._SCAN_MAX_FEATURES features: below 8 features cKDTree also
+# sums the squared differences one feature at a time, so both give the same distances
+_SCAN_MAX_FEATURES = 7
+
+
 class StandardizedNeighbours:
     """The ``k`` nearest training rows in standardized feature space.
 
     Features are centred by ``mean`` and divided by ``scale`` (see
-    :func:`standardization`). With two or more features a k-d tree answers;
-    its module, ``scipy.spatial``, loads at the first such build. With one
-    feature the k nearest rows are a contiguous run of the sorted column, so
-    the build is one stable argsort and a query binary-searches each run's
-    start. Ties follow one rule: the run is contiguous in the stable sort s of
-    the feature and starts at the smallest l with q - s[l] <= s[l + k] - q, so
-    a tie between its two ends goes to the lower end; inside the run, equal
-    distances keep run order. Distances are ``sqrt(d * d)``, as the tree
-    computes them.
+    :func:`standardization`). The build picks one of three searches from the n
+    rows, the k neighbours and the d features:
+
+    * d = 1: the k nearest rows are a contiguous run of the sorted column, so
+      the build is one stable argsort and a query binary-searches each run's
+      start. The run is contiguous in the stable sort s of the feature and
+      starts at the smallest l with q - s[l] <= s[l + k] - q, so a tie between
+      its two ends goes to the lower end; inside the run, equal distances keep
+      run order. Distances are ``sqrt(d * d)``, as the tree computes them.
+    * 2 <= d <= 7 and k >= n // 10, every default-k neighbourhood up to
+      10,000 rows: a scan of all rows (:meth:`_scan`). Among equal squared
+      distances the lower row index comes first, also at the k-th place. So
+      large a neighbourhood leaves a k-d tree little to prune: at n = 10 k the
+      scan's build and query took 0.44 to 0.89 of the tree's time at k >= 500;
+      at k <= 200 it was up to 1.75 times slower and at most 18 ms slower (d = 2,
+      2,000 queries on 2,000 rows; ``BENCH_scan_knn.json``). Loading the tree's
+      module costs a process about 0.3 s and 25 MiB.
+    * otherwise a ``cKDTree``; its module, ``scipy.spatial``, loads at the
+      first such build. From 8 features the tree sums the squared differences
+      in another order, so it keeps answering there with the distances it
+      always gave.
     """
 
     def _build_neighbours(self, xs, k: int):
         self.mean, self.scale = standardization(xs)
         self.k = int(k)
         s = standardize(xs, self.mean, self.scale)
-        if s.shape[1] == 1:
+        n, d = s.shape
+        self._tree = None
+        if d == 1:
             self._order = np.argsort(s[:, 0], kind="stable")
             self._sorted = s[self._order, 0]
-            self._tree = None
+        elif d <= _SCAN_MAX_FEATURES and self.k >= n // 10:
+            self._columns = s.T.copy()  # (d, n): each feature's column contiguous
         else:
             from scipy.spatial import cKDTree
 
@@ -215,20 +235,65 @@ class StandardizedNeighbours:
         perm[tied] = np.argsort(d[tied], axis=1, kind="stable")
         return dist, np.take_along_axis(sliding_window_view(self._order, k)[lo], perm, axis=1)
 
+    def _scan(self, q):
+        """``(dist, idx)`` of the queries ``q`` (n_x, d) from all rows, in row blocks.
+
+        Each block of queries holds at most 2**18 // n of them, so its (block, n)
+        temporaries stay within 2 MiB. ``k`` above the rows gives inf and index n,
+        as the window does.
+        """
+        k, n = self.k, self._columns.shape[1]
+        dist, idx = np.full((q.shape[0], k), np.inf), np.full((q.shape[0], k), n)
+        step = max(1, _BLOCK_FLOATS // n)
+        for i in range(0, q.shape[0] if k <= n else 0, step):
+            dist[i:i + step], idx[i:i + step] = self._scan_block(q[i:i + step])
+        return dist, idx
+
+    def _scan_block(self, q):
+        """The k nearest rows of each query in ``q`` (m, d) by (squared distance, row)."""
+        c, k = self._columns, self.k
+        with np.errstate(over="ignore"):  # inf, as from the tree; _query raises on it
+            d2 = q[:, :1] - c[0]
+            d2 *= d2
+            for j in range(1, c.shape[0]):  # feature by feature, as the tree sums
+                t = q[:, j:j + 1] - c[j]
+                d2 += np.multiply(t, t, out=t)
+        part = np.argpartition(d2, k - 1, axis=1)
+        kth = np.take_along_axis(d2, part[:, k - 1:k], axis=1)
+        part = part[:, :k]
+        # a tie at the k-th place leaves out rows as near as the k-th: take the lowest ones
+        cut = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k)
+        part[cut] = np.argsort(d2[cut], axis=1, kind="stable")[:, :k]
+        d2 = np.take_along_axis(d2, part, axis=1)
+        # an unstable sort, redone by (squared distance, row) only in rows whose distances tie
+        perm = np.argsort(d2, axis=1)
+        dk = np.take_along_axis(d2, perm, axis=1)
+        tied = np.flatnonzero((dk[:, 1:] == dk[:, :-1]).any(axis=1))
+        perm[tied] = np.lexsort((part[tied], d2[tied]))
+        return np.sqrt(dk), np.take_along_axis(part, perm, axis=1)
+
     def _query(self, xs):
         """``(dist, idx)`` of each row of ``xs``, each (n_x, k); ``xs`` is (n_x, d) or (n_x,).
 
-        A row whose k-th standardized distance is inf (it overflows, or k
-        exceeds the rows and the slot reads index n) raises :class:`InsufficientData`,
-        which names the row by its feature values: callers pass row blocks, so a
-        position in ``xs`` need not be the row's position in the data.
+        The search is the one the build picked (see the class): the sorted
+        window, the scan, whose ties go to the lower row, or the tree. On data
+        without tied distances all three give the tree's answer. A row whose
+        k-th standardized distance is inf (it overflows, or k exceeds the rows
+        and the slot reads index n) raises :class:`InsufficientData`, which
+        names the row by its feature values: callers pass row blocks, so a
+        position in ``xs`` need not be the row's position in the data. A NaN
+        feature raises ``ValueError`` on every search, as the tree always did.
         """
         q = standardize(xs, self.mean, self.scale)
-        if self._tree is None:
-            dist, idx = self._window(q[:, 0])
-        else:
+        if np.isnan(q).any():
+            raise ValueError("feature rows must not be NaN")
+        if self._tree is not None:
             dist, idx = self._tree.query(q, k=self.k)  # drops the neighbour axis when k == 1
             dist, idx = dist.reshape(q.shape[0], self.k), idx.reshape(q.shape[0], self.k)
+        elif q.shape[1] == 1:
+            dist, idx = self._window(q[:, 0])
+        else:
+            dist, idx = self._scan(q)
         far = np.flatnonzero(np.isinf(dist[:, -1]))
         if far.size:
             x = np.asarray(xs, dtype=float).reshape(q.shape)[far[0]]

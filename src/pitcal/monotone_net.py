@@ -28,6 +28,7 @@ import numpy as np
 from . import rng as rngmod
 from .calibrate import MODEL_FORMAT_VERSION, AugmentedCalibrationSet, PitCdfModel, _gamma_rows
 from .errors import TrainingDiverged
+from .grid import map_row_blocks
 from .models import standardization, standardize
 from .normal import ndtri
 
@@ -320,7 +321,11 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
     validation loss is the squared error of predictions against the indicator
     targets I(pit <= gamma) over the fixed gamma grid, so early stopping sees
     the whole curve rather than the drawn gammas only. The model with the best
-    validation loss is returned.
+    validation loss is returned. The validation pass runs in row blocks of whole
+    points (:func:`map_row_blocks`), so its float32 temporaries stay within 2 MiB;
+    OpenBLAS can round a float32 product's row by its place in the batch and the
+    batch's size, so a validation set of more than one block gives losses that can
+    differ in the last bits from one pass over all points.
     """
     if len(aug) == 0:
         raise ValueError("augmented set is empty")
@@ -347,9 +352,14 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
 
     x_val = xs_std_base[val_base].astype(np.float32)
     pit_val = aug.base_pit[val_base]
-    val_z = np.tile(_mono_inputs(VAL_GAMMA_GRID), (x_val.shape[0], 1)).astype(np.float32)
+    # (points, levels, inputs): a row block of validation points keeps all their levels
+    val_z = np.broadcast_to(_mono_inputs(VAL_GAMMA_GRID).astype(np.float32),
+                            (x_val.shape[0], VAL_GAMMA_GRID.size, _N_MONO_IN))
     # float64 targets make the validation loss a float64 sum of float32 predictions
     val_w = (pit_val[:, None] <= VAL_GAMMA_GRID[None, :]).astype(float).ravel()
+    # a validation point's widest float32 temporary holds its levels times the widest
+    # layer; map_row_blocks counts float64 values, each worth two float32
+    val_width = VAL_GAMMA_GRID.size * max((_N_MONO_IN, *cfg.hidden_layers)) // 2
 
     init_rng = rngmod.derived_rng(cfg.seed, "net-init")
     template = _init_params(aug.base_xs.shape[1], cfg.hidden_layers, init_rng)
@@ -405,8 +415,11 @@ def fit_monotone_net(aug: AugmentedCalibrationSet, cfg: MonotoneNetConfig) -> Mo
                 update = (m_state / bc1) / (np.sqrt(v_state / bc2) + eps)
                 flat -= lr * (update + wd * flat)
 
-            val_pred = _forward(params, _positive_weights(params, n_layers), cfg.hidden_layers,
-                                x_val, val_z)
+            positive = _positive_weights(params, n_layers)
+            val_pred = map_row_blocks(
+                lambda x, z: _forward(params, positive, cfg.hidden_layers, x,
+                                      z.reshape(-1, _N_MONO_IN)),
+                val_width, x_val, val_z)
             val_loss = float(np.mean((val_pred - val_w) ** 2))
             if not np.isfinite(val_loss):
                 raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")

@@ -309,6 +309,8 @@ EXIT_CASES = [
      ["diagnose", "--eval-x=1e300", "--n-mc", 20], 3, "numerical failure:"),
     ("gaussian_fit_eval_x_beyond_float_range", 300, False,
      ["calibrate", "--initial", "gaussian-fit", "--eval-x=1e300"], 3, "numerical failure:"),
+    ("two_feature_eval_x_beyond_float_range", 300, False, ["calibrate", "--eval-x=1e300,0"],
+     3, "numerical failure:"),
     ("diagnose_second_eval_x_beyond_float_range", 300, False,
      ["diagnose", "--eval-x=0;1e300", "--n-mc", 20], 3, "numerical failure:"),
     ("out_dir_is_a_file", 300, False, ["calibrate", "--eval-x=0.5"], 2, "error:"),
@@ -350,6 +352,7 @@ EXIT_CONFIG_FILES = {"config_value_not_a_number": b"alpha = abc\n",
 
 # cases whose dataset has other than one feature
 EXIT_FEATURES = {"eval_x_one_component_two_features": 2,
+                 "two_feature_eval_x_beyond_float_range": 2,
                  "diagnose_eval_x_one_component_two_features": 2,
                  "no_feature_column": 0}
 

@@ -34,14 +34,15 @@ from test_batched_path import frozen_query
 # ----------------------------------------------------------------------
 
 def old_query(model, x):
-    """``(dist, idx)`` of one feature point: the frozen k-d tree's with two or more features.
+    """``(dist, idx)`` of one feature point: the frozen k-d tree's where the model builds one.
 
-    A one-feature model answers from a sorted window, whose choice among tied
-    rows is not the tree's, and this module's lattice features tie; there the
+    A one-feature model answers from a sorted window, and a model with 2 to 7
+    features and k >= n // 10 from a scan of all rows; their choice among tied
+    rows is not the tree's, and this module's lattice features tie. There the
     model's own query, a batch of one, stands in. ``test_neighbours`` holds
-    that query to the tree.
+    both queries to the tree.
     """
-    if model.xs.shape[1] == 1:
+    if model._tree is None:
         dist, idx = model._query(np.reshape(x, (1, -1)))
         return dist[0], idx[0]
     return frozen_query(model, x)

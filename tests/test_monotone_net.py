@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pitcal
+import pitcal.monotone_net as monotone_net
 import pitcal.rng as rngmod
 from pitcal.calibrate import MODEL_FORMAT_VERSION, CalibrationSet, augment, compute_pit_values
 from pitcal.dataio import write_json
@@ -479,6 +480,45 @@ class TestMatchesFrozenTraining:
                                 patience=3, max_epochs=30, seed=3)
         want_history = assert_matches_frozen(fit_monotone_net(aug, cfg), aug, cfg)
         assert len(want_history) < cfg.max_epochs
+
+
+class TestBlockedValidation:
+    """The per-epoch validation pass runs in row blocks of whole validation points, each
+    with its 41 levels, against the same fit with one pass over all points.
+
+    Training never reads the validation pass, so the train losses and every epoch's
+    weights are equal. The validation losses are not bit-equal: OpenBLAS's float32
+    products can round a row differently by its place in the batch and the batch's
+    size, so they agree to float32 rounding, within 1e-7 relative, and pick the same
+    best epoch here.
+    """
+
+    @pytest.mark.parametrize("n, blocks", [(1500, [49, 49, 49, 3]), (990, [49, 49, 1])])
+    def test_fit_equals_one_shot_validation(self, monkeypatch, n, blocks):
+        rng = np.random.default_rng(n)
+        xs = rng.normal(size=(n, 2))
+        pits = np.clip(0.5 + 0.3 * np.tanh(xs.sum(axis=1)) + 0.2 * rng.normal(size=n), 0.0, 1.0)
+        aug = augment(CalibrationSet(xs, np.zeros(n)), pits, 4, seed=3)
+        # 41 levels x 256 float32 units: blocks of 2**19 // 10496 = 49 validation points
+        cfg = MonotoneNetConfig(hidden_layers=(256,), learning_rate=3e-3, batch_size=400,
+                                max_epochs=3, seed=5)
+        seen, blocked_pass = [], monotone_net.map_row_blocks
+
+        def spy(f, width, *rows):
+            return blocked_pass(lambda *b: seen.append(len(b[0])) or f(*b), width, *rows)
+
+        monkeypatch.setattr(monotone_net, "map_row_blocks", spy)
+        blocked = fit_monotone_net(aug, cfg)
+        assert seen == blocks * cfg.max_epochs
+        monkeypatch.setattr(monotone_net, "map_row_blocks", lambda f, width, *rows: f(*rows))
+        one_shot = fit_monotone_net(aug, cfg)
+        (train, val), (want_train, want_val) = (np.array(m.loss_history).T
+                                                for m in (blocked, one_shot))
+        assert np.array_equal(train, want_train)
+        np.testing.assert_allclose(val, want_val, rtol=1e-7, atol=0)
+        assert blocked.best_epoch == one_shot.best_epoch
+        for key, value in one_shot.params.items():
+            assert np.array_equal(blocked.params[key], value), key
 
 
 class TestGroupedPass:

@@ -129,6 +129,8 @@ def fitted():
         "marginal": (build_initial("marginal", ex2.grid, train2), cal2),
         "gaussian-fit": (gauss2, cal2),
         "gaussian-fit-2d": (build_initial("gaussian-fit", ex1.grid, train1), cal1),
+        # k = 400 of 4000 rows: the KNN mean scans the rows instead of building a tree
+        "gaussian-fit-2d-scan": (build_initial("gaussian-fit", ex1.grid, train1, mean_k=400), cal1),
         "local-map": (RecalibratedInitialModel(uniform, local), cal2),
         "net-map": (RecalibratedInitialModel(gauss2, net), cal2),
     }
@@ -181,15 +183,18 @@ def test_pit_values_equal_one_shot_property(kind, n, start):
 
 
 @pytest.mark.parametrize("kind, x", [("gaussian-fit", [1e300]),
-                                     ("gaussian-fit-2d", [1e300, -2.5])])
+                                     ("gaussian-fit-2d", [1e300, -2.5]),
+                                     ("gaussian-fit-2d-scan", [1e300, -2.5])])
 def test_far_row_past_the_first_block_is_named_by_its_features(kind, x):
     model, cal = fitted()[0][kind]
+    k = model.mean_fn.k
+    assert (model.mean_fn._tree is None) == (kind != "gaussian-fit-2d")
     xs = cal.xs[:3000].copy()
-    xs[2000] = x  # past the first PIT block (1304 rows) and the first KNN block (1310)
+    xs[2000] = x  # past the first PIT block (1304 rows) and the first KNN block (at most 1310)
     with pytest.raises(InsufficientData) as exc:
         compute_pit_values(model, CalibrationSet(xs, cal.ys[:3000]))
     assert str(exc.value) == (f"feature row ({', '.join(map(repr, x))}) is too far from the "
-                              "data for 50 neighbours")
+                              f"data for {k} neighbours")
 
 
 @pytest.mark.parametrize("n", sizes(4 * 50))

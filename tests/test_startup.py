@@ -2,10 +2,11 @@
 
 No scipy module loads until a run first builds a k-d tree, which imports
 ``scipy.spatial`` (with ``scipy.sparse``, ``scipy.linalg`` and
-``scipy.special``). Only data with two or more features build one: one-feature
-neighbours come from a sorted window, and a network run queries none. Each
-check runs in a subprocess, because the test session itself has long since
-imported all of them.
+``scipy.special``). Only a neighbourhood of fewer than n // 10 of n rows on 2
+to 7 features, or any on 8 or more, builds one: one-feature neighbours come
+from a sorted window, larger neighbourhoods on 2 to 7 features from a scan of
+all rows, and a network run queries none. Each check runs in a subprocess,
+because the test session itself has long since imported all of them.
 """
 
 import json
@@ -65,10 +66,17 @@ def test_network_calibration_builds_no_tree(tmp_path):
 
 
 def test_local_calibration_loads_the_tree_module(tmp_path):
-    # two features build a tree, so the probe sees the lazy import happen and the
-    # tests of runs that load no scipy are not vacuous
+    # k = 5 of 80 rows on two features builds a tree, so the probe sees the lazy
+    # import happen and the tests of runs that load no scipy are not vacuous
     assert "scipy.spatial" in calibrate_loads(tmp_path, "--backend", "local", "--eval-x=0.5,0.5",
-                                              "--k", "20", features=2)
+                                              "--k", "5", features=2)
+
+
+def test_two_feature_default_k_calibration_loads_no_scipy(tmp_path):
+    # the default k, a tenth of the rows, scans the rows instead of building a tree
+    assert calibrate_loads(tmp_path, "--backend", "local", "--eval-x=0.5,0.5",
+                           features=2) == []
+    assert (tmp_path / "out" / "sets.json").is_file()
 
 
 def test_one_feature_neighbour_runs_load_no_scipy(tmp_path):
