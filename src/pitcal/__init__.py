@@ -52,7 +52,8 @@ from .calibrate import (
     recalibrate,
 )
 from .monotone_net import MonotoneNetConfig, MonotoneNetModel, fit_monotone_net
-from .diagnose import AlpCurve, LocalTestResult, cde_loss, mc_local_test, mc_p_value
+from .diagnose import (AlpCurve, LocalTestResult, cde_loss, mc_local_test, mc_local_tests,
+                       mc_p_value)
 from .bench import CoverageReport, ExperimentRecipe, classify_coverage, run_experiment
 from .baselines import ConformalCalibration, DcpModel, RegSplitModel, fit_knn_mean
 
@@ -75,7 +76,8 @@ __all__ = [
     "fit_local_empirical", "recalibrate", "calpit_interval", "calpit_hpd",
     "MonotoneNetConfig", "MonotoneNetModel", "fit_monotone_net",
     # diagnostics
-    "AlpCurve", "LocalTestResult", "mc_local_test", "mc_p_value", "cde_loss",
+    "AlpCurve", "LocalTestResult", "mc_local_test", "mc_local_tests", "mc_p_value",
+    "cde_loss",
     # bench
     "ExperimentRecipe", "CoverageReport", "classify_coverage", "run_experiment",
     # baselines

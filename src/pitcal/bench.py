@@ -11,7 +11,7 @@ from the total pooled draw count.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .calibrate import (
 )
 from .errors import ConfigError
 from .models import cdf_rows
+from .monotone_net import MonotoneNetConfig
 from .pipeline import build_initial, fit_pit_model, split_calibration
 from .synthgen import TwoGroupConfig, sample_example1, sample_example2
 
@@ -49,6 +50,11 @@ _GENERATORS = {
 
 _METHODS = ("calpit-int", "calpit-hpd", "dcp", "regsplit", "oracle", "initial")
 _INITIALS = ("uniform", "marginal", "gaussian-fit", "generator")
+# the backend_params keys each backend reads; mean_k sets the initial model's KNN mean
+_BACKEND_PARAMS = {
+    "local": {"k", "weighting", "mean_k"},
+    "net": {f.name for f in fields(MonotoneNetConfig)} | {"k_factor", "mean_k"},
+}
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,11 @@ class ExperimentRecipe:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.initial not in _INITIALS:
             raise ConfigError(f"unknown initial model kind {self.initial!r}")
-        if self.backend not in ("local", "net"):
+        if self.backend not in _BACKEND_PARAMS:
             raise ConfigError(f"unknown backend {self.backend!r}")
+        unknown = sorted(set(self.backend_params) - _BACKEND_PARAMS[self.backend])
+        if unknown:
+            raise ConfigError(f"the {self.backend} backend reads no backend_params {unknown}")
         if self.experiment not in ("full", "split"):
             raise ConfigError(f"unknown experiment mode {self.experiment!r}")
         if not 0.0 < self.alpha < 1.0:

@@ -24,7 +24,7 @@ from .bench import _GENERATORS, _INITIALS, _METHODS, ExperimentRecipe, run_exper
 from .calibrate import (central_intervals, compute_pit_values, hpd_rows, recalibrate_rows,
                         recalibrated_pdf_rows)
 from .dataio import read_calibration_csv, write_calibration_csv, write_csv, write_json
-from .diagnose import mc_local_test
+from .diagnose import mc_local_tests
 from .errors import ConfigError, PitcalError
 from .grid import default_grid
 from .pipeline import build_initial, check_train_fraction, fit_pit_model, split_calibration
@@ -263,24 +263,15 @@ def cmd_diagnose(cfg: dict) -> int:
 
     # the local backend, the one the test is valid for
     observed = fit_pit_model(cal, pits, "local", seed, k=cfg["k"], weighting=cfg["weighting"])
-    if points is None:
-        points = [cal.xs[i] for i in range(min(n_eval_points, len(cal)))]
-
-    results, curves = [], []
-    for i, x in enumerate(points):
-        res, curve = mc_local_test(observed, x, n_mc, gammas, eta=eta,
-                                   seed=rngmod.derive_seed(seed, "diagnose", i))
-        curves.append(curve)
-        results.append({
-            "x": [float(v) for v in np.atleast_1d(x)],
-            "statistic": res.statistic,
-            "p_value": res.p_value,
-            "B": res.n_mc,
-        })
+    points = cal.xs[:n_eval_points] if points is None else points
+    tests = mc_local_tests(observed, points, n_mc, gammas, eta, seeds=[
+        rngmod.derive_seed(seed, "diagnose", i) for i in range(len(points))])
+    results = [{"x": [float(v) for v in res.x], "statistic": res.statistic,
+                "p_value": res.p_value, "B": res.n_mc} for res, _ in tests]
 
     # every test is done: a failed run leaves no file behind
     out, stamp = _ensure_outdir(cfg["out_dir"]), _stamp(cfg, seed)
-    for i, curve in enumerate(curves):
+    for i, (_, curve) in enumerate(tests):
         write_csv(out / f"alp_{i}.csv", ("gamma", "r", "lo", "hi"),
                   zip(gammas, curve.r_values, curve.band_lo, curve.band_hi), comment=stamp)
     write_json(out / "local_tests.json", {**_meta(cfg, seed), "results": results})
@@ -298,9 +289,7 @@ def cmd_bench(cfg: dict) -> int:
     mc_draws = int(cfg["mc_draws"])
     if cfg["quick"]:
         realizations, mc_draws = 3, 300
-    backend_params = {}
-    if cfg["k"] is not None:
-        backend_params["k"] = int(cfg["k"])
+    backend_params = {} if cfg["k"] is None else {"k": int(cfg["k"])}
     recipe = ExperimentRecipe(
         generator=cfg["example"],
         method=cfg["method"],
@@ -323,10 +312,8 @@ def cmd_bench(cfg: dict) -> int:
     write_csv(out / "report.csv", report.CSV_HEADER, report.csv_rows(),
               comment=_stamp(cfg, seed))
     s = report.summary
-    print(
-        f"under={s['proportion_under']:.3f} correct={s['proportion_correct']:.3f} "
-        f"over={s['proportion_over']:.3f} mean_size={s['mean_size']:.3f}"
-    )
+    print(f"under={s['proportion_under']:.3f} correct={s['proportion_correct']:.3f} "
+          f"over={s['proportion_over']:.3f} mean_size={s['mean_size']:.3f}")
     return 0
 
 

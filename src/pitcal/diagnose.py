@@ -7,13 +7,13 @@ grid. Its null distribution is simulated by refitting the regression on B
 resampled uniform PIT vectors, which is valid for local estimators whose fit
 at x only uses calibration points near x: the k-nearest-neighbour backend
 (:class:`LocalEmpiricalModel`) qualifies, network fits do not, and the test
-takes no other backend. :func:`mc_local_test` runs it in one pass per x: one
-neighbourhood query, each null vector drawn once and read at the neighbours
-only, and one (B, G) array of null curves giving the statistic, the p-value
-and the band; a fitted map's P-P curve at one x alone is its
-``predict_curve``. The p-value is #{T_b > T_obs}/B, not the
-(1 + #{T_b >= T_obs})/(B + 1) of Phipson & Smyth (2010), because the
-acceptance tests and benchmark references fix it exactly.
+takes no other backend. :func:`mc_local_tests` runs it at P points in one
+call: one neighbourhood query, each point's own null streams read at its
+neighbours only, curves built a few points at a time in 2 MiB row blocks,
+and one (P, B+1, G) curve array for the statistics, p-values and bands. The
+p-value is #{T_b > T_obs}/B, not the (1 + #{T_b >= T_obs})/(B + 1) of
+Phipson & Smyth (2010), as the acceptance tests and benchmark references
+fix it exactly.
 """
 
 from __future__ import annotations
@@ -25,13 +25,15 @@ import numpy as np
 from . import rng as rngmod
 from .calibrate import CalibrationSet, LocalEmpiricalModel, _gamma_rows
 from .errors import LengthMismatch
-from .grid import GridDensity
+from .grid import GridDensity, map_row_blocks
+from .models import feature_rows
 
 __all__ = [
     "AlpCurve",
     "LocalTestResult",
     "DEFAULT_TEST_GAMMAS",
     "mc_local_test",
+    "mc_local_tests",
     "mc_p_value",
     "cde_loss",
 ]
@@ -66,20 +68,21 @@ def _deviation(curves, g) -> np.ndarray:
     return np.mean((curves - g) ** 2, axis=-1)
 
 
-def mc_local_test(observed: LocalEmpiricalModel, x, n_mc: int, gammas, eta=0.05, seed=0):
-    """Local coverage test at ``x`` in one pass; returns ``(LocalTestResult, AlpCurve)``.
+def mc_local_tests(observed: LocalEmpiricalModel, xs, n_mc: int, gammas, eta=0.05, *, seeds):
+    """The local coverage test at each of the P feature rows ``xs``, row p with root
+    seed ``seeds[p]``, an int in [-2**127, 2**127): P ``(LocalTestResult, AlpCurve)``.
 
-    ``observed`` is the local-empirical fit on the observed PIT values. One
-    neighbourhood query of ``x`` gives the k neighbours; row 0 of a (B+1, k)
-    block holds their observed PIT values and row b+1 their entries of
-    ``derived_rng(seed, "null-pits", b)``'s uniforms, one per calibration row,
-    seeded in one :func:`~pitcal.rng.derived_rngs` pass, which refits the map on
-    replicate b. ``observed._ecdf`` turns the block into the curves. The result
-    holds the observed r(gamma; x) and the nearest-rank band: with k =
-    floor(B * eta / 2), the (k+1)-th and (B-k)-th smallest null values. Any
-    other backend raises :class:`TypeError`; an ``x`` without one component
-    per feature raises :class:`LengthMismatch`; ``n_mc < 1``, ``eta`` outside
-    (0, 1) or an empty gamma grid raises :class:`ValueError`.
+    One neighbourhood query of ``xs`` on the local-empirical fit ``observed``
+    gives each point k neighbours. Row 0 of point p's (B+1, k) block holds their
+    observed PIT values, row b+1 their entries of ``derived_rng(seeds[p],
+    "null-pits", b)``'s n uniforms, which refit the map on replicate b.
+    :func:`~pitcal.grid.map_row_blocks` runs the blocks over point positions,
+    so each pass's temporaries stay within 2 MiB. The (P, B+1, G) curves give
+    the statistics, the p-values and the nearest-rank bands: the (q+1)-th and
+    (B-q)-th smallest null values, q = floor(B * eta / 2). Another backend
+    raises :class:`TypeError`; rows without one component per feature, or not
+    one seed per row, :class:`LengthMismatch`; ``n_mc < 1``, ``eta`` outside
+    (0, 1) or an empty gamma grid :class:`ValueError`.
     """
     if not isinstance(observed, LocalEmpiricalModel):
         raise TypeError("the local coverage test needs the local-empirical backend, "
@@ -91,24 +94,38 @@ def mc_local_test(observed: LocalEmpiricalModel, x, n_mc: int, gammas, eta=0.05,
     g = np.asarray(gammas, dtype=float)
     if g.size == 0:
         raise ValueError("the gamma grid is empty")
-    x = np.asarray(x, dtype=float)
-    if x.size != observed.xs.shape[1]:
-        raise LengthMismatch(f"x has {x.size} components for {observed.xs.shape[1]} features")
-    idx, w = observed._neighborhoods(x.reshape(1, -1))
-    idx = idx[0]
-    n = observed.pit_values.size
-    pits = np.empty((n_mc + 1, idx.size))
-    pits[0] = observed.pit_values[idx]
-    for b, rng in enumerate(rngmod.derived_rngs(seed, "null-pits", count=n_mc)):
-        # random(n) draws the same doubles as uniform(size=n), with less overhead
-        pits[b + 1] = rng.random(n)[idx]
-    curves = observed._ecdf(pits, w, _gamma_rows(g, n_mc + 1))
+    xs, seeds = feature_rows(xs), list(seeds)
+    if xs.shape[1] != observed.xs.shape[1]:
+        raise LengthMismatch(f"x has {xs.shape[1]} components for {observed.xs.shape[1]} features")
+    if len(seeds) != xs.shape[0]:
+        raise LengthMismatch(f"{len(seeds)} seeds for {xs.shape[0]} feature rows")
+    idx, w = observed._neighborhoods(xs)
+    n, k = observed.pit_values.size, idx.shape[1]
+
+    def block_curves(points):
+        pits = np.empty((points.size, n_mc + 1, k))
+        for j, p in enumerate(points):
+            pits[j, 0] = observed.pit_values[idx[p]]
+            for b, rng in enumerate(rngmod.derived_rngs(seeds[p], "null-pits", count=n_mc)):
+                # random(n) draws the same doubles as uniform(size=n), with less overhead
+                pits[j, b + 1] = rng.random(n)[idx[p]]
+        rw = None if w is None else np.repeat(w[points], n_mc + 1, axis=0)
+        curves = observed._ecdf(pits.reshape(-1, k), rw, _gamma_rows(g, pits.size // k))
+        return curves.reshape(pits.shape[:2] + g.shape)
+
+    curves = map_row_blocks(block_curves, 2 * (n_mc + 1) * k, np.arange(xs.shape[0]))
     stats = _deviation(curves, g)
-    ranked = np.sort(curves[1:], axis=0)
-    k = int(np.floor(n_mc * eta / 2.0))
-    exceed = int(np.count_nonzero(stats[0] < stats[1:]))
-    result = LocalTestResult(x, float(stats[0]), exceed / n_mc, int(n_mc))
-    return result, AlpCurve(x, g, curves[0], ranked[k], ranked[n_mc - 1 - k])
+    ranked = np.sort(curves[:, 1:], axis=1)
+    q = int(np.floor(n_mc * eta / 2.0))
+    exceed = np.count_nonzero(stats[:, :1] < stats[:, 1:], axis=1)
+    return [(LocalTestResult(x, float(t[0]), int(e) / n_mc, int(n_mc)),
+             AlpCurve(x, g, c[0], r[q], r[n_mc - 1 - q]))
+            for x, t, e, c, r in zip(xs, stats, exceed, curves, ranked)]
+
+
+def mc_local_test(observed: LocalEmpiricalModel, x, n_mc: int, gammas, eta=0.05, seed=0):
+    """:func:`mc_local_tests` at the one point ``x``: ``(LocalTestResult, AlpCurve)``."""
+    return mc_local_tests(observed, np.reshape(x, (1, -1)), n_mc, gammas, eta, seeds=[seed])[0]
 
 
 def mc_p_value(fit_fn, cal: CalibrationSet, pit_values, x, n_mc: int,
@@ -116,16 +133,12 @@ def mc_p_value(fit_fn, cal: CalibrationSet, pit_values, x, n_mc: int,
     """Monte Carlo p-value of the local null "the model is exact near x".
 
     ``fit_fn(cal, pit_values)`` fits the observed model, which must be a
-    :class:`LocalEmpiricalModel`; :func:`mc_local_test` runs once and refits
-    it on each null replicate. The p-value is the fraction of null replicates
-    whose statistic strictly exceeds the observed one, #{T_b > T_obs}/B, so it
-    lives on the lattice {0, 1/B, ..., 1}; Phipson & Smyth's
-    (1 + #{T_b >= T_obs})/(B + 1) is not used, because acceptance 7 and the
-    benchmark references fix it.
+    :class:`LocalEmpiricalModel`; :func:`mc_local_test`, a batch of one of
+    :func:`mc_local_tests`, tests it at ``x`` with the null streams of ``seed``.
+    The p-value, #{T_b > T_obs}/B, lives on the lattice {0, 1/B, ..., 1}.
     """
     g = DEFAULT_TEST_GAMMAS if gammas is None else gammas
-    observed = fit_fn(cal, np.asarray(pit_values, dtype=float))
-    return mc_local_test(observed, x, n_mc, g, seed=seed)[0]
+    return mc_local_test(fit_fn(cal, np.asarray(pit_values, dtype=float)), x, n_mc, g, seed=seed)[0]
 
 
 def cde_loss(pdfs, test_ys) -> float:

@@ -136,11 +136,10 @@ def _init_params(dim_x: int, hidden: tuple, rng: np.random.Generator) -> dict:
 
 
 def _per_row(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``a @ w.T`` for feature rows ``a``, each row's sums rounded alike at any row count.
+    """``a @ w.T`` for feature rows ``a``; a one-row ``a`` is doubled and the copy dropped.
 
-    numpy sends a one-row product to gemv or dot, which round differently
-    from gemm; a second copy of the row keeps a batch of one equal to the
-    same row of a larger batch.
+    numpy sends a one-row product to gemv or dot rather than gemm; the second
+    copy of the row sends it to gemm, as a larger batch goes.
     """
     if a.shape[0] != 1:
         return a @ w.T

@@ -138,6 +138,31 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             ExperimentRecipe(generator="ex1", method="oracle", n=10, initial="nope")
 
+    @pytest.mark.parametrize("backend, params", [
+        ("local", {"kk": 50}),
+        ("local", {"hidden_layers": (8, 8)}),
+        ("local", {"k_factor": 5}),
+        ("local", {"k": 50, "seed": 3}),
+        ("net", {"k": 50}),
+        ("net", {"weighting": "inverse-distance"}),
+        ("net", {"hidden_layers": (8,), "layers": (8,)}),
+    ])
+    def test_unread_backend_params_rejected(self, backend, params):
+        with pytest.raises(ConfigError, match="reads no backend_params"):
+            ExperimentRecipe(generator="ex1", method="calpit-int", n=10, backend=backend,
+                             backend_params=params)
+
+    @pytest.mark.parametrize("backend, params", [
+        ("local", {"k": 50, "weighting": "inverse-distance", "mean_k": 25}),
+        ("net", {"hidden_layers": (8,), "learning_rate": 1e-2, "lr_decay": 0.9,
+                 "weight_decay": 0.0, "batch_size": 64, "patience": 2, "val_fraction": 0.2,
+                 "max_epochs": 3, "seed": 5, "k_factor": 4, "mean_k": 25}),
+    ])
+    def test_every_read_backend_param_accepted(self, backend, params):
+        recipe = ExperimentRecipe(generator="ex1", method="calpit-int", n=10, backend=backend,
+                                  backend_params=params)
+        assert recipe.backend_params == params
+
     def test_report_files(self, tmp_path):
         recipe = ExperimentRecipe(
             generator="ex2-skewed", method="oracle", n=20, alpha=0.1,

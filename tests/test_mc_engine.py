@@ -6,8 +6,10 @@ the neighbourhood again, once for the p-value and once more for the band.
 The second is the batched engine as it ran before it read the neighbours
 itself: ``frozen_predict_curves``, a copy of the deleted
 ``LocalEmpiricalModel.predict_curves``, took each full-length PIT vector and
-kept its neighbour entries. All paths run the same arithmetic, so they must
-agree exactly. The references' neighbourhoods come from :func:`old_query`.
+kept its neighbour entries. The third is the one-point engine that
+``mc_local_tests`` replaced, which ``pitcal diagnose`` ran once per point.
+All paths run the same arithmetic, so they must agree exactly. The first two
+references' neighbourhoods come from :func:`old_query`.
 """
 
 import itertools
@@ -24,9 +26,12 @@ from pitcal.calibrate import (
     _gamma_rows,
     fit_local_empirical,
 )
-from pitcal.diagnose import DEFAULT_TEST_GAMMAS, _deviation, mc_local_test, mc_p_value
+from pitcal.diagnose import (DEFAULT_TEST_GAMMAS, _deviation, mc_local_test, mc_local_tests,
+                             mc_p_value)
 from pitcal.errors import LengthMismatch
+from pitcal.grid import _BLOCK_FLOATS
 from test_batched_path import frozen_query
+from test_neighbours import traced_peak_mib
 
 
 # ----------------------------------------------------------------------
@@ -271,3 +276,91 @@ class TestPredictCurves:
         rows = np.random.default_rng(1).uniform(size=(5, 30))
         curves = model._ecdf(rows[:, idx[0]], w, _gamma_rows(np.array([0.0, 1.0]), 5))
         assert np.all(curves[:, 1] == 1.0)
+
+
+# ----------------------------------------------------------------------
+# frozen reference: the one-point engine, run once per point
+# ----------------------------------------------------------------------
+
+def frozen_one_point_test(observed, x, n_mc, gammas, eta, seed):
+    """``mc_local_test`` as it ran before ``mc_local_tests``: one query and one
+    (B+1, k) block per point; (statistic, p-value, r, band_lo, band_hi)."""
+    g = np.asarray(gammas, dtype=float)
+    x = np.asarray(x, dtype=float)
+    idx, w = observed._neighborhoods(x.reshape(1, -1))
+    idx = idx[0]
+    n = observed.pit_values.size
+    pits = np.empty((n_mc + 1, idx.size))
+    pits[0] = observed.pit_values[idx]
+    for b, rng in enumerate(rngmod.derived_rngs(seed, "null-pits", count=n_mc)):
+        pits[b + 1] = rng.random(n)[idx]
+    curves = observed._ecdf(pits, w, _gamma_rows(g, n_mc + 1))
+    stats = _deviation(curves, g)
+    ranked = np.sort(curves[1:], axis=0)
+    k = int(np.floor(n_mc * eta / 2.0))
+    exceed = int(np.count_nonzero(stats[0] < stats[1:]))
+    return float(stats[0]), exceed / n_mc, curves[0], ranked[k], ranked[n_mc - 1 - k]
+
+
+def _many_points_case(dim, weighting, n=1_000, k=100):
+    rng = np.random.default_rng(dim)
+    xs = rng.uniform(-1, 1, size=(n, dim))
+    cal = CalibrationSet(xs, rng.standard_normal(n))
+    # PITs off uniform where the first feature is positive: the test rejects there alone
+    pits = np.where(xs[:, 0] > 0, rng.beta(2.0, 1.0, size=n), rng.uniform(size=n))
+    observed = fit_local_empirical(cal, pits,
+                                   LocalEmpiricalConfig(k=k, weighting=weighting))
+    return observed, rng.uniform(-1, 1, size=(20, dim))
+
+
+class TestManyPointsEqualOnePointLoop:
+    @pytest.mark.parametrize("root", [-5, 0, 2**70])
+    @pytest.mark.parametrize("weighting", ["uniform", "inverse-distance"])
+    @pytest.mark.parametrize("dim", [1, 2])  # sorted-window and row-scan neighbourhoods
+    def test_equals_frozen_loop(self, dim, weighting, root):
+        observed, points = _many_points_case(dim, weighting)
+        assert observed._tree is None
+        n_mc, eta, gammas = 200, 0.1, np.linspace(0.05, 0.95, 9)
+        # 2 (B+1) k floats per point: 6 points per row block, so 20 points span 4 blocks
+        assert len(points) > 3 * (_BLOCK_FLOATS // (2 * (n_mc + 1) * observed.k))
+        seeds = [root + 7 * p for p in range(len(points))]
+        got = mc_local_tests(observed, points, n_mc, gammas, eta, seeds=seeds)
+        assert len(got) == len(points)
+        for x, seed, (res, curve) in zip(points, seeds, got):
+            t, p, r, lo, hi = frozen_one_point_test(observed, x, n_mc, gammas, eta, seed)
+            assert (res.statistic, res.p_value, res.n_mc) == (t, p, n_mc)
+            assert np.array_equal(res.x, x) and np.array_equal(curve.x, x)
+            assert np.array_equal(curve.r_values, r)
+            assert np.array_equal(curve.band_lo, lo) and np.array_equal(curve.band_hi, hi)
+        # the batch of one is the same test at its point
+        res, curve = mc_local_test(observed, points[3], n_mc, gammas, eta, seed=seeds[3])
+        assert (res.statistic, res.p_value) == (got[3][0].statistic, got[3][0].p_value)
+        assert np.array_equal(curve.band_lo, got[3][1].band_lo)
+        assert np.array_equal(curve.band_hi, got[3][1].band_hi)
+        # the points reach both sides of the test, so the p-values are not all one value
+        assert len({res.p_value for res, _ in got}) > 3
+
+    @pytest.mark.parametrize("seed", [-5, 2**70])
+    def test_seeds_outside_uint64(self, seed):
+        observed, points = _many_points_case(1, "uniform", n=200, k=20)
+        res = mc_p_value(lambda c, p: observed, None, observed.pit_values, points[0], 20,
+                         seed=seed)
+        t, p, *_ = frozen_one_point_test(observed, points[0], 20, DEFAULT_TEST_GAMMAS, 0.05, seed)
+        assert (res.statistic, res.p_value) == (t, p)
+
+    def test_one_seed_per_row(self):
+        observed, points = _many_points_case(2, "uniform", n=200, k=20)
+        with pytest.raises(LengthMismatch):
+            mc_local_tests(observed, points, 20, DEFAULT_TEST_GAMMAS, seeds=[0])
+        with pytest.raises(LengthMismatch):
+            mc_local_tests(observed, points[:, :1], 20, DEFAULT_TEST_GAMMAS, seeds=range(20))
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "inverse-distance"])
+def test_many_points_memory(weighting):
+    observed, _ = _many_points_case(1, weighting, n=5_000, k=500)
+    points = observed.xs[:40]
+    # one (P (B+1), k) block for all 40 points would alone take 30.7 MiB
+    peak = traced_peak_mib(lambda: mc_local_tests(observed, points, 200, DEFAULT_TEST_GAMMAS,
+                                                  seeds=range(40)))
+    assert peak < 8.0
