@@ -59,12 +59,16 @@ class KnnMeanRegressor(StandardizedNeighbours):
     def __init__(self, train: CalibrationSet, k: int = 50):
         self._build_neighbours(train.xs, min(k, len(train)))
         self._ys = train.ys
+        # the responses in the search's order, which unmapped neighbour positions index
+        self._ys_in_order = self._ys if self._order is None else self._ys[self._order]
 
     def predict(self, xs) -> np.ndarray:
-        """Neighbour means, one per row of ``xs``: (n, d), or (n,) for one feature."""
+        """Neighbour means, one per row of ``xs``: (n, d), or (n,) for one feature, each summed in
+        distance order. Blocks have width 4k: a one-feature query holds four (rows, k) arrays
+        live at once (distances, sorted distances, positions and the responses they read)."""
         xs = np.asarray(xs, dtype=float).reshape(-1, self.mean.size)
-        # blocks of width 4k: a one-feature query holds up to five (rows, k) arrays at once
-        return map_row_blocks(lambda b: self._ys[self._query(b)[1]].mean(axis=1), 4 * self.k, xs)
+        ys, k = self._ys_in_order, self.k
+        return map_row_blocks(lambda b: ys[self._query(b, rows=False)[1]].mean(axis=1), 4 * k, xs)
 
     def __call__(self, x) -> float:
         return float(self.predict(x)[0])

@@ -55,6 +55,14 @@ _BACKEND_PARAMS = {
     "local": {"k", "weighting", "mean_k"},
     "net": {f.name for f in fields(MonotoneNetConfig)} | {"k_factor", "mean_k"},
 }
+# the keys each method reads where not its backend's: dcp and initial only mean_k
+_METHOD_PARAMS = {"dcp": {"mean_k"}, "initial": {"mean_k"}, "regsplit": set(), "oracle": set()}
+
+
+def _unread_params(recipe) -> list:
+    """The ``backend_params`` keys that ``recipe``'s method never reads, sorted."""
+    read = _METHOD_PARAMS.get(recipe.method, _BACKEND_PARAMS[recipe.backend])
+    return sorted(set(recipe.backend_params) - read)
 
 
 @dataclass(frozen=True)

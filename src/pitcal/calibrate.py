@@ -102,11 +102,13 @@ class AugmentedCalibrationSet:
 def compute_pit_values(model, cal: CalibrationSet) -> np.ndarray:
     """PIT(y_i; x_i) under the initial model, one value per calibration row.
 
-    Each block of rows of :func:`map_row_blocks` (width G) takes its CDFs from
-    one :func:`cdf_rows` call and its PITs from one ``_pit_rows`` call.
+    Each block of rows of :func:`map_row_blocks` takes its CDFs from one
+    :func:`cdf_rows` call and its PITs from one ``_pit_rows`` call. Its width
+    counts G values a row for the CDF, and G more for a density model's density.
     """
+    width = len(model.grid) * (1 if hasattr(model, "cdf_matrix") else 2)
     return map_row_blocks(lambda xs, ys: _pit_rows(model.grid.points, cdf_rows(model, xs), ys),
-                          len(model.grid), cal.xs, cal.ys)
+                          width, cal.xs, cal.ys)
 
 
 def augment(cal: CalibrationSet, pit_values, k_factor: int, seed: int) -> AugmentedCalibrationSet:
@@ -200,7 +202,7 @@ class StandardizedNeighbours:
         self.k = int(k)
         s = standardize(xs, self.mean, self.scale)
         n, d = s.shape
-        self._tree = None
+        self._tree = self._order = None
         if d == 1:
             self._order = np.argsort(s[:, 0], kind="stable")
             self._sorted = s[self._order, 0]
@@ -212,7 +214,7 @@ class StandardizedNeighbours:
             self._tree = cKDTree(s)
 
     def _window(self, q):
-        """``(dist, idx)`` of the one-feature queries ``q`` (n_x,) from the sorted column."""
+        """``(dist, pos)`` of the one-feature queries ``q`` (n_x,); ``pos`` is in sorted order."""
         s, k, n = self._sorted, self.k, self._sorted.size
         if k > n:
             return np.full((q.size, k), np.inf), np.full((q.size, k), n)
@@ -233,7 +235,8 @@ class StandardizedNeighbours:
         dist = np.take_along_axis(d, perm, axis=1)
         tied = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))
         perm[tied] = np.argsort(d[tied], axis=1, kind="stable")
-        return dist, np.take_along_axis(sliding_window_view(self._order, k)[lo], perm, axis=1)
+        perm += lo[:, None]
+        return dist, perm
 
     def _scan(self, q):
         """``(dist, idx)`` of the queries ``q`` (n_x, d) from all rows, in row blocks.
@@ -272,12 +275,13 @@ class StandardizedNeighbours:
         perm[tied] = np.lexsort((part[tied], d2[tied]))
         return np.sqrt(dk), np.take_along_axis(part, perm, axis=1)
 
-    def _query(self, xs):
+    def _query(self, xs, rows: bool = True):
         """``(dist, idx)`` of each row of ``xs``, each (n_x, k); ``xs`` is (n_x, d) or (n_x,).
 
         The search is the one the build picked (see the class): the sorted
         window, the scan, whose ties go to the lower row, or the tree. On data
-        without tied distances all three give the tree's answer. A row whose
+        without tied distances all three give the tree's answer; ``rows=False``
+        leaves the window's positions in the order ``self._order``. A row whose
         k-th standardized distance is inf (it overflows, or k exceeds the rows
         and the slot reads index n) raises :class:`InsufficientData`, which
         names the row by its feature values: callers pass row blocks, so a
@@ -299,7 +303,7 @@ class StandardizedNeighbours:
             x = np.asarray(xs, dtype=float).reshape(q.shape)[far[0]]
             raise InsufficientData(f"feature row ({', '.join(map(repr, x.tolist()))}) is too far "
                                    f"from the data for {self.k} neighbours")
-        return dist, idx
+        return dist, (self._order[idx] if rows and self._order is not None else idx)
 
 
 @dataclass(frozen=True)

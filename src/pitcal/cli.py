@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from . import rng as rngmod
-from .bench import _GENERATORS, _INITIALS, _METHODS, ExperimentRecipe, run_experiment
+from .bench import (_GENERATORS, _INITIALS, _METHODS, ExperimentRecipe, _unread_params,
+                    run_experiment)
 from .calibrate import (central_intervals, compute_pit_values, hpd_rows, recalibrate_rows,
                         recalibrated_pdf_rows)
 from .dataio import read_calibration_csv, write_calibration_csv, write_csv, write_json
@@ -304,6 +305,10 @@ def cmd_bench(cfg: dict) -> int:
         experiment=cfg["experiment"],
         test_grid_size=None if cfg["test_grid"] is None else int(cfg["test_grid"]),
     )
+    # the recipe checks keys against the backend; a method may still ignore them
+    unread = _unread_params(recipe)
+    if unread:
+        raise ConfigError(f"bench --method {recipe.method} reads no {', '.join(unread)}")
     out = _ensure_outdir(cfg["out_dir"])
     report = run_experiment(recipe)
     report.summary["tool_version"] = __version__

@@ -43,27 +43,36 @@ def write_calibration_csv(path, cal: CalibrationSet, comment: str | None = None)
 
 
 def read_calibration_csv(path) -> CalibrationSet:
-    """Parse the data rows in one numpy pass; re-scan a bad file only to name its bad line."""
+    """Parse the data rows in one numpy pass; re-scan a bad file only to name its bad line.
+
+    numpy's C parser reads ASCII values as ``float`` does but strips 0x1C-0x1F around them:
+    it parses ASCII files without those or NUL, and ``float`` the rest and rows it rejects.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            rows = [(n, s) for n, s in enumerate(map(str.strip, fh), 1) if s and s[0] != "#"]
+            stripped = list(map(str.strip, fh))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from exc
-    header = rows[0][1].split(",") if rows else None
+    lines = [s for s in stripped if s and s[0] != "#"]
+    header = lines[0].split(",") if lines else None
     if header and (header[-1] != "y"
                    or not all(c == f"x{j}" for j, c in enumerate(header[:-1]))):
-        raise ConfigError(f"{path}: expected header x0,...,y, got {rows[0][1]!r}")
+        raise ConfigError(f"{path}: expected header x0,...,y, got {lines[0]!r}")
     if header and len(header) < 2:
         raise ConfigError(f"{path}: no feature column before y")
-    if len(rows) < 2:
+    if len(lines) < 2:
         raise ConfigError(f"{path}: no data rows")
-    width = len(header)
-    try:
-        values = np.loadtxt([line for _, line in rows[1:]], delimiter=",", comments=None,
-                            converters=float, ndmin=2)
-    except ValueError:  # a bad value, or rows of unequal length
-        values = None
+    width, text, values = len(header), "\n".join(lines), None
+    fast = text.isascii() and not any(c in text for c in "\x00\x1c\x1d\x1e\x1f")
+    for converters in [None, float] if fast else [float]:
+        try:
+            values = np.loadtxt(lines[1:], delimiter=",", comments=None, converters=converters,
+                                ndmin=2)
+            break
+        except ValueError:  # a bad value, or rows of unequal length
+            pass
     if values is None or values.shape[1] != width or not np.isfinite(values).all():
+        rows = [(n, s) for n, s in enumerate(stripped, 1) if s and s[0] != "#"]
         for lineno, line in rows[1:]:  # name the first bad line, in file order
             parts = line.split(",")
             if len(parts) != width:

@@ -75,14 +75,15 @@ def mc_local_tests(observed: LocalEmpiricalModel, xs, n_mc: int, gammas, eta=0.0
     One neighbourhood query of ``xs`` on the local-empirical fit ``observed``
     gives each point k neighbours. Row 0 of point p's (B+1, k) block holds their
     observed PIT values, row b+1 their entries of ``derived_rng(seeds[p],
-    "null-pits", b)``'s n uniforms, which refit the map on replicate b.
+    "null-pits", b)``'s n uniforms (raw words at the neighbours only, made doubles
+    as ``Generator.random`` does), which refit the map on replicate b.
     :func:`~pitcal.grid.map_row_blocks` runs the blocks over point positions,
-    so each pass's temporaries stay within 2 MiB. The (P, B+1, G) curves give
-    the statistics, the p-values and the nearest-rank bands: the (q+1)-th and
-    (B-q)-th smallest null values, q = floor(B * eta / 2). Another backend
-    raises :class:`TypeError`; rows without one component per feature, or not
-    one seed per row, :class:`LengthMismatch`; ``n_mc < 1``, ``eta`` outside
-    (0, 1) or an empty gamma grid :class:`ValueError`.
+    width (3B+2)k: a point's PITs, their ECDF's sorted copy and its kept words.
+    The (P, B+1, G) curves give the statistics, the p-values and the nearest-rank
+    bands: the (q+1)-th and (B-q)-th smallest null values, q = floor(B * eta / 2).
+    Another backend raises :class:`TypeError`; rows without one component per
+    feature, or not one seed per row, :class:`LengthMismatch`; ``n_mc < 1``,
+    ``eta`` outside (0, 1) or an empty gamma grid :class:`ValueError`.
     """
     if not isinstance(observed, LocalEmpiricalModel):
         raise TypeError("the local coverage test needs the local-empirical backend, "
@@ -104,16 +105,18 @@ def mc_local_tests(observed: LocalEmpiricalModel, xs, n_mc: int, gammas, eta=0.0
 
     def block_curves(points):
         pits = np.empty((points.size, n_mc + 1, k))
+        words = np.empty((n_mc, k), dtype=np.uint64)
         for j, p in enumerate(points):
             pits[j, 0] = observed.pit_values[idx[p]]
             for b, rng in enumerate(rngmod.derived_rngs(seeds[p], "null-pits", count=n_mc)):
-                # random(n) draws the same doubles as uniform(size=n), with less overhead
-                pits[j, b + 1] = rng.random(n)[idx[p]]
+                words[b] = rng.bit_generator.random_raw(n)[idx[p]]
+            # the doubles Generator.random(n) makes of the kept words, and no others
+            np.multiply(np.right_shift(words, np.uint64(11), out=words), 2.0**-53, out=pits[j, 1:])
         rw = None if w is None else np.repeat(w[points], n_mc + 1, axis=0)
         curves = observed._ecdf(pits.reshape(-1, k), rw, _gamma_rows(g, pits.size // k))
         return curves.reshape(pits.shape[:2] + g.shape)
 
-    curves = map_row_blocks(block_curves, 2 * (n_mc + 1) * k, np.arange(xs.shape[0]))
+    curves = map_row_blocks(block_curves, (3 * n_mc + 2) * k, np.arange(xs.shape[0]))
     stats = _deviation(curves, g)
     ranked = np.sort(curves[:, 1:], axis=1)
     q = int(np.floor(n_mc * eta / 2.0))

@@ -60,8 +60,9 @@ _BLOCK_FLOATS = 2**18  # float64 values in 2 MiB
 
 def map_row_blocks(f, width: int, *rows) -> np.ndarray:
     """``f`` over consecutive blocks of at most ``max(1, 2**18 // width)`` rows of each of
-    ``rows``, joined: with ``width`` float64 values per row, each temporary of a pass stays
-    within 2 MiB at any row count. No rows make one call on the empty rows."""
+    ``rows``, joined. ``width`` counts the float64 values per row of all the arrays a pass
+    holds live at once, so that live set stays within 2 MiB at any row count. No rows make
+    one call on the empty rows."""
     n, step = len(rows[0]), max(1, _BLOCK_FLOATS // max(width, 1))
     return np.concatenate([f(*(r[i:i + step] for r in rows)) for i in range(0, max(n, 1), step)])
 
@@ -308,16 +309,17 @@ def _segment_slopes(xs: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.nda
 def cdf_rows_from_density_rows(points: np.ndarray, density_rows: np.ndarray) -> np.ndarray:
     """Row-wise cumulative trapezoid CDFs, normalized and endpoint-snapped.
 
-    The steps run in place on one output array, so a batch of one costs
-    about what integrating a single 1-D density does.
+    Every step, the cell trapezoids included, runs in place on one output
+    array: besides the density rows, a pass holds one (N, G) float64 buffer.
     """
     if np.any(density_rows < 0):
         raise InvalidDensity("density has negative values; renormalize first")
-    seg = 0.5 * (density_rows[:, 1:] + density_rows[:, :-1])
-    seg *= np.diff(points)
     cum = np.empty(density_rows.shape)
     cum[:, 0] = 0.0
-    np.cumsum(seg, axis=1, out=cum[:, 1:])
+    seg = np.add(density_rows[:, 1:], density_rows[:, :-1], out=cum[:, 1:])
+    seg *= 0.5
+    seg *= np.diff(points)
+    np.cumsum(seg, axis=1, out=seg)
     total = cum[:, -1:].copy()
     if np.any(total <= 0):
         raise DegenerateDensity("density integrates to zero")

@@ -91,12 +91,16 @@ class GaussianInitialModel:
         return renormalize_density(GridDensity(self.grid, row))
 
     def density_matrix(self, xs) -> np.ndarray:
-        """Unnormalized density rows for many feature points (batch PIT path)."""
+        """Unnormalized density rows for many feature points, built in two (n, G) buffers."""
         xs = feature_rows(xs)
         batch = getattr(self.mean_fn, "predict", None)  # e.g. KnnMeanRegressor
         mu = batch(xs) if batch is not None else np.array([float(self.mean_fn(x)) for x in xs])
-        z = (self.grid.points[None, :] - mu[:, None]) / self.sd_fn
-        return _INV_SQRT_2PI * np.exp(-0.5 * z * z) / self.sd_fn
+        z = (self.grid.points - mu[:, None]) / self.sd_fn  # numpy divides the difference in place
+        dens = -0.5 * z * z
+        np.exp(dens, out=dens)
+        dens *= _INV_SQRT_2PI
+        dens /= self.sd_fn
+        return dens
 
 
 class _FeatureIndependentModel:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from pitcal import cli
 from pitcal.bench import (
     CoverageReport,
     ExperimentRecipe,
     _score_sets,
+    _unread_params,
     classify_coverage,
     run_experiment,
 )
@@ -180,3 +182,45 @@ class TestRunExperiment:
         assert {"x", "nominal", "empirical", "classification", "mean_set_size"} <= set(doc["points"][0])
         header = cpath.read_text().splitlines()[1]
         assert header == "x0,x1,empirical,classification,set_size"
+
+
+class TestMethodParams:
+    """Each method reads its own ``backend_params`` keys; ``pitcal bench`` rejects the rest.
+
+    ``ExperimentRecipe`` itself checks the keys against the backend only, so a
+    caller may share one params dict across methods."""
+
+    @staticmethod
+    def bench(tmp_path, method, *extra):
+        return cli.main(["bench", "--example", "ex2-skewed", "--method", method, "--n", "100",
+                         "--realizations", "1", "--mc-draws", "10", "--test-grid", "2",
+                         "--out-dir", str(tmp_path / "out"), *extra])
+
+    @pytest.mark.parametrize("method", ["calpit-int", "calpit-hpd"])
+    def test_recalibrating_methods_read_their_backends_keys(self, tmp_path, method):
+        for backend, params in [("local", {"k": 50, "weighting": "inverse-distance",
+                                           "mean_k": 25}),
+                                ("net", {"hidden_layers": (8,), "k_factor": 4, "mean_k": 25})]:
+            recipe = ExperimentRecipe(generator="ex1", method=method, n=10, backend=backend,
+                                      backend_params=params)
+            assert _unread_params(recipe) == []
+        assert self.bench(tmp_path, method, "--k", "20") == 0
+
+    @pytest.mark.parametrize("method", ["dcp", "initial"])
+    def test_initial_model_methods_read_only_mean_k(self, tmp_path, capsys, method):
+        recipe = ExperimentRecipe(generator="ex1", method=method, n=10,
+                                  backend_params={"mean_k": 25, "k": 5, "weighting": "uniform"})
+        assert _unread_params(recipe) == ["k", "weighting"]
+        assert self.bench(tmp_path, method, "--k", "5") == 2
+        assert capsys.readouterr().err.strip() == f"error: bench --method {method} reads no k"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["regsplit", "oracle"])
+    def test_methods_without_a_fit_read_no_keys(self, tmp_path, capsys, method):
+        recipe = ExperimentRecipe(generator="ex1", method=method, n=10,
+                                  backend_params={"mean_k": 25, "k": 5})
+        assert _unread_params(recipe) == ["k", "mean_k"]
+        assert self.bench(tmp_path, method, "--k", "5") == 2
+        assert capsys.readouterr().err.strip() == f"error: bench --method {method} reads no k"
+        assert self.bench(tmp_path, method) == 0
+

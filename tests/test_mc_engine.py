@@ -321,8 +321,8 @@ class TestManyPointsEqualOnePointLoop:
         observed, points = _many_points_case(dim, weighting)
         assert observed._tree is None
         n_mc, eta, gammas = 200, 0.1, np.linspace(0.05, 0.95, 9)
-        # 2 (B+1) k floats per point: 6 points per row block, so 20 points span 4 blocks
-        assert len(points) > 3 * (_BLOCK_FLOATS // (2 * (n_mc + 1) * observed.k))
+        # (3B+2) k floats per point: 4 points per row block, so 20 points span 5 blocks
+        assert len(points) > 4 * (_BLOCK_FLOATS // ((3 * n_mc + 2) * observed.k))
         seeds = [root + 7 * p for p in range(len(points))]
         got = mc_local_tests(observed, points, n_mc, gammas, eta, seeds=seeds)
         assert len(got) == len(points)
