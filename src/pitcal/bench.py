@@ -17,15 +17,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .baselines import DcpModel, RegSplitModel, fit_knn_mean
-from .calibrate import (
-    CalibrationSet,
-    PredictionSet,
-    central_intervals,
-    compute_pit_values,
-    hpd_rows,
-    recalibrate_rows,
-    recalibrated_pdf_rows,
-)
+from .calibrate import (CalibrationSet, PredictionSet, calpit_sets, compute_pit_values,
+                        recalibrate_rows)
 from .errors import ConfigError
 from .models import cdf_rows
 from .monotone_net import MonotoneNetConfig
@@ -168,33 +161,26 @@ def _prediction_sets(recipe: ExperimentRecipe, data, train: CalibrationSet,
                      cal: CalibrationSet, rep_seed: int, xs: np.ndarray) -> list:
     """Fit whatever the method needs once, then build the set of every row of ``xs``."""
     alpha = recipe.alpha
-    level = 1.0 - alpha
     if recipe.method == "oracle":
         ends = data.oracle.quantile_rows([alpha / 2.0, 1.0 - alpha / 2.0], xs)
-        return [PredictionSet(((float(lo), float(hi)),), nominal_level=level, kind="interval")
-                for lo, hi in ends]
+        return [PredictionSet(((float(lo), float(hi)),), nominal_level=1.0 - alpha,
+                              kind="interval") for lo, hi in ends]
+    if recipe.method == "regsplit":
+        return RegSplitModel(fit_knn_mean, train, cal, alpha).predict_sets(xs)
 
     params = dict(recipe.backend_params)
     initial = build_initial(recipe.initial, data.grid, train, mean_k=params.pop("mean_k", 50),
                             generator_model=data.initial)
-    points = initial.grid.points
     if recipe.method == "initial":
-        return central_intervals(points, cdf_rows(initial, xs), alpha / 2.0, 1.0 - alpha / 2.0,
-                                 level)
-
-    if recipe.method == "regsplit":
-        return RegSplitModel(fit_knn_mean, train, cal, alpha).predict_sets(xs)
-
+        return calpit_sets(initial.grid.points, cdf_rows(initial, xs), alpha, "interval")
     if recipe.method == "dcp":
         return DcpModel(initial, cal, alpha).predict_sets(xs)
 
     pits = compute_pit_values(initial, cal)
     fit_args = {key: params.pop(key) for key in ("k", "weighting", "k_factor") if key in params}
     r = fit_pit_model(cal, pits, recipe.backend, rep_seed, **fit_args, net=params)
-    cdf = recalibrate_rows(initial, r, xs)
-    if recipe.method == "calpit-int":
-        return central_intervals(points, cdf, 0.5 * alpha, 1.0 - 0.5 * alpha, level)
-    return hpd_rows(points, recalibrated_pdf_rows(points, cdf), alpha)
+    kind = "interval" if recipe.method == "calpit-int" else "hpd"
+    return calpit_sets(initial.grid.points, recalibrate_rows(initial, r, xs), alpha, kind)
 
 
 def run_experiment(recipe: ExperimentRecipe, n_threads: int = 1) -> CoverageReport:
@@ -213,7 +199,7 @@ def run_experiment(recipe: ExperimentRecipe, n_threads: int = 1) -> CoverageRepo
     for rep in range(recipe.n_realizations):
         rep_seed = rngmod.derive_seed(recipe.seed, "realization", rep)
         data = _GENERATORS[recipe.generator](recipe.n, rep_seed)
-        if recipe.experiment == "split" or recipe.method in ("regsplit",):
+        if recipe.experiment == "split" or recipe.method == "regsplit":
             train, cal = split_calibration(data.cal, 0.5)
         else:
             train = cal = data.cal

@@ -34,7 +34,7 @@ __all__ = [
     "LocalEmpiricalConfig", "LocalEmpiricalModel", "RecalibratedDistribution",
     "RecalibratedInitialModel", "PredictionSet", "compute_pit_values", "augment",
     "fit_local_empirical", "recalibrate", "recalibrate_rows", "recalibrated_pdf_rows",
-    "central_intervals", "calpit_interval", "calpit_hpd", "hpd_rows",
+    "central_intervals", "calpit_sets", "calpit_interval", "calpit_hpd", "hpd_rows",
 ]
 
 MODEL_FORMAT_VERSION = 2
@@ -201,12 +201,12 @@ class StandardizedNeighbours:
         self.mean, self.scale = standardization(xs)
         self.k = int(k)
         s = standardize(xs, self.mean, self.scale)
-        n, d = s.shape
+        self._n, d = s.shape
         self._tree = self._order = None
         if d == 1:
             self._order = np.argsort(s[:, 0], kind="stable")
             self._sorted = s[self._order, 0]
-        elif d <= _SCAN_MAX_FEATURES and self.k >= n // 10:
+        elif d <= _SCAN_MAX_FEATURES and self.k >= self._n // 10:
             self._columns = s.T.copy()  # (d, n): each feature's column contiguous
         else:
             from scipy.spatial import cKDTree
@@ -216,8 +216,6 @@ class StandardizedNeighbours:
     def _window(self, q):
         """``(dist, pos)`` of the one-feature queries ``q`` (n_x,); ``pos`` is in sorted order."""
         s, k, n = self._sorted, self.k, self._sorted.size
-        if k > n:
-            return np.full((q.size, k), np.inf), np.full((q.size, k), n)
         # the run starts at the smallest l with q - s[l] <= s[l + k] - q, in [p - k, p]
         p = np.searchsorted(s, q)
         lo, hi = np.maximum(p - k, 0), np.minimum(p, n - k)
@@ -242,13 +240,12 @@ class StandardizedNeighbours:
         """``(dist, idx)`` of the queries ``q`` (n_x, d) from all rows, in row blocks.
 
         Each block of queries holds at most 2**18 // n of them, so its (block, n)
-        temporaries stay within 2 MiB. ``k`` above the rows gives inf and index n,
-        as the window does.
+        temporaries stay within 2 MiB.
         """
-        k, n = self.k, self._columns.shape[1]
-        dist, idx = np.full((q.shape[0], k), np.inf), np.full((q.shape[0], k), n)
+        k, n = self.k, self._n
+        dist, idx = np.empty((q.shape[0], k)), np.empty((q.shape[0], k), dtype=np.intp)
         step = max(1, _BLOCK_FLOATS // n)
-        for i in range(0, q.shape[0] if k <= n else 0, step):
+        for i in range(0, q.shape[0], step):
             dist[i:i + step], idx[i:i + step] = self._scan_block(q[i:i + step])
         return dist, idx
 
@@ -281,9 +278,9 @@ class StandardizedNeighbours:
         The search is the one the build picked (see the class): the sorted
         window, the scan, whose ties go to the lower row, or the tree. On data
         without tied distances all three give the tree's answer; ``rows=False``
-        leaves the window's positions in the order ``self._order``. A row whose
-        k-th standardized distance is inf (it overflows, or k exceeds the rows
-        and the slot reads index n) raises :class:`InsufficientData`, which
+        leaves the window's positions in the order ``self._order``. A k above the
+        n rows gets inf distances at index n here, as the tree answers, for every
+        search. Any row whose k-th distance is inf raises :class:`InsufficientData`, which
         names the row by its feature values: callers pass row blocks, so a
         position in ``xs`` need not be the row's position in the data. A NaN
         feature raises ``ValueError`` on every search, as the tree always did.
@@ -291,9 +288,12 @@ class StandardizedNeighbours:
         q = standardize(xs, self.mean, self.scale)
         if np.isnan(q).any():
             raise ValueError("feature rows must not be NaN")
-        if self._tree is not None:
-            dist, idx = self._tree.query(q, k=self.k)  # drops the neighbour axis when k == 1
-            dist, idx = dist.reshape(q.shape[0], self.k), idx.reshape(q.shape[0], self.k)
+        k, n = self.k, self._n
+        if k > n:  # as the tree answers: inf distances at index n
+            dist, idx = np.full((q.shape[0], k), np.inf), np.full((q.shape[0], k), n)
+        elif self._tree is not None:
+            dist, idx = self._tree.query(q, k=k)  # drops the neighbour axis when k == 1
+            dist, idx = dist.reshape(q.shape[0], k), idx.reshape(q.shape[0], k)
         elif q.shape[1] == 1:
             dist, idx = self._window(q[:, 0])
         else:
@@ -302,7 +302,7 @@ class StandardizedNeighbours:
         if far.size:
             x = np.asarray(xs, dtype=float).reshape(q.shape)[far[0]]
             raise InsufficientData(f"feature row ({', '.join(map(repr, x.tolist()))}) is too far "
-                                   f"from the data for {self.k} neighbours")
+                                   f"from the data for {k} neighbours")
         return dist, (self._order[idx] if rows and self._order is not None else idx)
 
 
@@ -541,12 +541,22 @@ def central_intervals(points, cdf, p_lo: float, p_hi: float, level: float) -> li
             for iv in invert_rows(points, cdf, np.array([p_lo, p_hi])).tolist()]
 
 
-def calpit_interval(rd: RecalibratedDistribution, alpha: float) -> PredictionSet:
-    """Central interval [q(alpha/2), q(1 - alpha/2)] of the recalibrated CDF."""
+def calpit_sets(points, cdf, alpha: float, kind: str) -> list:
+    """The Cal-PIT set with level 1 - alpha of each CDF row of ``cdf`` (N, G): ``kind="interval"``
+    the central intervals [q(alpha/2), q(1 - alpha/2)], ``kind="hpd"`` the :func:`hpd_rows`
+    sets of the :func:`recalibrated_pdf_rows` density, which only they build."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return central_intervals(rd.cdf.grid.points, rd.cdf.values[None, :], 0.5 * alpha,
-                             1.0 - 0.5 * alpha, 1.0 - alpha)[0]
+    if kind == "hpd":
+        return hpd_rows(points, recalibrated_pdf_rows(points, cdf), alpha)
+    if kind != "interval":
+        raise ValueError(f"unknown set kind {kind!r}")
+    return central_intervals(points, cdf, 0.5 * alpha, 1.0 - 0.5 * alpha, 1.0 - alpha)
+
+
+def calpit_interval(rd: RecalibratedDistribution, alpha: float) -> PredictionSet:
+    """Central interval of one recalibrated CDF: a batch of one of :func:`calpit_sets`."""
+    return calpit_sets(rd.cdf.grid.points, rd.cdf.values[None, :], alpha, "interval")[0]
 
 
 def calpit_hpd(rd: RecalibratedDistribution, alpha: float) -> PredictionSet:

@@ -22,8 +22,7 @@ from . import __version__
 from . import rng as rngmod
 from .bench import (_GENERATORS, _INITIALS, _METHODS, ExperimentRecipe, _unread_params,
                     run_experiment)
-from .calibrate import (central_intervals, compute_pit_values, hpd_rows, recalibrate_rows,
-                        recalibrated_pdf_rows)
+from .calibrate import calpit_sets, compute_pit_values, recalibrate_rows
 from .dataio import read_calibration_csv, write_calibration_csv, write_csv, write_json
 from .diagnose import mc_local_tests
 from .errors import ConfigError, PitcalError
@@ -156,6 +155,7 @@ def cmd_gen(cfg: dict) -> int:
 # calibrate and diagnose
 # ----------------------------------------------------------------------
 
+_K_FACTOR = 50  # levels per calibration row of the network's augmentation
 # network flags -> (MonotoneNetConfig field, default, parser of the flag's string)
 _NET_FIELDS = {
     "net_hidden": ("hidden_layers", "64,64,64", lambda v: tuple(map(int, str(v).split(",")))),
@@ -209,7 +209,23 @@ def _net_params(cfg: dict, seed: int) -> dict:
     return params
 
 
+def _unread_settings(cfg: dict) -> list:
+    """The settings off their defaults that ``cfg``'s backend never reads. Values compare
+    parsed (``--net-lr 0.001`` is the default), and one that does not parse is off it."""
+    if cfg["backend"] == "net":
+        return [key for key, unset in (("k", None), ("weighting", "uniform")) if cfg[key] != unset]
+    unread = [] if cfg["k_factor"] == _K_FACTOR else ["k_factor"]
+    for key, (_, default, parse) in _NET_FIELDS.items():
+        try:
+            unread += [] if parse(cfg[key]) == parse(default) else [key]
+        except ValueError:
+            unread.append(key)
+    return unread
+
+
 def cmd_calibrate(cfg: dict) -> int:
+    if unread := _unread_settings(cfg):
+        raise ConfigError(f"calibrate --backend {cfg['backend']} reads no {', '.join(unread)}")
     alpha = float(cfg["alpha"])
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {cfg['alpha']}")
@@ -225,10 +241,8 @@ def cmd_calibrate(cfg: dict) -> int:
     sets = []
     if points is not None:
         cdf = recalibrate_rows(initial, model, points)
-        intervals = central_intervals(grid.points, cdf, 0.5 * alpha, 1.0 - 0.5 * alpha,
-                                      1.0 - alpha)
-        hpds = hpd_rows(grid.points, recalibrated_pdf_rows(grid.points, cdf),
-                        alpha) if cfg["hpd"] else None
+        intervals = calpit_sets(grid.points, cdf, alpha, "interval")
+        hpds = calpit_sets(grid.points, cdf, alpha, "hpd") if cfg["hpd"] else None
         for i, x in enumerate(points):
             sets.append({"x": [float(v) for v in x], "interval": intervals[i].to_json()})
             if hpds:
@@ -376,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=["local", "net"], default="local")
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--hpd", action="store_true")
-    p.add_argument("--k-factor", dest="k_factor", type=int, default=50)
+    p.add_argument("--k-factor", dest="k_factor", type=int, default=_K_FACTOR)
     for key, (_, default, _) in _NET_FIELDS.items():
         p.add_argument("--" + key.replace("_", "-"), dest=key, default=default,
                        help=_NET_HELP.get(key))

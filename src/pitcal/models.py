@@ -24,6 +24,7 @@ from .grid import (
     renormalize_density,
     widen_density,
 )
+from .normal import _INV_SQRT_2PI
 
 __all__ = [
     "GaussianInitialModel",
@@ -33,7 +34,6 @@ __all__ = [
     "model_cdf",
 ]
 
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _SMOOTH_STEPS = 2.0  # Gaussian widening of grid histograms, in grid steps
 
 

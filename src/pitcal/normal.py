@@ -25,6 +25,7 @@ from .grid import map_row_blocks
 
 __all__ = ["ndtr", "ndtri"]
 
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)  # the standard normal density's constant
 _S2PI = 2.50662827463100050242e0
 _EXPM2 = 0.13533528323661269189  # exp(-2)
 _SQRT1_2 = 0.70710678118654752440

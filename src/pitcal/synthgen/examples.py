@@ -20,7 +20,7 @@ from .. import rng as rngmod
 from ..calibrate import CalibrationSet
 from ..grid import YGrid, default_grid
 from ..models import GaussianInitialModel, feature_rows
-from ..normal import ndtr
+from ..normal import _INV_SQRT_2PI, ndtr
 from .sinharcsinh import (
     SinhArcsinhParams,
     sinh_arcsinh_cdf,
@@ -37,8 +37,6 @@ __all__ = [
     "sample_example1",
     "sample_example2",
 ]
-
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -166,7 +164,7 @@ class Example2Oracle:
         return self._params(float(np.asarray(x, dtype=float).ravel()[0]))
 
     def _params(self, x1) -> SinhArcsinhParams:
-        """The law at first-feature value ``x1``: a float, or an (N, 1) column of them."""
+        """The law at first-feature value ``x1``: a float, or an array of them."""
         if self.setting == "skewed":
             return SinhArcsinhParams(mu=x1, sigma=2.0 - abs(x1), skew=x1, tail=1.0)
         return SinhArcsinhParams(mu=x1, sigma=2.0, skew=0.0, tail=1.0 - x1 / 4.0)
@@ -210,14 +208,7 @@ def sample_example2(setting: str, n: int, seed: int,
     oracle = Example2Oracle(setting)
     rng = rngmod.derived_rng(seed, "example2", setting)
     xs = rng.uniform(-1.0, 1.0, size=(n, 1))
-    w = rng.standard_normal(n)
-    if setting == "skewed":
-        mu = xs[:, 0]
-        sigma = 2.0 - np.abs(xs[:, 0])
-        ys = mu + sigma * np.sinh(np.arcsinh(w) + xs[:, 0])
-    else:
-        tail = 1.0 - xs[:, 0] / 4.0
-        ys = xs[:, 0] + 2.0 * np.sinh(np.arcsinh(w) / tail)
+    ys = sinh_arcsinh_sample(oracle._params(xs[:, 0]), rng, n)
     grid = default_grid(ys, n_points=n_grid)
     initial = GaussianInitialModel(grid, mean_fn=_FirstFeature(), sd_fn=2.0)
     return GeneratedData(cal=CalibrationSet(xs, ys), oracle=oracle, grid=grid, initial=initial)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..normal import ndtr, ndtri
+from ..normal import _INV_SQRT_2PI, ndtr, ndtri
 
 __all__ = [
     "SinhArcsinhParams",
@@ -22,8 +22,6 @@ __all__ = [
     "sinh_arcsinh_quantile",
     "sinh_arcsinh_pdf",
 ]
-
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -62,10 +60,5 @@ def sinh_arcsinh_pdf(p: SinhArcsinhParams, y):
     inner = p.tail * np.arcsinh(z) - p.skew
     s = np.sinh(inner)
     # transform density: phi(s) * |ds/dy|
-    return (
-        _INV_SQRT_2PI
-        * np.exp(-0.5 * s * s)
-        * np.cosh(inner)
-        * p.tail
-        / (p.sigma * np.sqrt(1.0 + z * z))
-    )
+    return (_INV_SQRT_2PI * np.exp(-0.5 * s * s) * np.cosh(inner) * p.tail
+            / (p.sigma * np.sqrt(1.0 + z * z)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pitcal import cli
+from pitcal import bench, cli
 from pitcal.bench import (
     CoverageReport,
     ExperimentRecipe,
@@ -224,3 +224,24 @@ class TestMethodParams:
         assert capsys.readouterr().err.strip() == f"error: bench --method {method} reads no k"
         assert self.bench(tmp_path, method) == 0
 
+
+@pytest.mark.parametrize("method", ["regsplit", "oracle"])
+@pytest.mark.parametrize("initial", ["uniform", "gaussian-fit", "generator"])
+def test_regsplit_and_oracle_build_no_initial_model(monkeypatch, method, initial):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{method} built an initial model")
+
+    monkeypatch.setattr(bench, "build_initial", refuse)
+    report = run_experiment(ExperimentRecipe(generator="ex1", method=method, n=200,
+                                             initial=initial, n_realizations=2, n_mc_draws=20,
+                                             test_grid_size=3))
+    assert len(report.points) == 9
+
+
+@pytest.mark.parametrize("method", ["regsplit", "oracle"])
+def test_generator_initial_on_ex1_runs_where_no_initial_model_is_read(tmp_path, method):
+    # ex1 provides no generator initial model; regsplit and oracle never ask for one
+    out = tmp_path / "bench"
+    assert cli.main(["bench", "--example", "ex1", "--method", method, "--initial", "generator",
+                     "--n", "200", "--quick", "--test-grid", "3", "--out-dir", str(out)]) == 0
+    assert (out / "report.json").is_file()

@@ -20,10 +20,14 @@ from pitcal.calibrate import (
     augment,
     calpit_hpd,
     calpit_interval,
+    calpit_sets,
+    central_intervals,
     compute_pit_values,
     fit_local_empirical,
+    hpd_rows,
     recalibrate,
     recalibrate_rows,
+    recalibrated_pdf_rows,
 )
 from pitcal.dataio import write_json
 from pitcal.errors import (
@@ -39,6 +43,7 @@ from pitcal.models import (
     UniformInitialModel,
     model_cdf,
 )
+from pitcal.pipeline import fit_pit_model
 from pitcal.synthgen import TwoGroupConfig, sample_example1, sample_example2
 
 
@@ -387,6 +392,45 @@ class TestIntervalAndHpd:
             calpit_interval(rd, 0.0)
         with pytest.raises(ValueError):
             calpit_hpd(rd, 1.0)
+
+
+def frozen_front_end_sets(points, cdf, alpha):
+    """The intervals and HPD sets that ``pitcal calibrate`` and ``bench`` each wrote out."""
+    intervals = central_intervals(points, cdf, 0.5 * alpha, 1.0 - 0.5 * alpha, 1.0 - alpha)
+    return intervals, hpd_rows(points, recalibrated_pdf_rows(points, cdf), alpha)
+
+
+class TestCalpitSets:
+    @pytest.mark.parametrize("backend, params", [
+        ("local", {}),
+        ("net", {"k_factor": 3, "net": {"hidden_layers": (6, 6), "max_epochs": 2,
+                                        "patience": 2, "batch_size": 512}}),
+    ])
+    def test_equal_the_front_ends_recipe(self, backend, params):
+        data = sample_example2("skewed", 400, seed=5)
+        r = fit_pit_model(data.cal, compute_pit_values(data.initial, data.cal), backend, 5,
+                          **params)
+        xs = np.linspace(-0.9, 0.9, 7)[:, None]
+        points = data.initial.grid.points
+        cdf = recalibrate_rows(data.initial, r, xs)
+        for alpha in (0.1, 0.32):
+            intervals, hpds = frozen_front_end_sets(points, cdf, alpha)
+            assert calpit_sets(points, cdf, alpha, "interval") == intervals
+            assert calpit_sets(points, cdf, alpha, "hpd") == hpds
+            for x in xs:
+                rd = recalibrate(data.initial, r, x)
+                assert calpit_interval(rd, alpha) == calpit_sets(
+                    points, rd.cdf.values[None, :], alpha, "interval")[0]
+
+    def test_checks_alpha_and_kind(self):
+        points = np.linspace(0.0, 1.0, 11)
+        cdf = points[None, :]
+        for alpha in (0.0, 1.0, np.nan):
+            for kind in ("interval", "hpd"):
+                with pytest.raises(ValueError, match="alpha"):
+                    calpit_sets(points, cdf, alpha, kind)
+        with pytest.raises(ValueError, match="kind"):
+            calpit_sets(points, cdf, 0.1, "calpit-int")
 
 
 class TestPredictionSet:

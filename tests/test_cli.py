@@ -395,3 +395,54 @@ def test_documented_exit_codes(tmp_path, capsys, case, rows, constant_y, args, c
     if code != 0:
         # a run that fails, on its configuration or on its numbers, writes no output file
         assert not out.is_dir() or not any(out.iterdir())
+
+
+# (backend, flags that backend never reads, the settings its refusal names)
+UNREAD_CALIBRATE_FLAGS = [
+    ("net", ["--k", 50], "k"),
+    ("net", ["--weighting", "inverse-distance"], "weighting"),
+    ("net", ["--k", 5, "--weighting", "inverse-distance"], "k, weighting"),
+    ("local", ["--k-factor", 5], "k_factor"),
+    ("local", ["--net-hidden", 4], "net_hidden"),
+    ("local", ["--net-lr", 0.01], "net_lr"),
+    ("local", ["--net-lr-decay", 0.5], "net_lr_decay"),
+    ("local", ["--net-weight-decay", 0], "net_weight_decay"),
+    ("local", ["--net-batch", 256], "net_batch"),
+    ("local", ["--net-patience", 3], "net_patience"),
+    ("local", ["--net-val-fraction", 0.2], "net_val_fraction"),
+    ("local", ["--net-max-epochs", "abc"], "net_max_epochs"),
+    ("local", ["--k-factor", 5, "--net-batch", 256], "k_factor, net_batch"),
+]
+
+
+@pytest.mark.parametrize("backend, flags, names", UNREAD_CALIBRATE_FLAGS,
+                         ids=[f"{c[0]}-{c[2]}" for c in UNREAD_CALIBRATE_FLAGS])
+def test_calibrate_refuses_flags_its_backend_never_reads(tmp_path, capsys, backend, flags,
+                                                         names):
+    # the data file is absent: the refusal comes before any data is read
+    out = tmp_path / "out"
+    assert run(["calibrate", "--data", tmp_path / "absent.csv", "--backend", backend, *flags,
+                "--out-dir", out]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: calibrate --backend {backend} reads no {names}"
+    assert not out.exists()
+
+
+def test_calibrate_refuses_a_config_file_setting_its_backend_never_reads(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("backend = net\nk = 7\n")
+    assert run(["calibrate", "--config", cfg, "--data", tmp_path / "absent.csv"]) == 2
+    assert capsys.readouterr().err.strip() == "error: calibrate --backend net reads no k"
+
+
+@pytest.mark.parametrize("backend, flags", [
+    ("local", ["--k-factor", 50, "--net-hidden", "64,64,64", "--net-lr", "0.001",
+               "--net-max-epochs", 100]),
+    ("net", ["--weighting", "uniform", "--k-factor", 3, "--net-hidden", 4,
+             "--net-max-epochs", 1]),
+])
+def test_calibrate_takes_unread_flags_at_their_defaults(tmp_path, backend, flags):
+    data = _write_csv(tmp_path / "data.csv", 300)
+    assert run(["calibrate", "--data", data, "--backend", backend, *flags, "--eval-x=0.5",
+                "--out-dir", tmp_path / "out"]) == 0
+    assert (tmp_path / "out" / "sets.json").is_file()

@@ -135,6 +135,17 @@ def test_far_query_and_too_large_k_have_too_few_neighbours():
     assert model.predict_matrix(np.array([0.5]), np.zeros((0, 1))).shape == (0, 1)
 
 
+@pytest.mark.parametrize("d, k", [(1, 10), (2, 10), (8, 10)])  # window, scan, tree
+def test_k_above_the_rows_reads_as_the_tree_answers(d, k):
+    xs = np.random.default_rng(d).standard_normal((9, d))
+    model = LocalEmpiricalModel(xs, np.linspace(0, 1, 9), LocalEmpiricalConfig(k=k))
+    assert (model._tree is not None) == (d == 8)
+    with pytest.raises(InsufficientData, match=f"too far from the data for {k} neighbours"):
+        model._query(np.zeros((2, d)))
+    dist, idx = model._query(np.zeros((0, d)))
+    assert dist.shape == idx.shape == (0, k)
+
+
 # ----------------------------------------------------------------------
 # the scan: 2 to 7 features with k >= n // 10
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
@@ -277,3 +278,29 @@ class TestDeterminism:
         c = sample_example1(TwoGroupConfig(), 50, seed=77)
         d = sample_example1(TwoGroupConfig(), 50, seed=77)
         np.testing.assert_array_equal(c.cal.ys, d.cal.ys)
+
+
+def frozen_example2_draws(setting, n, seed):
+    """``sample_example2``'s (xs, ys) as it wrote both laws out by hand."""
+    rng = rngmod.derived_rng(seed, "example2", setting)
+    xs = rng.uniform(-1.0, 1.0, size=(n, 1))
+    w = rng.standard_normal(n)
+    if setting == "skewed":
+        mu = xs[:, 0]
+        sigma = 2.0 - np.abs(xs[:, 0])
+        ys = mu + sigma * np.sinh(np.arcsinh(w) + xs[:, 0])
+    else:
+        tail = 1.0 - xs[:, 0] / 4.0
+        ys = xs[:, 0] + 2.0 * np.sinh(np.arcsinh(w) / tail)
+    return xs, ys
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["skewed", "kurtotic"]),
+       st.one_of(st.just(1), st.integers(min_value=1, max_value=5000)),
+       st.integers(min_value=-2**63, max_value=2**63))
+def test_example2_draws_through_its_oracle_law_bit_for_bit(setting, n, seed):
+    data = sample_example2(setting, n, seed)
+    xs, ys = frozen_example2_draws(setting, n, seed)
+    assert data.cal.xs.tobytes() == xs.tobytes()
+    assert data.cal.ys.tobytes() == ys.tobytes()
