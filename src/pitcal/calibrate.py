@@ -239,12 +239,14 @@ class StandardizedNeighbours:
     def _scan(self, q):
         """``(dist, idx)`` of the queries ``q`` (n_x, d) from all rows, in row blocks.
 
-        Each block of queries holds at most 2**18 // n of them, so its (block, n)
-        temporaries stay within 2 MiB.
+        Each block of queries holds at most 2**18 // (4 * n) of them: a block holds
+        four (block, n) arrays live at once, the squared distances, one feature's
+        differences, the ``argpartition`` indices and the ``d2 <= kth`` mask, and
+        so stays within 2 MiB.
         """
         k, n = self.k, self._n
         dist, idx = np.empty((q.shape[0], k)), np.empty((q.shape[0], k), dtype=np.intp)
-        step = max(1, _BLOCK_FLOATS // n)
+        step = max(1, _BLOCK_FLOATS // (4 * n))
         for i in range(0, q.shape[0], step):
             dist[i:i + step], idx[i:i + step] = self._scan_block(q[i:i + step])
         return dist, idx

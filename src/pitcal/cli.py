@@ -156,6 +156,8 @@ def cmd_gen(cfg: dict) -> int:
 # ----------------------------------------------------------------------
 
 _K_FACTOR = 50  # levels per calibration row of the network's augmentation
+# the gaussian-fit initial model's settings: (key, default, parser)
+_GAUSSIAN_FIT_FIELDS = (("mean_k", 50, int), ("sd_scale", 1.0, float))
 # network flags -> (MonotoneNetConfig field, default, parser of the flag's string)
 _NET_FIELDS = {
     "net_hidden": ("hidden_layers", "64,64,64", lambda v: tuple(map(int, str(v).split(",")))),
@@ -209,23 +211,36 @@ def _net_params(cfg: dict, seed: int) -> dict:
     return params
 
 
-def _unread_settings(cfg: dict) -> list:
-    """The settings off their defaults that ``cfg``'s backend never reads. Values compare
-    parsed (``--net-lr 0.001`` is the default), and one that does not parse is off it."""
-    if cfg["backend"] == "net":
-        return [key for key, unset in (("k", None), ("weighting", "uniform")) if cfg[key] != unset]
-    unread = [] if cfg["k_factor"] == _K_FACTOR else ["k_factor"]
-    for key, (_, default, parse) in _NET_FIELDS.items():
-        try:
-            unread += [] if parse(cfg[key]) == parse(default) else [key]
-        except ValueError:
-            unread.append(key)
-    return unread
+def _off_default(cfg: dict, key: str, default, parse) -> bool:
+    """Whether setting ``key`` parses to other than ``default`` parses to, or does not parse."""
+    try:
+        return parse(cfg[key]) != parse(default)
+    except ValueError:
+        return True
+
+
+def _refuse_unread_settings(cfg: dict, command: str) -> None:
+    """Refuse settings off their defaults that ``cfg``'s initial model or backend never reads,
+    before any data is read: ``--mean-k`` and ``--sd-scale`` serve ``gaussian-fit`` alone.
+    Values compare parsed (``--net-lr 0.001`` is the default)."""
+    unread = {}
+    if cfg["initial"] != "gaussian-fit":
+        unread["initial"] = [key for key, default, parse in _GAUSSIAN_FIT_FIELDS
+                             if _off_default(cfg, key, default, parse)]
+    if cfg.get("backend") == "net":
+        unread["backend"] = [key for key, unset in (("k", None), ("weighting", "uniform"))
+                             if cfg[key] != unset]
+    elif cfg.get("backend") == "local":
+        unread["backend"] = [] if cfg["k_factor"] == _K_FACTOR else ["k_factor"]
+        unread["backend"] += [key for key, (_, default, parse) in _NET_FIELDS.items()
+                              if _off_default(cfg, key, default, parse)]
+    for flag, keys in unread.items():
+        if keys:
+            raise ConfigError(f"{command} --{flag} {cfg[flag]} reads no {', '.join(keys)}")
 
 
 def cmd_calibrate(cfg: dict) -> int:
-    if unread := _unread_settings(cfg):
-        raise ConfigError(f"calibrate --backend {cfg['backend']} reads no {', '.join(unread)}")
+    _refuse_unread_settings(cfg, "calibrate")
     alpha = float(cfg["alpha"])
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {cfg['alpha']}")
@@ -260,6 +275,7 @@ def cmd_calibrate(cfg: dict) -> int:
 
 
 def cmd_diagnose(cfg: dict) -> int:
+    _refuse_unread_settings(cfg, "diagnose")
     n_mc = int(cfg["n_mc"])
     if n_mc < 20:
         raise ConfigError(f"n_mc must be >= 20 for the null band, got {n_mc}")
@@ -365,8 +381,8 @@ def _add_pipeline_flags(p):
                    help="semicolon-separated points, comma-separated components")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--weighting", choices=["uniform", "inverse-distance"], default="uniform")
-    p.add_argument("--mean-k", dest="mean_k", type=int, default=50)
-    p.add_argument("--sd-scale", dest="sd_scale", type=float, default=1.0)
+    for key, default, parse in _GAUSSIAN_FIT_FIELDS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=parse, default=default)
     p.add_argument("--train-fraction", dest="train_fraction", type=float, default=0.5)
     p.add_argument("--grid-points", dest="grid_points", type=int, default=201)
 

@@ -87,12 +87,13 @@ def derived_rngs(root_seed: int, *labels, count: int) -> list:
     bit for bit, but its seed source is precomputed words, so it neither pickles nor spawns."""
     from numpy.random import PCG64, Generator
 
-    path, seeds = _path_hash(root_seed, labels), bytearray()
+    path, seeds = _path_hash(root_seed, labels), []
     for i in range(count):
         h = path.copy()
-        h.update(_encode(i))
-        seeds += h.digest()[:8]
-    words, words_type = _pcg64_words(np.frombuffer(seeds, dtype="<u8")), _words_type()
+        h.update(b"i" + i.to_bytes(16, "little"))  # _encode(i): i is never negative
+        seeds.append(h.digest()[:8])
+    words = _pcg64_words(np.frombuffer(b"".join(seeds), dtype="<u8"))
+    words_type = _words_type()
     return [Generator(PCG64(words_type(row))) for row in words]
 
 

@@ -23,6 +23,7 @@ from ..models import GaussianInitialModel, feature_rows
 from ..normal import _INV_SQRT_2PI, ndtr
 from .sinharcsinh import (
     SinhArcsinhParams,
+    _from_normal,
     sinh_arcsinh_cdf,
     sinh_arcsinh_pdf,
     sinh_arcsinh_quantile,
@@ -82,10 +83,14 @@ class Example1Oracle:
         self.scales = np.array([cfg.majority_scale, cfg.minority_scale])
         self.weights = np.array([1.0 - cfg.minority_fraction, cfg.minority_fraction])
 
+    def _means(self, xs) -> np.ndarray:
+        """The two group means at each feature row of ``xs``, shape (N, 2)."""
+        x1 = feature_rows(xs)[:, 0]
+        offset = np.where(x1 > 0, 0.5 * self.cfg.branch_gap * x1, 0.0)
+        return np.stack([offset, -offset], axis=1)
+
     def _components(self, x):
-        x1 = float(np.asarray(x, dtype=float).ravel()[0])
-        offset = 0.5 * self.cfg.branch_gap * x1 if x1 > 0 else 0.0
-        return np.array([offset, -offset]), self.scales, self.weights
+        return self._means(np.ravel(x)[None])[0], self.scales, self.weights
 
     def cdf(self, y, x):
         means, scales, weights = self._components(x)
@@ -106,7 +111,7 @@ class Example1Oracle:
         Every level of every row takes 100 halvings towards ``cdf >= p`` in one
         pass, from a bracket 12 scales beyond the row's outermost means.
         """
-        means = np.array([self._components(x)[0] for x in xs]).reshape(len(xs), 2)
+        means = self._means(xs)
         scales, weights = self.scales, self.weights
         p = np.broadcast_to(np.asarray(ps, dtype=float), (len(means), np.size(ps)))
         lo = np.full(p.shape, np.min(means - 12.0 * scales, axis=1)[:, None])
@@ -122,11 +127,26 @@ class Example1Oracle:
         """Quantile at level ``p`` (a scalar or levels) for one feature row: a batch of one."""
         return self.quantile_rows(np.ravel(p), [x])[0].reshape(np.shape(p))[()]
 
+    def sample_rows(self, xs, rngs, size: int) -> np.ndarray:
+        """``size`` draws at each feature row of ``xs`` (P, d), shape (P, size).
+
+        Row i is generator ``rngs[i]``'s: its group memberships, then its
+        standard normals, each filled in place; one pass then scales and
+        shifts all rows.
+        """
+        means = self._means(xs)
+        comp, draws = np.empty((len(means), size)), np.empty((len(means), size))
+        for rng, c, d in zip(rngs, comp, draws, strict=True):
+            rng.random(out=c)
+            rng.standard_normal(out=d)
+        minority = comp < self.weights[1]
+        draws *= np.where(minority, self.scales[1], self.scales[0])
+        draws += np.where(minority, means[:, 1:], means[:, :1])
+        return draws
+
     def sample(self, x, rng: np.random.Generator, size: int):
-        means, scales, weights = self._components(x)
-        comp = rng.random(size) < weights[1]
-        draws = rng.standard_normal(size)
-        return np.where(comp, means[1] + scales[1] * draws, means[0] + scales[0] * draws)
+        """``size`` draws at one feature row: a batch of one."""
+        return self.sample_rows(np.ravel(x)[None], [rng], size)[0]
 
 
 def sample_example1(cfg: TwoGroupConfig, n: int, seed: int,
@@ -185,8 +205,21 @@ class Example2Oracle:
         """
         return sinh_arcsinh_quantile(self._params(feature_rows(xs)[:, :1]), np.ravel(ps))
 
+    def sample_rows(self, xs, rngs, size: int) -> np.ndarray:
+        """``size`` draws at each feature row of ``xs`` (P, d), shape (P, size).
+
+        Row i is generator ``rngs[i]``'s standard normals, filled in place; one
+        transform then runs over all rows with each row's parameters.
+        """
+        xs = feature_rows(xs)
+        w = np.empty((len(xs), size))
+        for rng, row in zip(rngs, w, strict=True):
+            rng.standard_normal(out=row)
+        return _from_normal(self._params(xs[:, :1]), w)
+
     def sample(self, x, rng: np.random.Generator, size: int):
-        return sinh_arcsinh_sample(self.params_at(x), rng, size)
+        """``size`` draws at one feature row: a batch of one."""
+        return self.sample_rows(np.ravel(x)[None], [rng], size)[0]
 
 
 class _FirstFeature:

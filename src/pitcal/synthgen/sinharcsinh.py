@@ -40,9 +40,13 @@ class SinhArcsinhParams:
             raise ValueError(f"tail must be > 0, got {self.tail}")
 
 
-def sinh_arcsinh_sample(p: SinhArcsinhParams, rng: np.random.Generator, size=None):
-    w = rng.standard_normal(size)
+def _from_normal(p: SinhArcsinhParams, w):
+    """The law's values at standard normal values ``w``; arrays of parameters broadcast."""
     return p.mu + p.sigma * np.sinh((np.arcsinh(w) + p.skew) / p.tail)
+
+
+def sinh_arcsinh_sample(p: SinhArcsinhParams, rng: np.random.Generator, size=None):
+    return _from_normal(p, rng.standard_normal(size))
 
 
 def sinh_arcsinh_cdf(p: SinhArcsinhParams, y):
@@ -51,8 +55,7 @@ def sinh_arcsinh_cdf(p: SinhArcsinhParams, y):
 
 
 def sinh_arcsinh_quantile(p: SinhArcsinhParams, q):
-    w = ndtri(np.asarray(q, dtype=float))
-    return p.mu + p.sigma * np.sinh((np.arcsinh(w) + p.skew) / p.tail)
+    return _from_normal(p, ndtri(np.asarray(q, dtype=float)))
 
 
 def sinh_arcsinh_pdf(p: SinhArcsinhParams, y):

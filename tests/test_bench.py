@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pitcal import bench, cli
+from pitcal import rng as rngmod
 from pitcal.bench import (
     CoverageReport,
     ExperimentRecipe,
@@ -14,6 +15,8 @@ from pitcal.calibrate import PredictionSet
 from pitcal.dataio import write_csv, write_json
 from pitcal.errors import ConfigError
 from pitcal.synthgen import sample_example2
+from test_neighbours import traced_peak_mib
+from test_synthgen import frozen_oracle_sample
 
 
 class TestClassify:
@@ -68,6 +71,63 @@ class TestConditionalCoverage:
         empty = lambda x: PredictionSet((), 0.9, "hpd")
         assert conditional_coverage(full, data.oracle, [[0.0]], 200, seed=2)[0] == 1.0
         assert conditional_coverage(empty, data.oracle, [[0.0]], 200, seed=2)[0] == 0.0
+
+
+def frozen_score_sets(sets, oracle, xs, n_draws, seed, label):
+    """``_score_sets`` as it scored one point at a time."""
+    rngs = rngmod.derived_rngs(seed, *label, count=len(sets))
+    coverage = [np.mean(s.contains(frozen_oracle_sample(oracle, x, rng, n_draws)))
+                for s, x, rng in zip(sets, xs, rngs)]
+    return np.array(coverage), np.array([s.total_size() for s in sets])
+
+
+def realization_sets(generator, method, n, grid):
+    """(sets, oracle, xs) of one realization of ``method``, as ``run_experiment`` builds them."""
+    recipe = ExperimentRecipe(generator=generator, method=method, n=n, n_realizations=1,
+                              seed=4, test_grid_size=grid)
+    data = bench._GENERATORS[generator](n, 11)
+    xs = bench._default_test_grid(recipe)
+    return bench._prediction_sets(recipe, data, data.cal, data.cal, 11, xs), data.oracle, xs
+
+
+class TestScoreSets:
+    # (generator, method, test grid, draws): 169 ex1 points and 150 ex2 points at 1000
+    # draws span three blocks of 65; calpit-hpd sets on ex2 hold several intervals, in
+    # numbers that vary from point to point
+    @pytest.mark.parametrize("generator, method, grid, n_draws", [
+        ("ex1", "calpit-int", 13, 1000),
+        ("ex1", "dcp", 5, 1),
+        ("ex2-skewed", "calpit-hpd", 150, 1000),
+        ("ex2-kurtotic", "calpit-hpd", 41, 1),
+        ("ex2-kurtotic", "calpit-hpd", 41, 301),
+    ])
+    def test_equals_the_per_point_loop(self, generator, method, grid, n_draws):
+        sets, oracle, xs = realization_sets(generator, method, 400, grid)
+        if method == "calpit-hpd":
+            assert max(len(s.intervals) for s in sets) > min(len(s.intervals) for s in sets) > 1
+        got = _score_sets(sets, oracle, xs, n_draws, 3, ("coverage", 1))
+        want = frozen_score_sets(sets, oracle, xs, n_draws, 3, ("coverage", 1))
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    def test_pads_sets_of_any_interval_count(self):
+        oracle = sample_example2("skewed", 10, seed=50).oracle
+        xs = np.linspace(-0.9, 0.9, 7)[:, None]
+        # point 1's interval and point 4's second interval end at two of their own draws
+        draws = oracle.sample_rows(xs, rngmod.derived_rngs(6, "coverage", count=7), 500)
+        shapes = [(), (tuple(np.sort(draws[1, :2])),), ((-3.0, -1.0), (0.0, 0.5), (1.0, 9.0)),
+                  ((-1e6, 1e6),), ((-9.0, -8.0), tuple(np.sort(draws[4, 2:4]))), (),
+                  ((-2.0, 2.0),)]
+        sets = [PredictionSet(ivs, 0.9, "hpd") for ivs in shapes]
+        got = _score_sets(sets, oracle, xs, 500, 6, ("coverage",))
+        want = frozen_score_sets(sets, oracle, xs, 500, 6, ("coverage",))
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        assert got[0][0] == got[0][5] == 0.0 and got[0][3] == 1.0
+
+    def test_memory_of_900_points_at_1000_draws(self):
+        sets, oracle, xs = realization_sets("ex1", "oracle", 300, None)
+        assert len(xs) == 900
+        # blocks of 65 points hold about 2 MiB; one (900, 1000) array of draws is 6.9 MiB
+        assert traced_peak_mib(lambda: _score_sets(sets, oracle, xs, 1000, 3, ("c",))) < 4.0
 
 
 class TestRunExperiment:

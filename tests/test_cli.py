@@ -435,6 +435,48 @@ def test_calibrate_refuses_a_config_file_setting_its_backend_never_reads(tmp_pat
     assert capsys.readouterr().err.strip() == "error: calibrate --backend net reads no k"
 
 
+# (command, initial model, flags that model never reads, the settings its refusal names)
+UNREAD_INITIAL_FLAGS = [
+    ("calibrate", "uniform", ["--mean-k", 7], "mean_k"),
+    ("calibrate", "marginal", ["--sd-scale", 3], "sd_scale"),
+    ("calibrate", "uniform", ["--mean-k", 7, "--sd-scale", 0.5], "mean_k, sd_scale"),
+    ("diagnose", "uniform", ["--sd-scale", "nan"], "sd_scale"),
+    ("diagnose", "marginal", ["--mean-k", 0], "mean_k"),
+    ("diagnose", "uniform", ["--mean-k", 49, "--sd-scale", 1.5], "mean_k, sd_scale"),
+]
+
+
+@pytest.mark.parametrize("command, initial, flags, names", UNREAD_INITIAL_FLAGS,
+                         ids=[f"{c[0]}-{c[1]}-{c[3]}" for c in UNREAD_INITIAL_FLAGS])
+def test_refuses_flags_the_initial_model_never_reads(tmp_path, capsys, command, initial, flags,
+                                                     names):
+    # the data file is absent: the refusal comes before any data is read
+    out = tmp_path / "out"
+    assert run([command, "--data", tmp_path / "absent.csv", "--initial", initial, *flags,
+                "--out-dir", out]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: {command} --initial {initial} reads no {names}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "diagnose"])
+def test_refuses_a_config_file_setting_the_initial_model_never_reads(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("initial = marginal\nmean_k = 7\n")
+    assert run([command, "--config", cfg, "--data", tmp_path / "absent.csv"]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {command} --initial marginal reads no mean_k"
+
+
+@pytest.mark.parametrize("command, extra", [("calibrate", ["--eval-x=0.5"]),
+                                            ("diagnose", ["--n-mc", 20, "--n-eval-points", 1])])
+def test_takes_initial_model_flags_at_their_defaults(tmp_path, command, extra):
+    data = _write_csv(tmp_path / "data.csv", 300)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sd_scale = 1\n")
+    assert run([command, "--data", data, "--config", cfg, "--initial", "marginal", "--mean-k", 50,
+                *extra, "--out-dir", tmp_path / "out"]) == 0
+
+
 @pytest.mark.parametrize("backend, flags", [
     ("local", ["--k-factor", 50, "--net-hidden", "64,64,64", "--net-lr", "0.001",
                "--net-max-epochs", 100]),

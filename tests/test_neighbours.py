@@ -155,8 +155,8 @@ def test_k_above_the_rows_reads_as_the_tree_answers(d, k):
 def test_scan_equals_the_tree_on_tie_free_data(d, n, k):
     rng = np.random.default_rng(100 * d + k)
     xs = rng.standard_normal((n, d))
-    # two and a half blocks of 2**18 // n queries, half of them rows of the data
-    m = 5 * (2**18 // n) // 2
+    # two and a half blocks of 2**18 // (4 * n) queries, half of them rows of the data
+    m = 5 * (2**18 // (4 * n)) // 2
     queries = np.concatenate([xs[rng.integers(0, n, m // 2)], rng.standard_normal((m - m // 2, d))])
     reg = KnnMeanRegressor(CalibrationSet(xs, rng.standard_normal(n)), k=k)
     assert reg._tree is None and reg._columns.shape == (d, n)

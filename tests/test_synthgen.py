@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
@@ -304,3 +304,64 @@ def test_example2_draws_through_its_oracle_law_bit_for_bit(setting, n, seed):
     xs, ys = frozen_example2_draws(setting, n, seed)
     assert data.cal.xs.tobytes() == xs.tobytes()
     assert data.cal.ys.tobytes() == ys.tobytes()
+
+
+# ----------------------------------------------------------------------
+# oracle draws in rows: sample_rows against the per-point sample it replaced
+# ----------------------------------------------------------------------
+
+def frozen_oracle_sample(oracle, x, rng, size):
+    """``oracle.sample(x, rng, size)`` as each oracle drew one point at a time."""
+    x1 = float(np.asarray(x, dtype=float).ravel()[0])
+    if isinstance(oracle, Example1Oracle):
+        offset = 0.5 * oracle.cfg.branch_gap * x1 if x1 > 0 else 0.0
+        means, scales = np.array([offset, -offset]), oracle.scales
+        comp = rng.random(size) < oracle.weights[1]
+        draws = rng.standard_normal(size)
+        return np.where(comp, means[1] + scales[1] * draws, means[0] + scales[0] * draws)
+    if oracle.setting == "skewed":
+        mu, sigma, skew, tail = x1, 2.0 - abs(x1), x1, 1.0
+    else:
+        mu, sigma, skew, tail = x1, 2.0, 0.0, 1.0 - x1 / 4.0
+    w = rng.standard_normal(size)
+    return mu + sigma * np.sinh((np.arcsinh(w) + skew) / tail)
+
+
+ORACLES = {"ex1": Example1Oracle(TwoGroupConfig()), "ex2-skewed": Example2Oracle("skewed"),
+           "ex2-kurtotic": Example2Oracle("kurtotic")}
+
+
+@st.composite
+def sample_rows_cases(draw):
+    """(oracle name, feature rows, draws per row, seed); ex1's rows often have x1 <= 0."""
+    name = draw(st.sampled_from(sorted(ORACLES)))
+    n_rows = draw(st.integers(min_value=1, max_value=6))
+    if name == "ex1":
+        x1 = st.one_of(st.sampled_from([0.0, -0.0, -2.5]), st.floats(-5.0, 5.0))
+        rows = [[draw(x1), draw(st.floats(-5.0, 5.0))] for _ in range(n_rows)]
+    else:
+        rows = [[draw(st.one_of(st.just(0.0), st.floats(-0.99, 0.99)))] for _ in range(n_rows)]
+    size = draw(st.one_of(st.just(1), st.integers(min_value=1, max_value=1001)))
+    return name, np.array(rows), size, draw(st.integers(min_value=0, max_value=2**64 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sample_rows_cases())
+@example(("ex1", np.array([[0.0, 1.0], [-0.0, 0.0], [-3.0, 2.0], [2.0, 0.5]]), 1, 7))
+@example(("ex1", np.array([[-1.0, 1.0], [4.5, -1.0]]), 1001, 8))
+@example(("ex2-skewed", np.array([[0.0], [-0.5], [0.9]]), 17, 9))
+@example(("ex2-kurtotic", np.array([[0.0], [0.5], [-0.9]]), 999, 10))
+def test_sample_rows_equal_per_point_samples(case):
+    name, xs, size, seed = case
+    oracle = ORACLES[name]
+    batch, one, frozen = (rngmod.derived_rngs(seed, "draws", count=len(xs)) for _ in range(3))
+    rows = oracle.sample_rows(xs, batch, size)
+    assert rows.shape == (len(xs), size)
+    for i, x in enumerate(xs):
+        assert rows[i].tobytes() == oracle.sample(x, one[i], size).tobytes()
+        assert rows[i].tobytes() == frozen_oracle_sample(oracle, x, frozen[i], size).tobytes()
+        # each row's generator made the same calls: its next draw agrees too
+        assert batch[i].random() == frozen[i].random()
+    if name == "ex1":  # x1 <= 0 gives the means (0.0, -0.0), signs included
+        offsets = [0.5 * oracle.cfg.branch_gap * x1 if x1 > 0 else 0.0 for x1 in xs[:, 0]]
+        assert oracle._means(xs).tobytes() == np.array([[o, -o] for o in offsets]).tobytes()
