@@ -39,6 +39,8 @@ class ConformalCalibration:
 
     @classmethod
     def from_scores(cls, scores, alpha: float) -> "ConformalCalibration":
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
         scores = np.sort(np.asarray(scores, dtype=float))
         n = scores.shape[0]
         idx = math.ceil((n + 1) * (1.0 - alpha))

@@ -24,8 +24,8 @@ Conventions
   batch of one).
 * Point queries touch only the spline segment they land in: quantile
   inversion bisects within one segment, and PIT evaluation limits the slopes
-  of the queried segment alone. Both equal the whole-spline computation bit
-  for bit.
+  of the queried segment alone (of one broadcast row, its knots once). Both
+  equal the whole-spline computation bit for bit.
 
 All containers are immutable after construction and safe to share across
 threads for read-only evaluation.
@@ -333,14 +333,19 @@ def _pit_rows(points: np.ndarray, cdf_rows: np.ndarray, ys: np.ndarray) -> np.nd
     """PIT of ``ys[i]`` under the monotone cubic through ``cdf_rows[i]``.
 
     Slopes are limited only at the two knots of the segment each response
-    lands in (:func:`_segment_slopes`); values are clipped to [0, 1] and
-    queries off the grid clamp to {0, 1}.
+    lands in (:func:`_segment_slopes`); rows that are one row broadcast (N > 1,
+    first-axis stride 0) read that row's :func:`knot_slopes` instead, equal bit
+    for bit. Values are clipped to [0, 1] and queries off the grid clamp to {0, 1}.
     """
     idx, h, t = _locate(points, ys)
-    rows = np.arange(ys.shape[0])
-    m0, m1 = _segment_slopes(points, cdf_rows, idx).T
-    out = _hermite(cdf_rows[rows, idx], cdf_rows[rows, idx + 1], h * m0, h * m1,
-                   np.clip(t, 0.0, 1.0))
+    if cdf_rows.shape[0] > 1 and cdf_rows.strides[0] == 0:  # one row broadcast: read its knots
+        m = knot_slopes(points, cdf_rows[:1])[0]
+        y0, y1, m0, m1 = cdf_rows[0, idx], cdf_rows[0, idx + 1], m[idx], m[idx + 1]
+    else:
+        rows = np.arange(ys.shape[0])
+        y0, y1 = cdf_rows[rows, idx], cdf_rows[rows, idx + 1]
+        m0, m1 = _segment_slopes(points, cdf_rows, idx).T
+    out = _hermite(y0, y1, h * m0, h * m1, np.clip(t, 0.0, 1.0))
     out = np.clip(out, 0.0, 1.0)
     out = np.where(ys < points[0], 0.0, out)
     return np.where(ys > points[-1], 1.0, out)
@@ -355,9 +360,14 @@ def invert_rows(points: np.ndarray, cdf_rows: np.ndarray, ps) -> np.ndarray:
     answer is halved up to 80 times, with slopes from :func:`_segment_slopes`
     and values from :func:`_hermite`, and each element stops at its own test:
     every result equals bit for bit a bisection over its row's whole spline.
+    Rows that are one row broadcast (first-axis stride 0) with (P,) levels
+    bisect that one row and repeat its (1, P) result N times.
     """
     rows = np.asarray(cdf_rows, dtype=float)
     ps = np.asarray(ps, dtype=float)
+    n = rows.shape[0]
+    if ps.ndim == 1 and rows.strides[0] == 0:  # one row broadcast: bisect it once
+        rows = rows[:1]
     shape = (rows.shape[0], ps.shape[-1])
     row = np.repeat(np.arange(shape[0]), shape[1])
     target = np.broadcast_to(ps, shape).ravel()
@@ -380,4 +390,5 @@ def invert_rows(points: np.ndarray, cdf_rows: np.ndarray, ps) -> np.ndarray:
         if done.all():
             break
     out[e] = hi
-    return out.reshape(shape)
+    out = out.reshape(shape)
+    return out if shape[0] == n else np.repeat(out, n, axis=0)

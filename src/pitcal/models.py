@@ -6,8 +6,9 @@ marginal histogram. Any of them can seed the recalibration pipeline, which
 morphs the initial shape toward the calibration data. An initial model
 answers for many feature points at once: :func:`cdf_rows` integrates its
 ``density_matrix(xs)``, or reads ``cdf_matrix(xs)``. The two feature-independent
-models integrate once and return one cached CDF row as a read-only broadcast
-(n, G) view, so callers must not write into :func:`cdf_rows` results.
+models integrate once and return one cached CDF row as a read-only (n, G) view
+with a first-axis stride of 0: callers must not write into :func:`cdf_rows`
+results, and may work such rows as one row, as ``grid`` does.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ def cdf_rows(model, xs) -> np.ndarray:
 
     A model with ``cdf_matrix(xs)`` returns its rows itself; any other model
     has ``density_matrix(xs)``, whose rows are integrated all at once. The
-    rows may be a read-only broadcast view: callers must not write into them.
+    rows may be one row broadcast, a read-only view with a first-axis stride
+    of 0: callers must not write into them, and may treat them as one row.
     """
     xs = feature_rows(xs)
     if hasattr(model, "cdf_matrix"):

@@ -21,6 +21,20 @@ class TestConformalQuantile:
         with pytest.raises(InsufficientCalibration):
             ConformalCalibration.from_scores([1.0, 2.0], alpha=0.05)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, float("nan"), float("inf")])
+    def test_alpha_outside_the_open_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            ConformalCalibration.from_scores([1.0, 2.0, 3.0, 4.0], alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [1.5, -0.5, float("nan")])
+    def test_models_refuse_alpha_outside_the_open_unit_interval(self, alpha):
+        cal = CalibrationSet(np.linspace(0.0, 1.0, 20).reshape(-1, 1), np.linspace(-1.0, 1.0, 20))
+        initial = UniformInitialModel(YGrid(np.linspace(-2.0, 2.0, 41)))
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got"):
+            DcpModel(initial, cal, alpha)
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got"):
+            RegSplitModel(lambda tr: _ZeroMean(), cal, cal, alpha)
+
 
 class _ZeroMean:
     """A constant-zero regressor with the batched call ``fit_mean`` returns."""
